@@ -69,6 +69,25 @@ impl Policy {
         ]
     }
 
+    /// Whether this policy's report is independent of
+    /// [`SimInputs::tw_size`]. Only PTB batches time points into
+    /// windows; the dense baseline \[14\] tiles `cols` consecutive time
+    /// points whatever the TW size, the time-serial and event-driven
+    /// accelerators walk one time point at a time, and the ANN has no
+    /// time axis. Each of those four reports `tw_size: 1` and is a pure
+    /// function of the layer and the arch/energy model, which is what
+    /// lets [`crate::PreparedLayer::simulate_memoized`] simulate it
+    /// once per layer instead of once per sweep point.
+    pub fn tw_invariant(&self) -> bool {
+        // Exhaustive on purpose: a new policy must choose a side.
+        match self {
+            Policy::Ptb { .. } => false,
+            Policy::BaselineTemporal | Policy::TimeSerial | Policy::EventDriven | Policy::Ann => {
+                true
+            }
+        }
+    }
+
     /// Parses a [`Policy::label`] string back into a policy
     /// (case-insensitive). `None` for unrecognized labels, so callers
     /// taking labels from the outside (CLI flags, service requests) can

@@ -2341,6 +2341,53 @@ mod tests {
     }
 
     #[test]
+    fn tw_invariant_policies_report_identically_at_every_tw() {
+        // The invariance `PreparedLayer::simulate_memoized` relies on:
+        // a TW-invariant policy's report must not depend on the TW size
+        // at all, on unpadded and padded shapes and on periods that are
+        // not a multiple of 64. PTB must differ somewhere, so the
+        // predicate cannot quietly widen to cover it.
+        let tws = [1u32, 3, 4, 7, 8, 64];
+        for shape in [
+            small_shape(),
+            ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap(),
+        ] {
+            for t in [40usize, 70, 128] {
+                let input = sparse_input(shape, t);
+                for policy in Policy::all() {
+                    let reports: Vec<LayerReport> = tws
+                        .iter()
+                        .map(|&tw| simulate_layer(&SimInputs::hpca22(tw), policy, shape, &input))
+                        .collect();
+                    if policy.tw_invariant() {
+                        for (tw, r) in tws.iter().zip(&reports) {
+                            assert_eq!(r, &reports[0], "{policy:?} t={t} tw={tw}");
+                        }
+                    } else {
+                        assert!(
+                            reports.iter().any(|r| r != &reports[0]),
+                            "{policy:?} t={t}: PTB must depend on the TW size"
+                        );
+                    }
+                }
+            }
+        }
+        let invariant: Vec<_> = Policy::all()
+            .into_iter()
+            .filter(Policy::tw_invariant)
+            .collect();
+        assert_eq!(
+            invariant,
+            [
+                Policy::BaselineTemporal,
+                Policy::TimeSerial,
+                Policy::Ann,
+                Policy::EventDriven
+            ]
+        );
+    }
+
+    #[test]
     fn word_kernel_matches_scalar_reference_on_wide_arrays() {
         // Wide-column arrays pin the paths the default 8-column setup
         // never reaches: `u128` tile masks (cols > 16), the

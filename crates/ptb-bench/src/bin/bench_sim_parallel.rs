@@ -114,9 +114,7 @@ fn main() {
             let activity = layer.input_profile.generate(
                 shape.ifmap_neurons(),
                 timesteps,
-                opts.seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(i as u64),
+                ptb_bench::layer_seed(opts.seed, i),
             );
             for tw in tws {
                 let serial_in = SimInputs::hpca22(tw);

@@ -144,9 +144,7 @@ fn main() {
                     l,
                     shape,
                     timesteps,
-                    args.seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(i as u64),
+                    ptb_bench::layer_seed(args.seed, i),
                 );
                 (
                     l.name.clone(),

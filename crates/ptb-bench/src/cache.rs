@@ -349,7 +349,10 @@ fn tensor_cost(t: &SpikeTensor) -> u64 {
 /// memoized popcount/tag tables, see `ptb_accel::prepared`) grows to
 /// the same order as the tensor itself, so a layer entry is charged one
 /// extra tensor's worth. Conservative by design — over-charging evicts
-/// earlier, never later.
+/// earlier, never later. The layer's report memo (at most four
+/// TW-invariant policies' `LayerReport`s, each under a kilobyte) fits
+/// inside that charge, so it adds no term here and the resident
+/// recount ([`ActivityCache::recounted_bytes`]) is unchanged.
 fn layer_cost(t: &SpikeTensor) -> u64 {
     tensor_cost(t)
 }

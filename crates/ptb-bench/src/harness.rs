@@ -180,6 +180,15 @@ pub fn run_network_cached(
     report
 }
 
+/// The activity seed of layer `index` in a run seeded `run_seed`: each
+/// layer draws its own stream, and the derivation is part of the
+/// activity-cache key.
+pub fn layer_seed(run_seed: u64, index: usize) -> u64 {
+    run_seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(index as u64)
+}
+
 /// [`run_network_cached`] plus the audit outcome: every layer is
 /// simulated and then audited at [`RunOptions::verify`]
 /// (`ptb_accel::audit`), and — when auditing is on — the layer's
@@ -191,6 +200,13 @@ pub fn run_network_cached(
 /// The report is bit-identical to [`run_network_cached`] at every
 /// level; at [`AuditLevel::Off`] the summary is empty and no audit
 /// work runs.
+///
+/// At [`AuditLevel::Off`] a TW-invariant policy
+/// ([`Policy::tw_invariant`]) is simulated once per cached layer and
+/// its report reused by later TW points
+/// ([`ptb_accel::PreparedLayer::simulate_memoized`]). Audited runs
+/// neither read nor fill that memo: they simulate every layer afresh,
+/// so the audit never checks a memoized report against itself.
 pub fn run_network_verified(
     spec: &NetworkSpec,
     policy: Policy,
@@ -214,12 +230,14 @@ pub fn run_network_verified(
             .map(|(i, layer)| {
                 scope.spawn(move || {
                     let shape = opts.effective_shape(layer);
-                    let seed = opts
-                        .seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(i as u64);
+                    let seed = layer_seed(opts.seed, i);
                     let prep = cache.layer(layer, shape, timesteps, seed);
-                    let report = simulate_layer_prepared(&inputs, policy, &prep);
+                    // An audit must check a fresh report, never a memoized one.
+                    let report = if level.is_on() {
+                        simulate_layer_prepared(&inputs, policy, &prep)
+                    } else {
+                        prep.simulate_memoized(&inputs, policy)
+                    };
                     let mut summary = AuditSummary::new(level);
                     if level.is_on() {
                         // Exhaustive activity diff against a fresh
@@ -288,8 +306,11 @@ pub struct SweepRow {
 ///
 /// All sweep points share one [`ActivityCache`] in the mode selected by
 /// [`RunOptions::cache`], so activity is generated once per layer and
-/// each subsequent TW point re-simulates incrementally (rebuilding only
-/// the TW-dependent popcount table, TB tags, and schedule). Use
+/// each subsequent TW point re-simulates incrementally: PTB rebuilds
+/// only the TW-dependent popcount table, TB tags, and schedule, and a
+/// TW-invariant policy ([`Policy::tw_invariant`]) is simulated once per
+/// layer and reused at every other TW point (unless
+/// [`RunOptions::verify`] audits the run, which always recomputes). Use
 /// [`sweep_summary_cached`] to share the cache across *several* sweeps
 /// (e.g. one per policy).
 pub fn sweep_summary(

@@ -16,7 +16,7 @@ pub mod sync;
 
 pub use cache::{ActivityCache, ActivityKey, CacheBudget, CacheMode, CacheStats};
 pub use harness::{
-    merge_shards, run_network, run_network_cached, run_network_verified, run_network_with,
-    shard_identity_bytes, shard_key, sweep_point, sweep_point_verified, sweep_summary,
-    sweep_summary_cached, sweep_summary_verified, RunOptions, SweepRow,
+    layer_seed, merge_shards, run_network, run_network_cached, run_network_verified,
+    run_network_with, shard_identity_bytes, shard_key, sweep_point, sweep_point_verified,
+    sweep_summary, sweep_summary_cached, sweep_summary_verified, RunOptions, SweepRow,
 };

@@ -9,9 +9,16 @@
 //! DESIGN.md on determinism).
 
 use proptest::prelude::*;
+use ptb_accel::audit::AuditLevel;
 use ptb_accel::config::Policy;
-use ptb_bench::{run_network_cached, sweep_summary, ActivityCache, CacheMode, RunOptions};
+use ptb_accel::PreparedLayer;
+use ptb_bench::{
+    layer_seed, run_network_cached, run_network_verified, sweep_summary, sweep_summary_cached,
+    ActivityCache, CacheMode, RunOptions,
+};
+use spikegen::NetworkSpec;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// All six scheduling policies the simulator exposes.
 const POLICIES: [Policy; 6] = [
@@ -89,7 +96,7 @@ fn sweep_summary_rows_identical_across_modes() {
         let rows = if mode == CacheMode::Disk {
             // Route the disk store to a temp dir via the cached variant.
             let cache = ActivityCache::with_dir(mode, &dir);
-            ptb_bench::sweep_summary_cached(&spec, Policy::ptb_with_stsap(), &tws, &base, &cache)
+            sweep_summary_cached(&spec, Policy::ptb_with_stsap(), &tws, &base, &cache)
         } else {
             sweep_summary(
                 &spec,
@@ -154,4 +161,134 @@ fn different_seeds_do_not_alias() {
         ),
         "seed-2 report must match its own uncached run, not seed-1 state"
     );
+}
+
+/// The service's full TW sweep.
+const ALL_TWS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
+
+/// The policies whose reports the layer memo may serve.
+fn invariant_policies() -> Vec<Policy> {
+    POLICIES.into_iter().filter(Policy::tw_invariant).collect()
+}
+
+/// The prepared layers a run of `spec` under `opts` reads from `cache`,
+/// looked up exactly as the harness does. Asserts every lookup is a
+/// memory hit, so the layers are the very ones the run used.
+fn resident_layers(
+    spec: &NetworkSpec,
+    opts: &RunOptions,
+    cache: &ActivityCache,
+) -> Vec<Arc<PreparedLayer>> {
+    let timesteps = opts
+        .max_timesteps
+        .map_or(spec.timesteps, |cap| spec.timesteps.min(cap));
+    let misses = cache.stats().misses;
+    let layers = spec
+        .layers
+        .iter()
+        .enumerate()
+        .map(|(i, l)| {
+            cache.layer(
+                l,
+                opts.effective_shape(l),
+                timesteps,
+                layer_seed(opts.seed, i),
+            )
+        })
+        .collect();
+    assert_eq!(cache.stats().misses, misses, "layers must be resident");
+    layers
+}
+
+/// Memoized sweeps of every TW-invariant policy, on all three benchmark
+/// networks, return the rows of a fresh uncached run — both the sweep
+/// that fills the memo and the one served from it.
+#[test]
+fn memo_warm_invariant_sweeps_match_uncached_runs() {
+    let opts = opts(11);
+    for spec in spikegen::datasets::all_benchmarks() {
+        let cache = ActivityCache::new(CacheMode::Mem);
+        for policy in invariant_policies() {
+            let off = sweep_summary_cached(
+                &spec,
+                policy,
+                &ALL_TWS,
+                &opts,
+                &ActivityCache::new(CacheMode::Off),
+            );
+            let filling = sweep_summary_cached(&spec, policy, &ALL_TWS, &opts, &cache);
+            let warm = sweep_summary_cached(&spec, policy, &ALL_TWS, &opts, &cache);
+            assert_eq!(
+                filling,
+                off,
+                "{} {}: filling sweep",
+                spec.name,
+                policy.label()
+            );
+            assert_eq!(
+                warm,
+                off,
+                "{} {}: memo-warm sweep",
+                spec.name,
+                policy.label()
+            );
+        }
+        for layer in resident_layers(&spec, &opts, &cache) {
+            assert_eq!(layer.memoized_reports(), invariant_policies().len());
+        }
+    }
+}
+
+/// Audited runs (sample and full) never fill the memo — and, since the
+/// only way to read it fills it on a miss, never read it either. On a
+/// memo an unaudited run warmed, an audited run still recomputes,
+/// audits clean and reports the same bits.
+#[test]
+fn audited_runs_neither_read_nor_fill_the_report_memo() {
+    let spec = spikegen::dvs_gesture();
+    let policy = Policy::BaselineTemporal;
+    for level in [AuditLevel::Sample, AuditLevel::Full] {
+        let audited = RunOptions {
+            verify: level,
+            ..opts(5)
+        };
+        let cache = ActivityCache::new(CacheMode::Mem);
+        let (report, summary) = run_network_verified(&spec, policy, 4, &audited, &cache);
+        assert!(summary.is_clean(), "{level:?}: {:?}", summary.first());
+        let layers = resident_layers(&spec, &audited, &cache);
+        assert!(
+            layers.iter().all(|l| l.memoized_reports() == 0),
+            "{level:?}: an audited run filled the memo"
+        );
+
+        let plain = run_network_cached(&spec, policy, 8, &opts(5), &cache);
+        assert_eq!(plain, report, "TW-invariant policy: same report at tw 8");
+        assert!(layers.iter().all(|l| l.memoized_reports() == 1));
+        let (again, summary) = run_network_verified(&spec, policy, 16, &audited, &cache);
+        assert!(summary.is_clean(), "{level:?}: {:?}", summary.first());
+        assert_eq!(summary.layers_checked, spec.layers.len() as u64);
+        assert_eq!(again, report);
+        assert!(layers.iter().all(|l| l.memoized_reports() == 1));
+    }
+}
+
+/// Flushing the resident cache drops each layer's memo with it: the
+/// next sweep rebuilds the layers, re-simulates, refills the memo, and
+/// returns the same rows.
+#[test]
+fn flushed_layers_recompute_identical_memoized_rows() {
+    let spec = spikegen::dvs_gesture();
+    let opts = opts(23);
+    let cache = ActivityCache::new(CacheMode::Mem);
+    let policy = Policy::EventDriven;
+    let before = sweep_summary_cached(&spec, policy, &ALL_TWS, &opts, &cache);
+    let old = resident_layers(&spec, &opts, &cache);
+    cache.flush_resident();
+    let after = sweep_summary_cached(&spec, policy, &ALL_TWS, &opts, &cache);
+    assert_eq!(after, before);
+    let new = resident_layers(&spec, &opts, &cache);
+    for (old, new) in old.iter().zip(&new) {
+        assert!(!Arc::ptr_eq(old, new), "the flush must drop the layer");
+        assert_eq!(new.memoized_reports(), 1, "the new layer memoizes afresh");
+    }
 }

@@ -132,3 +132,30 @@ fn disk_mode_evictions_stay_bit_identical_and_bounded() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Chaos eviction mid-sweep drops prepared layers together with their
+/// memoized TW-invariant reports: sweeps that fill and then reuse the
+/// memo still match uncached rows bit for bit.
+#[test]
+fn evicted_report_memos_recompute_bit_identically() {
+    let spec = spikegen::dvs_gesture();
+    let tws = [1u32, 2, 4, 8, 16, 32, 64];
+    let base = opts(314);
+    for policy in [Policy::BaselineTemporal, Policy::TimeSerial] {
+        let reference = sweep_summary_cached(
+            &spec,
+            policy,
+            &tws,
+            &base,
+            &ActivityCache::new(CacheMode::Off),
+        );
+        failpoint::set("cache_evict", "err:0.5").unwrap();
+        let cache = ActivityCache::new(CacheMode::Mem);
+        let first = sweep_summary_cached(&spec, policy, &tws, &base, &cache);
+        let second = sweep_summary_cached(&spec, policy, &tws, &base, &cache);
+        failpoint::clear("cache_evict");
+        assert_accounting(&cache);
+        assert_eq!(first, reference, "{}", policy.label());
+        assert_eq!(second, reference, "{}", policy.label());
+    }
+}

@@ -19,9 +19,12 @@
 //!          [--label TEXT]
 //! ```
 //!
-//! Smoke mode drives `/healthz`, one quick `/simulate`, and `/metrics`,
-//! checking each response; it exits nonzero on any failure (the CI
-//! smoke stage runs this). `--xcheck` drives `/simulate` and a sync
+//! Smoke mode drives `/healthz`, one quick `/simulate`, a `/sweep`,
+//! and `/metrics`, checking each response, plus a `baseline[14]` sweep
+//! over all seven TW sizes sent unaudited twice (filling, then reading
+//! the layers' report memo) and once under a full audit, whose three
+//! bodies must be byte-identical; it exits nonzero on any failure (the
+//! CI smoke stage runs this). `--xcheck` drives `/simulate` and a sync
 //! `/sweep` through *both* codecs over one kept-alive connection —
 //! including a pipelined pair — and exits nonzero unless the binary
 //! responses decode to byte-identical JSON renderings of the JSON
@@ -421,6 +424,34 @@ fn run_smoke(cfg: &LoadConfig) -> Result<(), String> {
         .map_err(|e| format!("/sweep: {e}"))?;
     if status != 200 || !body.contains("\"edp\"") {
         return Err(format!("/sweep answered {status}: {body}"));
+    }
+
+    // A TW-invariant policy is simulated once per cached layer and
+    // served from that layer's report memo at every later TW point, but
+    // only when the request is unaudited. Fill the memo, read it, then
+    // recompute under a full audit: all three bodies must be identical.
+    let invariant_sweep = |verify: &str| {
+        let body = format!(
+            "{{\"network\": \"{}\", \"policy\": \"baseline[14]\", \
+             \"tws\": [1, 2, 4, 8, 16, 32, 64], \"quick\": true, \"seed\": 42, \
+             \"verify\": \"{verify}\"}}",
+            cfg.network
+        );
+        match client::request_json(cfg.addr, "POST", "/sweep", &body) {
+            Ok((200, rows)) => Ok(rows),
+            Ok((status, rows)) => Err(format!(
+                "/sweep (verify {verify}) answered {status}: {rows}"
+            )),
+            Err(e) => Err(format!("/sweep (verify {verify}): {e}")),
+        }
+    };
+    let cold = invariant_sweep("off")?;
+    let warm = invariant_sweep("off")?;
+    let audited = invariant_sweep("full")?;
+    if warm != cold || audited != cold {
+        return Err(format!(
+            "memoized baseline sweep diverged\n  cold: {cold}\n  warm: {warm}\n  full: {audited}"
+        ));
     }
 
     let (status, body) = client::request_json(cfg.addr, "GET", "/metrics", "")
