@@ -18,7 +18,8 @@
 //!   [`SAMPLE_REPLAY_BUDGET`] replayed neurons per layer, plus a
 //!   sampled popcount re-derivation.
 //! * [`AuditLevel::Full`] — exhaustive structural checks (every
-//!   position's tiles, every neuron's window popcounts), a merge
+//!   position's tiles, every neuron's window popcounts), a diff of the
+//!   report against the serial per-bit reference simulation, a merge
 //!   permutation-invariance re-simulation, and a replay sample widened
 //!   to [`FULL_REPLAY_BUDGET`] stratified neurons per layer.
 //!
@@ -38,13 +39,10 @@
 //! * **Tile coverage** — the window partition schedules every
 //!   (post-neuron, TW) tile exactly once; a gap silently drops work, an
 //!   overlap double-counts energy.
-//! * **Popcount re-derivation** — the memoized per-(neuron, window)
-//!   spike counts that drive TB-tags match the raw `SpikeTensor`; a
-//!   stale or mis-keyed memo mis-classifies neurons.
-//! * **Tag re-derivation** — the packed window-activity tag words the
-//!   bit-parallel gather scans agree bit-for-bit with the popcount
-//!   table (and keep their tail bits clear); a drifted tag silently
-//!   drops or invents streamed work.
+//! * **Popcount re-derivation** — the per-(neuron, window) spike
+//!   count table ([`crate::geom::window_popcounts`], which the scalar
+//!   reference and the audit's own StSAP re-pack read) matches counts
+//!   taken window by window from the raw `SpikeTensor`.
 //! * **StSAP packing** — packing conserves entries (each input entry in
 //!   exactly one slot), never pairs overlapping tags, and its slot
 //!   accounting balances; violations would corrupt both latency and the
@@ -52,6 +50,10 @@
 //! * **Replay** — the batched Step A / Step B decomposition (Eqs. 7–8)
 //!   matches the serial reference dynamics (Eqs. 1–3) on the actual
 //!   layer activity.
+//! * **Reference diff** (full only) — the report matches
+//!   [`simulate_layer_reference`], the serial per-bit walk, bit for
+//!   bit, for every policy: the word kernel's row builders, position
+//!   scans and StSAP costers against the slow, obvious oracle.
 //! * **Merge invariance** — re-simulating with a different worker count
 //!   reproduces the report bit-for-bit (the determinism contract of
 //!   `ptb_accel::sim`).
@@ -64,10 +66,11 @@ use snn_core::neuron::NeuronConfig;
 use snn_core::spike::SpikeTensor;
 
 use crate::config::{Policy, SimInputs};
+use crate::geom::window_popcounts;
 use crate::prepared::PreparedLayer;
 use crate::reference::{batched_neuron_forward, serial_neuron_forward};
 use crate::report::LayerReport;
-use crate::sim::simulate_layer_prepared;
+use crate::sim::{simulate_layer_prepared, simulate_layer_reference};
 use crate::stsap::{pack_tile, PackResult};
 use crate::window::WindowPartition;
 
@@ -350,60 +353,11 @@ pub fn verify_pack(
     }
 }
 
-/// Verifies a packed window-activity tag table against the popcount
-/// table it was derived from: bit `w` of a neuron's tag words must be
-/// set iff the window's count is nonzero, and the bits past the last
-/// window must be clear (the invariant the word gather's funnel shifts
-/// rely on). Checks every `stride`-th neuron; records the first
-/// divergence per call into `summary`.
-pub fn verify_tags(
-    layer: &str,
-    n_w: usize,
-    pops: &[u16],
-    tags: &[u64],
-    stride: usize,
-    summary: &mut AuditSummary,
-) {
-    if n_w == 0 {
-        return;
-    }
-    let tag_words = n_w.div_ceil(64);
-    let neurons = pops.len() / n_w;
-    for n in (0..neurons).step_by(stride.max(1)) {
-        for w in 0..n_w {
-            let got = tags[n * tag_words + w / 64] >> (w % 64) & 1 == 1;
-            let expected = pops[n * n_w + w] > 0;
-            if expected != got {
-                summary.record(AuditError::TagMismatch {
-                    layer: layer.to_string(),
-                    neuron: n,
-                    window: w,
-                    expected,
-                    got,
-                });
-                return; // first divergence is the report
-            }
-        }
-        let tail_bits = n_w % 64;
-        if tail_bits != 0 && tags[n * tag_words + tag_words - 1] >> tail_bits != 0 {
-            // A phantom window past the end of the partition.
-            summary.record(AuditError::TagMismatch {
-                layer: layer.to_string(),
-                neuron: n,
-                window: n_w,
-                expected: false,
-                got: true,
-            });
-            return;
-        }
-    }
-}
-
 /// Audits one simulated layer at `level`, recording findings and
 /// coverage counters into `summary`. `report` is the layer's production
-/// result (checked for saturation and, at [`AuditLevel::Full`], for
-/// merge invariance). Never panics on well-formed inputs; divergences
-/// are typed findings.
+/// result (checked for saturation and, at [`AuditLevel::Full`], against
+/// the serial reference and for merge invariance). Never panics on
+/// well-formed inputs; divergences are typed findings.
 pub fn audit_layer(
     inputs: &SimInputs,
     policy: Policy,
@@ -436,9 +390,9 @@ pub fn audit_layer(
         let part = WindowPartition::new(t, inputs.tw_size as usize);
         let n_w = part.num_windows();
 
-        // --- Popcount re-derivation: the memo the scheduler consumed vs
-        // counts taken directly from the raw tensor.
-        let memo = prep.window_popcounts(part.tw_size());
+        // --- Popcount re-derivation: the window-count table, built
+        // fresh, vs counts taken window by window from the raw tensor.
+        let pops = window_popcounts(spikes, &part);
         let neurons = spikes.neurons();
         let stride = match level {
             AuditLevel::Full => 1,
@@ -448,7 +402,7 @@ pub fn audit_layer(
             for w in 0..n_w {
                 let (s, e) = part.window_range(w);
                 let expected = spikes.popcount_range(n, s, e) as u16;
-                let got = memo[n * n_w + w];
+                let got = pops[n * n_w + w];
                 if expected != got {
                     summary.record(AuditError::PopcountMismatch {
                         layer: layer_name.to_string(),
@@ -461,11 +415,6 @@ pub fn audit_layer(
                 }
             }
         }
-
-        // --- Tag re-derivation: the packed tag words the word kernel's
-        // gather actually scans, vs the popcount table just verified.
-        let tables = prep.window_tables(part.tw_size());
-        verify_tags(layer_name, n_w, &memo, &tables.tags, stride, summary);
 
         // --- Tile coverage: the column tiles must schedule every time
         // window exactly once.
@@ -493,7 +442,6 @@ pub fn audit_layer(
         if let Policy::Ptb { stsap: true } = policy {
             let geo = prep.geometry();
             let positions = geo.positions();
-            let memo: &[u16] = &memo;
             let pos_stride = match level {
                 AuditLevel::Full => 1,
                 _ => (positions / SAMPLE_TILE_BUDGET).max(1),
@@ -513,7 +461,7 @@ pub fn audit_layer(
                         let base = n * n_w;
                         let mut mask = 0u128;
                         for (i, w) in (w0..w1).enumerate() {
-                            if memo[base + w] > 0 {
+                            if pops[base + w] > 0 {
                                 mask |= 1 << i;
                             }
                         }
@@ -582,9 +530,16 @@ pub fn audit_layer(
         }
     }
 
-    // --- Merge invariance (full only: costs one extra simulation): a
-    // different worker count must reproduce the report bit-for-bit.
+    // --- Reference diff and merge invariance (full only: each costs one
+    // extra simulation). The serial per-bit oracle must reproduce the
+    // report bit-for-bit, and so must a different worker count.
     if level == AuditLevel::Full {
+        let oracle = simulate_layer_reference(inputs, policy, prep.shape(), spikes);
+        if oracle != *report {
+            summary.record(AuditError::ReferenceDivergence {
+                layer: layer_name.to_string(),
+            });
+        }
         let alt_threads = if inputs.threads == 1 { 2 } else { 1 };
         let alt = simulate_layer_prepared(&inputs.with_threads(alt_threads), policy, prep);
         if alt != *report {
@@ -700,46 +655,33 @@ mod tests {
     }
 
     #[test]
-    fn verify_tags_catches_drift_and_dirty_tails() {
-        let spikes = SpikeTensor::from_fn(3, 70, |n, tp| (n * 7 + tp) % 9 == 0);
-        let part = WindowPartition::new(70, 2); // 35 windows, one tag word
-        let n_w = part.num_windows();
-        let pops = crate::geom::window_popcounts(&spikes, &part);
-        let tags = crate::geom::window_tags(&spikes, &part, &pops);
-
-        let mut clean = AuditSummary::new(AuditLevel::Full);
-        verify_tags("L", n_w, &pops, &tags, 1, &mut clean);
-        assert!(clean.is_clean(), "{:?}", clean.first());
-
-        // Flip one live tag bit: dropped-work divergence.
-        let mut doctored = tags.clone();
-        doctored[1] ^= 1 << 3;
-        let mut s = AuditSummary::new(AuditLevel::Full);
-        verify_tags("L", n_w, &pops, &doctored, 1, &mut s);
-        assert!(matches!(
-            s.first(),
-            Some(AuditError::TagMismatch {
-                neuron: 1,
-                window: 3,
-                ..
-            })
-        ));
-
-        // Set a bit past the last window: phantom-window divergence.
-        let mut dirty = tags.clone();
-        dirty[2] |= 1 << (n_w % 64);
-        let mut s = AuditSummary::new(AuditLevel::Full);
-        verify_tags("L", n_w, &pops, &dirty, 1, &mut s);
-        assert!(matches!(
-            s.first(),
-            Some(AuditError::TagMismatch {
-                neuron: 2,
-                window: 35,
-                expected: false,
-                got: true,
-                ..
-            })
-        ));
+    fn full_audit_diffs_the_report_against_the_reference() {
+        // A planted wrong report — one cycle off, as a kernel bug in the
+        // word scan would produce — must be caught at Full by the
+        // serial-reference diff, for a PTB and a baseline policy alike.
+        let prep = prepared();
+        for (policy, tw) in [(Policy::ptb_with_stsap(), 5u32), (Policy::EventDriven, 1)] {
+            let inputs = SimInputs::hpca22(tw);
+            let mut planted = simulate_layer_prepared(&inputs, policy, &prep);
+            planted.cycles += 1;
+            let mut summary = AuditSummary::new(AuditLevel::Full);
+            audit_layer(
+                &inputs,
+                policy,
+                &prep,
+                "CONV1",
+                &planted,
+                AuditLevel::Full,
+                &mut summary,
+            );
+            assert!(
+                summary.findings.iter().any(
+                    |f| matches!(f, AuditError::ReferenceDivergence { layer } if layer == "CONV1")
+                ),
+                "{policy:?}: {:?}",
+                summary.findings
+            );
+        }
     }
 
     #[test]

@@ -147,49 +147,12 @@ pub fn window_popcounts(input: &SpikeTensor, part: &WindowPartition) -> Vec<u16>
     pops
 }
 
-/// Per-neuron *window-activity* bitmaps: bit `w` of neuron `n`'s words
-/// (packed 64 windows per `u64`, little-endian) is set iff `pops[n·W+w]`
-/// is nonzero — i.e. the neuron's TB-tag over the whole partition. This
-/// is the table the bit-parallel PTB gather scans: one word test covers
-/// 64 windows, and a column tile's tag mask is two funnel shifts
-/// ([`tag_mask`]) instead of a per-window walk.
-///
-/// Bits past the last window are always clear (the same tail invariant
-/// [`SpikeTensor`] keeps), so whole-word tests never see garbage.
-///
-/// # Panics
-///
-/// Panics if `pops` has the wrong length for `input` under `part`.
-pub fn window_tags(input: &SpikeTensor, part: &WindowPartition, pops: &[u16]) -> Vec<u64> {
-    let n_w = part.num_windows();
-    assert_eq!(
-        pops.len(),
-        input.neurons() * n_w,
-        "popcount table must match the partition"
-    );
-    if part.tw_size() == 1 {
-        // Per-point windows: window `w` is active iff time point `w`
-        // carries a spike, so the tags are the tensor's own words.
-        return input.words().to_vec();
-    }
-    let tag_words = n_w.div_ceil(64);
-    let mut tags = vec![0u64; input.neurons() * tag_words];
-    for n in 0..input.neurons() {
-        let base = n * n_w;
-        let tag_base = n * tag_words;
-        for w in 0..n_w {
-            if pops[base + w] > 0 {
-                tags[tag_base + w / 64] |= 1 << (w % 64);
-            }
-        }
-    }
-    tags
-}
-
-/// Extracts windows `w0..w1` (at most 128) of neuron `n`'s tag bits
-/// from a [`window_tags`] table with `tag_words` words per neuron,
-/// packed little-endian (bit `i` = window `w0 + i`). Reads at most
-/// three words; bits past the table read as zero.
+/// Extracts windows `w0..w1` (at most 128) of neuron `n`'s
+/// window-activity bits from a neuron-major table with `tag_words`
+/// words per neuron (bit `w % 64` of word `w / 64` ⇔ window `w` is
+/// active), packed little-endian (bit `i` = window `w0 + i`). Reads at
+/// most three words; bits past the table read as zero. At `TWS = 1` the
+/// spike tensor's own words are such a table.
 ///
 /// # Panics
 ///
@@ -308,52 +271,22 @@ mod tests {
     }
 
     #[test]
-    fn window_tags_mark_exactly_the_active_windows() {
-        for (t, tw) in [(37usize, 8usize), (300, 4), (70, 1), (130, 64)] {
-            let input = SpikeTensor::from_fn(6, t, |n, tp| (n * 13 + tp * 5) % 23 == 0);
-            let part = WindowPartition::new(t, tw);
-            let n_w = part.num_windows();
-            let pops = window_popcounts(&input, &part);
-            let tags = window_tags(&input, &part, &pops);
-            let tag_words = n_w.div_ceil(64);
-            assert_eq!(tags.len(), 6 * tag_words);
-            for n in 0..6 {
-                for w in 0..n_w {
-                    let bit = tags[n * tag_words + w / 64] >> (w % 64) & 1 == 1;
-                    assert_eq!(
-                        bit,
-                        pops[n * n_w + w] > 0,
-                        "neuron {n} window {w} (t={t} tw={tw})"
-                    );
-                }
-                // Tail invariant: bits past the last window stay clear.
-                if !n_w.is_multiple_of(64) {
-                    assert_eq!(tags[n * tag_words + tag_words - 1] >> (n_w % 64), 0);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn tag_mask_matches_per_window_walk() {
-        // Every (start, span) alignment against a per-window rebuild,
-        // including spans that straddle tag-word boundaries and spans
-        // running past the last window (must read as zero).
-        let t = 260;
+        // Every (start, span) alignment against a per-bit rebuild,
+        // including spans that straddle word boundaries and spans
+        // running past the last time point (must read as zero). The
+        // table is a 130-point tensor's own words: 3 words per neuron.
+        let t = 130;
         let input = SpikeTensor::from_fn(4, t, |n, tp| (n * 31 + tp * 7) % 19 == 0);
-        let part = WindowPartition::new(t, 2); // 130 windows: 3 tag words
-        let n_w = part.num_windows();
-        let pops = window_popcounts(&input, &part);
-        let tags = window_tags(&input, &part, &pops);
-        let tag_words = n_w.div_ceil(64);
+        let tag_words = input.words_per_neuron();
         for n in 0..4 {
-            for w0 in (0..n_w).step_by(3) {
+            for w0 in (0..t).step_by(3) {
                 for span in [1usize, 7, 63, 64, 65, 127, 128] {
-                    let w1 = (w0 + span).min(w0 + 128);
-                    let got = tag_mask(&tags, tag_words, n, w0, w1);
+                    let w1 = w0 + span;
+                    let got = tag_mask(input.words(), tag_words, n, w0, w1);
                     let mut expect = 0u128;
                     for (i, w) in (w0..w1).enumerate() {
-                        if w < n_w && pops[n * n_w + w] > 0 {
+                        if w < t && input.get(n, w) {
                             expect |= 1 << i;
                         }
                     }

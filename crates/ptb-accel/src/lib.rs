@@ -30,8 +30,9 @@
 //! * [`geom`] — per-layer receptive-field geometry and spike popcount
 //!   tables, computed once per simulation and shared by every policy
 //!   and every scan worker.
-//! * [`prepared`] — [`PreparedLayer`]: memoized derived tables for
-//!   incremental re-simulation across TW/policy sweeps
+//! * [`prepared`] — [`PreparedLayer`]: memoized geometry and
+//!   TW-invariant reports for incremental re-simulation across
+//!   TW/policy sweeps
 //!   ([`simulate_layer_prepared`] is bit-identical to
 //!   [`simulate_layer`]).
 //! * [`sim`] — the analytic layer simulator for PTB and the baselines
@@ -43,9 +44,10 @@
 //!   Step A / Step B decomposition (Eqs. 7–8) matches the serial
 //!   reference dynamics (Eqs. 1–3).
 //! * [`audit`] — the runtime audit layer (`PTB_VERIFY=off|sample|full`):
-//!   re-derives structural invariants (tile coverage, popcount memos,
-//!   StSAP conservation) and replays sampled neurons through
-//!   `reference`, reporting divergences as typed
+//!   re-derives structural invariants (tile coverage, window popcounts,
+//!   StSAP conservation), replays sampled neurons through `reference`,
+//!   and at `full` diffs each report against the serial per-bit
+//!   reference simulation, reporting divergences as typed
 //!   [`snn_core::error::AuditError`] findings with first-divergence
 //!   coordinates.
 //!

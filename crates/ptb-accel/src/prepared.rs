@@ -1,40 +1,35 @@
 //! Reusable per-layer simulation state for incremental re-simulation.
 //!
 //! A TW or policy sweep re-simulates the same `(shape, activity)` pair
-//! many times, but most of what [`crate::sim::simulate_layer`] derives
+//! many times, but some of what [`crate::sim::simulate_layer`] derives
 //! from that pair is invariant across the sweep:
 //!
 //! * the receptive-field geometry ([`LayerGeometry`]) depends only on
 //!   the shape — it never changes across TW *or* policy;
-//! * the per-(neuron, window) popcount table
-//!   ([`crate::geom::window_popcounts`]) and its packed window-activity
-//!   tag words ([`crate::geom::window_tags`]) depend on the activity
-//!   and the TW size — invariant across *policies* at a fixed TW;
 //! * the whole report of a TW-invariant policy
 //!   ([`Policy::tw_invariant`]: the dense baseline \[14\], time-serial,
 //!   event-driven, ANN) depends on the activity and the arch/energy
 //!   model only — invariant across *TW sizes*.
 //!
-//! A [`PreparedLayer`] owns the activity tensor and memoizes all three,
-//! so a sweep rebuilds only what its changed axis actually invalidates:
-//! changing the policy rebuilds nothing, changing TW rebuilds only the
-//! popcount/tag tables for the new window size (the schedule is
-//! re-derived inside the simulator as always), and a TW-invariant
-//! policy is simulated once per layer however many TW points ask for
-//! it ([`PreparedLayer::simulate_memoized`]). The bit-parallel kernel
-//! reads the activity's packed `u64` time words straight from the
-//! tensor, so no dense per-point table is memoized.
+//! A [`PreparedLayer`] owns the activity tensor and memoizes both, so
+//! changing the policy or the TW rebuilds no geometry, and a
+//! TW-invariant policy is simulated once per layer however many TW
+//! points ask for it ([`PreparedLayer::simulate_memoized`]). Nothing it
+//! holds depends on the TW size: the bit-parallel kernel derives each
+//! (neuron, column tile)'s window mask, spike span and busiest window
+//! from the tensor's packed `u64` time words on every call.
 //!
 //! ## Determinism
 //!
-//! Every memoized table and report is a *pure function* of the tensor
-//! and shape the `PreparedLayer` was constructed with (plus, for a
-//! report, its key) — the memo only skips recomputation, never changes
+//! The geometry and every memoized report are *pure functions* of the
+//! tensor and shape the `PreparedLayer` was constructed with (plus, for
+//! a report, its key) — the memo only skips recomputation, never changes
 //! a value. Consequently [`crate::sim::simulate_layer_prepared`] and
 //! [`PreparedLayer::simulate_memoized`] return reports bit-identical to
 //! [`crate::sim::simulate_layer`] on the same `(shape, input)`, for
-//! every policy, TW size, and thread count; `prepared_matches_fresh`
-//! and the TW-invariance tests pin this.
+//! every policy, TW size, and thread count;
+//! `prepared_reports_match_fresh_for_every_policy` and the
+//! TW-invariance tests pin this.
 //!
 //! [`crate::sim::simulate_layer_prepared`] itself never reads or fills
 //! the report memo: it stays a real computation, which is what audits
@@ -46,30 +41,19 @@ use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
 
 use crate::config::{Policy, SimInputs};
-use crate::geom::{window_popcounts, window_tags, LayerGeometry};
+use crate::geom::LayerGeometry;
 use crate::report::LayerReport;
 use crate::sim::simulate_layer_prepared;
-use crate::window::WindowPartition;
 
-/// One layer's simulation-ready state: the input activity plus lazily
-/// built, memoized derived tables (geometry, per-TW window popcounts
-/// and packed window tags) and the reports of TW-invariant policies.
-/// Cheap to share across threads and sweep points via [`Arc`]; all
-/// interior mutability is memoization only.
+/// One layer's simulation-ready state: the input activity plus its
+/// lazily built geometry and the memoized reports of TW-invariant
+/// policies. Cheap to share across threads and sweep points via
+/// [`Arc`]; all interior mutability is memoization only.
 #[derive(Debug)]
 pub struct PreparedLayer {
     shape: ConvShape,
     spikes: Arc<SpikeTensor>,
     geo: OnceLock<Arc<LayerGeometry>>,
-    /// Window popcount + tag tables keyed by TW size, most recent last.
-    /// The activity and period are fixed at construction, so TW size
-    /// alone identifies a table pair. Bounded to [`POPCOUNT_MEMO_CAP`]
-    /// entries (FIFO eviction): a popcount table costs
-    /// `neurons · ceil(T/TWS) · 2` bytes — ~90 MB for AlexNet CONV1 at
-    /// TWS = 1 — so holding a full 7-point TW sweep per layer would
-    /// dominate memory for no benefit (sweeps revisit at most the
-    /// current and neighboring TW sizes).
-    pops: Mutex<Vec<(usize, WindowTables)>>,
     /// Reports of TW-invariant policies, keyed by the policy and the
     /// normalized [`SimInputs`] ([`report_key`]). Holds entries for one
     /// arch/energy model at a time — a key with a different model
@@ -96,21 +80,6 @@ fn report_key(inputs: &SimInputs) -> SimInputs {
     }
 }
 
-/// The pair of per-TW derived tables the simulator consumes: the
-/// per-(neuron, window) spike counts and the bit-packed window-activity
-/// tags the bit-parallel gather scans (64 windows per word).
-#[derive(Debug, Clone)]
-pub struct WindowTables {
-    /// Per-(neuron, window) spike counts ([`crate::geom::window_popcounts`]).
-    pub pops: Arc<Vec<u16>>,
-    /// Packed per-neuron window-activity bits ([`crate::geom::window_tags`]).
-    pub tags: Arc<Vec<u64>>,
-}
-
-/// Maximum distinct TW sizes memoized per layer (see
-/// [`PreparedLayer::window_popcounts`]).
-pub const POPCOUNT_MEMO_CAP: usize = 4;
-
 impl PreparedLayer {
     /// Wraps `spikes` as the activity of a layer shaped `shape`.
     ///
@@ -130,7 +99,6 @@ impl PreparedLayer {
             shape,
             spikes,
             geo: OnceLock::new(),
-            pops: Mutex::new(Vec::new()),
             reports: Mutex::new(Vec::new()),
         }
     }
@@ -151,61 +119,6 @@ impl PreparedLayer {
         self.geo
             .get_or_init(|| Arc::new(LayerGeometry::new(self.shape)))
             .clone()
-    }
-
-    /// The per-(neuron, window) popcount table for windows of `tw_size`
-    /// time points (see [`PreparedLayer::window_tables`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tw_size` is zero (via [`WindowPartition::new`]).
-    pub fn window_popcounts(&self, tw_size: usize) -> Arc<Vec<u16>> {
-        self.window_tables(tw_size).pops
-    }
-
-    /// The popcount + packed-tag table pair for windows of `tw_size`
-    /// time points, built on first use per TW size (at most
-    /// [`POPCOUNT_MEMO_CAP`] sizes retained, oldest evicted first).
-    /// Changing only the TW therefore costs at most one popcount/tag
-    /// pass — the activity tensor and geometry are reused as-is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tw_size` is zero (via [`WindowPartition::new`]).
-    pub fn window_tables(&self, tw_size: usize) -> WindowTables {
-        if let Some((_, hit)) = self
-            .pops
-            .lock()
-            .expect("popcount memo lock")
-            .iter()
-            .find(|(tw, _)| *tw == tw_size)
-        {
-            return hit.clone();
-        }
-        // Build outside the lock: popcount passes over big layers are
-        // slow, and concurrent callers ask for *different* TW sizes in
-        // practice (one sweep point at a time). A racing duplicate for
-        // the same TW computes an identical table; first insert wins.
-        let part = WindowPartition::new(self.spikes.timesteps(), tw_size);
-        let pops = Arc::new(window_popcounts(&self.spikes, &part));
-        let tags = Arc::new(window_tags(&self.spikes, &part, &pops));
-        let built = WindowTables { pops, tags };
-        let mut memo = self.pops.lock().expect("popcount memo lock");
-        if let Some((_, hit)) = memo.iter().find(|(tw, _)| *tw == tw_size) {
-            return hit.clone();
-        }
-        if memo.len() == POPCOUNT_MEMO_CAP {
-            memo.remove(0);
-        }
-        memo.push((tw_size, built.clone()));
-        built
-    }
-
-    /// Number of distinct TW sizes currently holding a memoized
-    /// popcount table (exposed for cache accounting and tests; never
-    /// exceeds [`POPCOUNT_MEMO_CAP`]).
-    pub fn memoized_tw_sizes(&self) -> usize {
-        self.pops.lock().expect("popcount memo lock").len()
     }
 
     /// The report of `policy` under `inputs`, bit-identical to
@@ -269,33 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn memoized_tables_match_fresh_computation() {
+    fn geometry_is_built_once_and_matches_fresh() {
         let p = prep();
         let geo = LayerGeometry::new(p.shape());
         assert_eq!(p.geometry().rf_total(), geo.rf_total());
         assert_eq!(p.geometry().positions(), geo.positions());
-        for tw in [1usize, 4, 8, 64] {
-            let part = WindowPartition::new(40, tw);
-            let pops = window_popcounts(p.spikes(), &part);
-            let tbl = p.window_tables(tw);
-            assert_eq!(*tbl.pops, pops);
-            assert_eq!(*tbl.tags, window_tags(p.spikes(), &part, &pops));
-            assert_eq!(*p.window_popcounts(tw), pops);
-        }
-        assert_eq!(p.memoized_tw_sizes(), 4);
-    }
-
-    #[test]
-    fn repeated_lookups_share_one_table() {
-        let p = prep();
-        let a = p.window_popcounts(8);
-        let b = p.window_popcounts(8);
-        assert!(Arc::ptr_eq(&a, &b), "same TW must share one table");
-        assert!(
-            Arc::ptr_eq(&p.window_tables(8).tags, &p.window_tables(8).tags),
-            "same TW must share one tag table"
-        );
-        assert_eq!(p.memoized_tw_sizes(), 1);
         assert!(Arc::ptr_eq(&p.geometry(), &p.geometry()));
     }
 

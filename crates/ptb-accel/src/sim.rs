@@ -41,8 +41,8 @@
 //! [`assert_eq!`]-identical [`LayerReport`], because the floating-point
 //! energy/latency figures are derived only after the integer totals are
 //! final. The shared read-only inputs of the scan — receptive fields
-//! and spike popcount tables — are hoisted into [`crate::geom`] and
-//! computed once per call.
+//! and, for the scalar reference, spike popcount tables — are hoisted
+//! into [`crate::geom`] and computed once per call.
 //!
 //! ## Bit-parallel kernel
 //!
@@ -83,9 +83,9 @@ use crate::window::WindowPartition;
 ///
 /// The scan over output positions honors [`SimInputs::threads`]; the
 /// report is identical for every thread count (see the module docs).
-/// Derived tables (geometry, popcounts) are built fresh on every call;
-/// sweeps that re-simulate the same layer should use
-/// [`simulate_layer_prepared`] to reuse them.
+/// The receptive-field geometry is built fresh on every call; sweeps
+/// that re-simulate the same layer should use
+/// [`simulate_layer_prepared`] to reuse it.
 ///
 /// # Panics
 ///
@@ -134,15 +134,15 @@ pub fn simulate_layer_reference(
     dispatch(inputs, policy, shape, input, None, Kernel::Scalar)
 }
 
-/// Simulates one layer under `policy` reusing `prep`'s memoized derived
-/// tables — the incremental re-simulation entry point for TW and policy
-/// sweeps.
+/// Simulates one layer under `policy` reusing `prep`'s memoized
+/// geometry — the incremental re-simulation entry point for TW and
+/// policy sweeps.
 ///
 /// The report is **bit-identical** to
 /// [`simulate_layer`]`(inputs, policy, prep.shape(), prep.spikes())`
-/// for every policy, TW size, and thread count: the memoized tables are
-/// pure functions of the prepared shape and activity, so reuse skips
-/// recomputation without changing any value (see [`crate::prepared`]).
+/// for every policy, TW size, and thread count: the geometry is a pure
+/// function of the prepared shape, so reuse skips recomputation without
+/// changing any value (see [`crate::prepared`]).
 ///
 /// # Panics
 ///
@@ -187,8 +187,8 @@ pub fn word_kernel_calls() -> u64 {
     WORD_KERNEL_CALLS.load(Ordering::Relaxed)
 }
 
-/// Common dispatch: `prep = None` builds derived tables fresh (the
-/// historical path), `Some` reuses the prepared memos.
+/// Common dispatch: `prep = None` builds the geometry fresh (the
+/// historical path), `Some` reuses the prepared one.
 fn dispatch(
     inputs: &SimInputs,
     policy: Policy,
@@ -222,19 +222,6 @@ fn geometry_of(prep: Option<&PreparedLayer>, shape: ConvShape) -> Arc<LayerGeome
 /// reference kernel reads it now, so it is always built fresh.
 fn bits_of(input: &SpikeTensor) -> Arc<Vec<u8>> {
     Arc::new(spike_bits(input))
-}
-
-/// The per-(neuron, window) popcount table for `part` (memoized per TW
-/// size when prepared).
-fn popcounts_of(
-    prep: Option<&PreparedLayer>,
-    input: &SpikeTensor,
-    part: &WindowPartition,
-) -> Arc<Vec<u16>> {
-    match prep {
-        Some(p) => p.window_popcounts(part.tw_size()),
-        None => Arc::new(window_popcounts(input, part)),
-    }
 }
 
 /// Bits per address-event in the event-driven baseline's AER-style input
@@ -989,24 +976,21 @@ fn build_word_rows_tw1<M: TileMask>(
     rows
 }
 
-/// Builds [`WordRows`] for window sizes that divide a storage word
-/// (`64 % TWS == 0` — every Fig. 10 size), fused over the spike words:
-/// each nonzero word is split into its `64 / TWS` windows in place, so
-/// the cost is `O(nonzero words + active windows)` and the dense
-/// per-(neuron, window) popcount table is never materialized. Window
-/// indices grow monotonically within a neuron, so per-tile state
-/// (mask/span/busiest) accumulates in registers and flushes once per
-/// active tile.
-fn build_word_rows_fused<M: TileMask>(input: &SpikeTensor, ctx: &PtbCtx) -> WordRows<M> {
+/// Builds [`WordRows`] for every `TWS > 1`, straight from the spike
+/// tensor's packed time words: each neuron's set bits are walked in time
+/// order, and the first spike of a window counts the whole window — from
+/// the loaded word when the window ends inside it, otherwise with
+/// [`SpikeTensor::popcount_range`] (a window reaching into the next
+/// word) — then the rest of the window is skipped. The cost is
+/// `O(nonzero words + active windows)` and no per-(neuron, window) table
+/// is ever materialized. Window indices grow monotonically within a
+/// neuron, so per-tile state (mask/span/busiest) accumulates in
+/// registers and flushes once per active tile.
+fn build_word_rows<M: TileMask>(input: &SpikeTensor, ctx: &PtbCtx) -> WordRows<M> {
     let tile_width = ctx.tile_width;
     let tws = ctx.tws as usize;
-    debug_assert!(tws > 1 && 64 % tws == 0);
-    let wpw = 64 / tws;
-    let field_mask = if tws == 64 {
-        u64::MAX
-    } else {
-        (1u64 << tws) - 1
-    };
+    debug_assert!(tws > 1);
+    let t = input.timesteps();
     let neurons = input.neurons();
     let n_tiles = ctx.tiles.len();
     let tile_words = n_tiles.div_ceil(64);
@@ -1022,78 +1006,60 @@ fn build_word_rows_fused<M: TileMask>(input: &SpikeTensor, ctx: &PtbCtx) -> Word
         masks: vec![M::default(); neurons * n_tiles],
         span_busy: vec![0u32; neurons * n_tiles],
     };
+    // The window of each time point and the tile of each window: table
+    // lookups keep integer divisions out of the per-spike loop.
+    let win_of: Vec<u32> = (0..t).map(|tp| (tp / tws) as u32).collect();
+    let tile_of: Vec<u32> = (0..ctx.n_w).map(|w| (w / tile_width) as u32).collect();
     for n in 0..neurons {
-        let row = n * n_tiles;
+        let mut flush = |ti: usize, mask: u128, span: u32, busiest: u32| {
+            let idx = n * n_tiles + ti;
+            rows.masks[idx] = M::from_u128(mask);
+            rows.span_busy[idx] = span | (busiest << 16);
+            rows.active[n * tile_words + ti / 64] |= 1u64 << (ti % 64);
+        };
         let mut cur_ti = usize::MAX;
         let (mut mask, mut span, mut busiest) = (0u128, 0u32, 0u32);
-        for (wi, &word) in input.neuron_words(n).iter().enumerate() {
-            let mut word = word;
+        // Time points before `next` belong to windows already counted.
+        let mut next = 0usize;
+        for (wi, &raw) in input.neuron_words(n).iter().enumerate() {
+            let base = wi * 64;
+            if next >= base + 64 {
+                continue;
+            }
+            let mut word = raw & (u64::MAX << next.saturating_sub(base));
             while word != 0 {
-                let f = (word.trailing_zeros() as usize / tws) * tws;
-                let sub = (word >> f) & field_mask;
-                word &= !(field_mask << f);
-                let w = wi * wpw + f / tws;
-                let ti = w / tile_width;
+                // The lowest live bit is the first spike of window `w`,
+                // so the window's count is the spikes from `tp` to its
+                // end `s1`.
+                let tp = base + word.trailing_zeros() as usize;
+                let w = win_of[tp] as usize;
+                let ti = tile_of[w] as usize;
+                let s1 = ((w + 1) * tws).min(t);
+                let end = s1 - base;
+                let c = if end <= 64 {
+                    (word & (u64::MAX >> (64 - end))).count_ones()
+                } else {
+                    input.popcount_range(n, tp, s1)
+                };
+                next = s1;
+                word = if end >= 64 {
+                    0
+                } else {
+                    word & (u64::MAX << end)
+                };
                 if ti != cur_ti {
                     if cur_ti != usize::MAX {
-                        let idx = row + cur_ti;
-                        rows.masks[idx] = M::from_u128(mask);
-                        rows.span_busy[idx] = span | (busiest << 16);
-                        rows.active[n * tile_words + cur_ti / 64] |= 1u64 << (cur_ti % 64);
+                        flush(cur_ti, mask, span, busiest);
                     }
-                    cur_ti = ti;
-                    mask = 0;
-                    span = 0;
-                    busiest = 0;
+                    (cur_ti, mask, span, busiest) = (ti, 0, 0, 0);
                 }
-                let c = sub.count_ones();
                 mask |= 1 << (w - ti * tile_width);
                 span += c;
                 busiest = busiest.max(c);
             }
         }
         if cur_ti != usize::MAX {
-            let idx = row + cur_ti;
-            rows.masks[idx] = M::from_u128(mask);
-            rows.span_busy[idx] = span | (busiest << 16);
-            rows.active[n * tile_words + cur_ti / 64] |= 1u64 << (cur_ti % 64);
-        }
-    }
-    rows
-}
-
-/// Builds [`WordRows`] from a per-(neuron, window) popcount table — the
-/// general fallback for window sizes that straddle storage words. One
-/// contiguous row walk per neuron derives mask, span and busiest
-/// together.
-fn build_word_rows_pops<M: TileMask>(neurons: usize, ctx: &PtbCtx, win_pop: &[u16]) -> WordRows<M> {
-    let n_tiles = ctx.tiles.len();
-    let tile_words = n_tiles.div_ceil(64);
-    let mut rows = WordRows {
-        n_tiles,
-        active: vec![0u64; neurons * tile_words],
-        tile_words,
-        masks: vec![M::default(); neurons * n_tiles],
-        span_busy: vec![0u32; neurons * n_tiles],
-    };
-    for n in 0..neurons {
-        let row = &win_pop[n * ctx.n_w..(n + 1) * ctx.n_w];
-        for (ti, &(w0, w1)) in ctx.tiles.iter().enumerate() {
-            let mut mask = 0u128;
-            let (mut span, mut busiest) = (0u32, 0u32);
-            for (i, &c) in row[w0..w1].iter().enumerate() {
-                if c > 0 {
-                    mask |= 1 << i;
-                    span += u32::from(c);
-                    busiest = busiest.max(u32::from(c));
-                }
-            }
-            if mask != 0 {
-                let idx = n * n_tiles + ti;
-                rows.masks[idx] = M::from_u128(mask);
-                rows.span_busy[idx] = span | (busiest << 16);
-                rows.active[n * tile_words + ti / 64] |= 1u64 << (ti % 64);
-            }
+            flush(cur_ti, mask, span, busiest);
         }
     }
     rows
@@ -1106,8 +1072,6 @@ fn run_word_kernel<M: TileMask>(
     geo: &LayerGeometry,
     ctx: &PtbCtx,
     input: &SpikeTensor,
-    prep: Option<&PreparedLayer>,
-    part: &WindowPartition,
 ) -> Tally {
     let rows = if ctx.tws == 1 {
         build_word_rows_tw1::<M>(
@@ -1116,11 +1080,8 @@ fn run_word_kernel<M: TileMask>(
             input.words(),
             input.words_per_neuron(),
         )
-    } else if 64 % ctx.tws == 0 {
-        build_word_rows_fused::<M>(input, ctx)
     } else {
-        let win_pop = popcounts_of(prep, input, part);
-        build_word_rows_pops::<M>(input.neurons(), ctx, &win_pop)
+        build_word_rows::<M>(input, ctx)
     };
     ptb_word_scan(inputs.threads, stsap, geo, ctx, &rows)
 }
@@ -1583,10 +1544,8 @@ fn simulate_ptb(
     let tiles = part.column_tiles(cols);
     let m = u64::from(shape.out_channels());
 
-    // Shared read-only scan inputs, computed (or fetched from the
-    // prepared memo) once: receptive fields and the spikes of each
-    // (neuron, window), reused across every overlapping receptive field
-    // and every worker.
+    // Receptive fields, computed (or fetched from the prepared memo)
+    // once and shared by every worker.
     let geo = geometry_of(prep, shape);
     let n_w = part.num_windows();
     let ctx = PtbCtx {
@@ -1606,13 +1565,13 @@ fn simulate_ptb(
             // Narrow mask words keep a tile's whole lookup slice
             // cache-resident; the wide fallback covers any array.
             if cols <= 16 {
-                run_word_kernel::<u16>(inputs, stsap, &geo, &ctx, input, prep, &part)
+                run_word_kernel::<u16>(inputs, stsap, &geo, &ctx, input)
             } else {
-                run_word_kernel::<u128>(inputs, stsap, &geo, &ctx, input, prep, &part)
+                run_word_kernel::<u128>(inputs, stsap, &geo, &ctx, input)
             }
         }
         Kernel::Scalar => {
-            let win_pop = popcounts_of(prep, input, &part);
+            let win_pop = window_popcounts(input, &part);
             ptb_scalar_scan(inputs.threads, stsap, &geo, &ctx, &win_pop)
         }
     };
@@ -1993,6 +1952,20 @@ mod tests {
         })
     }
 
+    /// Activity aimed at windows that straddle storage words: one
+    /// neuron class is silent in its first word and fires only later
+    /// (a straddling window whose first word is silent and whose last
+    /// word fires), one bursts on both sides of every word boundary,
+    /// one is the sparse pattern, one never fires.
+    fn straddle_input(shape: ConvShape, t: usize) -> SpikeTensor {
+        SpikeTensor::from_fn(shape.ifmap_neurons(), t, |n, tp| match n % 4 {
+            0 => tp >= 64 && (tp * 3 + n) % 7 == 0,
+            1 => (n * 7 + tp * 11) % 17 == 0,
+            2 => false,
+            _ => tp % 64 >= 61 || tp % 64 < 2,
+        })
+    }
+
     #[test]
     fn ptb_beats_baseline_on_sparse_input() {
         let shape = small_shape();
@@ -2216,10 +2189,9 @@ mod tests {
     #[test]
     fn prepared_reports_match_fresh_for_every_policy() {
         // The incremental re-simulation guarantee: reusing a
-        // PreparedLayer's memoized geometry/popcount tables across a TW
-        // and policy sweep yields reports bit-identical to the fresh
-        // path, serial and threaded, on a padded shape with uneven
-        // receptive fields.
+        // PreparedLayer's memoized geometry across a TW and policy
+        // sweep yields reports bit-identical to the fresh path, serial
+        // and threaded, on a padded shape with uneven receptive fields.
         let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
         let input = sparse_input(shape, 40);
         let prep = crate::prepared::PreparedLayer::new(shape, std::sync::Arc::new(input.clone()));
@@ -2243,10 +2215,6 @@ mod tests {
                 }
             }
         }
-        // Every Fig. 10 TW size divides a storage word, so the word
-        // kernel builds its row tables straight from the spike words
-        // and never materializes (or memoizes) a popcount table.
-        assert_eq!(prep.memoized_tw_sizes(), 0);
     }
 
     #[test]
@@ -2306,10 +2274,14 @@ mod tests {
         // padded shape (uneven receptive fields) and a period that is
         // not a multiple of 64 (live tail masking), across TW sizes
         // that exercise the one-word, two-word, and tag-mask gathers.
+        // Sizes that do not divide 64 put windows across word
+        // boundaries, and `straddle_input` fires on exactly those.
         let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
-        for t in [40usize, 70, 128] {
-            let input = sparse_input(shape, t);
-            for tw in [1u32, 4, 8, 32, 64] {
+        let periods = [40usize, 64, 70, 128, 130, 200];
+        let inputs_of = |t| [sparse_input(shape, t), straddle_input(shape, t)];
+        for input in periods.into_iter().flat_map(inputs_of) {
+            let t = input.timesteps();
+            for tw in [1u32, 3, 4, 5, 7, 8, 12, 24, 32, 48, 64] {
                 let inputs = SimInputs::hpca22(tw);
                 for policy in [
                     Policy::ptb(),
@@ -2389,23 +2361,26 @@ mod tests {
 
     #[test]
     fn word_kernel_matches_scalar_reference_on_wide_arrays() {
-        // Wide-column arrays pin the paths the default 8-column setup
-        // never reaches: `u128` tile masks (cols > 16), the
-        // funnel-shift TW=1 builder fallback (a tile width that does
-        // not divide a storage word), and the generic scan's uniform
-        // branch (tiles too wide for the count-scatter arena).
-        // cols = 20 exercises all three at once; 32 takes the fused
-        // wide-field builder; 128 is the Fig. 9(b) extreme, one tile
+        // Column counts other than the default 8 pin the paths that
+        // setup never reaches: the generic scan over `u16` tile masks
+        // and the fused bucket coster (12 and 16 columns, tiles too
+        // wide for the scatter arenas), `u128` tile masks (cols > 16),
+        // the funnel-shift TW=1 builder fallback (a tile width that
+        // does not divide a storage word: 12 and 20), and the generic
+        // scan's uniform branch. 128 is the Fig. 9(b) extreme, one tile
         // spanning two window words.
         use systolic_sim::{ArchConfig, ArrayDims};
         let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
-        let input = sparse_input(shape, 70);
-        for cols in [20u32, 32, 128] {
+        for (cols, t) in [8u32, 12, 16, 20, 32, 128]
+            .into_iter()
+            .flat_map(|cols| [64usize, 70, 130, 200].map(|t| (cols, t)))
+        {
+            let input = straddle_input(shape, t);
             let inputs = SimInputs {
                 arch: ArchConfig::hpca22().with_array(ArrayDims::new(4, cols)),
                 ..SimInputs::hpca22(1)
             };
-            for tw in [1u32, 8, 32] {
+            for tw in [1u32, 3, 5, 7, 8, 12, 24, 32, 48] {
                 let inputs = SimInputs {
                     tw_size: tw,
                     ..inputs
@@ -2416,8 +2391,59 @@ mod tests {
                     let scalar = simulate_layer_reference(&inputs, policy, shape, &input);
                     assert_eq!(
                         word, scalar,
-                        "{policy:?} cols={cols} tw={tw}: wide-mask kernel diverged"
+                        "{policy:?} cols={cols} t={t} tw={tw}: wide-mask kernel diverged"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_builder_matches_a_per_window_walk() {
+        // The general builder against the dense per-(neuron, window)
+        // count table, field by field — including window sizes past one
+        // storage word (65, 100), which `SimInputs` rejects and so no
+        // report-level test can reach.
+        let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
+        for t in [64usize, 70, 130, 200] {
+            let input = straddle_input(shape, t);
+            for tw in [2u32, 3, 5, 7, 12, 24, 48, 64, 65, 100] {
+                let part = WindowPartition::new(t, tw as usize);
+                let pops = window_popcounts(&input, &part);
+                let n_w = part.num_windows();
+                for cols in [8usize, 12, 16, 128] {
+                    let tiles = part.column_tiles(cols);
+                    let ctx = PtbCtx {
+                        tiles: &tiles,
+                        tile_width: cols,
+                        n_w,
+                        tws: tw,
+                        min_beats: 1,
+                        m: 1,
+                        row_tiles: 1,
+                        fill: 0,
+                        pbits: 1,
+                    };
+                    let rows = build_word_rows::<u128>(&input, &ctx);
+                    for n in 0..input.neurons() {
+                        for (ti, &(w0, w1)) in tiles.iter().enumerate() {
+                            let (mut mask, mut span, mut busiest) = (0u128, 0u32, 0u32);
+                            for (i, &c) in pops[n * n_w + w0..n * n_w + w1].iter().enumerate() {
+                                if c > 0 {
+                                    mask |= 1 << i;
+                                    span += u32::from(c);
+                                    busiest = busiest.max(u32::from(c));
+                                }
+                            }
+                            let idx = n * tiles.len() + ti;
+                            let active =
+                                rows.active[n * rows.tile_words + ti / 64] >> (ti % 64) & 1;
+                            let at = format!("t={t} tw={tw} cols={cols} neuron {n} tile {ti}");
+                            assert_eq!(rows.masks[idx], mask, "{at}");
+                            assert_eq!(rows.span_busy[idx], span | (busiest << 16), "{at}");
+                            assert_eq!(active == 1, mask != 0, "{at}");
+                        }
+                    }
                 }
             }
         }

@@ -295,10 +295,11 @@ pub struct CostScratch {
 /// delivery floor).
 ///
 /// Pairing is bit-identical to [`pack_tile_with`]: entries bucket by
-/// mask in index order, and both passes consume bucket backs —
-/// largest-index-first, the same order the sorted-range form pops.
-/// Requires `full_mask` to fit `u16` (the streaming array's column
-/// count bounds the tile width; the paper's array has 8 columns).
+/// mask in index order, and [`stream_cost_buckets`] pairs them,
+/// consuming bucket backs — largest-index-first, the same order the
+/// sorted-range form pops. Requires `full_mask` to fit `u16` (the
+/// streaming array's column count bounds the tile width; the paper's
+/// array has 8 columns).
 ///
 /// # Panics
 ///
@@ -321,93 +322,16 @@ pub fn pack_stream_cost(
     if buckets.len() <= usize::from(full_mask) {
         buckets.resize_with(usize::from(full_mask) + 1, Vec::new);
     }
-    let mut beats = 0u64;
-    let mut slots = 0u64;
     present.clear();
     for (&t, &b) in tags.iter().zip(busiest) {
         assert!(t != 0, "silent-in-tile entries must be filtered out");
         assert!(t & !full_mask == 0, "tag has bits outside the tile");
-        if t == full_mask {
-            beats += u64::from(b).max(min_beats);
-            slots += 1;
-        } else {
-            if buckets[usize::from(t)].is_empty() {
-                present.push(u32::from(t));
-            }
-            buckets[usize::from(t)].push(b);
+        if buckets[usize::from(t)].is_empty() {
+            present.push(u32::from(t));
         }
+        buckets[usize::from(t)].push(b);
     }
-
-    // Pass 1: exact complements, pop bucket backs. (Visit order across
-    // complement class pairs is immaterial: distinct pairs never share
-    // a class, so each pairing is independent.)
-    let mut exact_pairs = 0u64;
-    for &m in present.iter() {
-        let comp = u32::from(full_mask) & !m;
-        if m >= comp {
-            continue;
-        }
-        let k = buckets[m as usize].len().min(buckets[comp as usize].len());
-        for _ in 0..k {
-            let a = buckets[m as usize].pop().expect("sized by k");
-            let b = buckets[comp as usize].pop().expect("sized by k");
-            beats += u64::from(a.max(b)).max(min_beats);
-        }
-        exact_pairs += k as u64;
-        slots += k as u64;
-    }
-
-    // Pass 2: leftovers densest-first through the popcount index.
-    classes.clear();
-    classes.extend(
-        present
-            .iter()
-            .copied()
-            .filter(|&m| !buckets[m as usize].is_empty()),
-    );
-    classes.sort_unstable_by_key(|&m| (std::cmp::Reverse(m.count_ones()), m));
-    // The class order *is* the greedy preference order (densest first,
-    // then smallest mask), and a class `j > i` that is skipped — for
-    // overlap or exhaustion — never becomes viable again, so each
-    // class's partner search is one forward scan with resume. (The cap
-    // on partner density is implied: a class denser than `mi`'s
-    // complement can't be disjoint from `mi`.)
-    let mut near_pairs = 0u64;
-    for i in 0..classes.len() {
-        let mi = classes[i];
-        let mut j = i + 1;
-        while !buckets[mi as usize].is_empty() && j < classes.len() {
-            let mj = classes[j];
-            if mi & mj == 0 {
-                while let (Some(&a), Some(&b)) =
-                    (buckets[mi as usize].last(), buckets[mj as usize].last())
-                {
-                    buckets[mi as usize].pop();
-                    buckets[mj as usize].pop();
-                    beats += u64::from(a.max(b)).max(min_beats);
-                    near_pairs += 1;
-                    slots += 1;
-                }
-            }
-            j += 1;
-        }
-    }
-
-    // Leftover singles, then restore the scratch to all-empty.
-    for &m in present.iter() {
-        for &b in buckets[m as usize].iter() {
-            beats += u64::from(b).max(min_beats);
-            slots += 1;
-        }
-        buckets[m as usize].clear();
-    }
-
-    StreamCost {
-        slots,
-        exact_pairs,
-        near_pairs,
-        beats,
-    }
+    stream_cost_buckets(classes, buckets, present, full_mask, min_beats, false)
 }
 
 /// [`pack_stream_cost`] when every entry's busiest window is at or
@@ -495,7 +419,7 @@ pub fn count_cost_core(
     classes.clear();
     classes.extend(present.iter().copied().filter(|&m| counts[m as usize] > 0));
     classes.sort_unstable_by_key(|&m| (std::cmp::Reverse(m.count_ones()), m));
-    // One forward scan per class, as in [`pack_stream_cost`], batching
+    // One forward scan per class, as in [`stream_cost_buckets`], batching
     // each partner to `min(count, count)` pairs (the one-at-a-time
     // greedy re-finds the same partner until one side exhausts).
     let mut near_pairs = 0u64;
@@ -529,9 +453,10 @@ pub fn count_cost_core(
     }
 }
 
-/// Pairing core of [`pack_stream_cost`], run on pre-filled per-mask
-/// buckets: `buckets[m]` holds the busiest-window values of the entries
-/// whose tag is `m`, in entry order (the full-tile mask included), and
+/// Pairing core of [`pack_stream_cost`] and of the word kernel's
+/// bucket scatter, run on pre-filled per-mask buckets: `buckets[m]`
+/// holds the busiest-window values of the entries whose tag is `m`, in
+/// entry order (the full-tile mask included), and
 /// `present` lists each mask with a nonempty bucket exactly once, in
 /// any order. The buckets are consumed — all empty on return — so a
 /// caller-owned scatter arena can be refilled tile after tile without
@@ -600,7 +525,12 @@ pub fn stream_cost_buckets(
             .filter(|&m| !buckets[m as usize].is_empty()),
     );
     classes.sort_unstable_by_key(|&m| (std::cmp::Reverse(m.count_ones()), m));
-    // One forward scan per class, as in [`pack_stream_cost`].
+    // The class order *is* the greedy preference order (densest first,
+    // then smallest mask), and a class `j > i` that is skipped — for
+    // overlap or exhaustion — never becomes viable again, so each
+    // class's partner search is one forward scan with resume. (The cap
+    // on partner density is implied: a class denser than `mi`'s
+    // complement can't be disjoint from `mi`.)
     let mut near_pairs = 0u64;
     for i in 0..classes.len() {
         let mi = classes[i];
@@ -1124,55 +1054,6 @@ mod tests {
             );
         }
 
-        /// The fused bucket coster is the packer: identical pair
-        /// counts, slot count, and total stream beats to materializing
-        /// [`pack_tile`]'s slots and costing each one from the members'
-        /// busiest windows (pairs are disjoint, so a pair's busiest
-        /// column is the max of the members' busiest windows).
-        #[test]
-        fn stream_cost_matches_materialized_slots(
-            seed in proptest::any::<u64>(),
-            n in 0usize..300,
-            width in 1u32..=16,
-            min_beats in 1u64..=4,
-        ) {
-            let full: u16 = ((1u32 << width) - 1) as u16;
-            let mut state = seed ^ 0xBADC_0FFE;
-            let mut tags16 = Vec::with_capacity(n);
-            let mut busiest = Vec::with_capacity(n);
-            for _ in 0..n {
-                state = state
-                    .wrapping_mul(0x5851_F42D_4C95_7F2D)
-                    .wrapping_add(0x1405_7B7E_F767_814F);
-                let m = (state as u16) & full;
-                tags16.push(if m == 0 { 1 } else { m });
-                busiest.push(((state >> 32) % 7 + 1) as u16);
-            }
-            let tags: Vec<u128> = tags16.iter().map(|&t| u128::from(t)).collect();
-            let packed = pack_tile(&tags, u128::from(full));
-            let want_beats: u64 = packed
-                .slots
-                .iter()
-                .map(|s| {
-                    let b = match s.second {
-                        Some(j) => busiest[s.first].max(busiest[j]),
-                        None => busiest[s.first],
-                    };
-                    u64::from(b).max(min_beats)
-                })
-                .sum();
-            let mut scratch = CostScratch::default();
-            let got = pack_stream_cost(&mut scratch, &tags16, &busiest, full, min_beats);
-            prop_assert_eq!(got.slots, packed.entries_after() as u64);
-            prop_assert_eq!(got.exact_pairs, packed.exact_pairs as u64);
-            prop_assert_eq!(got.near_pairs, packed.near_pairs as u64);
-            prop_assert_eq!(got.beats, want_beats);
-            // The scratch restores to all-empty: a second call on the
-            // same scratch must agree with a fresh one.
-            let again = pack_stream_cost(&mut scratch, &tags16, &busiest, full, min_beats);
-            prop_assert_eq!(again, got);
-        }
-
         /// The count-only coster matches the materialized packer when
         /// slot costs are uniform (busiest ≤ min_beats everywhere):
         /// identical pair counts, slots, and beats.
@@ -1206,11 +1087,13 @@ mod tests {
             prop_assert_eq!(again, got);
         }
 
-        /// The bucket-arena core is [`pack_stream_cost`] minus the
-        /// entry pass: filling the buckets externally (in entry order)
-        /// and costing them yields identical results in both modes —
-        /// valued (against the entry coster) and uniform (against the
-        /// count coster, when every busiest window is at or under
+        /// The bucket-arena core, on buckets filled externally (in
+        /// entry order) or by [`pack_stream_cost`], is the packer in
+        /// both modes — valued (against costing [`pack_tile`]'s
+        /// materialized slots from the members' busiest windows: pairs
+        /// are disjoint, so a pair's busiest column is the max of the
+        /// members' busiest windows) and uniform (against the count
+        /// coster, when every busiest window is at or under
         /// `min_beats`).
         #[test]
         fn bucket_core_matches_entry_costers(
@@ -1245,14 +1128,32 @@ mod tests {
             let mut classes = Vec::new();
             let mut scratch = CostScratch::default();
 
-            // Valued mode ≡ the fused entry coster.
+            // Valued mode ≡ the materialized slots of the packer.
+            let tags: Vec<u128> = tags16.iter().map(|&t| u128::from(t)).collect();
+            let packed = pack_tile(&tags, u128::from(full));
+            let want_beats: u64 = packed
+                .slots
+                .iter()
+                .map(|s| {
+                    let b = s.second.map_or(busiest[s.first], |j| busiest[s.first].max(busiest[j]));
+                    u64::from(b).max(min_beats)
+                })
+                .sum();
             let (mut buckets, present) = fill(&busiest);
             let got = stream_cost_buckets(
                 &mut classes, &mut buckets, &present, full, min_beats, false,
             );
-            let want = pack_stream_cost(&mut scratch, &tags16, &busiest, full, min_beats);
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(got.slots, packed.entries_after() as u64);
+            prop_assert_eq!(got.exact_pairs, packed.exact_pairs as u64);
+            prop_assert_eq!(got.near_pairs, packed.near_pairs as u64);
+            prop_assert_eq!(got.beats, want_beats);
             prop_assert!(buckets.iter().all(Vec::is_empty));
+            // The entry coster fills its own buckets, and restores its
+            // scratch to all-empty: a second call must agree.
+            for _ in 0..2 {
+                let entry = pack_stream_cost(&mut scratch, &tags16, &busiest, full, min_beats);
+                prop_assert_eq!(entry, got);
+            }
 
             // Uniform mode ≡ the count coster (busiest ≤ min_beats
             // everywhere, so values are immaterial).

@@ -37,7 +37,7 @@ fn main() {
         layer.shape
     };
     // The (a) TW sweep and the (b) shape sweep reuse one prepared
-    // layer: geometry and popcounts carry across sweep points.
+    // layer: activity and geometry carry across sweep points.
     let prep = opts.new_cache().layer(layer, shape, timesteps, 42);
 
     println!("=== Fig. 9(a): energy breakdown vs TW size (DVS-Gesture CONV2, 16x8) ===");

@@ -31,10 +31,9 @@ fn main() {
             print!(" {:>8}", format!("TW={tw}"));
         }
         println!();
-        // Interleave the two policies per TW so the memoized popcount
-        // table for each window size is reused while still warm (the
-        // per-layer memo is bounded; see ptb_accel::prepared). Output
-        // order and values are unchanged.
+        // Interleave the two policies per TW so each window size's
+        // activity is scanned while still cache-warm. Output order and
+        // values are unchanged.
         let (runs, runs_stsap): (Vec<_>, Vec<_>) = tws
             .iter()
             .map(|&tw| {

@@ -6,8 +6,8 @@
 //! sweep point, even though the generated tensor depends only on
 //! `(profile, neurons, timesteps, seed)` and not on the TW or policy
 //! under test. [`ActivityCache`] memoizes those tensors (and the
-//! [`PreparedLayer`] wrappers that additionally memoize
-//! geometry/popcount tables, see `ptb_accel::prepared`) keyed by their
+//! [`PreparedLayer`] wrappers that additionally memoize the geometry
+//! and TW-invariant reports, see `ptb_accel::prepared`) keyed by their
 //! *content identity*, so a sweep pays for generation once and each
 //! subsequent point performs only the incremental re-simulation its
 //! changed axis requires.
@@ -345,14 +345,14 @@ fn tensor_cost(t: &SpikeTensor) -> u64 {
 }
 
 /// Estimated resident bytes of one prepared-layer entry. The wrapper
-/// shares the tensor `Arc`, but its derived state (geometry plus lazily
-/// memoized popcount/tag tables, see `ptb_accel::prepared`) grows to
-/// the same order as the tensor itself, so a layer entry is charged one
-/// extra tensor's worth. Conservative by design — over-charging evicts
-/// earlier, never later. The layer's report memo (at most four
-/// TW-invariant policies' `LayerReport`s, each under a kilobyte) fits
-/// inside that charge, so it adds no term here and the resident
-/// recount ([`ActivityCache::recounted_bytes`]) is unchanged.
+/// shares the tensor `Arc`; its derived state is the receptive-field
+/// geometry plus the report memo (see `ptb_accel::prepared`), and
+/// nothing in it depends on the TW size, so a layer entry is charged
+/// one extra tensor's worth however many TW points it serves. The
+/// report memo (at most four TW-invariant policies' `LayerReport`s,
+/// each under a kilobyte) fits inside that charge, so it adds no term
+/// here and the resident recount
+/// ([`ActivityCache::recounted_bytes`]) is unchanged.
 fn layer_cost(t: &SpikeTensor) -> u64 {
     tensor_cost(t)
 }
@@ -552,7 +552,7 @@ impl ActivityCache {
 
     /// Simulation-ready state for `layer` at the effective `shape`:
     /// the memoized activity tensor wrapped in a [`PreparedLayer`]
-    /// whose derived tables (geometry, popcounts) are themselves
+    /// whose geometry and TW-invariant reports are themselves
     /// memoized and shared across every sweep point that hits this
     /// entry.
     ///

@@ -306,8 +306,9 @@ pub struct SweepRow {
 ///
 /// All sweep points share one [`ActivityCache`] in the mode selected by
 /// [`RunOptions::cache`], so activity is generated once per layer and
-/// each subsequent TW point re-simulates incrementally: PTB rebuilds
-/// only the TW-dependent popcount table, TB tags, and schedule, and a
+/// each subsequent TW point re-simulates incrementally: PTB re-derives
+/// only its TW-dependent window rows and schedule from the cached spike
+/// words (the geometry is reused), and a
 /// TW-invariant policy ([`Policy::tw_invariant`]) is simulated once per
 /// layer and reused at every other TW point (unless
 /// [`RunOptions::verify`] audits the run, which always recomputes). Use

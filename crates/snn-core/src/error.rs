@@ -111,8 +111,8 @@ pub enum AuditError {
         /// What the batched path produced.
         got: bool,
     },
-    /// A window popcount re-derived from the raw spike tensor disagreed
-    /// with the `PreparedLayer` memo the scheduler consumed.
+    /// A per-(neuron, window) spike count table disagreed with counts
+    /// re-derived from the raw spike tensor.
     PopcountMismatch {
         /// Layer name.
         layer: String,
@@ -122,24 +122,8 @@ pub enum AuditError {
         window: usize,
         /// Popcount re-derived from the raw tensor.
         expected: u16,
-        /// Popcount the memo held.
+        /// Popcount the table held.
         got: u16,
-    },
-    /// The packed window-activity tag table the bit-parallel gather
-    /// scans disagrees with the popcount table it was derived from: a
-    /// tag bit claims activity where the count is zero (phantom work)
-    /// or silence where it is nonzero (dropped work).
-    TagMismatch {
-        /// Layer name.
-        layer: String,
-        /// Pre-synaptic neuron index.
-        neuron: usize,
-        /// Time-window index.
-        window: usize,
-        /// Whether the popcount table says the window is active.
-        expected: bool,
-        /// Whether the tag bit was set.
-        got: bool,
     },
     /// The window partition's column tiles do not cover every time
     /// window exactly once: some (post-neuron, TW) tile would be
@@ -189,6 +173,13 @@ pub enum AuditError {
         after: u64,
         /// Pairs formed.
         pairs: u64,
+    },
+    /// The production report disagreed with the serial per-bit
+    /// reference simulation of the same layer (`ptb_accel`'s
+    /// `simulate_layer_reference`): the bit-parallel kernel diverged.
+    ReferenceDivergence {
+        /// Layer name.
+        layer: String,
     },
     /// Re-simulating with a different worker count changed the report:
     /// the tally merge is not permutation-invariant.
@@ -255,17 +246,6 @@ impl fmt::Display for AuditError {
                 "popcount mismatch in layer {layer}: neuron {neuron} window {window} \
                  expected {expected}, got {got}"
             ),
-            AuditError::TagMismatch {
-                layer,
-                neuron,
-                window,
-                expected,
-                got,
-            } => write!(
-                f,
-                "window-tag mismatch in layer {layer}: neuron {neuron} window {window} \
-                 popcounts say active={expected}, tag bit says {got}"
-            ),
             AuditError::TileCoverage {
                 layer,
                 window,
@@ -304,6 +284,11 @@ impl fmt::Display for AuditError {
                 f,
                 "slot accounting in layer {layer} tile {tile}: {after} slots + {pairs} \
                  pairs != {before} entries"
+            ),
+            AuditError::ReferenceDivergence { layer } => write!(
+                f,
+                "reference divergence in layer {layer}: report differs from the \
+                 serial reference simulation"
             ),
             AuditError::MergeDivergence { layer, threads } => write!(
                 f,
