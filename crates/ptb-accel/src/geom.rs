@@ -91,6 +91,129 @@ impl LayerGeometry {
     }
 }
 
+/// Summed-area planes over one layer's ifmap: the box-sum primitive of
+/// every sum-separable policy scan.
+///
+/// Output position `p = x · E + y` reads the box of input rows
+/// `x·U − pad .. x·U − pad + R` and columns `y·U − pad .. y·U − pad + R`
+/// (clipped to the map) across *every* channel — exactly the neurons
+/// [`ConvShape::receptive_field_indices`] lists. So any per-neuron
+/// quantity summed over a receptive field is the same sum over that box
+/// of a channel-summed `(row, col)` plane. A scan fills `planes` such
+/// values per neuron ([`BoxScan::fill`]), integrates them into 2D prefix
+/// sums ([`BoxScan::integrate`]), and then answers each position with
+/// four lookups per plane ([`BoxScan::query`]) instead of walking its
+/// `C × R × R` taps. Sums are `u64` integers, so a box sum equals the
+/// gathered sum exactly.
+///
+/// Storage is `(H + 1)² × planes` words, cell-major (one cell's planes
+/// are adjacent, so a corner lookup touches one cache line), with the
+/// zero row and column of the prefix convention built in.
+#[derive(Debug, Clone)]
+pub struct BoxScan {
+    side: usize,
+    channels: usize,
+    planes: usize,
+    /// Clipped input range `lo..hi` of each output row (and, the map
+    /// being square, of each output column).
+    spans: Vec<(usize, usize)>,
+    sums: Vec<u64>,
+}
+
+impl BoxScan {
+    /// Zeroed planes for `shape`, `planes` values per cell.
+    pub fn new(shape: ConvShape, planes: usize) -> Self {
+        let side = shape.ifmap_side() as usize;
+        let (r, u, pad) = (
+            shape.filter_side() as usize,
+            shape.stride() as usize,
+            shape.padding() as usize,
+        );
+        let spans = (0..shape.ofmap_side() as usize)
+            .map(|x| {
+                let hi = (x * u + r).saturating_sub(pad).min(side);
+                ((x * u).saturating_sub(pad).min(hi), hi)
+            })
+            .collect();
+        BoxScan {
+            side,
+            channels: shape.in_channels() as usize,
+            planes,
+            spans,
+            sums: vec![0; (side + 1) * (side + 1) * planes],
+        }
+    }
+
+    /// Number of output positions, `E²`.
+    pub fn positions(&self) -> usize {
+        self.spans.len() * self.spans.len()
+    }
+
+    /// Receptive-field length of position `p`: channels times the
+    /// clipped box area, equal to [`LayerGeometry::rf_len`].
+    #[inline]
+    pub fn field_len(&self, p: usize) -> u64 {
+        let e = self.spans.len();
+        let (r0, r1) = self.spans[p / e];
+        let (s0, s1) = self.spans[p % e];
+        (self.channels * (r1 - r0) * (s1 - s0)) as u64
+    }
+
+    /// Resets every plane and adds `value(n, cell)` for every ifmap
+    /// neuron `n` in index order: the callback adds neuron `n`'s
+    /// `planes` values into `cell`, which every channel at the same
+    /// `(row, col)` shares.
+    pub fn fill(&mut self, mut value: impl FnMut(usize, &mut [u64])) {
+        self.sums.fill(0);
+        let (h, k) = (self.side, self.planes);
+        let mut n = 0;
+        for _ in 0..self.channels {
+            for r in 0..h {
+                let row = (r + 1) * (h + 1) + 1;
+                for s in 0..h {
+                    value(n, &mut self.sums[(row + s) * k..(row + s + 1) * k]);
+                    n += 1;
+                }
+            }
+        }
+    }
+
+    /// Turns the filled cell values into inclusive 2D prefix sums in
+    /// place: afterwards cell `(i, j)` holds the total over rows `< i`
+    /// and columns `< j`.
+    pub fn integrate(&mut self) {
+        let k = self.planes;
+        let stride = (self.side + 1) * k;
+        let mut run = vec![0u64; k];
+        for i in 1..=self.side {
+            let (above, rest) = self.sums.split_at_mut(i * stride);
+            let up_row = above[(i - 1) * stride..].chunks_exact(k);
+            run.fill(0);
+            for (cell, up) in rest[..stride].chunks_exact_mut(k).zip(up_row).skip(1) {
+                for ((c, &u), r) in cell.iter_mut().zip(up).zip(run.iter_mut()) {
+                    *r += *c;
+                    *c = *r + u;
+                }
+            }
+        }
+    }
+
+    /// Writes position `p`'s box sum of every plane into `out[..planes]`
+    /// (zeros when padding leaves the field empty).
+    #[inline]
+    pub fn query(&self, p: usize, out: &mut [u64]) {
+        let e = self.spans.len();
+        let (r0, r1) = self.spans[p / e];
+        let (s0, s1) = self.spans[p % e];
+        let (w, k) = (self.side + 1, self.planes);
+        let (a, b) = ((r1 * w + s1) * k, (r0 * w + s0) * k);
+        let (c, d) = ((r0 * w + s1) * k, (r1 * w + s0) * k);
+        for (q, o) in out[..k].iter_mut().enumerate() {
+            *o = (self.sums[a + q] + self.sums[b + q]) - (self.sums[c + q] + self.sums[d + q]);
+        }
+    }
+}
+
 /// Per-(neuron, window) spike counts of `input` under `part`, row-major
 /// by neuron: entry `n · W + w` is the number of spikes neuron `n` fires
 /// inside window `w`.
@@ -240,6 +363,40 @@ mod tests {
         // The total is NOT divisible by the position count — the case an
         // integer mean silently truncates.
         assert_ne!(geo.rf_total() % geo.positions() as u64, 0);
+    }
+
+    #[test]
+    fn box_sums_equal_receptive_field_gathers() {
+        // Stride, padding past the filter's reach (empty fields), large
+        // filters and the FC case (a 1x1 map, one position).
+        let shapes = [
+            ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap(),
+            ConvShape::with_padding(11, 5, 2, 4, 2, 2).unwrap(),
+            ConvShape::with_padding(23, 11, 3, 4, 4, 2).unwrap(),
+            ConvShape::with_padding(7, 1, 3, 4, 2, 2).unwrap(),
+            ConvShape::new(1, 1, 64, 8, 1).unwrap(),
+        ];
+        for shape in shapes {
+            let geo = LayerGeometry::new(shape);
+            let value = |n: usize, q: usize| ((n * 2_654_435_761 + q * 97) % 13) as u64;
+            let mut boxes = BoxScan::new(shape, 3);
+            assert_eq!(boxes.positions(), geo.positions());
+            boxes.fill(|n, cell| {
+                for (q, c) in cell.iter_mut().enumerate() {
+                    *c += value(n, q);
+                }
+            });
+            boxes.integrate();
+            let mut got = [0u64; 3];
+            for p in 0..geo.positions() {
+                assert_eq!(boxes.field_len(p), geo.rf_len(p), "{shape:?} position {p}");
+                boxes.query(p, &mut got);
+                for (q, &g) in got.iter().enumerate() {
+                    let expect: u64 = geo.rf(p).iter().map(|&n| value(n, q)).sum();
+                    assert_eq!(g, expect, "{shape:?} position {p} plane {q}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //! and every tally field is an integer sum — so accumulation is
 //! associative and commutative, and any partition of the position space
 //! merged in any order produces bit-identical totals. The simulator
-//! exploits this: [`SimInputs::threads`] fans contiguous position
-//! chunks across scoped worker threads and merges the per-chunk tallies
-//! in chunk-index order. `threads = 1` *is* the historical serial walk
-//! (one chunk, same iteration order); any other count yields an
+//! exploits this: [`SimInputs::threads`] fans contiguous chunks of the
+//! scan — positions, position tiles, or (for the box-sum scans) column
+//! tiles — across scoped worker threads and merges the per-chunk
+//! tallies in chunk-index order. `threads = 1` is one chunk in the
+//! serial iteration order; any other count yields an
 //! [`assert_eq!`]-identical [`LayerReport`], because the floating-point
 //! energy/latency figures are derived only after the integer totals are
 //! final. The shared read-only inputs of the scan — receptive fields
@@ -46,18 +47,30 @@
 //!
 //! ## Bit-parallel kernel
 //!
-//! The hot paths read the activity in whole 64-time-point blocks: the
-//! PTB gather tests a column tile's windows with one funnel-shifted
-//! tag mask ([`crate::geom::tag_mask`]) instead of a per-window walk,
-//! and the dense/event-driven baselines popcount packed [`SpikeTensor`]
-//! words instead of walking a per-(neuron, time-point) byte table. The
-//! retired byte-table walk survives verbatim behind
+//! The hot paths read the activity in whole 64-time-point blocks and
+//! never walk a per-(neuron, time-point) byte table. PTB first derives
+//! each (neuron, column tile)'s window mask, spike span and busiest
+//! window from the packed [`SpikeTensor`] words (the word rows). Then:
+//!
+//! * **Box sums** serve every policy whose per-(position, tile) terms
+//!   are receptive-field sums: plain PTB (entries, active windows,
+//!   spike span, slot beats), baseline \[14\] (one spike count per time
+//!   point of the tile) and time-serial (whole-period fire counts).
+//!   Neighbouring receptive fields overlap almost entirely, so instead
+//!   of gathering each one, a [`BoxScan`] integrates channel-summed
+//!   per-(row, col) planes once per column tile and answers each
+//!   position with four lookups per plane.
+//! * **Gathers** remain where the per-position work is not a sum:
+//!   PTB+StSAP pairs the gathered tile masks, and event-driven counts
+//!   the active time points of each field's OR.
+//!
+//! The retired byte-table walks survive verbatim behind
 //! [`simulate_layer_reference`] — the serial per-bit reference the
 //! equivalence tests (and benchmarks) pin the word kernel against.
 //! Every tally field is an integer sum, and the word paths accumulate
 //! exactly the same summands (zero-count windows add zero; per-point
-//! event totals aggregate to popcounts), so reports stay bit-identical
-//! to the reference.
+//! event totals aggregate to popcounts; a box sum *is* the field's
+//! sum), so reports stay bit-identical to the reference.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,7 +80,7 @@ use snn_core::spike::SpikeTensor;
 use systolic_sim::{sat_add, sat_mul, AccessCounts, DataKind, MemLevel};
 
 use crate::config::{Policy, SimInputs};
-use crate::geom::{spike_bits, tag_mask, window_popcounts, LayerGeometry};
+use crate::geom::{spike_bits, tag_mask, window_popcounts, BoxScan, LayerGeometry};
 use crate::prepared::PreparedLayer;
 use crate::report::LayerReport;
 use crate::stsap::{
@@ -224,6 +237,10 @@ fn bits_of(input: &SpikeTensor) -> Arc<Vec<u8>> {
     Arc::new(spike_bits(input))
 }
 
+/// Most per-time-point planes the baseline \[14\] box scan holds at
+/// once: a wider array's column tile is filled in groups this size.
+const DENSE_PLANES: usize = 16;
+
 /// Bits per address-event in the event-driven baseline's AER-style input
 /// representation (neuron address + payload).
 const AER_EVENT_BITS: u64 = 16;
@@ -287,7 +304,10 @@ impl Tally {
 ///
 /// With `threads = 1` (or one item) the single chunk is the exact
 /// historical serial walk. Chunks never split below one item, so the
-/// worker count is `min(threads, items)`.
+/// worker count is `min(threads, items)`; when the items do not divide
+/// evenly the trailing chunks may be empty (6 items over 5 workers are
+/// chunks of 2, 2, 2, 0, 0), and every range stays within `0..items`,
+/// so a scan may slice by it.
 fn scan_chunks<F>(threads: usize, items: usize, scan: F) -> Tally
 where
     F: Fn(std::ops::Range<usize>) -> Tally + Sync,
@@ -301,7 +321,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let scan = &scan;
-                s.spawn(move || scan(w * chunk..((w + 1) * chunk).min(items)))
+                s.spawn(move || scan((w * chunk).min(items)..((w + 1) * chunk).min(items)))
             })
             .collect();
         handles
@@ -1065,11 +1085,13 @@ fn build_word_rows<M: TileMask>(input: &SpikeTensor, ctx: &PtbCtx) -> WordRows<M
     rows
 }
 
-/// Builder dispatch + scan for one mask width.
+/// Builder dispatch + scan for one mask width: PTB+StSAP gathers each
+/// receptive field (pairing is not a sum), plain PTB takes box sums.
 fn run_word_kernel<M: TileMask>(
     inputs: &SimInputs,
     stsap: bool,
-    geo: &LayerGeometry,
+    shape: ConvShape,
+    prep: Option<&PreparedLayer>,
     ctx: &PtbCtx,
     input: &SpikeTensor,
 ) -> Tally {
@@ -1083,10 +1105,66 @@ fn run_word_kernel<M: TileMask>(
     } else {
         build_word_rows::<M>(input, ctx)
     };
-    ptb_word_scan(inputs.threads, stsap, geo, ctx, &rows)
+    if stsap {
+        ptb_word_scan(inputs.threads, &geometry_of(prep, shape), ctx, &rows)
+    } else {
+        ptb_box_scan(inputs.threads, shape, ctx, &rows)
+    }
 }
 
-/// The bit-parallel PTB position scan: per position, walks the
+/// Plain PTB as box sums. Every term [`PtbCtx::account`] books for a
+/// (position, column tile) is a receptive-field sum of a per-(neuron,
+/// tile) value: the entry count (one per neuron with an active window),
+/// the active windows, the spike span, and the entry's slot beats (its
+/// busiest window floored at `min_beats` — without pairing every entry
+/// is its own slot). So each tile fills four [`BoxScan`] planes from
+/// the word rows and prices every position with four lookups per plane,
+/// instead of gathering each receptive field. Workers take whole column
+/// tiles and hold one tile's planes at a time; `account` sees the same
+/// per-(position, tile) values as the gather, in a different order of
+/// the same commutative saturating sums (see [`PtbCtx`]).
+fn ptb_box_scan<M: TileMask>(
+    threads: usize,
+    shape: ConvShape,
+    ctx: &PtbCtx,
+    rows: &WordRows<M>,
+) -> Tally {
+    let n_tiles = rows.n_tiles;
+    scan_chunks(threads, n_tiles, |range| {
+        let mut tally = Tally::default();
+        let mut boxes = BoxScan::new(shape, 4);
+        let mut sums = [0u64; 4];
+        for ti in range {
+            boxes.fill(|n, cell| {
+                let idx = n * n_tiles + ti;
+                let windows = u64::from(rows.masks[idx].to_u128().count_ones());
+                if windows == 0 {
+                    return;
+                }
+                // At `TWS = 1` the table is empty: one spike per window.
+                let (span, busiest) = match rows.span_busy.get(idx) {
+                    Some(&sb) => (u64::from(sb & 0xFFFF), u64::from(sb >> 16)),
+                    None => (windows, 1),
+                };
+                cell[0] += 1;
+                cell[1] += windows;
+                cell[2] += span;
+                cell[3] += busiest.max(ctx.min_beats);
+            });
+            boxes.integrate();
+            for p in 0..boxes.positions() {
+                boxes.query(p, &mut sums);
+                let [raw, windows, span, beats] = sums;
+                if raw > 0 {
+                    ctx.account(&mut tally, raw, raw, beats, span, windows);
+                }
+            }
+        }
+        tally
+    })
+}
+
+/// The bit-parallel PTB+StSAP position scan: per position, walks the
 /// receptive field once and scatters each neuron's *active* tiles
 /// (guided by the tile-activity words) into per-tile entry buffers,
 /// then packs and prices each nonempty tile from the hoisted maxima.
@@ -1101,7 +1179,6 @@ fn run_word_kernel<M: TileMask>(
 /// sums (see [`PtbCtx`]).
 fn ptb_word_scan<M: TileMask>(
     threads: usize,
-    stsap: bool,
     geo: &LayerGeometry,
     ctx: &PtbCtx,
     rows: &WordRows<M>,
@@ -1109,9 +1186,9 @@ fn ptb_word_scan<M: TileMask>(
     let max_nw = ctx.tiles.iter().map(|&(w0, w1)| w1 - w0).max().unwrap_or(0);
     if max_nw <= 8 {
         return if ctx.tws == 1 {
-            ptb_word_scan_counts(threads, stsap, geo, ctx, rows, max_nw as u32)
+            ptb_word_scan_counts(threads, geo, ctx, rows, max_nw as u32)
         } else {
-            ptb_word_scan_buckets(threads, stsap, geo, ctx, rows, max_nw as u32)
+            ptb_word_scan_buckets(threads, geo, ctx, rows, max_nw as u32)
         };
     }
     let n_tiles = rows.n_tiles;
@@ -1181,46 +1258,29 @@ fn ptb_word_scan<M: TileMask>(
                 // the busiest column's accumulate count, floored at the
                 // spike-link delivery time ([`slot_cost`]'s numbers, by
                 // the disjointness argument above).
-                let tile_uniform = uniform || u64::from(max_busy[ti]) <= ctx.min_beats;
-                let stream_beats;
-                let slots;
-                if stsap {
-                    let cost = if tile_uniform {
-                        M::stream_cost_uniform(
-                            &mut scratch,
-                            &tile_tags[ti],
-                            full_masks[ti],
-                            ctx.min_beats,
-                        )
-                    } else {
-                        M::stream_cost(
-                            &mut scratch,
-                            &tile_tags[ti],
-                            &tile_busy[ti],
-                            full_masks[ti],
-                            ctx.min_beats,
-                        )
-                    };
-                    sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
-                    sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
-                    slots = cost.slots;
-                    stream_beats = cost.beats;
-                } else if tile_uniform {
-                    slots = raw;
-                    stream_beats = raw * ctx.min_beats;
+                let cost = if uniform || u64::from(max_busy[ti]) <= ctx.min_beats {
+                    M::stream_cost_uniform(
+                        &mut scratch,
+                        &tile_tags[ti],
+                        full_masks[ti],
+                        ctx.min_beats,
+                    )
                 } else {
-                    slots = raw;
-                    let mut beats = 0u64;
-                    for &b in tile_busy[ti].iter() {
-                        beats += u64::from(b).max(ctx.min_beats);
-                    }
-                    stream_beats = beats;
-                }
+                    M::stream_cost(
+                        &mut scratch,
+                        &tile_tags[ti],
+                        &tile_busy[ti],
+                        full_masks[ti],
+                        ctx.min_beats,
+                    )
+                };
+                sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
+                sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
                 ctx.account(
                     &mut tally,
                     raw,
-                    slots,
-                    stream_beats,
+                    cost.slots,
+                    cost.beats,
                     span_acc[ti],
                     win_acc[ti],
                 );
@@ -1247,7 +1307,6 @@ fn ptb_word_scan<M: TileMask>(
 /// tally term is a commutative saturating sum.
 fn ptb_word_scan_counts<M: TileMask>(
     threads: usize,
-    stsap: bool,
     geo: &LayerGeometry,
     ctx: &PtbCtx,
     rows: &WordRows<M>,
@@ -1279,13 +1338,11 @@ fn ptb_word_scan_counts<M: TileMask>(
                         let m = rows.masks[row + ti].to_u128() as u32;
                         raw_acc[ti] += 1;
                         win_acc[ti] += u64::from(m.count_ones());
-                        if stsap {
-                            let slot = &mut counts[ti * stride + m as usize];
-                            if *slot == 0 {
-                                present[ti].push(m);
-                            }
-                            *slot += 1;
+                        let slot = &mut counts[ti * stride + m as usize];
+                        if *slot == 0 {
+                            present[ti].push(m);
                         }
+                        *slot += 1;
                     }
                 }
             }
@@ -1294,33 +1351,24 @@ fn ptb_word_scan_counts<M: TileMask>(
                 if raw == 0 {
                     continue;
                 }
-                let slots;
-                let stream_beats;
-                if stsap {
-                    let arena = &mut counts[ti * stride..(ti + 1) * stride];
-                    let cost = count_cost_core(
-                        &mut classes,
-                        arena,
-                        &present[ti],
-                        full_masks[ti],
-                        ctx.min_beats,
-                    );
-                    sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
-                    sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
-                    slots = cost.slots;
-                    stream_beats = cost.beats;
-                    present[ti].clear();
-                } else {
-                    slots = raw;
-                    stream_beats = raw * ctx.min_beats;
-                }
+                let arena = &mut counts[ti * stride..(ti + 1) * stride];
+                let cost = count_cost_core(
+                    &mut classes,
+                    arena,
+                    &present[ti],
+                    full_masks[ti],
+                    ctx.min_beats,
+                );
+                sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
+                sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
+                present[ti].clear();
                 // At `TWS = 1` a neuron's spike span equals its
                 // active-window count, so `win_acc` serves as both.
                 ctx.account(
                     &mut tally,
                     raw,
-                    slots,
-                    stream_beats,
+                    cost.slots,
+                    cost.beats,
                     win_acc[ti],
                     win_acc[ti],
                 );
@@ -1340,11 +1388,9 @@ fn ptb_word_scan_counts<M: TileMask>(
 /// per-entry tag/busiest buffers and the coster's whole entry pass
 /// disappear. Tiles whose gathered busiest windows all sit at or under
 /// the `min_beats` floor (tracked as a running max) collapse to the
-/// count-only pairing on the same buckets. Without StSAP no pairing
-/// happens at all: slot beats just accumulate during the scatter.
+/// count-only pairing on the same buckets.
 fn ptb_word_scan_buckets<M: TileMask>(
     threads: usize,
-    stsap: bool,
     geo: &LayerGeometry,
     ctx: &PtbCtx,
     rows: &WordRows<M>,
@@ -1360,12 +1406,11 @@ fn ptb_word_scan_buckets<M: TileMask>(
     scan_chunks(threads, geo.positions(), |range| {
         let mut tally = Tally::default();
         let mut classes: Vec<u32> = Vec::new();
-        let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); if stsap { n_tiles * stride } else { 0 }];
+        let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); n_tiles * stride];
         let mut present: Vec<Vec<u32>> = vec![Vec::new(); n_tiles];
         let mut raw_acc = vec![0u64; n_tiles];
         let mut win_acc = vec![0u64; n_tiles];
         let mut span_acc = vec![0u64; n_tiles];
-        let mut beat_acc = vec![0u64; n_tiles];
         let mut max_busy = vec![0u16; n_tiles];
         for p in range {
             for &rn in geo.rf(p) {
@@ -1384,15 +1429,11 @@ fn ptb_word_scan_buckets<M: TileMask>(
                         win_acc[ti] += u64::from(m.count_ones());
                         span_acc[ti] += u64::from(sb & 0xFFFF);
                         max_busy[ti] = max_busy[ti].max(b);
-                        if stsap {
-                            let bucket = &mut buckets[ti * stride + m as usize];
-                            if bucket.is_empty() {
-                                present[ti].push(m);
-                            }
-                            bucket.push(b);
-                        } else {
-                            beat_acc[ti] += u64::from(b).max(ctx.min_beats);
+                        let bucket = &mut buckets[ti * stride + m as usize];
+                        if bucket.is_empty() {
+                            present[ti].push(m);
                         }
+                        bucket.push(b);
                     }
                 }
             }
@@ -1401,43 +1442,30 @@ fn ptb_word_scan_buckets<M: TileMask>(
                 if raw == 0 {
                     continue;
                 }
-                let slots;
-                let stream_beats;
-                if stsap {
-                    let uniform = u64::from(max_busy[ti]) <= ctx.min_beats;
-                    let arena = &mut buckets[ti * stride..(ti + 1) * stride];
-                    let cost = stream_cost_buckets(
-                        &mut classes,
-                        arena,
-                        &present[ti],
-                        full_masks[ti],
-                        ctx.min_beats,
-                        uniform,
-                    );
-                    sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
-                    sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
-                    slots = cost.slots;
-                    stream_beats = cost.beats;
-                    present[ti].clear();
-                } else {
-                    // Σ busiest.max(min_beats) accumulated in the
-                    // scatter; when the tile is uniform this equals
-                    // `raw * min_beats` term by term.
-                    slots = raw;
-                    stream_beats = beat_acc[ti];
-                }
+                let uniform = u64::from(max_busy[ti]) <= ctx.min_beats;
+                let arena = &mut buckets[ti * stride..(ti + 1) * stride];
+                let cost = stream_cost_buckets(
+                    &mut classes,
+                    arena,
+                    &present[ti],
+                    full_masks[ti],
+                    ctx.min_beats,
+                    uniform,
+                );
+                sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
+                sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
+                present[ti].clear();
                 ctx.account(
                     &mut tally,
                     raw,
-                    slots,
-                    stream_beats,
+                    cost.slots,
+                    cost.beats,
                     span_acc[ti],
                     win_acc[ti],
                 );
                 raw_acc[ti] = 0;
                 win_acc[ti] = 0;
                 span_acc[ti] = 0;
-                beat_acc[ti] = 0;
                 max_busy[ti] = 0;
             }
         }
@@ -1544,9 +1572,6 @@ fn simulate_ptb(
     let tiles = part.column_tiles(cols);
     let m = u64::from(shape.out_channels());
 
-    // Receptive fields, computed (or fetched from the prepared memo)
-    // once and shared by every worker.
-    let geo = geometry_of(prep, shape);
     let n_w = part.num_windows();
     let ctx = PtbCtx {
         tiles: &tiles,
@@ -1565,17 +1590,19 @@ fn simulate_ptb(
             // Narrow mask words keep a tile's whole lookup slice
             // cache-resident; the wide fallback covers any array.
             if cols <= 16 {
-                run_word_kernel::<u16>(inputs, stsap, &geo, &ctx, input)
+                run_word_kernel::<u16>(inputs, stsap, shape, prep, &ctx, input)
             } else {
-                run_word_kernel::<u128>(inputs, stsap, &geo, &ctx, input)
+                run_word_kernel::<u128>(inputs, stsap, shape, prep, &ctx, input)
             }
         }
         Kernel::Scalar => {
             let win_pop = window_popcounts(input, &part);
+            let geo = geometry_of(prep, shape);
             ptb_scalar_scan(inputs.threads, stsap, &geo, &ctx, &win_pop)
         }
     };
-    sat!(tally.counts.compare_ops += m * geo.positions() as u64 * t as u64);
+    let positions = u64::from(shape.ofmap_side()).pow(2);
+    sat!(tally.counts.compare_ops += m * positions * t as u64);
     finalize(
         inputs,
         Policy::Ptb { stsap },
@@ -1594,6 +1621,11 @@ fn simulate_ptb(
 /// time-serial accelerator (`time_serial = true`; one time point at a
 /// time, columns host output positions, weights refetched every time
 /// point — Fig. 7a's alternating access).
+///
+/// Every spike term either baseline books is a receptive-field sum, so
+/// the word kernel takes it from [`BoxScan`] planes: whole-period fire
+/// counts for time-serial, per-time-point spike counts for \[14\]. The
+/// scalar reference walks every tap.
 fn simulate_dense_temporal(
     inputs: &SimInputs,
     shape: ConvShape,
@@ -1610,8 +1642,10 @@ fn simulate_dense_temporal(
     let m = u64::from(shape.out_channels());
     let row_tiles = m.div_ceil(rows);
     let pbits = u64::from(arch.potential_bits);
-
-    let geo = geometry_of(prep, shape);
+    let positions = (shape.ofmap_side() as usize).pow(2);
+    if kernel == Kernel::Words {
+        WORD_KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
 
     if time_serial {
         // Columns tile output positions; every time point is a separate
@@ -1624,29 +1658,42 @@ fn simulate_dense_temporal(
         // The scan is chunked at position-*tile* granularity (`cols`
         // consecutive positions per tile) so a tile's max-RF bound never
         // straddles two workers.
-        let positions = geo.positions();
         let pos_tiles = positions.div_ceil(cols);
         let t_u = t as u64;
-        // Whole-period fire counts, hoisted: each neuron appears in many
-        // receptive fields, so popcounting once per neuron (instead of
-        // once per (neuron, position) pair) saves a kernel-area factor.
-        let fires: Vec<u64> = (0..input.neurons())
-            .map(|n| u64::from(input.popcount_range(n, 0, t)))
-            .collect();
+        // Per position: (receptive-field length, spikes it gathers over
+        // the whole period).
+        let fields: Vec<(u64, u64)> = match kernel {
+            Kernel::Words => {
+                let mut boxes = BoxScan::new(shape, 1);
+                boxes.fill(|n, cell| cell[0] += u64::from(input.popcount_range(n, 0, t)));
+                boxes.integrate();
+                let mut spikes = [0u64];
+                (0..positions)
+                    .map(|p| {
+                        boxes.query(p, &mut spikes);
+                        (boxes.field_len(p), spikes[0])
+                    })
+                    .collect()
+            }
+            Kernel::Scalar => {
+                let geo = geometry_of(prep, shape);
+                let fires: Vec<u64> = (0..input.neurons())
+                    .map(|n| u64::from(input.popcount_range(n, 0, t)))
+                    .collect();
+                (0..positions)
+                    .map(|p| (geo.rf_len(p), geo.rf(p).iter().map(|&n| fires[n]).sum()))
+                    .collect()
+            }
+        };
         let mut tally = scan_chunks(inputs.threads, pos_tiles, |range| {
             let mut tally = Tally::default();
             for tile in range {
-                let p0 = tile * cols;
-                let p1 = ((tile + 1) * cols).min(positions);
-                let mut rf_sum = 0u64;
-                let mut spikes = 0u64;
-                for p in p0..p1 {
-                    rf_sum += geo.rf_len(p);
-                    for &n in geo.rf(p) {
-                        spikes += fires[n];
-                    }
+                let (mut rf_sum, mut rf_max, mut spikes) = (0u64, 0u64, 0u64);
+                for &(len, s) in &fields[tile * cols..((tile + 1) * cols).min(positions)] {
+                    rf_sum += len;
+                    rf_max = rf_max.max(len);
+                    spikes += s;
                 }
-                let rf_max = geo.max_rf_len(p0, p1);
                 sat!(tally.compute_cycles += (rf_max + fill) * t_u * row_tiles);
                 sat!(tally.useful_ops += spikes * m);
                 sat!(tally.counts.ac_ops += spikes * m);
@@ -1691,92 +1738,114 @@ fn simulate_dense_temporal(
     }
 
     // Baseline [14]: columns tile groups of `cols` consecutive time
-    // points (limited temporal parallelism), dense streaming.
+    // points (limited temporal parallelism), dense streaming. One array
+    // iteration per (position, column tile), bound by the dense stream
+    // or the busiest column's spike count.
     let part = WindowPartition::new(t, 1);
     let tiles = part.column_tiles(cols);
-    let bit_at = match kernel {
-        Kernel::Scalar => bits_of(input),
-        Kernel::Words => Arc::new(Vec::new()),
+    let book = |tally: &mut Tally, rf_len: u64, span_len: u64, busiest: u64, spikes: u64| {
+        sat!(tally.compute_cycles += (rf_len.max(busiest) + fill) * row_tiles);
+        sat!(tally.useful_ops += spikes * m);
+        sat!(tally.counts.ac_ops += spikes * m);
+        sat!(tally.entries_before += rf_len * row_tiles);
+        sat!(tally.entries_after += rf_len * row_tiles);
+        sat!(tally.sum_entries_raw += rf_len);
+        let in_bits = rf_len * span_len * row_tiles;
+        tally.counts.transfer(
+            MemLevel::GlobalBuffer,
+            MemLevel::L1,
+            DataKind::InputSpike,
+            in_bits,
+        );
+        tally
+            .counts
+            .read(MemLevel::L1, DataKind::InputSpike, in_bits);
+        tally
+            .counts
+            .read(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
+        tally
+            .counts
+            .write(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
     };
-    let bit_at: &[u8] = &bit_at;
-    if kernel == Kernel::Words {
-        WORD_KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-    let mut tally = scan_chunks(inputs.threads, geo.positions(), |range| {
-        let mut tally = Tally::default();
-        // Per-column spike counts of the current tile (word kernel).
-        let mut col_counts = vec![0u64; cols];
-        for p in range {
-            let rf = geo.rf(p);
-            let rf_len = rf.len() as u64;
-            for &(w0, w1) in &tiles {
-                let nw = w1 - w0;
-                let mut spikes_span = 0u64;
-                let mut busiest = 0u64;
-                match kernel {
-                    // Word path: read the tile's ≤`cols` time points as
-                    // funnel-shifted words and scatter only the *set*
-                    // bits into per-column counts — identical sums to
-                    // the per-point walk, `O(spikes)` stores.
-                    Kernel::Words => {
-                        col_counts[..nw].fill(0);
-                        for &n in rf {
-                            let mut s = w0;
-                            while s < w1 {
-                                let len = (w1 - s).min(64);
-                                let mut word = input.spike_word(n, s, len);
-                                while word != 0 {
-                                    col_counts[s - w0 + word.trailing_zeros() as usize] += 1;
-                                    word &= word - 1;
-                                }
-                                s += len;
-                            }
+    let mut tally = match kernel {
+        // A column's spike count is the box sum of its time point's
+        // spike plane. Workers take whole column tiles and fill at most
+        // `DENSE_PLANES` planes at a time, so plane memory is bounded
+        // by the map, not the array width; per-position running maxima
+        // and sums carry across a wide tile's plane groups.
+        Kernel::Words => scan_chunks(inputs.threads, tiles.len(), |range| {
+            let mut tally = Tally::default();
+            let group = cols.min(DENSE_PLANES);
+            let mut boxes = BoxScan::new(shape, group);
+            let mut sums = vec![0u64; group];
+            let mut busiest = vec![0u64; positions];
+            let mut spikes = vec![0u64; positions];
+            for &(w0, w1) in &tiles[range] {
+                busiest.fill(0);
+                spikes.fill(0);
+                for g0 in (w0..w1).step_by(group) {
+                    let len = (w1 - g0).min(group);
+                    boxes.fill(|n, cell| {
+                        let mut word = input.spike_word(n, g0, len);
+                        while word != 0 {
+                            cell[word.trailing_zeros() as usize] += 1;
+                            word &= word - 1;
                         }
-                        for &c in &col_counts[..nw] {
-                            busiest = busiest.max(c);
-                            spikes_span += c;
+                    });
+                    boxes.integrate();
+                    for p in 0..positions {
+                        boxes.query(p, &mut sums);
+                        for &c in &sums[..len] {
+                            busiest[p] = busiest[p].max(c);
+                            spikes[p] += c;
                         }
                     }
-                    Kernel::Scalar => {
+                }
+                let span_len = (w1 - w0) as u64;
+                for p in 0..positions {
+                    book(
+                        &mut tally,
+                        boxes.field_len(p),
+                        span_len,
+                        busiest[p],
+                        spikes[p],
+                    );
+                }
+            }
+            tally
+        }),
+        Kernel::Scalar => {
+            let geo = geometry_of(prep, shape);
+            let bit_at = bits_of(input);
+            scan_chunks(inputs.threads, positions, |range| {
+                let mut tally = Tally::default();
+                for p in range {
+                    let rf = geo.rf(p);
+                    for &(w0, w1) in &tiles {
+                        let mut spikes = 0u64;
+                        let mut busiest = 0u64;
                         for tp in w0..w1 {
                             let mut col_spikes = 0u64;
                             for &n in rf {
                                 col_spikes += u64::from(bit_at[n * t + tp]);
                             }
                             busiest = busiest.max(col_spikes);
-                            spikes_span += col_spikes;
+                            spikes += col_spikes;
                         }
+                        book(
+                            &mut tally,
+                            rf.len() as u64,
+                            (w1 - w0) as u64,
+                            busiest,
+                            spikes,
+                        );
                     }
                 }
-                let iter_cycles = rf_len.max(busiest) + fill;
-                sat!(tally.compute_cycles += iter_cycles * row_tiles);
-                sat!(tally.useful_ops += spikes_span * m);
-                sat!(tally.counts.ac_ops += spikes_span * m);
-                sat!(tally.entries_before += rf_len * row_tiles);
-                sat!(tally.entries_after += rf_len * row_tiles);
-                sat!(tally.sum_entries_raw += rf_len);
-                let span_len = (w1 - w0) as u64;
-                let in_bits = rf_len * span_len * row_tiles;
-                tally.counts.transfer(
-                    MemLevel::GlobalBuffer,
-                    MemLevel::L1,
-                    DataKind::InputSpike,
-                    in_bits,
-                );
                 tally
-                    .counts
-                    .read(MemLevel::L1, DataKind::InputSpike, in_bits);
-                tally
-                    .counts
-                    .read(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
-                tally
-                    .counts
-                    .write(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
-            }
+            })
         }
-        tally
-    });
-    sat!(tally.counts.compare_ops += m * geo.positions() as u64 * t as u64);
+    };
+    sat!(tally.counts.compare_ops += m * positions as u64 * t as u64);
     finalize(
         inputs,
         Policy::BaselineTemporal,
@@ -2228,6 +2297,26 @@ mod tests {
         assert_eq!(slot_cost(&a, None, 1), 200);
         assert_eq!(slot_cost(&[0u16, 0], None, 5), 5);
         assert_eq!(slot_cost(&[], None, 2), 2);
+    }
+
+    #[test]
+    fn scan_chunks_cover_every_item_once_with_ranges_in_bounds() {
+        for items in 0..12usize {
+            for threads in 1..9 {
+                let seen = scan_chunks(threads, items, |range| {
+                    assert!(range.start <= range.end && range.end <= items);
+                    Tally {
+                        useful_ops: range.map(|i| 1u64 << i).sum(),
+                        ..Tally::default()
+                    }
+                });
+                assert_eq!(
+                    seen.useful_ops,
+                    (1u64 << items) - 1,
+                    "{items} over {threads}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //!     [--level off|sample|full] [--expect-findings] [--bench]
 //! ```
 //!
-//! Runs the PTB+StSAP TW sweep of DVS-Gesture, CIFAR10-DVS, and
-//! AlexNet through [`ptb_bench::sweep_summary_verified`] at the chosen
+//! Runs the TW sweeps of DVS-Gesture, CIFAR10-DVS, and AlexNet under
+//! the benchmark mix's three policies — PTB, PTB+StSAP and baseline
+//! \[14\] — through [`ptb_bench::sweep_summary_verified`] at the chosen
 //! audit level (default: `PTB_VERIFY`, falling back to `full`) and
-//! prints a JSON summary of coverage counters and findings. The exit
+//! prints a JSON summary of coverage counters and findings. At `full`
+//! every layer of every sweep is diffed against the serial per-bit
+//! reference, so each production kernel path is checked. The exit
 //! code is the contract: `0` when every audit is clean, `1` when any
 //! finding survives — inverted under `--expect-findings`, which CI uses
 //! with an armed corruption failpoint (e.g.
@@ -17,7 +20,7 @@
 //! audit actually catches injected bit flips rather than silently
 //! passing everything.
 //!
-//! `--bench` instead times the identical sweep at *all three* levels
+//! `--bench` instead times the PTB+StSAP sweep at *all three* levels
 //! and writes `BENCH_verify.json` (off must be within noise of the
 //! unverified harness — it takes the same code path — and the file
 //! records what sample/full cost on top).
@@ -38,9 +41,17 @@ use spikegen::NetworkSpec;
 /// full-array schedules without full-sweep cost at `full` verification.
 const TWS: [u32; 4] = [1, 4, 16, 64];
 
+/// Policies the audit covers: the benchmark mix's three.
+const AUDITED: [Policy; 3] = [
+    Policy::Ptb { stsap: false },
+    Policy::Ptb { stsap: true },
+    Policy::BaselineTemporal,
+];
+
 #[derive(Serialize)]
 struct NetworkAudit {
     network: String,
+    policy: String,
     wall_ms: f64,
     layers_checked: u64,
     tiles_checked: u64,
@@ -57,7 +68,7 @@ struct VerifyReport {
     quick_mode: bool,
     threads: usize,
     tw_sizes: Vec<u64>,
-    policy: String,
+    policies: Vec<String>,
     networks: Vec<NetworkAudit>,
     total_mismatches: u64,
     clean: bool,
@@ -101,27 +112,32 @@ fn workloads() -> Vec<NetworkSpec> {
     ]
 }
 
-/// One audited sweep of `net` at `level`; returns wall time and the
-/// merged audit outcome.
-fn audited_sweep(net: &NetworkSpec, level: AuditLevel, base: &RunOptions) -> (f64, AuditSummary) {
+/// One audited sweep of `net` under `policy` at `level`; returns wall
+/// time and the merged audit outcome.
+fn audited_sweep(
+    net: &NetworkSpec,
+    policy: Policy,
+    level: AuditLevel,
+    base: &RunOptions,
+) -> (f64, AuditSummary) {
     let opts = RunOptions {
         verify: level,
         ..*base
     };
     let cache = opts.new_cache();
     let t0 = Instant::now();
-    let (_rows, summary) =
-        sweep_summary_verified(net, Policy::ptb_with_stsap(), &TWS, &opts, &cache);
+    let (_rows, summary) = sweep_summary_verified(net, policy, &TWS, &opts, &cache);
     (t0.elapsed().as_secs_f64() * 1e3, summary)
 }
 
 fn run_levels(base: &RunOptions, quick: bool) -> ! {
     let mut networks = Vec::new();
     let (mut total_off, mut total_sample, mut total_full) = (0.0, 0.0, 0.0);
+    let policy = Policy::ptb_with_stsap();
     for net in workloads() {
-        let (off_ms, s_off) = audited_sweep(&net, AuditLevel::Off, base);
-        let (sample_ms, s_sample) = audited_sweep(&net, AuditLevel::Sample, base);
-        let (full_ms, s_full) = audited_sweep(&net, AuditLevel::Full, base);
+        let (off_ms, s_off) = audited_sweep(&net, policy, AuditLevel::Off, base);
+        let (sample_ms, s_sample) = audited_sweep(&net, policy, AuditLevel::Sample, base);
+        let (full_ms, s_full) = audited_sweep(&net, policy, AuditLevel::Full, base);
         let clean = s_off.is_clean() && s_sample.is_clean() && s_full.is_clean();
         assert!(
             clean,
@@ -158,7 +174,7 @@ fn run_levels(base: &RunOptions, quick: bool) -> ! {
         quick_mode: quick,
         threads: base.threads,
         tw_sizes: TWS.iter().map(|&t| u64::from(t)).collect(),
-        policy: Policy::ptb_with_stsap().label().to_string(),
+        policy: policy.label().to_string(),
         networks,
         total_off_ms: total_off,
         total_sample_ms: total_sample,
@@ -210,19 +226,22 @@ fn main() {
     let mut networks = Vec::new();
     let mut total_mismatches = 0u64;
     for net in workloads() {
-        let (wall_ms, summary) = audited_sweep(&net, level, &base);
-        total_mismatches += summary.mismatches;
-        networks.push(NetworkAudit {
-            network: net.name.clone(),
-            wall_ms,
-            layers_checked: summary.layers_checked,
-            tiles_checked: summary.tiles_checked,
-            neurons_replayed: summary.neurons_replayed,
-            activity_checked: summary.activity_checked,
-            saturated: summary.saturated,
-            mismatches: summary.mismatches,
-            findings: summary.findings.iter().map(|f| f.to_string()).collect(),
-        });
+        for policy in AUDITED {
+            let (wall_ms, summary) = audited_sweep(&net, policy, level, &base);
+            total_mismatches += summary.mismatches;
+            networks.push(NetworkAudit {
+                network: net.name.clone(),
+                policy: policy.label().to_string(),
+                wall_ms,
+                layers_checked: summary.layers_checked,
+                tiles_checked: summary.tiles_checked,
+                neurons_replayed: summary.neurons_replayed,
+                activity_checked: summary.activity_checked,
+                saturated: summary.saturated,
+                mismatches: summary.mismatches,
+                findings: summary.findings.iter().map(|f| f.to_string()).collect(),
+            });
+        }
     }
     let clean = total_mismatches == 0;
     let report = VerifyReport {
@@ -230,7 +249,7 @@ fn main() {
         quick_mode: quick,
         threads: base.threads,
         tw_sizes: TWS.iter().map(|&t| u64::from(t)).collect(),
-        policy: Policy::ptb_with_stsap().label().to_string(),
+        policies: AUDITED.iter().map(|p| p.label().to_string()).collect(),
         networks,
         total_mismatches,
         clean,

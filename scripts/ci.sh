@@ -19,6 +19,11 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "== release binaries of every workspace crate (the stages below run them)"
+# The root package is the default member, so the tier-1 build above
+# does not rebuild ptb-bench, ptb-serve or ptb-cluster binaries.
+cargo build --release --workspace
+
 echo "== full workspace test suite"
 cargo test --workspace -q
 
@@ -31,6 +36,17 @@ PTB_QUICK=1 ./target/release/verify_sweep --level sample
 echo "== serial-reference oracle (PTB_VERIFY=full gates the bit-parallel kernel)"
 PTB_QUICK=1 PTB_VERIFY=full ./target/release/verify_sweep --level full
 
+echo "== paper figures regenerate byte-identically (full fidelity, diffed against results/)"
+# all_experiments writes results/ relative to its working directory, so
+# running it from a temp dir leaves the checked-in copy untouched. Any
+# change to shared model code that moves a figure fails here; a change
+# meant to move the model regenerates results/ in the same commit.
+ROOT="$(pwd)"
+FIG_TMP="$(mktemp -d)"
+(cd "$FIG_TMP" && env -u PTB_QUICK -u PTB_CACHE "$ROOT/target/release/all_experiments" >/dev/null)
+diff -r --exclude=.cache "$FIG_TMP/results" results
+rm -rf "$FIG_TMP"
+
 echo "== bench smoke (bit-parallel kernel path must actually be exercised)"
 # The binary asserts word_kernel_calls() advanced and that the scalar
 # reference, word-serial, and word-threaded reports are bit-identical;
@@ -40,7 +56,6 @@ PTB_QUICK=1 PTB_BENCH_OUT="$BENCH_TMP" ./target/release/bench_sim_parallel
 rm -f "$BENCH_TMP"
 
 echo "== injected corruption must be caught (cache_load_flip + --expect-findings)"
-ROOT="$(pwd)"
 CACHE_TMP="$(mktemp -d)"
 # Warm a disk cache, then replay the same sweep with every disk load
 # delivering one flipped bit: the audit must report findings (the flag
