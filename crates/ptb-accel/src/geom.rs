@@ -6,7 +6,10 @@
 //! existed each policy recomputed `receptive_field_indices` at every
 //! position and built its own popcount tables inline; now the geometry
 //! is computed once per `simulate_layer` call and shared read-only by
-//! every worker of the parallel position scan.
+//! every worker of the parallel position scan. The policies whose
+//! per-position terms are receptive-field sums skip the per-position
+//! lists altogether: [`BoxScan`] answers each field's sum from 2D
+//! prefix planes.
 //!
 //! The popcount tables are deliberately wider than the hardware needs:
 //! a window's spike count is bounded by the window length, and the

@@ -27,9 +27,9 @@
 //! * [`stsap`] — the greedy complement-packing algorithm (Fig. 8).
 //! * [`config`] — simulator inputs (Table III), including the
 //!   [`SimInputs::threads`] worker-count knob of the parallel scan.
-//! * [`geom`] — per-layer receptive-field geometry and spike popcount
-//!   tables, computed once per simulation and shared by every policy
-//!   and every scan worker.
+//! * [`geom`] — per-layer receptive-field geometry, the summed-area
+//!   box sums ([`geom::BoxScan`]) that price the sum-separable policies,
+//!   and the scalar reference's spike popcount tables.
 //! * [`prepared`] — [`PreparedLayer`]: memoized geometry and
 //!   TW-invariant reports for incremental re-simulation across
 //!   TW/policy sweeps

@@ -237,10 +237,6 @@ fn bits_of(input: &SpikeTensor) -> Arc<Vec<u8>> {
     Arc::new(spike_bits(input))
 }
 
-/// Most per-time-point planes the baseline \[14\] box scan holds at
-/// once: a wider array's column tile is filled in groups this size.
-const DENSE_PLANES: usize = 16;
-
 /// Bits per address-event in the event-driven baseline's AER-style input
 /// representation (neuron address + payload).
 const AER_EVENT_BITS: u64 = 16;
@@ -1623,8 +1619,8 @@ fn simulate_ptb(
 /// point — Fig. 7a's alternating access).
 ///
 /// Every spike term either baseline books is a receptive-field sum, so
-/// the word kernel takes it from [`BoxScan`] planes: whole-period fire
-/// counts for time-serial, per-time-point spike counts for \[14\]. The
+/// the word kernel takes it from a [`BoxScan`] plane: whole-period fire
+/// counts for time-serial, per-column-tile spike counts for \[14\]. The
 /// scalar reference walks every tap.
 fn simulate_dense_temporal(
     inputs: &SimInputs,
@@ -1739,12 +1735,12 @@ fn simulate_dense_temporal(
 
     // Baseline [14]: columns tile groups of `cols` consecutive time
     // points (limited temporal parallelism), dense streaming. One array
-    // iteration per (position, column tile), bound by the dense stream
-    // or the busiest column's spike count.
+    // iteration per (position, column tile) of `beats` cycles plus the
+    // fill, bound by the dense stream or the busiest column's spikes.
     let part = WindowPartition::new(t, 1);
     let tiles = part.column_tiles(cols);
-    let book = |tally: &mut Tally, rf_len: u64, span_len: u64, busiest: u64, spikes: u64| {
-        sat!(tally.compute_cycles += (rf_len.max(busiest) + fill) * row_tiles);
+    let book = |tally: &mut Tally, rf_len: u64, span_len: u64, beats: u64, spikes: u64| {
+        sat!(tally.compute_cycles += (beats + fill) * row_tiles);
         sat!(tally.useful_ops += spikes * m);
         sat!(tally.counts.ac_ops += spikes * m);
         sat!(tally.entries_before += rf_len * row_tiles);
@@ -1768,48 +1764,22 @@ fn simulate_dense_temporal(
             .write(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
     };
     let mut tally = match kernel {
-        // A column's spike count is the box sum of its time point's
-        // spike plane. Workers take whole column tiles and fill at most
-        // `DENSE_PLANES` planes at a time, so plane memory is bounded
-        // by the map, not the array width; per-position running maxima
-        // and sums carry across a wide tile's plane groups.
+        // A column counts at most one spike per receptive-field neuron,
+        // so the busiest column never outlasts the dense stream and an
+        // iteration takes exactly `rf_len` beats. What remains is the
+        // tile's spike total: one box sum of per-neuron tile counts.
+        // Workers take whole column tiles, one plane at a time.
         Kernel::Words => scan_chunks(inputs.threads, tiles.len(), |range| {
             let mut tally = Tally::default();
-            let group = cols.min(DENSE_PLANES);
-            let mut boxes = BoxScan::new(shape, group);
-            let mut sums = vec![0u64; group];
-            let mut busiest = vec![0u64; positions];
-            let mut spikes = vec![0u64; positions];
+            let mut boxes = BoxScan::new(shape, 1);
+            let mut spikes = [0u64];
             for &(w0, w1) in &tiles[range] {
-                busiest.fill(0);
-                spikes.fill(0);
-                for g0 in (w0..w1).step_by(group) {
-                    let len = (w1 - g0).min(group);
-                    boxes.fill(|n, cell| {
-                        let mut word = input.spike_word(n, g0, len);
-                        while word != 0 {
-                            cell[word.trailing_zeros() as usize] += 1;
-                            word &= word - 1;
-                        }
-                    });
-                    boxes.integrate();
-                    for p in 0..positions {
-                        boxes.query(p, &mut sums);
-                        for &c in &sums[..len] {
-                            busiest[p] = busiest[p].max(c);
-                            spikes[p] += c;
-                        }
-                    }
-                }
-                let span_len = (w1 - w0) as u64;
+                boxes.fill(|n, cell| cell[0] += u64::from(input.popcount_range(n, w0, w1)));
+                boxes.integrate();
                 for p in 0..positions {
-                    book(
-                        &mut tally,
-                        boxes.field_len(p),
-                        span_len,
-                        busiest[p],
-                        spikes[p],
-                    );
+                    boxes.query(p, &mut spikes);
+                    let rf_len = boxes.field_len(p);
+                    book(&mut tally, rf_len, (w1 - w0) as u64, rf_len, spikes[0]);
                 }
             }
             tally
@@ -1832,11 +1802,12 @@ fn simulate_dense_temporal(
                             busiest = busiest.max(col_spikes);
                             spikes += col_spikes;
                         }
+                        let rf_len = rf.len() as u64;
                         book(
                             &mut tally,
-                            rf.len() as u64,
+                            rf_len,
                             (w1 - w0) as u64,
-                            busiest,
+                            rf_len.max(busiest),
                             spikes,
                         );
                     }
@@ -2457,7 +2428,8 @@ mod tests {
         // the funnel-shift TW=1 builder fallback (a tile width that
         // does not divide a storage word: 12 and 20), and the generic
         // scan's uniform branch. 128 is the Fig. 9(b) extreme, one tile
-        // spanning two window words.
+        // spanning two window words. The dense baselines' column and
+        // position tiles widen with the array.
         use systolic_sim::{ArchConfig, ArrayDims};
         let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
         for (cols, t) in [8u32, 12, 16, 20, 32, 128]
@@ -2475,12 +2447,16 @@ mod tests {
                     ..inputs
                 };
                 inputs.assert_valid();
-                for policy in [Policy::ptb(), Policy::ptb_with_stsap()] {
+                let dense = [Policy::BaselineTemporal, Policy::TimeSerial];
+                for policy in [Policy::ptb(), Policy::ptb_with_stsap()]
+                    .into_iter()
+                    .chain(dense.into_iter().filter(|_| tw == 1))
+                {
                     let word = simulate_layer(&inputs, policy, shape, &input);
                     let scalar = simulate_layer_reference(&inputs, policy, shape, &input);
                     assert_eq!(
                         word, scalar,
-                        "{policy:?} cols={cols} t={t} tw={tw}: wide-mask kernel diverged"
+                        "{policy:?} cols={cols} t={t} tw={tw}: wide-array kernel diverged"
                     );
                 }
             }
