@@ -54,8 +54,8 @@
 //!
 //! * **Box sums** serve every policy whose per-(position, tile) terms
 //!   are receptive-field sums: plain PTB (entries, active windows,
-//!   spike span, slot beats), baseline \[14\] (one spike count per time
-//!   point of the tile) and time-serial (whole-period fire counts).
+//!   spike span, slot beats), baseline \[14\] (each column tile's spike
+//!   count) and time-serial (whole-period fire counts).
 //!   Neighbouring receptive fields overlap almost entirely, so instead
 //!   of gathering each one, a [`BoxScan`] integrates channel-summed
 //!   per-(row, col) planes once per column tile and answers each
