@@ -53,7 +53,7 @@
 //! * **Reference diff** (full only) — the report matches
 //!   [`simulate_layer_reference`], the serial per-bit walk, bit for
 //!   bit, for every policy: the word kernel's row builders, position
-//!   scans and StSAP costers against the slow, obvious oracle.
+//!   scans and StSAP coster against the slow, obvious oracle.
 //! * **Merge invariance** — re-simulating with a different worker count
 //!   reproduces the report bit-for-bit (the determinism contract of
 //!   `ptb_accel::sim`).
@@ -71,7 +71,7 @@ use crate::prepared::PreparedLayer;
 use crate::reference::{batched_neuron_forward, serial_neuron_forward};
 use crate::report::LayerReport;
 use crate::sim::{simulate_layer_prepared, simulate_layer_reference};
-use crate::stsap::{pack_tile, PackResult};
+use crate::stsap::{pack_tile, tile_full_mask, PackResult};
 use crate::window::WindowPartition;
 
 /// How much of a run the audit layer verifies.
@@ -450,12 +450,7 @@ pub fn audit_layer(
             for p in (0..positions).step_by(pos_stride) {
                 let rf = geo.rf(p);
                 for (tile_idx, &(w0, w1)) in tiles.iter().enumerate() {
-                    let nw = w1 - w0;
-                    let full_mask = if nw == 128 {
-                        u128::MAX
-                    } else {
-                        (1u128 << nw) - 1
-                    };
+                    let full_mask = tile_full_mask(w1 - w0);
                     tags.clear();
                     for &n in rf {
                         let base = n * n_w;

@@ -16,7 +16,7 @@ use snn_core::spike::SpikeTensor;
 use snn_core::{Result, SnnError};
 use systolic_sim::array::{ArrayDims, PairData, StreamEntry, SystolicEngine};
 
-use crate::stsap::pack_tile;
+use crate::stsap::{pack_tile, tile_full_mask};
 use crate::window::WindowPartition;
 
 /// Executes PTB schedules on the functional systolic engine.
@@ -127,7 +127,7 @@ impl PtbExecutor {
                 let mut psums = vec![vec![0.0f32; t]; m];
                 for (w0, w1) in part.column_tiles(cols) {
                     let nw = w1 - w0;
-                    let full: u128 = if nw == 128 { u128::MAX } else { (1 << nw) - 1 };
+                    let full = tile_full_mask(nw);
                     // Active taps in this span, with tags and words.
                     let mut tags: Vec<u128> = Vec::new();
                     let mut active: Vec<usize> = Vec::new(); // tap indices

@@ -62,7 +62,11 @@
 //!   position with four lookups per plane.
 //! * **Gathers** remain where the per-position work is not a sum:
 //!   PTB+StSAP pairs the gathered tile masks, and event-driven counts
-//!   the active time points of each field's OR.
+//!   the active time points of each field's OR. The StSAP scan pushes
+//!   each field's entries into per-tile tag classes — an arena indexed
+//!   by tag for tiles of at most 8 windows, a sorted class list for
+//!   wider ones — and prices each tile from the StSAP pair plan
+//!   ([`crate::stsap`]) without materializing a slot list.
 //!
 //! The retired byte-table walks survive verbatim behind
 //! [`simulate_layer_reference`] — the serial per-bit reference the
@@ -84,8 +88,7 @@ use crate::geom::{spike_bits, tag_mask, window_popcounts, BoxScan, LayerGeometry
 use crate::prepared::PreparedLayer;
 use crate::report::LayerReport;
 use crate::stsap::{
-    count_cost_core, pack_count_cost, pack_stream_cost, pack_tile, pack_tile_with,
-    stream_cost_buckets, CostScratch, PackScratch, StreamCost,
+    pack_tile, stream_cost, tile_full_mask, MaskArena, PairPlan, SortedClasses, TagClasses,
 };
 use crate::window::WindowPartition;
 
@@ -787,38 +790,15 @@ impl PtbCtx<'_> {
 /// A column tile spans at most 128 windows, so `u128` always works; the
 /// paper's architecture streams 8 columns, so the common case fits a
 /// `u16` and the per-tile mask table shrinks 8× — small enough that one
-/// tile's slice stays cache-resident across every output position.
+/// tile's slice stays cache-resident across every output position. It
+/// only sizes the row tables: the StSAP scan reads masks as `u128` and
+/// picks its class storage by tile width.
 trait TileMask: Copy + Default + Send + Sync {
-    /// Working memory for [`TileMask::stream_cost`].
-    type Scratch: Default;
     fn from_u128(m: u128) -> Self;
     fn to_u128(self) -> u128;
-    /// StSAP pack + slot costing for one gathered tile: pair counts,
-    /// slot count, and total stream beats, where entry `i` streams
-    /// `busiest[i]` beats (floored at `min_beats`) and a pair streams
-    /// the max of its members (exact — pairs are tag-disjoint).
-    fn stream_cost(
-        scratch: &mut Self::Scratch,
-        tags: &[Self],
-        busiest: &[u16],
-        full_mask: u128,
-        min_beats: u64,
-    ) -> StreamCost;
-    /// [`TileMask::stream_cost`] when every entry's busiest window is
-    /// at or under `min_beats` (always true at `TWS = 1`): every slot
-    /// costs exactly `min_beats`, so only pair *counts* matter.
-    fn stream_cost_uniform(
-        scratch: &mut Self::Scratch,
-        tags: &[Self],
-        full_mask: u128,
-        min_beats: u64,
-    ) -> StreamCost;
 }
 
 impl TileMask for u16 {
-    /// Narrow tiles use the fused bucket coster — no slot list, no
-    /// entry sort (see [`pack_stream_cost`]).
-    type Scratch = CostScratch;
     fn from_u128(m: u128) -> Self {
         debug_assert!(m <= u128::from(u16::MAX));
         m as u16
@@ -826,71 +806,14 @@ impl TileMask for u16 {
     fn to_u128(self) -> u128 {
         u128::from(self)
     }
-    fn stream_cost(
-        scratch: &mut Self::Scratch,
-        tags: &[Self],
-        busiest: &[u16],
-        full_mask: u128,
-        min_beats: u64,
-    ) -> StreamCost {
-        pack_stream_cost(scratch, tags, busiest, full_mask as u16, min_beats)
-    }
-    fn stream_cost_uniform(
-        scratch: &mut Self::Scratch,
-        tags: &[Self],
-        full_mask: u128,
-        min_beats: u64,
-    ) -> StreamCost {
-        pack_count_cost(scratch, tags, full_mask as u16, min_beats)
-    }
 }
 
 impl TileMask for u128 {
-    /// Wide tiles materialize the slot list and cost it from the
-    /// hoisted busiest-window maxima.
-    type Scratch = PackScratch;
     fn from_u128(m: u128) -> Self {
         m
     }
     fn to_u128(self) -> u128 {
         self
-    }
-    fn stream_cost(
-        scratch: &mut Self::Scratch,
-        tags: &[Self],
-        busiest: &[u16],
-        full_mask: u128,
-        min_beats: u64,
-    ) -> StreamCost {
-        let packed = pack_tile_with(scratch, tags, full_mask);
-        let mut beats = 0u64;
-        for slot in &packed.slots {
-            let b = match slot.second {
-                Some(j) => busiest[slot.first].max(busiest[j]),
-                None => busiest[slot.first],
-            };
-            beats += u64::from(b).max(min_beats);
-        }
-        StreamCost {
-            slots: packed.entries_after() as u64,
-            exact_pairs: packed.exact_pairs as u64,
-            near_pairs: packed.near_pairs as u64,
-            beats,
-        }
-    }
-    fn stream_cost_uniform(
-        scratch: &mut Self::Scratch,
-        tags: &[Self],
-        full_mask: u128,
-        min_beats: u64,
-    ) -> StreamCost {
-        let packed = pack_tile_with(scratch, tags, full_mask);
-        StreamCost {
-            slots: packed.entries_after() as u64,
-            exact_pairs: packed.exact_pairs as u64,
-            near_pairs: packed.near_pairs as u64,
-            beats: packed.entries_after() as u64 * min_beats,
-        }
     }
 }
 
@@ -1082,7 +1005,8 @@ fn build_word_rows<M: TileMask>(input: &SpikeTensor, ctx: &PtbCtx) -> WordRows<M
 }
 
 /// Builder dispatch + scan for one mask width: PTB+StSAP gathers each
-/// receptive field (pairing is not a sum), plain PTB takes box sums.
+/// receptive field (pairing is not a sum) into class storage chosen by
+/// tile width, plain PTB takes box sums.
 fn run_word_kernel<M: TileMask>(
     inputs: &SimInputs,
     stsap: bool,
@@ -1101,10 +1025,15 @@ fn run_word_kernel<M: TileMask>(
     } else {
         build_word_rows::<M>(input, ctx)
     };
-    if stsap {
-        ptb_word_scan(inputs.threads, &geometry_of(prep, shape), ctx, &rows)
+    if !stsap {
+        return ptb_box_scan(inputs.threads, shape, ctx, &rows);
+    }
+    let geo = geometry_of(prep, shape);
+    let max_nw = ctx.tiles.iter().map(|&(w0, w1)| w1 - w0).max().unwrap_or(0);
+    if max_nw <= 8 {
+        ptb_word_scan::<M, MaskArena>(inputs.threads, &geo, ctx, &rows, max_nw)
     } else {
-        ptb_box_scan(inputs.threads, shape, ctx, &rows)
+        ptb_word_scan::<M, SortedClasses>(inputs.threads, &geo, ctx, &rows, max_nw)
     }
 }
 
@@ -1161,64 +1090,37 @@ fn ptb_box_scan<M: TileMask>(
 }
 
 /// The bit-parallel PTB+StSAP position scan: per position, walks the
-/// receptive field once and scatters each neuron's *active* tiles
-/// (guided by the tile-activity words) into per-tile entry buffers,
-/// then packs and prices each nonempty tile from the hoisted maxima.
+/// receptive field once and pushes each neuron's *active* tiles (guided
+/// by the tile-activity words) into per-tile class storage `S`, then
+/// packs and prices each nonempty tile with [`stream_cost`]. Tiles of
+/// at most 8 windows use the tag-indexed [`MaskArena`], wider ones
+/// [`SortedClasses`]. At `TWS = 1` entries carry no busiest-window
+/// value: every window holds one spike, so every slot sits at the
+/// `min_beats` floor and only the pair plan's counts matter.
 ///
 /// Bit-identity with [`ptb_scalar_scan`] holds term by term: the
 /// hoisted span/mask/busiest are exactly the scalar walk's per-neuron
-/// results, and an StSAP pair's busiest column is
-/// `max(busiest_a, busiest_b)` because the pack only pairs *disjoint*
-/// tags — per column at most one member is nonzero, so the columnwise
-/// sums [`slot_cost`] maximizes are just the two rows interleaved.
-/// The scatter order changes only the order of commutative saturating
-/// sums (see [`PtbCtx`]).
-fn ptb_word_scan<M: TileMask>(
+/// results, both storages push entries in receptive-field order (the
+/// scalar walk's entry order), and the coster's beats are those of
+/// [`pack_tile`]'s slots, costed by [`slot_cost`] — an StSAP pair's
+/// tags are disjoint, so per column at most one member is nonzero and
+/// its busiest column is `max(busiest_a, busiest_b)`. The scatter order
+/// changes only the order of commutative saturating sums (see
+/// [`PtbCtx`]).
+fn ptb_word_scan<M: TileMask, S: TagClasses>(
     threads: usize,
     geo: &LayerGeometry,
     ctx: &PtbCtx,
     rows: &WordRows<M>,
+    max_nw: usize,
 ) -> Tally {
-    let max_nw = ctx.tiles.iter().map(|&(w0, w1)| w1 - w0).max().unwrap_or(0);
-    if max_nw <= 8 {
-        return if ctx.tws == 1 {
-            ptb_word_scan_counts(threads, geo, ctx, rows, max_nw as u32)
-        } else {
-            ptb_word_scan_buckets(threads, geo, ctx, rows, max_nw as u32)
-        };
-    }
     let n_tiles = rows.n_tiles;
-    let full_masks: Vec<u128> = ctx
-        .tiles
-        .iter()
-        .map(|&(w0, w1)| {
-            let nw = w1 - w0;
-            if nw == 128 {
-                u128::MAX
-            } else {
-                (1u128 << nw) - 1
-            }
-        })
-        .collect();
-    // At TWS = 1 a window holds at most one spike, so every busiest
-    // window is 1 ≤ min_beats: slot costs are uniform, the busiest
-    // table is never consulted, and a neuron's spike span equals its
-    // active-window count. At wider TWS the same collapse applies
-    // per-tile whenever the gathered entries' busiest windows all sit
-    // at or under the `min_beats` delivery floor (tracked as a running
-    // max during the scatter).
-    let uniform = ctx.tws == 1;
     scan_chunks(threads, geo.positions(), |range| {
         let mut tally = Tally::default();
-        let mut scratch = M::Scratch::default();
-        // Per-tile entry buffers, filled in receptive-field order (the
-        // same entry order the scalar walk produces) and drained —
-        // cleared — as each tile is costed.
-        let mut tile_tags: Vec<Vec<M>> = vec![Vec::new(); n_tiles];
-        let mut tile_busy: Vec<Vec<u16>> = vec![Vec::new(); n_tiles];
+        let mut plan = PairPlan::default();
+        let mut stores: Vec<S> = (0..n_tiles).map(|_| S::new(max_nw)).collect();
         let mut span_acc = vec![0u64; n_tiles];
         let mut win_acc = vec![0u64; n_tiles];
-        let mut max_busy = vec![0u16; n_tiles];
         for p in range {
             for &rn in geo.rf(p) {
                 let act = &rows.active[rn * rows.tile_words..(rn + 1) * rows.tile_words];
@@ -1229,47 +1131,31 @@ fn ptb_word_scan<M: TileMask>(
                         let ti = wi * 64 + word.trailing_zeros() as usize;
                         word &= word - 1;
                         let idx = row + ti;
-                        let mask = rows.masks[idx];
-                        tile_tags[ti].push(mask);
-                        let wc = u64::from(mask.to_u128().count_ones());
-                        win_acc[ti] += wc;
-                        if uniform {
-                            span_acc[ti] += wc;
-                        } else {
-                            let sb = rows.span_busy[idx];
-                            let b = (sb >> 16) as u16;
-                            span_acc[ti] += u64::from(sb & 0xFFFF);
-                            max_busy[ti] = max_busy[ti].max(b);
-                            tile_busy[ti].push(b);
+                        let mask = rows.masks[idx].to_u128();
+                        let windows = u64::from(mask.count_ones());
+                        win_acc[ti] += windows;
+                        // At `TWS = 1` the table is empty: one spike per
+                        // window, no value.
+                        match rows.span_busy.get(idx) {
+                            Some(&sb) => {
+                                span_acc[ti] += u64::from(sb & 0xFFFF);
+                                stores[ti].push(mask, Some((sb >> 16) as u16));
+                            }
+                            None => {
+                                span_acc[ti] += windows;
+                                stores[ti].push(mask, None);
+                            }
                         }
                     }
                 }
             }
-            for ti in 0..n_tiles {
-                let raw = tile_tags[ti].len() as u64;
+            for (ti, &(w0, w1)) in ctx.tiles.iter().enumerate() {
+                let raw = stores[ti].len() as u64;
                 if raw == 0 {
                     continue;
                 }
-                // Lockstep streaming: each slot stalls the wavefront for
-                // the busiest column's accumulate count, floored at the
-                // spike-link delivery time ([`slot_cost`]'s numbers, by
-                // the disjointness argument above).
-                let cost = if uniform || u64::from(max_busy[ti]) <= ctx.min_beats {
-                    M::stream_cost_uniform(
-                        &mut scratch,
-                        &tile_tags[ti],
-                        full_masks[ti],
-                        ctx.min_beats,
-                    )
-                } else {
-                    M::stream_cost(
-                        &mut scratch,
-                        &tile_tags[ti],
-                        &tile_busy[ti],
-                        full_masks[ti],
-                        ctx.min_beats,
-                    )
-                };
+                let full_mask = tile_full_mask(w1 - w0);
+                let cost = stream_cost(&mut stores[ti], &mut plan, full_mask, ctx.min_beats);
                 sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
                 sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
                 ctx.account(
@@ -1280,189 +1166,8 @@ fn ptb_word_scan<M: TileMask>(
                     span_acc[ti],
                     win_acc[ti],
                 );
-                tile_tags[ti].clear();
-                tile_busy[ti].clear();
                 span_acc[ti] = 0;
                 win_acc[ti] = 0;
-                max_busy[ti] = 0;
-            }
-        }
-        tally
-    })
-}
-
-/// [`ptb_word_scan`] specialized to `TWS = 1` and narrow tiles (at
-/// most 8 windows — the paper's column count): every slot costs exactly
-/// `min_beats` and which entries pair depends only on how many entries
-/// carry each mask, so the gather never materializes an entry list at
-/// all. The scatter bumps a per-(tile, mask) count in a flat arena
-/// (`n_tiles × 2^max_nw` counters, L2-resident at 8 windows) and the
-/// coster is [`count_cost_core`] straight over that arena. Bit-identity
-/// holds because pair counts are order-independent (pass 1 pairs
-/// disjoint classes; pass 2's class order is a total sort) and every
-/// tally term is a commutative saturating sum.
-fn ptb_word_scan_counts<M: TileMask>(
-    threads: usize,
-    geo: &LayerGeometry,
-    ctx: &PtbCtx,
-    rows: &WordRows<M>,
-    stride_bits: u32,
-) -> Tally {
-    let n_tiles = rows.n_tiles;
-    let stride = 1usize << stride_bits;
-    let full_masks: Vec<u16> = ctx
-        .tiles
-        .iter()
-        .map(|&(w0, w1)| ((1u32 << (w1 - w0)) - 1) as u16)
-        .collect();
-    scan_chunks(threads, geo.positions(), |range| {
-        let mut tally = Tally::default();
-        let mut classes: Vec<u32> = Vec::new();
-        let mut counts = vec![0u32; n_tiles * stride];
-        let mut present: Vec<Vec<u32>> = vec![Vec::new(); n_tiles];
-        let mut raw_acc = vec![0u64; n_tiles];
-        let mut win_acc = vec![0u64; n_tiles];
-        for p in range {
-            for &rn in geo.rf(p) {
-                let act = &rows.active[rn * rows.tile_words..(rn + 1) * rows.tile_words];
-                let row = rn * n_tiles;
-                for (wi, &word) in act.iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        let ti = wi * 64 + word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        let m = rows.masks[row + ti].to_u128() as u32;
-                        raw_acc[ti] += 1;
-                        win_acc[ti] += u64::from(m.count_ones());
-                        let slot = &mut counts[ti * stride + m as usize];
-                        if *slot == 0 {
-                            present[ti].push(m);
-                        }
-                        *slot += 1;
-                    }
-                }
-            }
-            for ti in 0..n_tiles {
-                let raw = raw_acc[ti];
-                if raw == 0 {
-                    continue;
-                }
-                let arena = &mut counts[ti * stride..(ti + 1) * stride];
-                let cost = count_cost_core(
-                    &mut classes,
-                    arena,
-                    &present[ti],
-                    full_masks[ti],
-                    ctx.min_beats,
-                );
-                sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
-                sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
-                present[ti].clear();
-                // At `TWS = 1` a neuron's spike span equals its
-                // active-window count, so `win_acc` serves as both.
-                ctx.account(
-                    &mut tally,
-                    raw,
-                    cost.slots,
-                    cost.beats,
-                    win_acc[ti],
-                    win_acc[ti],
-                );
-                raw_acc[ti] = 0;
-                win_acc[ti] = 0;
-            }
-        }
-        tally
-    })
-}
-
-/// [`ptb_word_scan`] specialized to narrow tiles at `TWS > 1`: the
-/// scatter fills per-(tile, mask) busiest-value buckets in a flat
-/// arena — entry order within each class is receptive-field order, the
-/// same order the entry coster's own bucket fill produces — and the
-/// coster is [`stream_cost_buckets`] straight over the arena, so the
-/// per-entry tag/busiest buffers and the coster's whole entry pass
-/// disappear. Tiles whose gathered busiest windows all sit at or under
-/// the `min_beats` floor (tracked as a running max) collapse to the
-/// count-only pairing on the same buckets.
-fn ptb_word_scan_buckets<M: TileMask>(
-    threads: usize,
-    geo: &LayerGeometry,
-    ctx: &PtbCtx,
-    rows: &WordRows<M>,
-    stride_bits: u32,
-) -> Tally {
-    let n_tiles = rows.n_tiles;
-    let stride = 1usize << stride_bits;
-    let full_masks: Vec<u16> = ctx
-        .tiles
-        .iter()
-        .map(|&(w0, w1)| ((1u32 << (w1 - w0)) - 1) as u16)
-        .collect();
-    scan_chunks(threads, geo.positions(), |range| {
-        let mut tally = Tally::default();
-        let mut classes: Vec<u32> = Vec::new();
-        let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); n_tiles * stride];
-        let mut present: Vec<Vec<u32>> = vec![Vec::new(); n_tiles];
-        let mut raw_acc = vec![0u64; n_tiles];
-        let mut win_acc = vec![0u64; n_tiles];
-        let mut span_acc = vec![0u64; n_tiles];
-        let mut max_busy = vec![0u16; n_tiles];
-        for p in range {
-            for &rn in geo.rf(p) {
-                let act = &rows.active[rn * rows.tile_words..(rn + 1) * rows.tile_words];
-                let row = rn * n_tiles;
-                for (wi, &word) in act.iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        let ti = wi * 64 + word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        let idx = row + ti;
-                        let m = rows.masks[idx].to_u128() as u32;
-                        let sb = rows.span_busy[idx];
-                        let b = (sb >> 16) as u16;
-                        raw_acc[ti] += 1;
-                        win_acc[ti] += u64::from(m.count_ones());
-                        span_acc[ti] += u64::from(sb & 0xFFFF);
-                        max_busy[ti] = max_busy[ti].max(b);
-                        let bucket = &mut buckets[ti * stride + m as usize];
-                        if bucket.is_empty() {
-                            present[ti].push(m);
-                        }
-                        bucket.push(b);
-                    }
-                }
-            }
-            for ti in 0..n_tiles {
-                let raw = raw_acc[ti];
-                if raw == 0 {
-                    continue;
-                }
-                let uniform = u64::from(max_busy[ti]) <= ctx.min_beats;
-                let arena = &mut buckets[ti * stride..(ti + 1) * stride];
-                let cost = stream_cost_buckets(
-                    &mut classes,
-                    arena,
-                    &present[ti],
-                    full_masks[ti],
-                    ctx.min_beats,
-                    uniform,
-                );
-                sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
-                sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
-                present[ti].clear();
-                ctx.account(
-                    &mut tally,
-                    raw,
-                    cost.slots,
-                    cost.beats,
-                    span_acc[ti],
-                    win_acc[ti],
-                );
-                raw_acc[ti] = 0;
-                win_acc[ti] = 0;
-                span_acc[ti] = 0;
-                max_busy[ti] = 0;
             }
         }
         tally
@@ -1487,11 +1192,7 @@ fn ptb_scalar_scan(
             let rf = geo.rf(p);
             for &(w0, w1) in ctx.tiles {
                 let nw = w1 - w0;
-                let full_mask = if nw == 128 {
-                    u128::MAX
-                } else {
-                    (1u128 << nw) - 1
-                };
+                let full_mask = tile_full_mask(nw);
                 tile_tags.clear();
                 tile_pops.clear();
                 let mut spikes_span = 0u64;
@@ -2422,14 +2123,14 @@ mod tests {
     #[test]
     fn word_kernel_matches_scalar_reference_on_wide_arrays() {
         // Column counts other than the default 8 pin the paths that
-        // setup never reaches: the generic scan over `u16` tile masks
-        // and the fused bucket coster (12 and 16 columns, tiles too
-        // wide for the scatter arenas), `u128` tile masks (cols > 16),
-        // the funnel-shift TW=1 builder fallback (a tile width that
-        // does not divide a storage word: 12 and 20), and the generic
-        // scan's uniform branch. 128 is the Fig. 9(b) extreme, one tile
-        // spanning two window words. The dense baselines' column and
-        // position tiles widen with the array.
+        // setup never reaches: the StSAP scan's sorted-class storage
+        // (tiles too wide for the tag arena) over `u16` tile masks (12
+        // and 16 columns) and `u128` ones (cols > 16), valued and at
+        // the beats floor, and the funnel-shift TW=1 builder fallback
+        // (a tile width that does not divide a storage word: 12 and
+        // 20). 128 is the Fig. 9(b) extreme, one tile spanning two
+        // window words. The dense baselines' column and position tiles
+        // widen with the array.
         use systolic_sim::{ArchConfig, ArrayDims};
         let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
         for (cols, t) in [8u32, 12, 16, 20, 32, 128]

@@ -8,6 +8,25 @@
 //! streaming slot and PE idling drops. Per the paper, packing is greedy
 //! — exact 1's complements first, then the nearest (densest) disjoint
 //! tag — and at most two neurons combine.
+//!
+//! The greedy is written once, as a count-only *pair plan*: entries are
+//! grouped into classes by tag, pass 1 pairs each class with its exact
+//! complement, and pass 2 visits the leftover classes densest-first and
+//! pairs each with the first disjoint class after it. Both passes pair
+//! `min(count, count)` entries at a time (pass 2's one-at-a-time greedy
+//! re-finds the same partner until one side runs out), so which classes
+//! pair, and how often, depends only on the per-class counts. Entries
+//! only decide *which* members of a class pair, and every consumer takes
+//! them from the class tails, largest entry first:
+//!
+//! * [`pack_tile`] pops entry indices along the plan into the slot list;
+//! * the simulator's coster adds up slots and pairs from the plan, and
+//!   prices beats by popping busiest-window values along it — a pass it
+//!   skips when every value sits at the delivery floor.
+//!
+//! Tiles of at most 8 windows keep their classes in an arena indexed by
+//! tag (a complement is a direct lookup); wider tiles sort their entries
+//! by tag once and find complements by binary search.
 
 use serde::{Deserialize, Serialize};
 
@@ -57,26 +76,329 @@ impl PackResult {
     }
 }
 
-/// Reusable working memory for [`pack_tile_with`].
+/// The full mask of a column tile of `nw` windows: one bit per window.
 ///
-/// One pack over `k` entries needs a sorted entry list, the derived
-/// mask-class ranges, and a popcount-bucketed candidate index. The
-/// simulator packs one tile per (output position × column tile) — tens
-/// of thousands of calls per layer — so allocating those structures
-/// fresh each call dominates the pack itself. A scratch is plain
-/// buffers, cleared (not freed) between calls; each worker thread owns
-/// one.
+/// # Panics
+///
+/// Panics unless `1 <= nw <= 128`.
+pub fn tile_full_mask(nw: usize) -> u128 {
+    assert!(
+        (1..=128).contains(&nw),
+        "a column tile spans 1..=128 windows"
+    );
+    u128::MAX >> (128 - nw)
+}
+
+/// The greedy's decisions for one tile, in class ids of the storage it
+/// was planned on.
 #[derive(Debug, Default)]
-pub struct PackScratch {
-    /// `(tag, entry index)` for packable entries, sorted ascending.
+pub(crate) struct PairPlan {
+    /// `(class a, class b, k, exact)`: `k` pairs of one entry from each
+    /// class, in pairing order — pass 1's exact complements, then pass
+    /// 2's disjoint partners.
+    steps: Vec<(u32, u32, u32, bool)>,
+    /// Pass 2's class order, which leftovers stream in: the classes left
+    /// after pass 1 (the full tag aside), densest first, then by tag.
+    /// Each key holds `128 - popcount` above the class id.
+    order: Vec<u64>,
+}
+
+impl PairPlan {
+    /// Runs both passes over classes `ids` (pass 1 visits them in this
+    /// order), consuming `counts[id]`. `mask(id)` is a class's tag and
+    /// `find(tag)` the class carrying `tag`, if any.
+    fn build(
+        &mut self,
+        ids: impl Iterator<Item = u32> + Clone,
+        counts: &mut [u32],
+        mask: impl Fn(u32) -> u128,
+        find: impl Fn(u128) -> Option<u32>,
+        full_mask: u128,
+    ) {
+        self.steps.clear();
+        self.order.clear();
+        // Pass 1: exact 1's complements, each unordered pair once. The
+        // full tag's complement is 0, so it never pairs.
+        for a in ids.clone() {
+            let m = mask(a);
+            let comp = full_mask & !m;
+            if m < comp {
+                if let Some(b) = find(comp) {
+                    self.pair(counts, a, b, true);
+                }
+            }
+        }
+        // Pass 2: nearest non-overlapping tags among the leftovers,
+        // greedily from the densest tag down (Fig. 8c). Ids ascend with
+        // tags in both storages, so sorting on `(128 - popcount, id)`
+        // puts the densest class first, ties by tag. A class `j > i`
+        // skipped for overlap or exhaustion never becomes viable again,
+        // so each class's partner search is one forward scan.
+        self.order.extend(
+            ids.filter(|&c| counts[c as usize] > 0 && mask(c) != full_mask)
+                .map(|c| u64::from(128 - mask(c).count_ones()) << 32 | u64::from(c)),
+        );
+        self.order.sort_unstable();
+        for i in 0..self.order.len() {
+            let a = self.order[i] as u32;
+            let ma = mask(a);
+            for j in i + 1..self.order.len() {
+                if counts[a as usize] == 0 {
+                    break;
+                }
+                let b = self.order[j] as u32;
+                if ma & mask(b) == 0 {
+                    self.pair(counts, a, b, false);
+                }
+            }
+        }
+    }
+
+    /// Pairs `min(count, count)` entries of classes `a` and `b`.
+    fn pair(&mut self, counts: &mut [u32], a: u32, b: u32, exact: bool) {
+        let k = counts[a as usize].min(counts[b as usize]);
+        if k > 0 {
+            counts[a as usize] -= k;
+            counts[b as usize] -= k;
+            self.steps.push((a, b, k, exact));
+        }
+    }
+
+    /// Pass 2's class order, as ids.
+    fn order(&self) -> impl Iterator<Item = u32> + '_ {
+        self.order.iter().map(|&key| key as u32)
+    }
+
+    /// `(exact, near)` pair totals.
+    fn pairs(&self) -> (u64, u64) {
+        self.steps.iter().fold((0, 0), |(e, n), &(_, _, k, exact)| {
+            if exact {
+                (e + u64::from(k), n)
+            } else {
+                (e, n + u64::from(k))
+            }
+        })
+    }
+}
+
+/// A tile's entries grouped into tag classes: the storage the pair plan
+/// runs on and [`stream_cost`] prices.
+pub(crate) trait TagClasses {
+    /// Empty storage for tiles of up to `width` windows.
+    fn new(width: usize) -> Self;
+    /// Adds one entry: its tile tag and, when slots are valued, its
+    /// busiest window (at least 1: the entry is active in the tile).
+    /// Either every entry of a tile carries a value or none does.
+    fn push(&mut self, tag: u128, value: Option<u16>);
+    /// Entries pushed since the last reset.
+    fn len(&self) -> usize;
+    /// Largest value pushed since the last reset (0 if none).
+    fn max_value(&self) -> u16;
+    /// Plans the pairing, consuming the class counts.
+    fn plan(&mut self, full_mask: u128, plan: &mut PairPlan);
+    /// Total beats of the planned slots: pairs pop value tails along the
+    /// plan, and each remaining entry streams alone.
+    fn beats(&mut self, plan: &PairPlan, min_beats: u64) -> u64;
+    /// Empties the storage for the next tile.
+    fn reset(&mut self);
+}
+
+/// Class storage for tiles of at most 8 windows: counts and value
+/// buckets indexed by the tag itself, so a class id *is* its tag and a
+/// complement is a direct lookup.
+#[derive(Debug)]
+pub(crate) struct MaskArena {
+    counts: Vec<u32>,
+    /// `values[m]`: busiest windows of the entries tagged `m`, in push
+    /// order, so popping takes the largest entry first.
+    values: Vec<Vec<u16>>,
+    /// Each tag with a nonzero count, once.
+    present: Vec<u32>,
+    len: usize,
+    max: u16,
+}
+
+impl TagClasses for MaskArena {
+    fn new(width: usize) -> Self {
+        assert!(width <= 8, "tag arena tiles span at most 8 windows");
+        MaskArena {
+            counts: vec![0; 1 << width],
+            values: vec![Vec::new(); 1 << width],
+            present: Vec::new(),
+            len: 0,
+            max: 0,
+        }
+    }
+
+    fn push(&mut self, tag: u128, value: Option<u16>) {
+        debug_assert!(tag != 0, "silent-in-tile entries must be filtered out");
+        let m = tag as usize;
+        if self.counts[m] == 0 {
+            self.present.push(m as u32);
+        }
+        self.counts[m] += 1;
+        self.len += 1;
+        if let Some(v) = value {
+            debug_assert!(v > 0, "an active entry's busiest window holds a spike");
+            self.values[m].push(v);
+            self.max = self.max.max(v);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn max_value(&self) -> u16 {
+        self.max
+    }
+
+    fn plan(&mut self, full_mask: u128, plan: &mut PairPlan) {
+        plan.build(
+            self.present.iter().copied(),
+            &mut self.counts,
+            u128::from,
+            |tag| Some(tag as u32),
+            full_mask,
+        );
+    }
+
+    fn beats(&mut self, plan: &PairPlan, min_beats: u64) -> u64 {
+        let values = &mut self.values;
+        let mut beats = 0;
+        for &(a, b, k, _) in &plan.steps {
+            for _ in 0..k {
+                let x = values[a as usize].pop().expect("one value per entry");
+                let y = values[b as usize].pop().expect("one value per entry");
+                beats += u64::from(x.max(y)).max(min_beats);
+            }
+        }
+        for &m in &self.present {
+            beats += values[m as usize]
+                .iter()
+                .map(|&v| u64::from(v).max(min_beats))
+                .sum::<u64>();
+        }
+        beats
+    }
+
+    fn reset(&mut self) {
+        for &m in &self.present {
+            self.counts[m as usize] = 0;
+        }
+        // Values are positive, so a zero max means none were pushed.
+        if self.max > 0 {
+            for &m in &self.present {
+                self.values[m as usize].clear();
+            }
+        }
+        self.present.clear();
+        self.len = 0;
+        self.max = 0;
+    }
+}
+
+/// Class storage for any tile width: entries sorted by `(tag, entry)`,
+/// so a class is a contiguous ascending range and complements are found
+/// by binary search.
+#[derive(Debug, Default)]
+pub(crate) struct SortedClasses {
+    /// `(tag, entry index)`, sorted by [`TagClasses::plan`].
     entries: Vec<(u128, u32)>,
-    /// Distinct-mask groups as `(mask, lo, hi)` ranges into `entries`.
-    /// Consumption pops from `hi` (largest entry index first).
-    groups: Vec<(u128, u32, u32)>,
-    /// Pass-2 classes: pass-1 leftovers re-sorted densest-first.
+    /// Busiest window per entry index.
+    values: Vec<u16>,
+    /// `(tag, lo, hi)` ranges into `entries`; popping shrinks `hi`.
     classes: Vec<(u128, u32, u32)>,
-    /// `index[p]` = pass-2 class ids whose mask has `p` bits, ascending.
-    index: Vec<Vec<u32>>,
+    counts: Vec<u32>,
+    max: u16,
+}
+
+/// Pops the plan's pairs off the class tails, largest entry first,
+/// handing `pair` the two entry indices of each slot.
+fn pop_pairs(
+    entries: &[(u128, u32)],
+    classes: &mut [(u128, u32, u32)],
+    plan: &PairPlan,
+    mut pair: impl FnMut(u32, u32),
+) {
+    for &(a, b, k, _) in &plan.steps {
+        for _ in 0..k {
+            classes[a as usize].2 -= 1;
+            classes[b as usize].2 -= 1;
+            pair(
+                entries[classes[a as usize].2 as usize].1,
+                entries[classes[b as usize].2 as usize].1,
+            );
+        }
+    }
+}
+
+impl TagClasses for SortedClasses {
+    fn new(_width: usize) -> Self {
+        SortedClasses::default()
+    }
+
+    fn push(&mut self, tag: u128, value: Option<u16>) {
+        debug_assert!(tag != 0, "silent-in-tile entries must be filtered out");
+        self.entries.push((tag, self.entries.len() as u32));
+        if let Some(v) = value {
+            self.values.push(v);
+            self.max = self.max.max(v);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn max_value(&self) -> u16 {
+        self.max
+    }
+
+    fn plan(&mut self, full_mask: u128, plan: &mut PairPlan) {
+        self.entries.sort_unstable();
+        self.classes.clear();
+        for (e, &(tag, _)) in self.entries.iter().enumerate() {
+            match self.classes.last_mut() {
+                Some(class) if class.0 == tag => class.2 += 1,
+                _ => self.classes.push((tag, e as u32, e as u32 + 1)),
+            }
+        }
+        self.counts.clear();
+        self.counts
+            .extend(self.classes.iter().map(|&(_, lo, hi)| hi - lo));
+        let classes = &self.classes;
+        plan.build(
+            0..classes.len() as u32,
+            &mut self.counts,
+            |c| classes[c as usize].0,
+            |tag| {
+                let c = classes.binary_search_by_key(&tag, |&(m, _, _)| m).ok()?;
+                Some(c as u32)
+            },
+            full_mask,
+        );
+    }
+
+    fn beats(&mut self, plan: &PairPlan, min_beats: u64) -> u64 {
+        let floor = |v: u16| u64::from(v).max(min_beats);
+        let mut beats = 0;
+        pop_pairs(&self.entries, &mut self.classes, plan, |x, y| {
+            beats += floor(self.values[x as usize].max(self.values[y as usize]));
+        });
+        for &(_, lo, hi) in &self.classes {
+            for &(_, e) in &self.entries[lo as usize..hi as usize] {
+                beats += floor(self.values[e as usize]);
+            }
+        }
+        beats
+    }
+
+    fn reset(&mut self) {
+        self.entries.clear();
+        self.values.clear();
+        self.max = 0;
+    }
 }
 
 /// Packs one column tile.
@@ -87,47 +409,19 @@ pub struct PackScratch {
 /// bursting for this tile and stay unpacked; zero tags are not
 /// schedulable and must be filtered by the caller.
 ///
-/// Allocates fresh working memory per call; hot loops should hold a
-/// [`PackScratch`] and call [`pack_tile_with`] instead (same result).
+/// Slots come out in a fixed order: bursting entries, pass 1's pairs by
+/// ascending tag, pass 2's pairs, then the unpaired entries class by
+/// class in pass 2's order (`reference::pack_tile_linear`, the original
+/// hash-bucketed packer, pins this property-test-exactly).
 ///
 /// # Panics
 ///
 /// Panics if `full_mask` is zero, or any tag is zero or has bits outside
 /// `full_mask`.
 pub fn pack_tile(tags: &[u128], full_mask: u128) -> PackResult {
-    pack_tile_with(&mut PackScratch::default(), tags, full_mask)
-}
-
-/// [`pack_tile`] with caller-owned working memory: bit-identical
-/// result, no per-call allocation beyond the returned slots.
-///
-/// The algorithm is the greedy two-pass pairing of Section IV-D,
-/// restructured from the original hash-bucketed form into ranges over
-/// one sorted `(tag, index)` list — entries of a mask class are
-/// contiguous and ascending, and "pop the largest index" becomes a
-/// range shrink. Pass order is preserved exactly: pass 1 visits masks
-/// ascending and pairs complement classes back-to-front; pass 2 visits
-/// leftover classes densest-first and scans partners through a
-/// popcount-bucketed index (a disjoint partner of a `p`-bit mask has at
-/// most `width - p` bits, so whole buckets are skipped; exhausted
-/// classes are dropped from a bucket the next time it is scanned). The
-/// pairing order is identical to the naive popcount-sorted linear scan
-/// (`reference::pack_tile_linear` pins this property-test-exactly);
-/// only the search cost changes.
-///
-/// # Panics
-///
-/// As [`pack_tile`].
-pub fn pack_tile_with(scratch: &mut PackScratch, tags: &[u128], full_mask: u128) -> PackResult {
     assert!(full_mask != 0, "tile must contain at least one window");
-    let PackScratch {
-        entries,
-        groups,
-        classes,
-        index,
-    } = scratch;
     let mut slots = Vec::with_capacity(tags.len());
-    entries.clear();
+    let mut store = SortedClasses::default();
     for (i, &t) in tags.iter().enumerate() {
         assert!(t != 0, "silent-in-tile entries must be filtered out");
         assert!(t & !full_mask == 0, "tag has bits outside the tile");
@@ -137,117 +431,36 @@ pub fn pack_tile_with(scratch: &mut PackScratch, tags: &[u128], full_mask: u128)
                 second: None,
             });
         } else {
-            entries.push((t, i as u32));
+            store.entries.push((t, i as u32));
         }
     }
-    entries.sort_unstable();
-    groups.clear();
-    let mut s = 0;
-    while s < entries.len() {
-        let m = entries[s].0;
-        let mut e = s + 1;
-        while e < entries.len() && entries[e].0 == m {
-            e += 1;
-        }
-        groups.push((m, s as u32, e as u32));
-        s = e;
-    }
-
-    // Pass 1: exact 1's complements, masks ascending, each unordered
-    // pair handled once; both classes consume their largest entry
-    // indices first.
-    let mut exact_pairs = 0usize;
-    for gi in 0..groups.len() {
-        let (m, lo, hi) = groups[gi];
-        let comp = full_mask & !m;
-        if m >= comp {
-            continue;
-        }
-        if let Ok(gj) = groups.binary_search_by_key(&comp, |&(g, _, _)| g) {
-            let (_, clo, chi) = groups[gj];
-            let k = (hi - lo).min(chi - clo);
-            for step in 0..k {
-                let x = entries[(hi - 1 - step) as usize].1 as usize;
-                let y = entries[(chi - 1 - step) as usize].1 as usize;
-                slots.push(Slot {
-                    first: x.min(y),
-                    second: Some(x.max(y)),
-                });
-                exact_pairs += 1;
-            }
-            groups[gi].2 -= k;
-            groups[gj].2 -= k;
-        }
-    }
-
-    // Pass 2: nearest non-overlapping tags among the leftovers, greedily
-    // from the densest tag down (Fig. 8c).
-    classes.clear();
-    classes.extend(groups.iter().copied().filter(|&(_, lo, hi)| hi > lo));
-    classes.sort_unstable_by_key(|&(m, _, _)| (std::cmp::Reverse(m.count_ones()), m));
-    let width = full_mask.count_ones() as usize;
-    if index.len() < width + 1 {
-        index.resize_with(width + 1, Vec::new);
-    }
-    for bucket in index.iter_mut().take(width + 1) {
-        bucket.clear();
-    }
-    for (c, &(m, _, _)) in classes.iter().enumerate() {
-        index[m.count_ones() as usize].push(c as u32);
-    }
-    let mut near_pairs = 0usize;
-    for i in 0..classes.len() {
-        let mi = classes[i].0;
-        // A disjoint partner fits in the free bits; it also has no more
-        // bits than `mi` (denser classes were handled as earlier `i`s).
-        let partner_pc_cap = (mi.count_ones() as usize).min(width - mi.count_ones() as usize);
-        while classes[i].2 > classes[i].1 {
-            // Densest-first traversal: popcount buckets descending,
-            // ascending class order within a bucket — the exact visit
-            // order of the linear scan over the sorted classes.
-            let mut best: Option<usize> = None;
-            'search: for pc in (1..=partner_pc_cap).rev() {
-                let bucket = &mut index[pc];
-                bucket.retain(|&c| classes[c as usize].2 > classes[c as usize].1);
-                for &c in bucket.iter() {
-                    let c = c as usize;
-                    if c > i && mi & classes[c].0 == 0 {
-                        best = Some(c);
-                        break 'search;
-                    }
-                }
-            }
-            match best {
-                Some(j) => {
-                    classes[i].2 -= 1;
-                    let x = entries[classes[i].2 as usize].1 as usize;
-                    classes[j].2 -= 1;
-                    let y = entries[classes[j].2 as usize].1 as usize;
-                    slots.push(Slot {
-                        first: x.min(y),
-                        second: Some(x.max(y)),
-                    });
-                    near_pairs += 1;
-                }
-                None => break,
-            }
-        }
-    }
+    let mut plan = PairPlan::default();
+    store.plan(full_mask, &mut plan);
+    let SortedClasses {
+        entries, classes, ..
+    } = &mut store;
+    pop_pairs(entries, classes, &plan, |x, y| {
+        slots.push(Slot {
+            first: x.min(y) as usize,
+            second: Some(x.max(y) as usize),
+        });
+    });
     // Whatever remains streams unpacked.
-    for &(_, lo, hi) in classes.iter() {
-        for e in lo..hi {
+    for c in plan.order() {
+        let (_, lo, hi) = classes[c as usize];
+        for &(_, e) in &entries[lo as usize..hi as usize] {
             slots.push(Slot {
-                first: entries[e as usize].1 as usize,
+                first: e as usize,
                 second: None,
             });
         }
     }
-
+    let (exact_pairs, near_pairs) = plan.pairs();
     PackResult {
         slots,
         entries_before: tags.len(),
-        exact_pairs,
-        near_pairs,
+        exact_pairs: exact_pairs as usize,
+        near_pairs: near_pairs as usize,
     }
 }
 
@@ -266,315 +479,31 @@ pub struct StreamCost {
     pub beats: u64,
 }
 
-/// Reusable working memory for [`pack_stream_cost`] and
-/// [`pack_count_cost`].
-#[derive(Debug, Default)]
-pub struct CostScratch {
-    /// `buckets[m]` = busiest-window values of the entries whose tag is
-    /// `m`, in entry order; pairing pops from the back (largest entry
-    /// index first, like [`pack_tile_with`]'s range shrink).
-    buckets: Vec<Vec<u16>>,
-    /// `counts[m]` = live entry count of mask `m` ([`pack_count_cost`]
-    /// only — pairing there never looks at individual entries).
-    counts: Vec<u32>,
-    /// Masks with a nonempty bucket this call (for sparse clearing).
-    present: Vec<u32>,
-    /// Pass-2 leftover masks, sorted densest-first.
-    classes: Vec<u32>,
-}
-
-/// [`pack_tile_with`] + slot costing fused, for narrow tiles.
+/// Packs and prices one tile's stored entries, then empties the storage.
 ///
-/// The packed slot list is only ever consumed to (a) count slots and
-/// pairs and (b) sum per-slot stream beats, and a slot's beats depend
-/// only on its busiest column: StSAP pairs have *disjoint* tags, so in
-/// every column at most one member accumulates and the pair's busiest
-/// column is simply `max` of the members' busiest windows. `busiest[i]`
-/// is entry `i`'s largest per-window spike count; a slot then costs
-/// `busiest.max(min_beats)` beats (`min_beats` = the spike-link
-/// delivery floor).
-///
-/// Pairing is bit-identical to [`pack_tile_with`]: entries bucket by
-/// mask in index order, and [`stream_cost_buckets`] pairs them,
-/// consuming bucket backs — largest-index-first, the same order the
-/// sorted-range form pops. Requires `full_mask` to fit `u16` (the
-/// streaming array's column count bounds the tile width; the paper's
-/// array has 8 columns).
-///
-/// # Panics
-///
-/// As [`pack_tile`], plus `tags.len() == busiest.len()`.
-pub fn pack_stream_cost(
-    scratch: &mut CostScratch,
-    tags: &[u16],
-    busiest: &[u16],
-    full_mask: u16,
+/// A slot's beats depend only on its busiest column, and StSAP pairs
+/// have *disjoint* tags — in every column at most one member
+/// accumulates — so a pair's busiest column is the larger of its
+/// members' busiest windows, and a slot costs that floored at
+/// `min_beats` (the spike-link delivery time). When no value exceeds the
+/// floor (always at `TWS = 1`, where entries carry no value), every slot
+/// costs exactly `min_beats` and the plan's counts are the whole answer.
+/// Slots, pairs and beats equal those of [`pack_tile`]'s slot list.
+pub(crate) fn stream_cost<S: TagClasses>(
+    store: &mut S,
+    plan: &mut PairPlan,
+    full_mask: u128,
     min_beats: u64,
 ) -> StreamCost {
-    assert!(full_mask != 0, "tile must contain at least one window");
-    assert_eq!(tags.len(), busiest.len());
-    let CostScratch {
-        buckets,
-        present,
-        classes,
-        ..
-    } = scratch;
-    if buckets.len() <= usize::from(full_mask) {
-        buckets.resize_with(usize::from(full_mask) + 1, Vec::new);
-    }
-    present.clear();
-    for (&t, &b) in tags.iter().zip(busiest) {
-        assert!(t != 0, "silent-in-tile entries must be filtered out");
-        assert!(t & !full_mask == 0, "tag has bits outside the tile");
-        if buckets[usize::from(t)].is_empty() {
-            present.push(u32::from(t));
-        }
-        buckets[usize::from(t)].push(b);
-    }
-    stream_cost_buckets(classes, buckets, present, full_mask, min_beats, false)
-}
-
-/// [`pack_stream_cost`] when every entry's busiest window is at or
-/// under the `min_beats` floor (e.g. `TWS = 1`, where a window holds at
-/// most one spike): every slot then costs exactly `min_beats`, so the
-/// packing collapses to counting — which entries pair depends only on
-/// how many entries carry each mask, never on which. Pairing runs on
-/// per-mask counts with no per-entry work at all, and
-/// `beats = slots * min_beats`.
-///
-/// Pair counts are identical to [`pack_tile_with`]'s: pass 1 pairs
-/// `min(count, count)` across exact-complement classes, and pass 2's
-/// one-at-a-time greedy always re-finds the same partner class until it
-/// exhausts, so it batches to `min(count, count)` too.
-///
-/// # Panics
-///
-/// As [`pack_tile`].
-pub fn pack_count_cost(
-    scratch: &mut CostScratch,
-    tags: &[u16],
-    full_mask: u16,
-    min_beats: u64,
-) -> StreamCost {
-    assert!(full_mask != 0, "tile must contain at least one window");
-    let CostScratch {
-        counts,
-        present,
-        classes,
-        ..
-    } = scratch;
-    if counts.len() <= usize::from(full_mask) {
-        counts.resize(usize::from(full_mask) + 1, 0);
-    }
-    present.clear();
-    for &t in tags {
-        assert!(t != 0, "silent-in-tile entries must be filtered out");
-        assert!(t & !full_mask == 0, "tag has bits outside the tile");
-        if counts[usize::from(t)] == 0 {
-            present.push(u32::from(t));
-        }
-        counts[usize::from(t)] += 1;
-    }
-    count_cost_core(classes, counts, present, full_mask, min_beats)
-}
-
-/// Pairing core of [`pack_count_cost`], run on a pre-filled count
-/// table: `counts[m]` entries carry mask `m` (the full-tile mask
-/// included) and `present` lists each mask with a nonzero count exactly
-/// once, in any order. The table is consumed — all-zero on return — so
-/// a caller-owned scatter arena can be refilled tile after tile without
-/// ever re-materializing the entry list.
-///
-/// # Panics
-///
-/// Panics if `full_mask == 0`; `counts` must be indexable by every
-/// present mask and by `full_mask`.
-pub fn count_cost_core(
-    classes: &mut Vec<u32>,
-    counts: &mut [u32],
-    present: &[u32],
-    full_mask: u16,
-    min_beats: u64,
-) -> StreamCost {
-    assert!(full_mask != 0, "tile must contain at least one window");
-    // Full-tile tags never pair: peel them off as one slot each. (In
-    // pass 1 below the full mask's complement is 0, so it is skipped.)
-    let mut slots = u64::from(counts[usize::from(full_mask)]);
-    counts[usize::from(full_mask)] = 0;
-
-    let mut exact_pairs = 0u64;
-    for &m in present.iter() {
-        debug_assert!(m != 0, "silent-in-tile entries must be filtered out");
-        let comp = u32::from(full_mask) & !m;
-        if m >= comp {
-            continue;
-        }
-        let k = counts[m as usize].min(counts[comp as usize]);
-        counts[m as usize] -= k;
-        counts[comp as usize] -= k;
-        exact_pairs += u64::from(k);
-        slots += u64::from(k);
-    }
-
-    classes.clear();
-    classes.extend(present.iter().copied().filter(|&m| counts[m as usize] > 0));
-    classes.sort_unstable_by_key(|&m| (std::cmp::Reverse(m.count_ones()), m));
-    // One forward scan per class, as in [`stream_cost_buckets`], batching
-    // each partner to `min(count, count)` pairs (the one-at-a-time
-    // greedy re-finds the same partner until one side exhausts).
-    let mut near_pairs = 0u64;
-    for i in 0..classes.len() {
-        let mi = classes[i];
-        let mut j = i + 1;
-        while counts[mi as usize] > 0 && j < classes.len() {
-            let mj = classes[j];
-            if mi & mj == 0 {
-                let k = counts[mi as usize].min(counts[mj as usize]);
-                counts[mi as usize] -= k;
-                counts[mj as usize] -= k;
-                near_pairs += u64::from(k);
-                slots += u64::from(k);
-            }
-            j += 1;
-        }
-    }
-
-    // Leftover singles, then restore the table to all-zero.
-    for &m in present.iter() {
-        slots += u64::from(counts[m as usize]);
-        counts[m as usize] = 0;
-    }
-
-    StreamCost {
-        slots,
-        exact_pairs,
-        near_pairs,
-        beats: slots * min_beats,
-    }
-}
-
-/// Pairing core of [`pack_stream_cost`] and of the word kernel's
-/// bucket scatter, run on pre-filled per-mask buckets: `buckets[m]`
-/// holds the busiest-window values of the entries whose tag is `m`, in
-/// entry order (the full-tile mask included), and
-/// `present` lists each mask with a nonempty bucket exactly once, in
-/// any order. The buckets are consumed — all empty on return — so a
-/// caller-owned scatter arena can be refilled tile after tile without
-/// ever re-materializing the entry list.
-///
-/// With `uniform = true`, every entry's busiest window is promised to
-/// be at or under `min_beats`: the bucket *values* are never read, only
-/// their lengths (the per-mask counts), and `beats = slots × min_beats`
-/// — the [`pack_count_cost`] collapse on the same storage.
-///
-/// # Panics
-///
-/// Panics if `full_mask == 0`; `buckets` must be indexable by every
-/// present mask and by `full_mask`.
-pub fn stream_cost_buckets(
-    classes: &mut Vec<u32>,
-    buckets: &mut [Vec<u16>],
-    present: &[u32],
-    full_mask: u16,
-    min_beats: u64,
-    uniform: bool,
-) -> StreamCost {
-    assert!(full_mask != 0, "tile must contain at least one window");
-    // Full-tile tags never pair: one slot each. (In pass 1 below the
-    // full mask's complement is 0, so it is skipped.)
-    let full = &mut buckets[usize::from(full_mask)];
-    let mut slots = full.len() as u64;
-    let mut beats = if uniform {
-        0
+    store.plan(full_mask, plan);
+    let (exact_pairs, near_pairs) = plan.pairs();
+    let slots = store.len() as u64 - exact_pairs - near_pairs;
+    let beats = if u64::from(store.max_value()) <= min_beats {
+        slots * min_beats
     } else {
-        full.iter().map(|&b| u64::from(b).max(min_beats)).sum()
+        store.beats(plan, min_beats)
     };
-    full.clear();
-
-    let mut exact_pairs = 0u64;
-    for &m in present.iter() {
-        debug_assert!(m != 0, "silent-in-tile entries must be filtered out");
-        let comp = u32::from(full_mask) & !m;
-        if m >= comp {
-            continue;
-        }
-        let k = buckets[m as usize].len().min(buckets[comp as usize].len());
-        if uniform {
-            let la = buckets[m as usize].len();
-            let lb = buckets[comp as usize].len();
-            buckets[m as usize].truncate(la - k);
-            buckets[comp as usize].truncate(lb - k);
-        } else {
-            // Pop bucket backs — largest entry index first, the order
-            // [`pack_tile_with`]'s range shrink consumes.
-            for _ in 0..k {
-                let a = buckets[m as usize].pop().expect("sized by k");
-                let b = buckets[comp as usize].pop().expect("sized by k");
-                beats += u64::from(a.max(b)).max(min_beats);
-            }
-        }
-        exact_pairs += k as u64;
-        slots += k as u64;
-    }
-
-    classes.clear();
-    classes.extend(
-        present
-            .iter()
-            .copied()
-            .filter(|&m| !buckets[m as usize].is_empty()),
-    );
-    classes.sort_unstable_by_key(|&m| (std::cmp::Reverse(m.count_ones()), m));
-    // The class order *is* the greedy preference order (densest first,
-    // then smallest mask), and a class `j > i` that is skipped — for
-    // overlap or exhaustion — never becomes viable again, so each
-    // class's partner search is one forward scan with resume. (The cap
-    // on partner density is implied: a class denser than `mi`'s
-    // complement can't be disjoint from `mi`.)
-    let mut near_pairs = 0u64;
-    for i in 0..classes.len() {
-        let mi = classes[i];
-        let mut j = i + 1;
-        while !buckets[mi as usize].is_empty() && j < classes.len() {
-            let mj = classes[j];
-            if mi & mj == 0 {
-                if uniform {
-                    let k = buckets[mi as usize].len().min(buckets[mj as usize].len());
-                    let (la, lb) = (buckets[mi as usize].len(), buckets[mj as usize].len());
-                    buckets[mi as usize].truncate(la - k);
-                    buckets[mj as usize].truncate(lb - k);
-                    near_pairs += k as u64;
-                    slots += k as u64;
-                } else {
-                    while let (Some(&a), Some(&b)) =
-                        (buckets[mi as usize].last(), buckets[mj as usize].last())
-                    {
-                        buckets[mi as usize].pop();
-                        buckets[mj as usize].pop();
-                        beats += u64::from(a.max(b)).max(min_beats);
-                        near_pairs += 1;
-                        slots += 1;
-                    }
-                }
-            }
-            j += 1;
-        }
-    }
-
-    // Leftover singles, then restore the buckets to all-empty.
-    for &m in present.iter() {
-        slots += buckets[m as usize].len() as u64;
-        if !uniform {
-            for &b in buckets[m as usize].iter() {
-                beats += u64::from(b).max(min_beats);
-            }
-        }
-        buckets[m as usize].clear();
-    }
-
-    if uniform {
-        beats = slots * min_beats;
-    }
+    store.reset();
     StreamCost {
         slots,
         exact_pairs,
@@ -666,8 +595,8 @@ pub fn density_gain(tags: &[u128], full_mask: u128, result: &PackResult) -> (f64
     (before, after)
 }
 
-/// The pre-index packer, kept verbatim as the behavioral reference for
-/// the bucket-by-popcount rewrite: `pack_tile` must produce identical
+/// The original hash-bucketed packer, kept verbatim as the behavioral
+/// reference for the plan-based one: `pack_tile` must produce identical
 /// output (same slots, same order, same pair counts) on every input.
 /// Test-only — the shipping path is [`pack_tile`].
 #[cfg(test)]
@@ -1025,9 +954,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The bucket-by-popcount candidate index is a pure search
-        /// acceleration: for arbitrary tag populations and tile widths,
-        /// the packing output (slot list *in order*, pair counts) is
+        /// The pair plan is a pure restructuring of the greedy: for
+        /// arbitrary tag populations and tile widths, the packing
+        /// output (slot list *in order*, pair counts) is
         /// identical to the original linear-rescan packer, so every
         /// policy's reports are unchanged (the simulator consumes the
         /// slot list verbatim).
@@ -1054,122 +983,89 @@ mod tests {
             );
         }
 
-        /// The count-only coster matches the materialized packer when
-        /// slot costs are uniform (busiest ≤ min_beats everywhere):
-        /// identical pair counts, slots, and beats.
+        /// The coster, on both class storages (the tag arena for tiles
+        /// of at most 8 windows, sorted classes for any width), prices
+        /// exactly the slots [`pack_tile`] materializes: same slots and
+        /// pairs, and beats summed per slot from the members' busiest
+        /// windows (pairs are disjoint, so a pair's busiest column is
+        /// the larger member's). Values either range past the floor or
+        /// all sit at or under it, where the beats pass is skipped. A
+        /// second tile priced on the same storage must agree, so each
+        /// call leaves its storage empty.
         #[test]
-        fn count_cost_matches_materialized_slots(
+        fn coster_matches_materialized_slots(
             seed in proptest::any::<u64>(),
             n in 0usize..300,
-            width in 1u32..=16,
+            w in 0u32..=78,
             min_beats in 1u64..=4,
+            valued in 0u8..2,
         ) {
-            let full: u16 = ((1u32 << width) - 1) as u16;
-            let mut state = seed ^ 0x0DD_B1A5;
-            let tags16: Vec<u16> = (0..n)
-                .map(|_| {
-                    state = state
-                        .wrapping_mul(0x5851_F42D_4C95_7F2D)
-                        .wrapping_add(0x1405_7B7E_F767_814F);
-                    let m = (state as u16) & full;
-                    if m == 0 { 1 } else { m }
-                })
-                .collect();
-            let tags: Vec<u128> = tags16.iter().map(|&t| u128::from(t)).collect();
-            let packed = pack_tile(&tags, u128::from(full));
-            let mut scratch = CostScratch::default();
-            let got = pack_count_cost(&mut scratch, &tags16, full, min_beats);
-            prop_assert_eq!(got.slots, packed.entries_after() as u64);
-            prop_assert_eq!(got.exact_pairs, packed.exact_pairs as u64);
-            prop_assert_eq!(got.near_pairs, packed.near_pairs as u64);
-            prop_assert_eq!(got.beats, packed.entries_after() as u64 * min_beats);
-            let again = pack_count_cost(&mut scratch, &tags16, full, min_beats);
-            prop_assert_eq!(again, got);
-        }
-
-        /// The bucket-arena core, on buckets filled externally (in
-        /// entry order) or by [`pack_stream_cost`], is the packer in
-        /// both modes — valued (against costing [`pack_tile`]'s
-        /// materialized slots from the members' busiest windows: pairs
-        /// are disjoint, so a pair's busiest column is the max of the
-        /// members' busiest windows) and uniform (against the count
-        /// coster, when every busiest window is at or under
-        /// `min_beats`).
-        #[test]
-        fn bucket_core_matches_entry_costers(
-            seed in proptest::any::<u64>(),
-            n in 0usize..300,
-            width in 1u32..=16,
-            min_beats in 1u64..=4,
-        ) {
-            let full: u16 = ((1u32 << width) - 1) as u16;
+            // Widths 1..=16 and 65..=127.
+            let width = if w < 16 { w + 1 } else { w + 49 };
+            let full = tile_full_mask(width as usize);
             let mut state = seed ^ 0x0B0C_4E75;
-            let mut tags16 = Vec::with_capacity(n);
-            let mut busiest = Vec::with_capacity(n);
-            for _ in 0..n {
+            let mut step = || {
                 state = state
                     .wrapping_mul(0x5851_F42D_4C95_7F2D)
                     .wrapping_add(0x1405_7B7E_F767_814F);
-                let m = (state as u16) & full;
-                tags16.push(if m == 0 { 1 } else { m });
-                busiest.push(((state >> 32) % 7 + 1) as u16);
-            }
-            let fill = |values: &[u16]| {
-                let mut buckets = vec![Vec::new(); usize::from(full) + 1];
-                let mut present = Vec::new();
-                for (&t, &b) in tags16.iter().zip(values) {
-                    if buckets[usize::from(t)].is_empty() {
-                        present.push(u32::from(t));
-                    }
-                    buckets[usize::from(t)].push(b);
-                }
-                (buckets, present)
+                state
             };
-            let mut classes = Vec::new();
-            let mut scratch = CostScratch::default();
-
-            // Valued mode ≡ the materialized slots of the packer.
-            let tags: Vec<u128> = tags16.iter().map(|&t| u128::from(t)).collect();
-            let packed = pack_tile(&tags, u128::from(full));
-            let want_beats: u64 = packed
-                .slots
-                .iter()
-                .map(|s| {
-                    let b = s.second.map_or(busiest[s.first], |j| busiest[s.first].max(busiest[j]));
-                    u64::from(b).max(min_beats)
-                })
-                .sum();
-            let (mut buckets, present) = fill(&busiest);
-            let got = stream_cost_buckets(
-                &mut classes, &mut buckets, &present, full, min_beats, false,
-            );
-            prop_assert_eq!(got.slots, packed.entries_after() as u64);
-            prop_assert_eq!(got.exact_pairs, packed.exact_pairs as u64);
-            prop_assert_eq!(got.near_pairs, packed.near_pairs as u64);
-            prop_assert_eq!(got.beats, want_beats);
-            prop_assert!(buckets.iter().all(Vec::is_empty));
-            // The entry coster fills its own buckets, and restores its
-            // scratch to all-empty: a second call must agree.
-            for _ in 0..2 {
-                let entry = pack_stream_cost(&mut scratch, &tags16, &busiest, full, min_beats);
-                prop_assert_eq!(entry, got);
+            let mut tags = Vec::with_capacity(n);
+            let mut busiest = Vec::with_capacity(n);
+            for _ in 0..n {
+                let m = ((u128::from(step()) << 64) | u128::from(step())) & full;
+                tags.push(if m == 0 { 1 } else { m });
+                let cap = if valued == 1 { 7 } else { min_beats };
+                busiest.push((step() % cap + 1) as u16);
             }
-
-            // Uniform mode ≡ the count coster (busiest ≤ min_beats
-            // everywhere, so values are immaterial).
-            let capped: Vec<u16> =
-                busiest.iter().map(|&b| b.min(min_beats as u16)).collect();
-            let (mut buckets, present) = fill(&capped);
-            let got = stream_cost_buckets(
-                &mut classes, &mut buckets, &present, full, min_beats, true,
+            let packed = pack_tile(&tags, full);
+            let want = StreamCost {
+                slots: packed.entries_after() as u64,
+                exact_pairs: packed.exact_pairs as u64,
+                near_pairs: packed.near_pairs as u64,
+                beats: packed
+                    .slots
+                    .iter()
+                    .map(|s| {
+                        let b = s.second.map_or(busiest[s.first], |j| busiest[s.first].max(busiest[j]));
+                        u64::from(b).max(min_beats)
+                    })
+                    .sum(),
+            };
+            // At the floor the second tile pushes no values at all, as
+            // the scan does at `TWS = 1`.
+            let second = |b: u16| if valued == 1 { Some(b) } else { None };
+            fn cost_twice<S: TagClasses>(
+                width: u32,
+                tags: &[u128],
+                busiest: &[u16],
+                second: impl Fn(u16) -> Option<u16>,
+                (full, min_beats): (u128, u64),
+            ) -> [StreamCost; 2] {
+                let mut store = S::new(width as usize);
+                let mut plan = PairPlan::default();
+                [0, 1].map(|call| {
+                    for (&t, &b) in tags.iter().zip(busiest) {
+                        store.push(t, if call == 0 { Some(b) } else { second(b) });
+                    }
+                    stream_cost(&mut store, &mut plan, full, min_beats)
+                })
+            }
+            let tile = (full, min_beats);
+            prop_assert_eq!(
+                cost_twice::<SortedClasses>(width, &tags, &busiest, second, tile),
+                [want; 2]
             );
-            let want = pack_count_cost(&mut scratch, &tags16, full, min_beats);
-            prop_assert_eq!(got, want);
-            prop_assert!(buckets.iter().all(Vec::is_empty));
+            if width <= 8 {
+                prop_assert_eq!(
+                    cost_twice::<MaskArena>(width, &tags, &busiest, second, tile),
+                    [want; 2]
+                );
+            }
         }
 
-        /// Same equivalence on wide (u128) tiles, where the popcount
-        /// index is sparse.
+        /// Same equivalence on wide (u128) tiles, where classes are
+        /// sparse.
         #[test]
         fn indexed_packer_matches_linear_reference_wide(
             seed in proptest::any::<u64>(),

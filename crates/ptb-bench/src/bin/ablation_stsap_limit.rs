@@ -6,7 +6,7 @@
 //! 1 (no packing), 2 (the paper), 3, 4, and 8 mutually-disjoint tags,
 //! measured on DVS-Gesture CONV2 tile tags across TW sizes.
 
-use ptb_accel::stsap::pack_tile_grouped;
+use ptb_accel::stsap::{pack_tile_grouped, tile_full_mask};
 use ptb_accel::tag::tags_of_layer;
 use ptb_accel::window::WindowPartition;
 use ptb_bench::RunOptions;
@@ -40,8 +40,7 @@ fn main() {
         let tags = tags_of_layer(&spikes, part);
         let mut totals = [0usize; 5];
         for (w0, w1) in part.column_tiles(cols) {
-            let nw = w1 - w0;
-            let full: u128 = if nw == 128 { u128::MAX } else { (1 << nw) - 1 };
+            let full = tile_full_mask(w1 - w0);
             let tile: Vec<u128> = tags
                 .iter()
                 .map(|t| t.slice_mask(w0, w1))

@@ -6,7 +6,7 @@
 //! statistic: mean slot density before/after packing, plus the slot
 //! reduction, across positions and column tiles of the CONV2 layer.
 
-use ptb_accel::stsap::{density_gain, pack_tile};
+use ptb_accel::stsap::{density_gain, pack_tile, tile_full_mask};
 use ptb_accel::tag::tags_of_layer;
 use ptb_accel::window::WindowPartition;
 use ptb_bench::RunOptions;
@@ -45,8 +45,7 @@ fn main() {
         let mut pairs = 0usize;
         let mut tiles = 0usize;
         for (w0, w1) in part.column_tiles(cols) {
-            let nw = w1 - w0;
-            let full: u128 = if nw == 128 { u128::MAX } else { (1 << nw) - 1 };
+            let full = tile_full_mask(w1 - w0);
             let tile_tags: Vec<u128> = tags
                 .iter()
                 .map(|t| t.slice_mask(w0, w1))

@@ -20,9 +20,10 @@
 //! * **pack** — random TB-tag sets through
 //!   [`ptb_accel::stsap::pack_tile`], checked by the production
 //!   invariant auditor [`ptb_accel::audit::verify_pack`].
-//! * **sim** — a random small layer under a random policy and TW,
-//!   simulated and then audited at [`AuditLevel::Full`] (serial-replay
-//!   cross-check, popcount re-derivation, tile coverage).
+//! * **sim** — a random small layer under a random policy, TW and
+//!   array column count (8, 12, 16, 20 or 128), simulated and then
+//!   audited at [`AuditLevel::Full`] (serial-replay cross-check,
+//!   popcount re-derivation, tile coverage).
 //!
 //! Any panic or audit finding is a failure: the driver prints a JSON
 //! summary (per-kind case counts, failure descriptors with the seed to
@@ -35,11 +36,13 @@ use std::time::{Duration, Instant};
 
 use ptb_accel::audit::{audit_layer, verify_pack, AuditLevel, AuditSummary};
 use ptb_accel::config::{Policy, SimInputs};
+use ptb_accel::stsap::tile_full_mask;
 use ptb_accel::{simulate_layer_prepared, PreparedLayer};
 use serde::Serialize;
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
 use spikegen::{FiringProfile, TemporalStructure};
+use systolic_sim::{ArchConfig, ArrayDims};
 
 /// SplitMix64: the same tiny deterministic generator the vendored
 /// proptest uses, so a failing seed replays exactly.
@@ -173,11 +176,7 @@ fn case_tensor(rng: &mut Rng) -> Result<(), String> {
 /// invariant checker.
 fn case_pack(rng: &mut Rng) -> Result<(), String> {
     let width = 1 + rng.below(128) as u32;
-    let full_mask = if width >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << width) - 1
-    };
+    let full_mask = tile_full_mask(width as usize);
     let entries = rng.below(65) as usize;
     // pack_tile's contract: silent entries are filtered out upstream
     // (the scheduler only tags active neurons), so every fuzzed tag
@@ -204,8 +203,9 @@ fn case_pack(rng: &mut Rng) -> Result<(), String> {
     }
 }
 
-/// Fuzzes the simulator itself: a random small layer, random policy and
-/// TW, audited at `Full` against the serial reference model.
+/// Fuzzes the simulator itself: a random small layer, random policy, TW
+/// and column count, audited at `Full` against the serial reference
+/// model.
 fn case_sim(rng: &mut Rng) -> Result<(), String> {
     let ifmap = 2 + rng.below(8) as u32;
     let filter = 1 + rng.below(3) as u32;
@@ -230,7 +230,14 @@ fn case_sim(rng: &mut Rng) -> Result<(), String> {
         Err(_) => return Ok(()),
     };
     let spikes = profile.generate(shape.ifmap_neurons(), timesteps, rng.next());
-    let inputs = SimInputs::hpca22(tw);
+    // Past 8 columns a tile can span more windows than the tag arena
+    // holds, so StSAP takes the sorted-class path.
+    let cols = [8u32, 12, 16, 20, 128][rng.below(5) as usize];
+    let arch = ArchConfig::hpca22();
+    let inputs = SimInputs {
+        arch: arch.with_array(ArrayDims::new(arch.array.rows(), cols)),
+        ..SimInputs::hpca22(tw)
+    };
     let prep = PreparedLayer::new(shape, Arc::new(spikes));
     let report = simulate_layer_prepared(&inputs, policy, &prep);
     let mut summary = AuditSummary::new(AuditLevel::Full);
@@ -246,7 +253,7 @@ fn case_sim(rng: &mut Rng) -> Result<(), String> {
     match summary.first() {
         None => Ok(()),
         Some(finding) => Err(format!(
-            "{} tw={tw} t={timesteps} shape={ifmap}x{filter}x{in_ch}x{out_ch}: {finding}",
+            "{} tw={tw} t={timesteps} cols={cols} shape={ifmap}x{filter}x{in_ch}x{out_ch}: {finding}",
             policy.label()
         )),
     }
