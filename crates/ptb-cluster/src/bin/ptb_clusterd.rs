@@ -16,9 +16,9 @@
 //! `PTB_DISPATCH_TIMEOUT_MS` / `PTB_FAIL_THRESHOLD` environment knobs
 //! (see `ClusterConfig::from_env`). `--port-file` writes the bound port
 //! (one decimal line) after the listener is up — bind port 0 and read
-//! the file to get an ephemeral port race-free, which is how the CI
-//! cluster stage and `ptb-load --cluster` spawn fleets. The process
-//! exits when a client POSTs `/shutdown`.
+//! the file to get an ephemeral port race-free, which is how
+//! `ptb_serve::launch` spawns fleets for `ptb-load --scenario`. The
+//! process exits when a client POSTs `/shutdown`.
 //!
 //! `--standby` boots the daemon as a *hot standby*: it tails the peer
 //! coordinator named by `--peer` over `GET /journal/tail`, mirrors its

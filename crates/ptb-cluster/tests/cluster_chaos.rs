@@ -7,11 +7,12 @@
 //! worker responses through the `cluster_dispatch` failpoint and
 //! asserts retries succeed without any liveness penalty.
 //!
-//! Failpoints are process-global, so the tests serialize on
-//! [`TEST_LOCK`].
+//! Worker processes are spawned through `ptb_serve::launch::Daemon`,
+//! which kills and reaps them when a test fails; the launcher's own
+//! failed-handshake path is tested here too. Failpoints are
+//! process-global, so the tests serialize on [`TEST_LOCK`].
 
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -20,6 +21,7 @@ use ptb_accel::config::Policy;
 use ptb_bench::{failpoint, sweep_summary_cached, RunOptions, SweepRow};
 use ptb_cluster::{ClusterConfig, Coordinator};
 use ptb_serve::client;
+use ptb_serve::launch::Daemon;
 use ptb_serve::{Server, ServerConfig};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -40,49 +42,47 @@ fn tmp_path(tag: &str) -> PathBuf {
 /// Spawns a killable worker *process* (`ptb-clusterd --spawn-worker`)
 /// on an ephemeral port, with every sweep shard slowed by `shard_ms` at
 /// the `shard_exec` failpoint so a kill reliably lands mid-shard.
-/// Returns the child and its bound address.
-fn spawn_worker_process(shard_ms: u64) -> (Child, String) {
-    let port_file = tmp_path("port");
-    let _ = std::fs::remove_file(&port_file);
-    let child = Command::new(env!("CARGO_BIN_EXE_ptb-clusterd"))
-        .args([
-            "--spawn-worker",
-            "--addr",
-            "127.0.0.1:0",
-            "--job-dir",
-            "off",
-            "--workers",
-            "2",
-            "--port-file",
-        ])
-        .arg(&port_file)
-        .env("PTB_FAILPOINTS", format!("shard_exec=sleep:{shard_ms}"))
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn worker process");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let port = loop {
-        if let Ok(text) = std::fs::read_to_string(&port_file) {
-            if let Ok(port) = text.trim().parse::<u16>() {
-                break port;
-            }
-        }
-        assert!(Instant::now() < deadline, "worker never wrote its port");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let _ = std::fs::remove_file(&port_file);
-    (child, format!("127.0.0.1:{port}"))
+fn spawn_worker_process(shard_ms: u64) -> Daemon {
+    let failpoints = format!("shard_exec=sleep:{shard_ms}");
+    Daemon::worker(
+        Path::new(env!("CARGO_BIN_EXE_ptb-clusterd")),
+        None,
+        &[("PTB_FAILPOINTS", failpoints)],
+    )
+    .expect("spawn worker process")
+}
+
+/// A daemon that dies before its port handshake (here: an unknown
+/// flag) is an error at once — reporting its exit status, which also
+/// proves the child was reaped — not a 30-second wait.
+#[test]
+fn a_daemon_that_exits_before_its_handshake_fails_fast_and_is_reaped() {
+    let started = Instant::now();
+    let err = Daemon::spawn(
+        Path::new(env!("CARGO_BIN_EXE_ptb-clusterd")),
+        &["--no-such-flag".into()],
+        &[],
+    )
+    .err()
+    .expect("an unknown flag must fail the handshake");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "took {:?}",
+        started.elapsed()
+    );
+    assert!(
+        err.contains("exited (exit status: 2)"),
+        "error must carry the exit status: {err}"
+    );
 }
 
 #[test]
 fn killed_worker_mid_sweep_is_reclaimed_and_rows_stay_bit_identical() {
     let _guard = serialized();
-    let (mut child_a, addr_a) = spawn_worker_process(200);
-    let (mut child_b, addr_b) = spawn_worker_process(200);
+    let mut workers = [spawn_worker_process(200), spawn_worker_process(200)];
     let coordinator = Coordinator::start(&ClusterConfig {
         addr: "127.0.0.1:0".into(),
-        workers: vec![addr_a, addr_b],
+        workers: workers.iter().map(|w| w.addr().to_string()).collect(),
         fail_threshold: 1,
         probe_interval_ms: 100,
         probe_timeout_ms: 500,
@@ -120,33 +120,18 @@ fn killed_worker_mid_sweep_is_reclaimed_and_rows_stay_bit_identical() {
         assert!(Instant::now() < deadline, "no shard ever completed");
         std::thread::sleep(Duration::from_millis(10));
     };
-    let victim_child = if victim == 0 {
-        &mut child_a
-    } else {
-        &mut child_b
-    };
-    victim_child.kill().expect("kill -9 the victim worker");
-    let _ = victim_child.wait();
+    workers[victim].kill();
 
     // The sweep must still finish, and finish *right*.
-    let rows: Vec<SweepRow> = loop {
-        let (status, text) = client::request_json(addr, "GET", &format!("/jobs/{id}"), "").unwrap();
-        assert_eq!(status, 200, "{text}");
-        let poll: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_ne!(
-            poll.get("failed").and_then(|v| v.as_bool()),
-            Some(true),
-            "sweep must survive the kill: {text}"
-        );
-        if poll.get("done").and_then(|v| v.as_bool()) == Some(true) {
-            break serde_json::from_value(poll.get("rows").expect("rows present")).unwrap();
-        }
-        assert!(
-            Instant::now() < deadline,
-            "sweep never finished after the kill"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let text = client::poll_job(addr, id, deadline).expect("sweep never finished after the kill");
+    let poll: serde_json::Value = serde_json::from_str(&text).unwrap();
+    assert_ne!(
+        poll.get("failed").and_then(|v| v.as_bool()),
+        Some(true),
+        "sweep must survive the kill: {text}"
+    );
+    let rows: Vec<SweepRow> =
+        serde_json::from_value(poll.get("rows").expect("rows present")).unwrap();
 
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("DVS-Gesture").unwrap();
@@ -166,10 +151,6 @@ fn killed_worker_mid_sweep_is_reclaimed_and_rows_stay_bit_identical() {
         "the victim's in-flight shard must be reclaimed by the survivor"
     );
 
-    let _ = child_a.kill();
-    let _ = child_b.kill();
-    let _ = child_a.wait();
-    let _ = child_b.wait();
     coordinator.shutdown();
     coordinator.join();
 }
@@ -263,13 +244,12 @@ fn garbage_worker_responses_are_retried_without_liveness_penalty() {
 #[test]
 fn coordinator_restart_resumes_a_journaled_sweep_from_its_dispatch_journal() {
     let _guard = serialized();
-    let (mut child_a, addr_a) = spawn_worker_process(150);
-    let (mut child_b, addr_b) = spawn_worker_process(150);
+    let workers = [spawn_worker_process(150), spawn_worker_process(150)];
     let job_dir = tmp_path("journal");
     let _ = std::fs::remove_dir_all(&job_dir);
     let cfg = ClusterConfig {
         addr: "127.0.0.1:0".into(),
-        workers: vec![addr_a.clone(), addr_b.clone()],
+        workers: workers.iter().map(|w| w.addr().to_string()).collect(),
         job_dir: Some(job_dir.clone()),
         fail_threshold: 1,
         probe_interval_ms: 100,
@@ -299,22 +279,16 @@ fn coordinator_restart_resumes_a_journaled_sweep_from_its_dispatch_journal() {
     first.join();
 
     let second = Coordinator::start(&cfg).expect("bind second coordinator");
-    let rows: Vec<SweepRow> = loop {
-        let (status, text) =
-            client::request_json(second.addr(), "GET", &format!("/jobs/{id}"), "").unwrap();
-        assert_eq!(status, 200, "job must survive the restart: {text}");
-        let poll: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_ne!(
-            poll.get("failed").and_then(|v| v.as_bool()),
-            Some(true),
-            "{text}"
-        );
-        if poll.get("done").and_then(|v| v.as_bool()) == Some(true) {
-            break serde_json::from_value(poll.get("rows").expect("rows present")).unwrap();
-        }
-        assert!(Instant::now() < deadline, "resumed sweep never finished");
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let text = client::poll_job(second.addr(), id, deadline)
+        .expect("job must survive the restart and finish");
+    let poll: serde_json::Value = serde_json::from_str(&text).unwrap();
+    assert_ne!(
+        poll.get("failed").and_then(|v| v.as_bool()),
+        Some(true),
+        "{text}"
+    );
+    let rows: Vec<SweepRow> =
+        serde_json::from_value(poll.get("rows").expect("rows present")).unwrap();
 
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("DVS-Gesture").unwrap();
@@ -324,10 +298,6 @@ fn coordinator_restart_resumes_a_journaled_sweep_from_its_dispatch_journal() {
         "a resumed sweep must be bit-identical to an uninterrupted one"
     );
 
-    let _ = child_a.kill();
-    let _ = child_b.kill();
-    let _ = child_a.wait();
-    let _ = child_b.wait();
     second.shutdown();
     second.join();
     let _ = std::fs::remove_dir_all(&job_dir);

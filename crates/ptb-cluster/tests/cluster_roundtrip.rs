@@ -188,20 +188,16 @@ fn background_cluster_sweeps_poll_to_the_harness_rows() {
     let ack: serde_json::Value = serde_json::from_str(&text).unwrap();
     let id = ack.get("job").and_then(|v| v.as_u64()).expect("job id");
 
-    let rows: Vec<SweepRow> = loop {
-        let (status, text) = client::request_json(addr, "GET", &format!("/jobs/{id}"), "").unwrap();
-        assert_eq!(status, 200, "{text}");
-        let poll: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_ne!(
-            poll.get("failed").and_then(|v| v.as_bool()),
-            Some(true),
-            "cluster job must not fail: {text}"
-        );
-        if poll.get("done").and_then(|v| v.as_bool()) == Some(true) {
-            break serde_json::from_value(poll.get("rows").expect("rows present")).unwrap();
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let text = client::poll_job(addr, id, deadline).unwrap();
+    let poll: serde_json::Value = serde_json::from_str(&text).unwrap();
+    assert_ne!(
+        poll.get("failed").and_then(|v| v.as_bool()),
+        Some(true),
+        "cluster job must not fail: {text}"
+    );
+    let rows: Vec<SweepRow> =
+        serde_json::from_value(poll.get("rows").expect("rows present")).unwrap();
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("DVS-Gesture").unwrap();
     let expected = sweep_summary_cached(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());

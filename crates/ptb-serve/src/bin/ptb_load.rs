@@ -1,124 +1,62 @@
-//! `ptb-load`: a closed-loop load generator and smoke checker for the
-//! `ptb-serve` daemon.
+//! `ptb-load`: a closed-loop load generator, smoke checker and drill
+//! runner for the `ptb-serve` daemon and the `ptb-clusterd` fleet.
 //!
 //! ```text
-//! ptb-load --addr HOST:PORT --smoke
-//! ptb-load --addr HOST:PORT --xcheck                # codec cross-equivalence probe
-//! ptb-load --addr HOST:PORT --shutdown
-//! ptb-load --addr HOST:PORT --submit-tws 1,4,8      # background job, prints the ack
-//! ptb-load --addr HOST:PORT --poll-job ID           # poll to terminal state
-//! ptb-load --cluster N [--cluster-kill]             # self-contained fleet smoke
-//! ptb-load --cluster N --cluster-saturate           # backpressure chaos: one worker sheds
-//! ptb-load --cluster N --standby --coordinator-kill # HA drill: SIGKILL the active coordinator
-//! ptb-load --cluster N --standby --coordinator-fence # HA drill: fence a zombie coordinator
-//! ptb-load --soak SECS                              # budget-starved governance soak
+//! ptb-load --addr HOST:PORT (--smoke | --xcheck | --shutdown)
+//! ptb-load --scenario NAME                 # self-contained drill (see --help)
 //! ptb-load --addr HOST:PORT [--requests N] [--concurrency C]
-//!          [--network NAME] [--policy LABEL] [--tw N]
-//!          [--codec json|bin] [--keepalive]
-//!          [--seed-mode unique|fixed] [--full] [--retries N] [--chaos]
-//!          [--label TEXT]
+//!          [--network NAME] [--policy LABEL] [--tw N] [--codec json|bin]
+//!          [--keepalive] [--seed-mode unique|fixed] [--full] [--retries N]
+//!          [--chaos] [--label TEXT]
 //! ```
 //!
-//! Smoke mode drives `/healthz`, one quick `/simulate`, a `/sweep`,
-//! and `/metrics`, checking each response, plus a `baseline[14]` sweep
-//! over all seven TW sizes sent unaudited twice (filling, then reading
-//! the layers' report memo) and once under a full audit, whose three
-//! bodies must be byte-identical; it exits nonzero on any failure (the
-//! CI smoke stage runs this). `--xcheck` drives `/simulate` and a sync
-//! `/sweep` through *both* codecs over one kept-alive connection —
-//! including a pipelined pair — and exits nonzero unless the binary
-//! responses decode to byte-identical JSON renderings of the JSON
-//! responses (the cross-codec bit-identity contract of
-//! `docs/PROTOCOL.md`). `--shutdown` POSTs the `/shutdown` admin
-//! route and exits zero iff the daemon acknowledged it. `--submit-tws`
-//! submits a background sweep and prints the `{"job": id}` ack;
-//! `--poll-job` polls `GET /jobs/{id}` until the job is done (exit 0)
-//! or failed (exit 1), printing the final poll body. Load mode runs
-//! `C` closed-loop workers (each issues a request, waits for the full
-//! response, repeats) until `N` total requests have completed, then
-//! prints a JSON summary with throughput and latency percentiles to
-//! stdout.
+//! `--smoke` checks `/healthz`, `/simulate`, `/sweep` and `/metrics`
+//! once each, plus a 7-TW `baseline[14]` sweep sent unaudited twice
+//! (filling, then reading the report memo) and once under a full audit,
+//! whose bodies must be byte-identical. `--xcheck` sends `/simulate`
+//! and `/sweep` through *both* codecs over one kept-alive connection,
+//! plus a pipelined pair, and demands the binary responses decode to
+//! the JSON bodies byte for byte (`docs/PROTOCOL.md`). `--shutdown`
+//! POSTs `/shutdown`. Load mode runs `C` closed-loop workers until `N`
+//! requests completed and prints a JSON throughput/latency summary;
+//! `--codec bin` sends `PTBW1` frames, `--keepalive` reuses one
+//! connection per worker, and `--seed-mode unique|fixed` makes every
+//! request miss or hit the daemon's cache (the `BENCH_serve.json`
+//! matrices). Requests retry transport errors and `503`s with
+//! decorrelated-jitter backoff honoring `Retry-After` (`--retries 0`
+//! disables); `--chaos` harasses the daemon before every request
+//! (dropped connections, short writes, garbage, corrupt frames) and
+//! demands every request converge and `audit_mismatches` stay zero.
 //!
-//! `--codec bin` sends requests as binary `PTBW1` frames
-//! (`Content-Type: application/x-ptbw`) instead of JSON; `--keepalive`
-//! reuses one connection per worker instead of reconnecting per
-//! request (reconnecting transparently when the server closes). The
-//! 2×2 codec × connection matrix in `BENCH_serve.json` comes from
-//! these two flags.
-//!
-//! Requests retry on connection errors and `503` with exponential
-//! backoff and decorrelated jitter, honoring the server's `Retry-After`
-//! header (`--retries 0` disables). `--chaos` makes each worker harass
-//! the daemon before every real request — dropped connections, short
-//! writes, garbage bytes, malformed binary frames — and demands
-//! convergence anyway: the run exits nonzero unless *every* request
-//! eventually succeeded through the retry loop.
-//!
-//! `--seed-mode unique` gives every request a distinct seed so each
-//! one misses the server's activity cache ("cold"); `fixed` reuses one
-//! seed so all but the first hit it ("warm"). Comparing the two
-//! isolates what the shared cache buys under load; `BENCH_serve.json`
-//! records exactly that comparison.
-//!
-//! `--cluster N` is the self-contained fleet smoke: it spawns `N`
-//! worker daemons plus a `ptb-clusterd` coordinator (sibling binary,
-//! found next to this executable) on ephemeral ports, drives a sharded
-//! sweep through the coordinator, and exits nonzero unless the cluster
-//! response is **byte-identical** to the same sweep answered by a
-//! single worker daemon directly. `--cluster-kill` additionally
-//! `kill -9`s one worker mid-sweep (each shard is slowed through the
-//! `shard_exec` failpoint so the kill reliably lands with work in
-//! flight) and demands the reclaimed sweep still match a lone
-//! survivor's rows exactly. Both print a one-line JSON summary with
-//! wall time and shard throughput; the CI cluster stage runs both.
-//!
-//! `--standby` turns the fleet into the coordinator-HA drill: the
-//! coordinator journals into a real temp directory and `PTB_STANDBYS`
-//! (default 1) hot standbys tail it over `GET /journal/tail`. With
-//! `--coordinator-kill` the drill SIGKILLs the *coordinator* mid-sweep
-//! and demands the promoted standby finish the journaled job with rows
-//! identical to a lone worker's — plus fresh sync sweeps through the
-//! promoted coordinator that are byte-identical across both codecs.
-//! With `--coordinator-fence` the active's tail route goes dark via the
-//! `coordinator_pause` failpoint instead of dying: the standby promotes
-//! while the old active still dispatches, and the drill demands the
-//! zombie's stale-epoch dispatches were rejected by the workers
-//! (`fenced_dispatches >= 1`, a worker `epoch_seen >= 2`), that it
-//! demoted itself, and that the job still finished via the new active.
-//! The poll client follows the `307` + `Location` redirects demoted
-//! coordinators answer with (`docs/PROTOCOL.md` §7).
-//!
-//! `--cluster-saturate` instead strangles worker 0's admission
-//! watermark (`PTB_MEM_WATERMARK_BYTES=1`) so it sheds every shard
-//! with 503 while staying probe-green, and demands the sweep complete
-//! byte-identically via backpressure re-dispatch with **zero**
-//! `worker_deaths` — a saturated worker is never falsely declared
-//! dead. `--soak SECS` spawns a single budget-starved daemon and
-//! drives bursty unique-seed load at it; see `run_soak` for the
-//! assertions (evictions and sheds happened, nothing but 503s failed,
-//! disk footprints stayed within budget, expired jobs answer the
-//! "gone" 404, and results stay bit-identical to an unbudgeted run).
+//! `--scenario NAME` runs one row of [`SCENARIOS`]: a self-contained
+//! drill that boots its own daemons from the sibling `ptb-clusterd`
+//! binary through [`ptb_serve::launch::Daemon`], injects the row's
+//! failure, checks that every answer stays bit-identical to a lone
+//! worker's, prints a one-line JSON summary, and exits nonzero on any
+//! failed check. The table fixes each drill's fleet size, TW list,
+//! failpoints and soak length; `--network`, `--policy`, `--tw` and
+//! `--label` still apply. `scripts/ci.sh` runs every scenario.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ptb_bench::SweepRow;
 use ptb_serve::client::{self, Connection, RetryPolicy};
+use ptb_serve::launch::Daemon;
 use ptb_serve::wire;
 use serde::Value;
 
+#[derive(Clone)]
 struct LoadConfig {
     addr: SocketAddr,
     smoke: bool,
     xcheck: bool,
     shutdown: bool,
-    submit_tws: Option<Vec<u32>>,
-    poll_job: Option<u64>,
+    scenario: Option<&'static Scenario>,
     requests: usize,
     concurrency: usize,
     network: String,
@@ -131,74 +69,201 @@ struct LoadConfig {
     retries: u32,
     chaos: bool,
     label: String,
-    cluster: Option<usize>,
-    cluster_kill: bool,
-    cluster_saturate: bool,
-    standby: bool,
-    coordinator_kill: bool,
-    coordinator_fence: bool,
-    soak: Option<u64>,
 }
+
+/// The failure a scenario injects into its fleet.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    None,
+    /// SIGKILL the first worker that completes a shard.
+    KillWorker,
+    /// Strangle worker 0's admission watermark so it sheds every shard.
+    SaturateWorker,
+    /// SIGKILL the active coordinator with shards in flight.
+    KillCoordinator,
+    /// Blind the active coordinator's tail route (its failpoints) so a
+    /// standby promotes under a still-dispatching zombie.
+    FenceCoordinator,
+}
+
+/// One `--scenario` row. Every value is the one CI runs.
+struct Scenario {
+    name: &'static str,
+    /// One line for `--help`.
+    about: &'static str,
+    drill: fn(&LoadConfig, &Scenario) -> Result<String, String>,
+    fault: Fault,
+    /// Worker daemons in the fleet.
+    workers: usize,
+    /// Hot-standby coordinators.
+    standbys: usize,
+    /// TW points of the drill's journaled or sharded sweep.
+    tws: &'static [u32],
+    /// `PTB_FAILPOINTS` armed on every worker.
+    worker_failpoints: &'static str,
+    /// `PTB_FAILPOINTS` armed on the active coordinator.
+    coordinator_failpoints: &'static str,
+    /// How long the soak hammers its daemon.
+    soak_secs: u64,
+}
+
+/// `[1, 2, …, N]`.
+const fn tws_up_to<const N: usize>() -> [u32; N] {
+    let mut tws = [0; N];
+    let mut i = 0;
+    while i < N {
+        tws[i] = i as u32 + 1;
+        i += 1;
+    }
+    tws
+}
+
+/// A row's defaults: one worker, no standby, nothing injected.
+const DEFAULTS: Scenario = Scenario {
+    name: "",
+    about: "",
+    drill: run_serve,
+    fault: Fault::None,
+    workers: 1,
+    standbys: 0,
+    tws: &[],
+    worker_failpoints: "",
+    coordinator_failpoints: "",
+    soak_secs: 0,
+};
+
+/// The drills, in the order `scripts/ci.sh` runs them.
+static SCENARIOS: &[Scenario] = &[
+    Scenario {
+        name: "serve",
+        about: "lone PTB_VERIFY=sample worker: --smoke, --xcheck, JSON and \
+                binary keep-alive --chaos passes, clean shutdown",
+        ..DEFAULTS
+    },
+    Scenario {
+        name: "crash-recovery",
+        about: "background sweep journaled, worker SIGKILLed mid-job, reboot \
+                resumes it (resumed_jobs == 1) and finishes it",
+        drill: run_crash_recovery,
+        tws: &[1, 4, 8],
+        worker_failpoints: "shard_exec=sleep:400",
+        ..DEFAULTS
+    },
+    Scenario {
+        name: "cluster",
+        about: "coordinator + 2 workers: sharded sweep byte-identical to a lone worker",
+        drill: run_cluster,
+        workers: 2,
+        tws: &[1, 2, 4, 8, 16, 32],
+        ..DEFAULTS
+    },
+    Scenario {
+        name: "worker-kill",
+        about: "one worker SIGKILLed mid-sweep: survivor reclaims, rows match a lone worker",
+        drill: run_cluster,
+        fault: Fault::KillWorker,
+        workers: 2,
+        tws: &tws_up_to::<24>(),
+        worker_failpoints: "shard_exec=sleep:200",
+        ..DEFAULTS
+    },
+    Scenario {
+        name: "soak",
+        about: "budget-starved worker under bursty load: evictions and sheds \
+                happen, only 503s fail, budgets hold, expired job answers gone-404",
+        drill: run_soak,
+        tws: &[1, 2],
+        soak_secs: 8,
+        ..DEFAULTS
+    },
+    Scenario {
+        name: "saturate",
+        about: "worker 0 sheds every shard: sweep completes byte-identically via \
+                backpressure re-dispatch with zero worker_deaths",
+        drill: run_cluster,
+        fault: Fault::SaturateWorker,
+        workers: 2,
+        tws: &tws_up_to::<16>(),
+        ..DEFAULTS
+    },
+    Scenario {
+        name: "failover",
+        about: "active coordinator SIGKILLed mid-sweep: the standby promotes \
+                (epoch >= 2) and finishes the job; rows and both codecs match",
+        drill: run_failover,
+        fault: Fault::KillCoordinator,
+        workers: 2,
+        standbys: 1,
+        tws: &tws_up_to::<24>(),
+        worker_failpoints: "shard_exec=sleep:200",
+        ..DEFAULTS
+    },
+    Scenario {
+        name: "fence",
+        about: "active's tail goes dark: standby promotes, zombie is fenced \
+                (409) and demotes, the job still finishes",
+        drill: run_failover,
+        fault: Fault::FenceCoordinator,
+        workers: 2,
+        standbys: 1,
+        tws: &tws_up_to::<32>(),
+        worker_failpoints: "shard_exec=sleep:200",
+        // Two free index polls let the standby finish its initial
+        // mirror sync; every later poll errors, so the standby hears
+        // silence and promotes while the active still dispatches.
+        coordinator_failpoints: "coordinator_pause=err@2",
+        ..DEFAULTS
+    },
+];
+
+/// The HA lease of the failover drills: short, so they converge fast.
+const LEASE_MS: u64 = 600;
+/// How long a drill waits for a job, a kill window or a promotion.
+const DRILL_DEADLINE: Duration = Duration::from_secs(120);
 
 fn main() {
-    let cfg = parse_args();
-    if let Some(secs) = cfg.soak {
-        if let Err(msg) = run_soak(&cfg, secs) {
-            eprintln!("soak FAILED: {msg}");
-            std::process::exit(1);
+    let cfg = parse_args(std::env::args().skip(1)).unwrap_or_else(|(code, text)| {
+        if code == 0 {
+            println!("{text}");
+        } else {
+            eprintln!("{text}");
         }
-        eprintln!("soak OK");
-        return;
+        std::process::exit(code)
+    });
+    let print = |summary: String| println!("{summary}");
+    let (mode, result) = match cfg.scenario {
+        Some(sc) => (sc.name, (sc.drill)(&cfg, sc).map(print)),
+        None if cfg.shutdown => ("shutdown", shutdown(cfg.addr)),
+        None if cfg.smoke => ("smoke", run_smoke(&cfg)),
+        None if cfg.xcheck => ("xcheck", run_xcheck(&cfg)),
+        None => ("load", run_load(&cfg).map(print)),
+    };
+    if let Err(msg) = result {
+        eprintln!("{mode} FAILED: {msg}");
+        std::process::exit(1);
     }
-    if let Some(n) = cfg.cluster {
-        if let Err(msg) = run_cluster(&cfg, n) {
-            eprintln!("cluster FAILED: {msg}");
-            std::process::exit(1);
-        }
-        eprintln!("cluster OK");
-        return;
-    }
-    if cfg.shutdown {
-        match client::request_json(cfg.addr, "POST", "/shutdown", "") {
-            Ok((200, _)) => return,
-            Ok((status, body)) => {
-                eprintln!("shutdown answered {status}: {body}");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("shutdown failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(tws) = &cfg.submit_tws {
-        run_submit(&cfg, tws);
-        return;
-    }
-    if let Some(id) = cfg.poll_job {
-        run_poll(&cfg, id);
-        return;
-    }
-    if cfg.smoke {
-        if let Err(msg) = run_smoke(&cfg) {
-            eprintln!("smoke FAILED: {msg}");
-            std::process::exit(1);
-        }
-        eprintln!("smoke OK");
-        return;
-    }
-    if cfg.xcheck {
-        if let Err(msg) = run_xcheck(&cfg) {
-            eprintln!("xcheck FAILED: {msg}");
-            std::process::exit(1);
-        }
-        eprintln!("xcheck OK");
-        return;
-    }
-    run_load(&cfg);
+    eprintln!("{mode} OK");
 }
 
-fn parse_args() -> LoadConfig {
+/// The `--help` text; its scenario list is read off [`SCENARIOS`].
+fn usage() -> String {
+    let mut text = String::from(
+        "usage: ptb-load [--addr HOST:PORT] (--smoke | --xcheck | --shutdown | \
+         --scenario NAME | [--requests N] [--concurrency C] [--network NAME] \
+         [--policy LABEL] [--tw N] [--codec json|bin] [--keepalive] \
+         [--seed-mode unique|fixed] [--full] [--retries N] [--chaos] [--label TEXT])\n\
+         \nscenarios (each boots its own daemons from the sibling ptb-clusterd):\n",
+    );
+    for sc in SCENARIOS {
+        text.push_str(&format!("  {:<15} {}\n", sc.name, sc.about));
+    }
+    text
+}
+
+/// Parses the command line; `Err((code, text))` means exit with
+/// `code` after printing `text` (0 for `--help`, 2 for a usage error).
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<LoadConfig, (i32, String)> {
+    let usage_error = |msg: String| (2, format!("error: {msg}"));
     let mut cfg = LoadConfig {
         addr: "127.0.0.1:7878"
             .parse()
@@ -206,8 +271,7 @@ fn parse_args() -> LoadConfig {
         smoke: false,
         xcheck: false,
         shutdown: false,
-        submit_tws: None,
-        poll_job: None,
+        scenario: None,
         requests: 16,
         concurrency: 4,
         network: "DVS-Gesture".into(),
@@ -220,124 +284,82 @@ fn parse_args() -> LoadConfig {
         retries: 5,
         chaos: false,
         label: String::new(),
-        cluster: None,
-        cluster_kill: false,
-        cluster_saturate: false,
-        standby: false,
-        coordinator_kill: false,
-        coordinator_fence: false,
-        soak: None,
     };
     if let Ok(addr) = std::env::var("PTB_ADDR") {
-        cfg.addr = resolve_or_die(&addr);
+        cfg.addr = resolve(&addr).map_err(usage_error)?;
     }
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {flag} requires a value");
-                std::process::exit(2);
-            })
+            args.next()
+                .ok_or_else(|| usage_error(format!("{flag} requires a value")))
+        };
+        let number = |flag: &str, s: String| {
+            s.parse::<usize>()
+                .map_err(|_| usage_error(format!("{flag} wants an integer, got {s:?}")))
         };
         match arg.as_str() {
-            "--addr" => cfg.addr = resolve_or_die(&value("--addr")),
+            "--addr" => cfg.addr = resolve(&value("--addr")?).map_err(usage_error)?,
             "--smoke" => cfg.smoke = true,
             "--xcheck" => cfg.xcheck = true,
             "--shutdown" => cfg.shutdown = true,
-            "--codec" => match value("--codec").as_str() {
+            "--scenario" => {
+                let name = value("--scenario")?;
+                let sc = SCENARIOS.iter().find(|sc| sc.name == name).ok_or_else(|| {
+                    let names: Vec<&str> = SCENARIOS.iter().map(|sc| sc.name).collect();
+                    usage_error(format!(
+                        "unknown scenario {name:?}; valid scenarios: {}",
+                        names.join(", ")
+                    ))
+                })?;
+                cfg.scenario = Some(sc);
+            }
+            "--codec" => match value("--codec")?.as_str() {
                 "json" => cfg.binary = false,
                 "bin" => cfg.binary = true,
                 other => {
-                    eprintln!("error: --codec wants json|bin, got {other:?}");
-                    std::process::exit(2);
+                    return Err(usage_error(format!(
+                        "--codec wants json|bin, got {other:?}"
+                    )))
                 }
             },
             "--keepalive" => cfg.keepalive = true,
-            "--submit-tws" => {
-                let spec = value("--submit-tws");
-                let tws: Option<Vec<u32>> = spec
-                    .split(',')
-                    .map(|s| s.trim().parse::<u32>().ok())
-                    .collect();
-                match tws {
-                    Some(tws) if !tws.is_empty() => cfg.submit_tws = Some(tws),
-                    _ => {
-                        eprintln!("error: --submit-tws wants N,N,..., got {spec:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--poll-job" => {
-                cfg.poll_job = Some(parse_or_die(&value("--poll-job"), "--poll-job") as u64);
-            }
-            "--requests" => cfg.requests = parse_or_die(&value("--requests"), "--requests").max(1),
+            "--requests" => cfg.requests = number("--requests", value("--requests")?)?.max(1),
             "--concurrency" => {
-                cfg.concurrency = parse_or_die(&value("--concurrency"), "--concurrency").max(1);
+                cfg.concurrency = number("--concurrency", value("--concurrency")?)?.max(1);
             }
-            "--network" => cfg.network = value("--network"),
-            "--policy" => cfg.policy = value("--policy"),
-            "--tw" => cfg.tw = parse_or_die(&value("--tw"), "--tw") as u32,
+            "--network" => cfg.network = value("--network")?,
+            "--policy" => cfg.policy = value("--policy")?,
+            "--tw" => cfg.tw = number("--tw", value("--tw")?)? as u32,
             "--full" => cfg.quick = false,
-            "--seed-mode" => match value("--seed-mode").as_str() {
+            "--seed-mode" => match value("--seed-mode")?.as_str() {
                 "unique" => cfg.seed_unique = true,
                 "fixed" => cfg.seed_unique = false,
                 other => {
-                    eprintln!("error: --seed-mode wants unique|fixed, got {other:?}");
-                    std::process::exit(2);
+                    return Err(usage_error(format!(
+                        "--seed-mode wants unique|fixed, got {other:?}"
+                    )))
                 }
             },
-            "--retries" => cfg.retries = parse_or_die(&value("--retries"), "--retries") as u32,
+            "--retries" => cfg.retries = number("--retries", value("--retries")?)? as u32,
             "--chaos" => cfg.chaos = true,
-            "--label" => cfg.label = value("--label"),
-            "--cluster" => {
-                cfg.cluster = Some(parse_or_die(&value("--cluster"), "--cluster").clamp(1, 16));
-            }
-            "--cluster-kill" => cfg.cluster_kill = true,
-            "--cluster-saturate" => cfg.cluster_saturate = true,
-            "--standby" => cfg.standby = true,
-            "--coordinator-kill" => cfg.coordinator_kill = true,
-            "--coordinator-fence" => cfg.coordinator_fence = true,
-            "--soak" => {
-                cfg.soak = Some(parse_or_die(&value("--soak"), "--soak").clamp(1, 600) as u64);
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: ptb-load [--addr HOST:PORT] (--smoke | --xcheck | --shutdown | \
-                     --submit-tws N,N,... | --poll-job ID | \
-                     --cluster N [--cluster-kill | --cluster-saturate | \
-                     --standby (--coordinator-kill | --coordinator-fence)] | \
-                     --soak SECS | \
-                     [--requests N] [--concurrency C] [--network NAME] [--policy LABEL] \
-                     [--tw N] [--codec json|bin] [--keepalive] \
-                     [--seed-mode unique|fixed] [--full] [--retries N] \
-                     [--chaos] [--label TEXT])"
-                );
-                std::process::exit(0);
-            }
+            "--label" => cfg.label = value("--label")?,
+            "--help" | "-h" => return Err((0, usage())),
             other => {
-                eprintln!("error: unknown argument {other:?} (try --help)");
-                std::process::exit(2);
+                return Err(usage_error(format!(
+                    "unknown argument {other:?} (try --help)"
+                )))
             }
         }
     }
-    cfg
+    Ok(cfg)
 }
 
-fn resolve_or_die(addr: &str) -> SocketAddr {
+fn resolve(addr: &str) -> Result<SocketAddr, String> {
     addr.to_socket_addrs()
         .ok()
         .and_then(|mut it| it.next())
-        .unwrap_or_else(|| {
-            eprintln!("error: cannot resolve address {addr:?}");
-            std::process::exit(2);
-        })
-}
-
-fn parse_or_die(s: &str, flag: &str) -> usize {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("error: {flag} wants an integer, got {s:?}");
-        std::process::exit(2);
-    })
+        .ok_or_else(|| format!("cannot resolve address {addr:?}"))
 }
 
 fn retry_policy(cfg: &LoadConfig, seed: u64) -> RetryPolicy {
@@ -348,33 +370,55 @@ fn retry_policy(cfg: &LoadConfig, seed: u64) -> RetryPolicy {
     }
 }
 
-fn simulate_body(cfg: &LoadConfig, seed: u64) -> String {
-    format!(
-        "{{\"network\": \"{}\", \"policy\": \"{}\", \"tw\": {}, \"quick\": {}, \"seed\": {seed}}}",
-        cfg.network, cfg.policy, cfg.tw, cfg.quick
-    )
-}
-
-/// The same `/simulate` request as [`simulate_body`], as a binary
-/// `PTBW1` frame.
-fn simulate_frame(cfg: &LoadConfig, seed: u64) -> Vec<u8> {
-    let request = Value::Object(vec![
+/// A `/simulate` request at this run's network, policy and TW, as
+/// JSON text and as the `Value` a binary frame carries.
+fn simulate_request(cfg: &LoadConfig, seed: u64) -> (String, Value) {
+    let value = Value::Object(vec![
         ("network".into(), Value::Str(cfg.network.clone())),
         ("policy".into(), Value::Str(cfg.policy.clone())),
         ("tw".into(), Value::U64(u64::from(cfg.tw))),
         ("quick".into(), Value::Bool(cfg.quick)),
         ("seed".into(), Value::U64(seed)),
     ]);
-    wire::frame(wire::KIND_SIMULATE, &request)
+    let text = serde_json::to_string(&value).expect("a Value always renders");
+    (text, value)
 }
 
-/// The request body and `Content-Type` for this run's codec.
+/// The `/simulate` body and `Content-Type` for this run's codec.
 fn simulate_payload(cfg: &LoadConfig, seed: u64) -> (Vec<u8>, Option<&'static str>) {
+    let (text, value) = simulate_request(cfg, seed);
     if cfg.binary {
-        (simulate_frame(cfg, seed), Some(wire::CONTENT_TYPE))
+        (
+            wire::frame(wire::KIND_SIMULATE, &value),
+            Some(wire::CONTENT_TYPE),
+        )
     } else {
-        (simulate_body(cfg, seed).into_bytes(), None)
+        (text.into_bytes(), None)
     }
+}
+
+/// A quick `/sweep` of this run's network and policy over `tws`, plus
+/// `extra` fields, as JSON text and as the `Value` a binary frame
+/// carries.
+fn sweep_request(cfg: &LoadConfig, tws: &[u32], extra: &[(&str, Value)]) -> (String, Value) {
+    let mut fields = vec![
+        ("network".into(), Value::Str(cfg.network.clone())),
+        ("policy".into(), Value::Str(cfg.policy.clone())),
+        (
+            "tws".into(),
+            Value::Array(tws.iter().map(|&tw| Value::U64(u64::from(tw))).collect()),
+        ),
+        ("quick".into(), Value::Bool(true)),
+    ];
+    fields.extend(extra.iter().map(|(k, v)| ((*k).to_string(), v.clone())));
+    let value = Value::Object(fields);
+    let text = serde_json::to_string(&value).expect("a Value always renders");
+    (text, value)
+}
+
+/// The `"seed"` field most drills pin their sweeps to.
+fn seed(seed: u64) -> (&'static str, Value) {
+    ("seed", Value::U64(seed))
 }
 
 /// One request over a worker's kept-alive connection, (re)connecting
@@ -401,6 +445,15 @@ fn keepalive_request(
     result
 }
 
+/// POSTs `/shutdown` to a daemon this process did not spawn.
+fn shutdown(addr: SocketAddr) -> Result<(), String> {
+    match client::request_json(addr, "POST", "/shutdown", "") {
+        Ok((200, _)) => Ok(()),
+        Ok((status, body)) => Err(format!("/shutdown answered {status}: {body}")),
+        Err(e) => Err(format!("/shutdown: {e}")),
+    }
+}
+
 /// Drives the core routes once each, verifying every response.
 fn run_smoke(cfg: &LoadConfig) -> Result<(), String> {
     let (status, body) = client::request_json(cfg.addr, "GET", "/healthz", "")
@@ -410,16 +463,13 @@ fn run_smoke(cfg: &LoadConfig) -> Result<(), String> {
     }
 
     let (status, body) =
-        client::request_json(cfg.addr, "POST", "/simulate", &simulate_body(cfg, 42))
+        client::request_json(cfg.addr, "POST", "/simulate", &simulate_request(cfg, 42).0)
             .map_err(|e| format!("/simulate: {e}"))?;
     if status != 200 || !body.contains("\"layers\"") {
         return Err(format!("/simulate answered {status}: {body}"));
     }
 
-    let sweep = format!(
-        "{{\"network\": \"{}\", \"policy\": \"{}\", \"tws\": [1, {}], \"quick\": true}}",
-        cfg.network, cfg.policy, cfg.tw
-    );
+    let (sweep, _) = sweep_request(cfg, &[1, cfg.tw], &[]);
     let (status, body) = client::request_json(cfg.addr, "POST", "/sweep", &sweep)
         .map_err(|e| format!("/sweep: {e}"))?;
     if status != 200 || !body.contains("\"edp\"") {
@@ -431,11 +481,14 @@ fn run_smoke(cfg: &LoadConfig) -> Result<(), String> {
     // only when the request is unaudited. Fill the memo, read it, then
     // recompute under a full audit: all three bodies must be identical.
     let invariant_sweep = |verify: &str| {
-        let body = format!(
-            "{{\"network\": \"{}\", \"policy\": \"baseline[14]\", \
-             \"tws\": [1, 2, 4, 8, 16, 32, 64], \"quick\": true, \"seed\": 42, \
-             \"verify\": \"{verify}\"}}",
-            cfg.network
+        let baseline = LoadConfig {
+            policy: "baseline[14]".into(),
+            ..cfg.clone()
+        };
+        let (body, _) = sweep_request(
+            &baseline,
+            &[1, 2, 4, 8, 16, 32, 64],
+            &[seed(42), ("verify", Value::Str(verify.into()))],
         );
         match client::request_json(cfg.addr, "POST", "/sweep", &body) {
             Ok((200, rows)) => Ok(rows),
@@ -496,6 +549,14 @@ fn run_xcheck(cfg: &LoadConfig) -> Result<(), String> {
             Ok(resp) => resp,
             Err(e) => return Err(format!("{path}: {e}")),
         };
+        if resp.status != 200 {
+            return Err(format!(
+                "{path} ({}) answered {}: {}",
+                if ctype.is_some() { "bin" } else { "json" },
+                resp.status,
+                String::from_utf8_lossy(&resp.body)
+            ));
+        }
         if conn.server_closed() {
             stayed_alive = false;
             *conn = Connection::open(cfg.addr).map_err(|e| format!("reconnect: {e}"))?;
@@ -503,73 +564,31 @@ fn run_xcheck(cfg: &LoadConfig) -> Result<(), String> {
         Ok(resp)
     };
 
-    // /simulate through both codecs; same request, both on this
-    // connection.
-    let json = send(
-        &mut conn,
-        "/simulate",
-        None,
-        simulate_body(cfg, 42).as_bytes(),
-    )?;
-    if json.status != 200 {
-        return Err(format!(
-            "/simulate (json) answered {}: {}",
-            json.status,
-            String::from_utf8_lossy(&json.body)
-        ));
-    }
-    let bin = send(
-        &mut conn,
-        "/simulate",
-        Some(wire::CONTENT_TYPE),
-        &simulate_frame(cfg, 42),
-    )?;
-    if bin.status != 200 {
-        return Err(format!(
-            "/simulate (bin) answered {}: {}",
-            bin.status,
-            String::from_utf8_lossy(&bin.body)
-        ));
-    }
-    check_bit_identical("/simulate", wire::KIND_REPORT, &bin.body, &json.body)?;
-
-    // A synchronous /sweep through both codecs.
-    let sweep_json = format!(
-        "{{\"network\": \"{}\", \"policy\": \"{}\", \"tws\": [1, {}], \"quick\": true, \"seed\": 42}}",
-        cfg.network, cfg.policy, cfg.tw
-    );
-    let sweep_value = Value::Object(vec![
-        ("network".into(), Value::Str(cfg.network.clone())),
-        ("policy".into(), Value::Str(cfg.policy.clone())),
+    // /simulate and a synchronous /sweep through both codecs: the same
+    // request each way, all on this connection.
+    let (sim_json, sim_value) = simulate_request(cfg, 42);
+    let (sweep_json, sweep_value) = sweep_request(cfg, &[1, cfg.tw], &[seed(42)]);
+    for (path, json_body, value, request_kind, reply_kind) in [
         (
-            "tws".into(),
-            Value::Array(vec![Value::U64(1), Value::U64(u64::from(cfg.tw))]),
+            "/simulate",
+            sim_json,
+            sim_value,
+            wire::KIND_SIMULATE,
+            wire::KIND_REPORT,
         ),
-        ("quick".into(), Value::Bool(true)),
-        ("seed".into(), Value::U64(42)),
-    ]);
-    let json = send(&mut conn, "/sweep", None, sweep_json.as_bytes())?;
-    if json.status != 200 {
-        return Err(format!(
-            "/sweep (json) answered {}: {}",
-            json.status,
-            String::from_utf8_lossy(&json.body)
-        ));
+        (
+            "/sweep",
+            sweep_json,
+            sweep_value,
+            wire::KIND_SWEEP,
+            wire::KIND_ROWS,
+        ),
+    ] {
+        let json = send(&mut conn, path, None, json_body.as_bytes())?;
+        let frame = wire::frame(request_kind, &value);
+        let bin = send(&mut conn, path, Some(wire::CONTENT_TYPE), &frame)?;
+        check_bit_identical(path, reply_kind, &bin.body, &json.body)?;
     }
-    let bin = send(
-        &mut conn,
-        "/sweep",
-        Some(wire::CONTENT_TYPE),
-        &wire::frame(wire::KIND_SWEEP, &sweep_value),
-    )?;
-    if bin.status != 200 {
-        return Err(format!(
-            "/sweep (bin) answered {}: {}",
-            bin.status,
-            String::from_utf8_lossy(&bin.body)
-        ));
-    }
-    check_bit_identical("/sweep", wire::KIND_ROWS, &bin.body, &json.body)?;
 
     // A pipelined pair: both requests go out in ONE write (one segment
     // on loopback), so the server deterministically finds the second
@@ -589,20 +608,16 @@ fn run_xcheck(cfg: &LoadConfig) -> Result<(), String> {
 
     // The reuse and per-codec counters must have moved (unless the
     // server closed on us mid-probe, which makes them unprovable here).
-    let (status, metrics) = client::request_json(cfg.addr, "GET", "/metrics", "")
-        .map_err(|e| format!("/metrics: {e}"))?;
-    if status != 200 {
-        return Err(format!("/metrics answered {status}"));
-    }
-    if metrics.contains("\"codec_bin\": 0,") {
-        return Err(format!("codec_bin never counted: {metrics}"));
+    let metrics = fetch_metrics(cfg.addr)?;
+    if metric_u64(&metrics, "codec_bin") == 0 {
+        return Err(format!("codec_bin never counted: {metrics:?}"));
     }
     if stayed_alive {
-        if metrics.contains("\"keepalive_reused\": 0,") {
-            return Err(format!("connection reuse never counted: {metrics}"));
+        if metric_u64(&metrics, "keepalive_reused") == 0 {
+            return Err(format!("connection reuse never counted: {metrics:?}"));
         }
-        if metrics.contains("\"pipelined\": 0,") {
-            return Err(format!("pipelined request never counted: {metrics}"));
+        if metric_u64(&metrics, "pipelined") == 0 {
+            return Err(format!("pipelined request never counted: {metrics:?}"));
         }
     }
     Ok(())
@@ -632,74 +647,6 @@ fn check_bit_identical(
         ));
     }
     Ok(())
-}
-
-/// Submits a background sweep over the given TWs; prints the ack JSON
-/// (`{"job": id, "total": n}`) so scripts can capture the job id.
-fn run_submit(cfg: &LoadConfig, tws: &[u32]) {
-    let body = format!(
-        "{{\"network\": \"{}\", \"policy\": \"{}\", \"tws\": {tws:?}, \
-         \"quick\": {}, \"background\": true}}",
-        cfg.network, cfg.policy, cfg.quick
-    );
-    match client::request_with_retry(
-        cfg.addr,
-        "POST",
-        "/sweep",
-        body.as_bytes(),
-        &retry_policy(cfg, 0x5B317),
-    ) {
-        Ok(resp) if resp.status == 202 => {
-            println!("{}", String::from_utf8_lossy(&resp.body));
-        }
-        Ok(resp) => {
-            eprintln!(
-                "submit answered {}: {}",
-                resp.status,
-                String::from_utf8_lossy(&resp.body)
-            );
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("submit failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Polls `GET /jobs/{id}` until the job is terminal; prints the final
-/// poll body. Exit 0 = done, 1 = failed (or unreachable).
-fn run_poll(cfg: &LoadConfig, id: u64) {
-    let path = format!("/jobs/{id}");
-    let policy = retry_policy(cfg, 0x9011 ^ id);
-    loop {
-        match client::request_with_retry(cfg.addr, "GET", &path, b"", &policy) {
-            Ok(resp) if resp.status == 200 => {
-                let body = String::from_utf8_lossy(&resp.body).to_string();
-                if body.contains("\"done\": true") {
-                    println!("{body}");
-                    return;
-                }
-                if body.contains("\"failed\": true") {
-                    println!("{body}");
-                    std::process::exit(1);
-                }
-            }
-            Ok(resp) => {
-                eprintln!(
-                    "poll answered {}: {}",
-                    resp.status,
-                    String::from_utf8_lossy(&resp.body)
-                );
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("poll failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
 }
 
 /// One chaos disruption: open a connection and misbehave — drop it
@@ -741,10 +688,11 @@ fn chaos_disrupt(addr: SocketAddr, draw: u64) {
 }
 
 /// Closed-loop load: `concurrency` workers issue requests until
-/// `requests` total complete; prints a JSON summary. Under `--chaos`
+/// `requests` total complete; returns the JSON summary. Under `--chaos`
 /// every request is preceded by a disruption and the run demands
-/// `ok == requests` (convergence through retries) to exit zero.
-fn run_load(cfg: &LoadConfig) {
+/// `ok == requests` (convergence through retries) and zero
+/// `audit_mismatches`.
+fn run_load(cfg: &LoadConfig) -> Result<String, String> {
     let issued = AtomicUsize::new(0);
     let errors = AtomicU64::new(0);
     let retried = AtomicU64::new(0);
@@ -823,7 +771,7 @@ fn run_load(cfg: &LoadConfig) {
         lat[rank - 1]
     };
     let ok = lat.len();
-    println!(
+    let summary = format!(
         "{{\"label\": \"{}\", \"requests\": {}, \"ok\": {ok}, \"errors\": {}, \
          \"retried\": {}, \"chaos\": {}, \
          \"codec\": \"{}\", \"keepalive\": {}, \
@@ -844,297 +792,21 @@ fn run_load(cfg: &LoadConfig) {
     );
     // Chaos demands convergence: every request must have gotten through.
     if ok == 0 || (cfg.chaos && ok != cfg.requests) {
-        std::process::exit(1);
+        return Err(format!("requests failed: {summary}"));
     }
     // And it demands integrity: whatever the disruptions did to the
     // daemon, no audited run may have diverged from the reference.
     if cfg.chaos {
-        match client::request_json(cfg.addr, "GET", "/metrics", "") {
-            Ok((200, body)) if body.contains("\"audit_mismatches\": 0,") => {}
-            Ok((status, body)) => {
-                eprintln!("chaos integrity check failed ({status}): {body}");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("chaos integrity check could not read /metrics: {e}");
-                std::process::exit(1);
-            }
+        let metrics = fetch_metrics(cfg.addr)?;
+        if metrics.get("audit_mismatches").and_then(Value::as_u64) != Some(0) {
+            return Err(format!("audit_mismatches missing or nonzero: {metrics:?}"));
         }
     }
-}
-
-/// The spawned fleet: worker and coordinator child processes, killed
-/// wholesale on drop so no failure path leaks daemons.
-struct FleetProcs {
-    children: Vec<Child>,
-}
-
-impl Drop for FleetProcs {
-    fn drop(&mut self) {
-        for child in &mut self.children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-/// Spawns one `ptb-clusterd` process (worker or coordinator role per
-/// `args`) with a `--port-file` handshake; returns the child and the
-/// ephemeral address it bound.
-fn spawn_daemon(
-    binary: &PathBuf,
-    args: &[&str],
-    envs: &[(&str, String)],
-    tag: usize,
-) -> Result<(Child, SocketAddr), String> {
-    let port_file = std::env::temp_dir().join(format!(
-        "ptb-load-cluster-{}-{tag}.port",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&port_file);
-    let mut command = Command::new(binary);
-    command
-        .args(args)
-        .arg("--port-file")
-        .arg(&port_file)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    for (key, value) in envs {
-        command.env(key, value);
-    }
-    let child = command
-        .spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", binary.display()))?;
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let port = loop {
-        if let Ok(text) = std::fs::read_to_string(&port_file) {
-            if let Ok(port) = text.trim().parse::<u16>() {
-                break port;
-            }
-        }
-        if Instant::now() >= deadline {
-            return Err(format!("daemon {tag} never wrote its port file"));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let _ = std::fs::remove_file(&port_file);
-    Ok((child, resolve_or_die(&format!("127.0.0.1:{port}"))))
-}
-
-/// `--cluster N`: spawn a real fleet (N workers + coordinator, sibling
-/// `ptb-clusterd` binary, ephemeral ports), sweep through it, and
-/// demand byte identity with a single direct worker. With
-/// `--cluster-kill`, SIGKILL one worker mid-sweep first.
-fn run_cluster(cfg: &LoadConfig, n: usize) -> Result<(), String> {
-    if cfg.standby {
-        if cfg.cluster_kill || cfg.cluster_saturate {
-            return Err(
-                "--standby pairs with --coordinator-kill / --coordinator-fence, \
-                 not the worker drills"
-                    .into(),
-            );
-        }
-        if cfg.coordinator_kill == cfg.coordinator_fence {
-            return Err(
-                "--standby wants exactly one of --coordinator-kill / --coordinator-fence".into(),
-            );
-        }
-        return run_cluster_failover(cfg, n);
-    }
-    if cfg.coordinator_kill || cfg.coordinator_fence {
-        return Err("--coordinator-kill / --coordinator-fence need --standby".into());
-    }
-    if cfg.cluster_kill && cfg.cluster_saturate {
-        return Err("pick one of --cluster-kill / --cluster-saturate".into());
-    }
-    // A kill needs a survivor to reclaim onto; so does a saturated
-    // worker's backpressured shard.
-    let n = if cfg.cluster_kill || cfg.cluster_saturate {
-        n.max(2)
-    } else {
-        n
-    };
-    let binary = clusterd_binary()?;
-
-    // Workers first. Under --cluster-kill every shard dawdles at the
-    // `shard_exec` failpoint so the kill reliably lands mid-shard.
-    let mut fleet = FleetProcs { children: vec![] };
-    let worker_envs: Vec<(&str, String)> = if cfg.cluster_kill {
-        vec![("PTB_FAILPOINTS", "shard_exec=sleep:200".into())]
-    } else {
-        vec![]
-    };
-    let mut worker_addrs = Vec::with_capacity(n);
-    for tag in 0..n {
-        let mut envs = worker_envs.clone();
-        if cfg.cluster_saturate && tag == 0 {
-            // Strangle worker 0's admission watermark: after its first
-            // cached tensor it sheds every heavy request with 503 while
-            // /healthz stays green — saturated, but emphatically alive.
-            envs.push(("PTB_MEM_WATERMARK_BYTES", "1".into()));
-        }
-        let (child, addr) = spawn_daemon(
-            &binary,
-            &[
-                "--spawn-worker",
-                "--addr",
-                "127.0.0.1:0",
-                "--job-dir",
-                "off",
-                "--workers",
-                "2",
-            ],
-            &envs,
-            tag,
-        )?;
-        fleet.children.push(child);
-        worker_addrs.push(addr);
-    }
-    let worker_list = worker_addrs
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    let (coordinator, addr) = spawn_daemon(
-        &binary,
-        &[
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            &worker_list,
-            "--job-dir",
-            "off",
-            "--probe-ms",
-            "100",
-            "--probe-timeout-ms",
-            "500",
-            "--fail-threshold",
-            "1",
-        ],
-        &[],
-        n,
-    )?;
-    fleet.children.push(coordinator);
-
-    let tws: Vec<u32> = if cfg.cluster_kill {
-        (1..=24).collect()
-    } else if cfg.cluster_saturate {
-        // Enough shards that worker 0 owns some with near certainty,
-        // so backpressure re-dispatch demonstrably happens.
-        (1..=16).collect()
-    } else {
-        vec![1, 2, 4, 8, 16, 32]
-    };
-    if cfg.cluster_saturate {
-        // Prime worker 0's cache so its 1-byte watermark is already
-        // exceeded when the sweep's shards arrive.
-        let (status, body) = client::request_json(
-            worker_addrs[0],
-            "POST",
-            "/simulate",
-            &simulate_body(cfg, 4242),
-        )
-        .map_err(|e| format!("priming /simulate: {e}"))?;
-        if status != 200 {
-            return Err(format!("priming /simulate answered {status}: {body}"));
-        }
-    }
-    let sweep = format!(
-        "{{\"network\": \"{}\", \"policy\": \"{}\", \"tws\": {tws:?}, \
-         \"quick\": true, \"seed\": 42}}",
-        cfg.network, cfg.policy
-    );
-    let started = Instant::now();
-
-    let (rows_text, victim) = if cfg.cluster_kill {
-        run_cluster_kill(addr, &mut fleet, &sweep)?
-    } else {
-        let (status, body) = client::request_json(addr, "POST", "/sweep", &sweep)
-            .map_err(|e| format!("cluster /sweep: {e}"))?;
-        if status != 200 {
-            return Err(format!("cluster /sweep answered {status}: {body}"));
-        }
-        (body, None)
-    };
-    let wall = started.elapsed().as_secs_f64();
-
-    // The reference: the same sweep on ONE worker daemon, no cluster.
-    // After a kill that worker must be a survivor; under saturation it
-    // must be an unthrottled worker (worker 0 sheds direct sweeps too).
-    let reference = if cfg.cluster_saturate || victim == Some(0) {
-        1 % n
-    } else {
-        0
-    };
-    let survivor = worker_addrs[reference];
-    let (status, direct) = client::request_json(survivor, "POST", "/sweep", &sweep)
-        .map_err(|e| format!("direct /sweep: {e}"))?;
-    if status != 200 {
-        return Err(format!("direct /sweep answered {status}: {direct}"));
-    }
-    if victim.is_none() && rows_text != direct {
-        return Err(format!(
-            "cluster response is not byte-identical to a single node\n  cluster: \
-             {rows_text}\n  direct:  {direct}"
-        ));
-    }
-    let cluster_rows: Vec<SweepRow> = serde_json::from_str(&rows_text)
-        .map_err(|e| format!("cluster rows do not parse: {e}: {rows_text}"))?;
-    let direct_rows: Vec<SweepRow> =
-        serde_json::from_str(&direct).map_err(|e| format!("direct rows do not parse: {e}"))?;
-    if cluster_rows != direct_rows {
-        return Err(format!(
-            "cluster rows diverge from a single node\n  cluster: {rows_text}\n  direct:  {direct}"
-        ));
-    }
-
-    if cfg.cluster_saturate {
-        // The whole point: a worker that shed every shard with 503 must
-        // never have been declared dead, and the shards it bounced must
-        // show up as backpressure re-dispatches, not failures.
-        let (status, metrics) = client::request_json(addr, "GET", "/metrics", "")
-            .map_err(|e| format!("coordinator /metrics: {e}"))?;
-        if status != 200 {
-            return Err(format!("coordinator /metrics answered {status}"));
-        }
-        let parsed: Value =
-            serde_json::from_str(&metrics).map_err(|e| format!("bad /metrics: {e}"))?;
-        let deaths = parsed
-            .get("worker_deaths")
-            .and_then(Value::as_u64)
-            .unwrap_or(u64::MAX);
-        if deaths != 0 {
-            return Err(format!(
-                "saturated worker was falsely declared dead ({deaths} deaths): {metrics}"
-            ));
-        }
-        let redispatch = parsed
-            .get("backpressure_redispatch")
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
-        if redispatch == 0 {
-            return Err(format!(
-                "saturation never produced a backpressure re-dispatch: {metrics}"
-            ));
-        }
-    }
-
-    let _ = client::request_json(addr, "POST", "/shutdown", "");
-    println!(
-        "{{\"label\": \"{}\", \"mode\": \"cluster\", \"workers\": {n}, \
-         \"kill\": {}, \"saturate\": {}, \"shards\": {}, \"wall_s\": {wall:.3}, \
-         \"shards_per_s\": {:.3}, \"bit_identical\": true}}",
-        cfg.label,
-        cfg.cluster_kill,
-        cfg.cluster_saturate,
-        tws.len(),
-        tws.len() as f64 / wall.max(1e-9),
-    );
-    Ok(())
+    Ok(summary)
 }
 
 /// The sibling `ptb-clusterd` binary (same target directory), which
-/// both the fleet modes and `--soak` spawn daemons through.
+/// every scenario spawns its daemons from.
 fn clusterd_binary() -> Result<PathBuf, String> {
     std::env::current_exe()
         .map_err(|e| format!("current_exe: {e}"))?
@@ -1146,86 +818,320 @@ fn clusterd_binary() -> Result<PathBuf, String> {
         })
 }
 
-/// The `--cluster-kill` sweep: submit in the background, SIGKILL the
-/// first worker that completes a shard, poll the job to done, and
-/// return its rows (as the JSON array text) plus the victim's index.
-fn run_cluster_kill(
+/// The environment that arms `failpoints` (none when empty).
+fn failpoint_env(failpoints: &str) -> Vec<(&'static str, String)> {
+    if failpoints.is_empty() {
+        vec![]
+    } else {
+        vec![("PTB_FAILPOINTS", failpoints.into())]
+    }
+}
+
+/// A drill's scratch directory under the system temp dir, removed on
+/// drop (declare it before the daemons that write into it).
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("ptb-load-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A numeric counter out of a parsed `/metrics` body (0 when absent).
+fn metric_u64(parsed: &Value, key: &str) -> u64 {
+    parsed.get(key).and_then(Value::as_u64).unwrap_or(0)
+}
+
+/// One `/metrics` fetch, parsed.
+fn fetch_metrics(addr: SocketAddr) -> Result<Value, String> {
+    let (status, body) =
+        client::request_json(addr, "GET", "/metrics", "").map_err(|e| format!("/metrics: {e}"))?;
+    if status != 200 {
+        return Err(format!("/metrics answered {status}: {body}"));
+    }
+    serde_json::from_str(&body).map_err(|e| format!("bad /metrics: {e}: {body}"))
+}
+
+/// Submits a background sweep over `tws` (plus `extra` fields) and
+/// returns the job id from its `202` ack.
+fn submit(
     addr: SocketAddr,
-    fleet: &mut FleetProcs,
-    sweep: &str,
-) -> Result<(String, Option<usize>), String> {
-    let background = format!(
-        "{}, \"background\": true}}",
-        sweep.strip_suffix('}').expect("sweep body ends with }")
-    );
-    let (status, body) = client::request_json(addr, "POST", "/sweep", &background)
+    cfg: &LoadConfig,
+    tws: &[u32],
+    extra: &[(&str, Value)],
+) -> Result<u64, String> {
+    let mut fields = extra.to_vec();
+    fields.push(("background", Value::Bool(true)));
+    let (body, _) = sweep_request(cfg, tws, &fields);
+    let (status, ack) = client::request_json(addr, "POST", "/sweep", &body)
         .map_err(|e| format!("background /sweep: {e}"))?;
     if status != 202 {
-        return Err(format!("background /sweep answered {status}: {body}"));
+        return Err(format!("background /sweep answered {status}: {ack}"));
     }
-    let ack: Value = serde_json::from_str(&body).map_err(|e| format!("bad ack: {e}: {body}"))?;
-    let id = ack
-        .get("job")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("ack has no job id: {body}"))?;
+    serde_json::from_str::<Value>(&ack)
+        .ok()
+        .and_then(|v| v.get("job").and_then(Value::as_u64))
+        .ok_or_else(|| format!("ack has no job id: {ack}"))
+}
 
-    // Kill whichever worker lands a shard first: it is already deep
-    // into its next 200 ms shard, which the survivor must reclaim.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let victim = loop {
-        let (status, metrics) = client::request_json(addr, "GET", "/metrics", "")
-            .map_err(|e| format!("/metrics: {e}"))?;
-        if status != 200 {
-            return Err(format!("/metrics answered {status}"));
-        }
-        let parsed: Value =
-            serde_json::from_str(&metrics).map_err(|e| format!("bad /metrics: {e}"))?;
-        let dispatched: Vec<u64> = parsed
-            .get("workers")
-            .and_then(Value::as_array)
-            .map(|workers| {
-                workers
-                    .iter()
-                    .map(|w| w.get("dispatched").and_then(Value::as_u64).unwrap_or(0))
-                    .collect()
-            })
-            .unwrap_or_default();
-        if let Some(v) = dispatched.iter().position(|&d| d >= 1) {
-            break v;
-        }
-        if Instant::now() >= deadline {
-            return Err("no shard ever completed before the kill window".into());
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    let child = &mut fleet.children[victim];
-    child
-        .kill()
-        .map_err(|e| format!("kill worker {victim}: {e}"))?;
-    let _ = child.wait();
+/// The rows of a finished job (as JSON array text), out of its final
+/// poll body; a failed job is an error.
+fn job_rows(body: &str) -> Result<String, String> {
+    let poll: Value = serde_json::from_str(body).map_err(|e| format!("bad poll: {e}: {body}"))?;
+    if poll.get("failed").and_then(Value::as_bool) == Some(true) {
+        return Err(format!("job failed: {body}"));
+    }
+    let rows = poll.get("rows").ok_or_else(|| format!("no rows: {body}"))?;
+    serde_json::to_string(rows).map_err(|e| format!("render rows: {e}"))
+}
 
-    // The sweep must converge anyway.
-    let path = format!("/jobs/{id}");
+/// Polls job `id` on `addr` to done and returns its rows.
+fn finished_rows(addr: SocketAddr, id: u64) -> Result<String, String> {
+    job_rows(&client::poll_job(
+        addr,
+        id,
+        Instant::now() + DRILL_DEADLINE,
+    )?)
+}
+
+/// Demands `rows` (a sweep's rows as JSON text) match the same `sweep`
+/// answered by one lone `worker`: byte for byte when `exact`, row for
+/// row always (job polls re-render their rows, so they compare by row).
+fn match_lone_worker(
+    worker: SocketAddr,
+    sweep: &str,
+    rows: &str,
+    exact: bool,
+) -> Result<(), String> {
+    let (status, direct) = client::request_json(worker, "POST", "/sweep", sweep)
+        .map_err(|e| format!("lone-worker /sweep: {e}"))?;
+    if status != 200 {
+        return Err(format!("lone-worker /sweep answered {status}: {direct}"));
+    }
+    if exact && rows != direct {
+        return Err(format!(
+            "response is not byte-identical to a lone worker's\n  got:    {rows}\n  \
+             direct: {direct}"
+        ));
+    }
+    let got: Vec<SweepRow> =
+        serde_json::from_str(rows).map_err(|e| format!("rows do not parse: {e}: {rows}"))?;
+    let want: Vec<SweepRow> =
+        serde_json::from_str(&direct).map_err(|e| format!("lone-worker rows do not parse: {e}"))?;
+    if got != want {
+        return Err(format!(
+            "rows diverge from a lone worker's\n  got:    {rows}\n  direct: {direct}"
+        ));
+    }
+    Ok(())
+}
+
+/// Retries `probe` every `every` until it yields a value or `timeout`
+/// passes (then `Err(what)`); a probe error aborts at once.
+fn wait_for<T>(
+    timeout: Duration,
+    every: Duration,
+    what: &str,
+    mut probe: impl FnMut() -> Result<Option<T>, String>,
+) -> Result<T, String> {
+    let deadline = Instant::now() + timeout;
     loop {
-        let (status, body) = client::request_json(addr, "GET", &path, "")
-            .map_err(|e| format!("poll {path}: {e}"))?;
-        if status != 200 {
-            return Err(format!("poll answered {status}: {body}"));
-        }
-        let poll: Value = serde_json::from_str(&body).map_err(|e| format!("bad poll: {e}"))?;
-        if poll.get("failed").and_then(Value::as_bool) == Some(true) {
-            return Err(format!("sweep failed after the kill: {body}"));
-        }
-        if poll.get("done").and_then(Value::as_bool) == Some(true) {
-            let rows = poll.get("rows").ok_or_else(|| format!("no rows: {body}"))?;
-            let text = serde_json::to_string(rows).map_err(|e| format!("render rows: {e}"))?;
-            return Ok((text, Some(victim)));
+        if let Some(found) = probe()? {
+            return Ok(found);
         }
         if Instant::now() >= deadline {
-            return Err("sweep never finished after the kill".into());
+            return Err(what.into());
         }
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(every);
     }
+}
+
+/// `serve`: a lone `PTB_VERIFY=sample` worker through `--smoke`,
+/// `--xcheck` and both `--chaos` passes (JSON one-shot, binary over
+/// kept-alive connections), then a clean `/shutdown`.
+fn run_serve(cfg: &LoadConfig, sc: &Scenario) -> Result<String, String> {
+    let daemon = Daemon::worker(
+        &clusterd_binary()?,
+        None,
+        &[("PTB_VERIFY", "sample".into())],
+    )?;
+    let at = LoadConfig {
+        addr: daemon.addr(),
+        requests: 8,
+        concurrency: 2,
+        chaos: true,
+        ..cfg.clone()
+    };
+    run_smoke(&at).map_err(|e| format!("smoke: {e}"))?;
+    run_xcheck(&at).map_err(|e| format!("xcheck: {e}"))?;
+    let json = run_load(&at).map_err(|e| format!("chaos (json): {e}"))?;
+    let bin = LoadConfig {
+        binary: true,
+        keepalive: true,
+        ..at
+    };
+    let bin = run_load(&bin).map_err(|e| format!("chaos (bin, keep-alive): {e}"))?;
+    daemon.shutdown()?;
+    Ok(format!(
+        "{{\"label\": \"{}\", \"mode\": \"{}\", \"chaos_json\": {json}, \"chaos_bin\": {bin}}}",
+        cfg.label, sc.name
+    ))
+}
+
+/// `crash-recovery`: a journaling worker takes a background sweep
+/// whose shards dawdle at `shard_exec`; once a shard is journaled the
+/// worker is SIGKILLed. A journal file must survive, a worker rebooted
+/// on the same directory must report `resumed_jobs == 1`, and the job
+/// must poll to done, followed by a clean `/shutdown`.
+fn run_crash_recovery(cfg: &LoadConfig, sc: &Scenario) -> Result<String, String> {
+    let bin = clusterd_binary()?;
+    let scratch = Scratch::new("crash");
+    let job_dir = scratch.0.as_path();
+    let mut daemon = Daemon::worker(&bin, Some(job_dir), &failpoint_env(sc.worker_failpoints))?;
+    let id = submit(daemon.addr(), cfg, sc.tws, &[])?;
+    // The submit record is written before the ack; wait for a shard
+    // record too, so the kill lands mid-job with progress journaled.
+    wait_for(
+        DRILL_DEADLINE,
+        Duration::from_millis(10),
+        "no shard was journaled",
+        || {
+            let metrics = fetch_metrics(daemon.addr())?;
+            let appends = metrics
+                .get("journal")
+                .map_or(0, |j| metric_u64(j, "appends"));
+            Ok((appends >= 2).then_some(()))
+        },
+    )?;
+    daemon.kill();
+    let journal = job_dir.join(format!("job-{id:016x}.ptbj"));
+    if !journal.exists() {
+        return Err(format!(
+            "no journal file at {} after the kill",
+            journal.display()
+        ));
+    }
+
+    let daemon = Daemon::worker(&bin, Some(job_dir), &[])?;
+    let resumed = fetch_metrics(daemon.addr())?
+        .get("journal")
+        .map_or(0, |j| metric_u64(j, "resumed_jobs"));
+    if resumed != 1 {
+        return Err(format!("reboot resumed {resumed} jobs, wanted 1"));
+    }
+    finished_rows(daemon.addr(), id).map_err(|e| format!("resumed job: {e}"))?;
+    daemon.shutdown()?;
+    Ok(format!(
+        "{{\"label\": \"{}\", \"mode\": \"{}\", \"job\": {id}, \"resumed_jobs\": {resumed}}}",
+        cfg.label, sc.name
+    ))
+}
+
+/// `cluster`, `worker-kill` and `saturate`: a coordinator over
+/// `sc.workers` worker processes. The sweep must match a lone worker —
+/// byte for byte when nothing was killed. `worker-kill` SIGKILLs the
+/// first worker to land a shard of a background sweep; `saturate`
+/// strangles worker 0's admission watermark and demands zero
+/// `worker_deaths` with nonzero `backpressure_redispatch`.
+fn run_cluster(cfg: &LoadConfig, sc: &Scenario) -> Result<String, String> {
+    let bin = clusterd_binary()?;
+    let saturate = sc.fault == Fault::SaturateWorker;
+    let mut workers = Vec::with_capacity(sc.workers);
+    for k in 0..sc.workers {
+        let mut envs = failpoint_env(sc.worker_failpoints);
+        if saturate && k == 0 {
+            // After its first cached tensor worker 0 sheds every heavy
+            // request with 503 while /healthz stays green — saturated,
+            // but emphatically alive.
+            envs.push(("PTB_MEM_WATERMARK_BYTES", "1".into()));
+        }
+        workers.push(Daemon::worker(&bin, None, &envs)?);
+    }
+    let worker_addrs: Vec<SocketAddr> = workers.iter().map(Daemon::addr).collect();
+    let coordinator = Daemon::coordinator(&bin, &worker_addrs, None, None, None, &[])?;
+    let addr = coordinator.addr();
+
+    if saturate {
+        // Prime worker 0's cache so its 1-byte watermark is already
+        // exceeded when the sweep's shards arrive.
+        let (status, body) = client::request_json(
+            worker_addrs[0],
+            "POST",
+            "/simulate",
+            &simulate_request(cfg, 4242).0,
+        )
+        .map_err(|e| format!("priming /simulate: {e}"))?;
+        if status != 200 {
+            return Err(format!("priming /simulate answered {status}: {body}"));
+        }
+    }
+    let (sweep, _) = sweep_request(cfg, sc.tws, &[seed(42)]);
+    let started = Instant::now();
+    let (rows, victim) = if sc.fault == Fault::KillWorker {
+        let id = submit(addr, cfg, sc.tws, &[seed(42)])?;
+        // Kill whichever worker lands a shard first: it is already deep
+        // into its next dawdling shard, which the survivor must reclaim.
+        let msg = "no shard ever completed before the kill window";
+        let victim = wait_for(DRILL_DEADLINE, Duration::from_millis(10), msg, || {
+            let metrics = fetch_metrics(addr)?;
+            let workers = metrics.get("workers").and_then(Value::as_array);
+            Ok(workers
+                .unwrap_or_default()
+                .iter()
+                .position(|w| metric_u64(w, "dispatched") >= 1))
+        })?;
+        workers[victim].kill();
+        let rows = finished_rows(addr, id).map_err(|e| format!("after the kill: {e}"))?;
+        (rows, Some(victim))
+    } else {
+        let (status, body) = client::request_json(addr, "POST", "/sweep", &sweep)
+            .map_err(|e| format!("cluster /sweep: {e}"))?;
+        if status != 200 {
+            return Err(format!("cluster /sweep answered {status}: {body}"));
+        }
+        (body, None)
+    };
+    let wall = started.elapsed().as_secs_f64();
+
+    // After a kill the reference must be a survivor; under saturation
+    // an unthrottled worker (worker 0 sheds direct sweeps too).
+    let reference = if saturate || victim == Some(0) { 1 } else { 0 };
+    match_lone_worker(worker_addrs[reference], &sweep, &rows, victim.is_none())?;
+
+    if saturate {
+        // A worker that shed every shard with 503 must never have been
+        // declared dead, and the shards it bounced must show up as
+        // backpressure re-dispatches, not failures.
+        let metrics = fetch_metrics(addr)?;
+        let deaths = metrics.get("worker_deaths").and_then(Value::as_u64);
+        if deaths != Some(0) {
+            return Err(format!(
+                "saturated worker was falsely declared dead ({deaths:?} deaths): {metrics:?}"
+            ));
+        }
+        if metric_u64(&metrics, "backpressure_redispatch") == 0 {
+            return Err(format!(
+                "saturation never produced a backpressure re-dispatch: {metrics:?}"
+            ));
+        }
+    }
+    Ok(format!(
+        "{{\"label\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"shards\": {}, \
+         \"wall_s\": {wall:.3}, \"shards_per_s\": {:.3}, \"bit_identical\": true}}",
+        cfg.label,
+        sc.name,
+        sc.workers,
+        sc.tws.len(),
+        sc.tws.len() as f64 / wall.max(1e-9),
+    ))
 }
 
 /// One failover-aware request: tries each candidate coordinator in
@@ -1266,189 +1172,70 @@ fn failover_request(
     None
 }
 
-/// `--cluster N --standby`: the coordinator-HA drills. Spawns `N`
-/// workers, an active coordinator journaling into a real temp job dir
-/// on a short lease, and `PTB_STANDBYS` hot standbys tailing it, then
-/// submits a journaled background sweep and injects the configured
-/// coordinator failure:
-///
-/// - `--coordinator-kill` SIGKILLs the active with shards in flight.
-///   A standby must promote, replay the mirrored journal, and finish
-///   the job with rows identical to a lone worker's — and fresh sync
-///   sweeps through the promoted coordinator must be byte-identical
-///   to a single node across both codecs.
-/// - `--coordinator-fence` leaves the active running but arms
-///   `coordinator_pause=err@2` on it, so its tail route goes dark
-///   after the standby's initial sync. The standby promotes while the
-///   zombie still dispatches; the drill demands the workers rejected
-///   the zombie's stale epoch (`fenced_dispatches >= 1` on the zombie,
-///   `epoch_seen >= 2` on a worker), that the zombie demoted itself,
-///   and that the job finished via the new active anyway.
-///
-/// Both modes also demand the promoted coordinator reports an epoch
-/// above the deposed active's and zero `audit_mismatches`.
-fn run_cluster_failover(cfg: &LoadConfig, n: usize) -> Result<(), String> {
-    let n = n.max(2);
-    let binary = clusterd_binary()?;
-    // The fence drill needs exactly one standby so the promotion (and
-    // the epoch the zombie is judged against) is deterministic.
-    let standbys = if cfg.coordinator_fence {
-        1
-    } else {
-        std::env::var("PTB_STANDBYS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(1)
-            .clamp(1, 3)
-    };
-    let scratch = std::env::temp_dir().join(format!("ptb-failover-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    // Workers: every shard dawdles at `shard_exec` so the coordinator
-    // kill (or the zombie's fencing) reliably lands with work in
-    // flight.
-    let mut fleet = FleetProcs { children: vec![] };
-    let worker_envs: Vec<(&str, String)> = vec![("PTB_FAILPOINTS", "shard_exec=sleep:200".into())];
-    let mut worker_addrs = Vec::with_capacity(n);
-    for tag in 0..n {
-        let (child, addr) = spawn_daemon(
-            &binary,
-            &[
-                "--spawn-worker",
-                "--addr",
-                "127.0.0.1:0",
-                "--job-dir",
-                "off",
-                "--workers",
-                "2",
-            ],
-            &worker_envs,
-            tag,
-        )?;
-        fleet.children.push(child);
-        worker_addrs.push(addr);
+/// `failover` and `fence`: the coordinator-HA drills. Boots the
+/// workers, an active coordinator journaling on a short lease, and hot
+/// standbys tailing it; submits a journaled background sweep; then
+/// `failover` SIGKILLs the active with shards in flight, while `fence`
+/// blinds its tail route (`coordinator_pause`) so a standby promotes
+/// under a live zombie, which the workers must fence
+/// (`fenced_dispatches >= 1`, a worker's `epoch_seen >= 2`) and which
+/// must demote itself.
+/// Either way the job must finish through the promoted coordinator
+/// (epoch >= 2, leader, zero `audit_mismatches`) with rows matching a
+/// lone worker's, and fresh sync sweeps through it must be
+/// byte-identical to a lone worker's in both codecs.
+fn run_failover(cfg: &LoadConfig, sc: &Scenario) -> Result<String, String> {
+    let bin = clusterd_binary()?;
+    let scratch = Scratch::new("failover");
+    // Every shard dawdles at `shard_exec` so the coordinator kill (or
+    // the zombie's fencing) reliably lands with work in flight.
+    let mut workers = Vec::with_capacity(sc.workers);
+    for _ in 0..sc.workers {
+        workers.push(Daemon::worker(
+            &bin,
+            None,
+            &failpoint_env(sc.worker_failpoints),
+        )?);
     }
-    let worker_list = worker_addrs
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-
-    // The active coordinator, journaling for real (standbys mirror the
-    // journals) on a short lease so the drill converges quickly.
-    let active_dir = scratch.join("active").display().to_string();
-    let mut active_envs: Vec<(&str, String)> = vec![];
-    if cfg.coordinator_fence {
-        // Two free index polls let the standby finish its initial
-        // mirror sync; every later poll errors, so the standby hears
-        // silence and promotes while the active still dispatches.
-        active_envs.push(("PTB_FAILPOINTS", "coordinator_pause=err@2".into()));
-    }
-    let (active_child, active_addr) = spawn_daemon(
-        &binary,
-        &[
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            &worker_list,
-            "--job-dir",
-            &active_dir,
-            "--probe-ms",
-            "100",
-            "--probe-timeout-ms",
-            "500",
-            "--fail-threshold",
-            "1",
-            "--lease-ms",
-            "600",
-        ],
-        &active_envs,
-        n,
+    let worker_addrs: Vec<SocketAddr> = workers.iter().map(Daemon::addr).collect();
+    let mut active = Daemon::coordinator(
+        &bin,
+        &worker_addrs,
+        Some(scratch.0.join("active").as_path()),
+        Some(LEASE_MS),
+        None,
+        &failpoint_env(sc.coordinator_failpoints),
     )?;
-    let active_slot = fleet.children.len();
-    fleet.children.push(active_child);
+    let active_addr = active.addr();
 
     // Submit the journaled sweep BEFORE any standby boots: the very
     // first tail sync then mirrors the submit record, so the drill
     // never races the mirror against the failpoint or the kill.
-    let tws: Vec<u32> = if cfg.coordinator_fence {
-        // Extra shards keep the zombie dispatching well past the
-        // standby's promotion, so a stale-epoch dispatch must happen.
-        (1..=32).collect()
-    } else {
-        (1..=24).collect()
-    };
-    let sweep = format!(
-        "{{\"network\": \"{}\", \"policy\": \"{}\", \"tws\": {tws:?}, \
-         \"quick\": true, \"seed\": 42}}",
-        cfg.network, cfg.policy
-    );
-    let background = format!(
-        "{}, \"background\": true}}",
-        sweep.strip_suffix('}').expect("sweep body ends with }")
-    );
     let started = Instant::now();
-    let (status, ack) = client::request_json(active_addr, "POST", "/sweep", &background)
-        .map_err(|e| format!("background /sweep: {e}"))?;
-    if status != 202 {
-        return Err(format!("background /sweep answered {status}: {ack}"));
-    }
-    let ack: Value = serde_json::from_str(&ack).map_err(|e| format!("bad ack: {e}: {ack}"))?;
-    let id = ack
-        .get("job")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("ack has no job id: {ack:?}"))?;
-
-    let peer = active_addr.to_string();
-    let mut standby_addrs = Vec::with_capacity(standbys);
-    for k in 0..standbys {
-        let dir = scratch.join(format!("standby-{k}")).display().to_string();
-        let (child, addr) = spawn_daemon(
-            &binary,
-            &[
-                "--addr",
-                "127.0.0.1:0",
-                "--workers",
-                &worker_list,
-                "--job-dir",
-                &dir,
-                "--standby",
-                "--peer",
-                &peer,
-                "--probe-ms",
-                "100",
-                "--probe-timeout-ms",
-                "500",
-                "--fail-threshold",
-                "1",
-                "--lease-ms",
-                "600",
-            ],
+    let id = submit(active_addr, cfg, sc.tws, &[seed(42)])?;
+    let mut standbys = Vec::with_capacity(sc.standbys);
+    for k in 0..sc.standbys {
+        let dir = scratch.0.join(format!("standby-{k}"));
+        standbys.push(Daemon::coordinator(
+            &bin,
+            &worker_addrs,
+            Some(dir.as_path()),
+            Some(LEASE_MS),
+            Some(active_addr),
             &[],
-            n + 1 + k,
-        )?;
-        fleet.children.push(child);
-        standby_addrs.push(addr);
+        )?);
     }
+    let standby_addrs: Vec<SocketAddr> = standbys.iter().map(Daemon::addr).collect();
 
-    if cfg.coordinator_kill {
+    if sc.fault == Fault::KillCoordinator {
         // Wait until a shard has actually round-tripped (the journal
         // holds a submit plus dispatch records), then SIGKILL the
         // active with the rest of the sweep still in flight.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let parsed = fetch_metrics(active_addr)?;
-            if metric_u64(&parsed, "shards_dispatched") >= 1 {
-                break;
-            }
-            if Instant::now() >= deadline {
-                return Err("no shard ever completed before the coordinator kill".into());
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let child = &mut fleet.children[active_slot];
-        child.kill().map_err(|e| format!("kill coordinator: {e}"))?;
-        let _ = child.wait();
+        let msg = "no shard ever completed before the coordinator kill";
+        wait_for(DRILL_DEADLINE, Duration::from_millis(10), msg, || {
+            Ok((metric_u64(&fetch_metrics(active_addr)?, "shards_dispatched") >= 1).then_some(()))
+        })?;
+        active.kill();
     }
 
     // Poll the job to done through whatever coordinator answers.
@@ -1456,75 +1243,63 @@ fn run_cluster_failover(cfg: &LoadConfig, n: usize) -> Result<(), String> {
     // and a promoted standby may briefly answer 404 between taking
     // leadership and finishing its journal replay — both retry.
     let mut candidates = vec![active_addr];
-    candidates.extend(standby_addrs.iter().copied());
+    candidates.extend(&standby_addrs);
     let path = format!("/jobs/{id}");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let rows_text = loop {
-        if let Some((status, body)) = failover_request(&candidates, "GET", &path, b"") {
-            match status {
-                200 => {
-                    let poll: Value = serde_json::from_str(&body)
-                        .map_err(|e| format!("bad poll: {e}: {body}"))?;
-                    if poll.get("failed").and_then(Value::as_bool) == Some(true) {
-                        return Err(format!("sweep failed across the failover: {body}"));
-                    }
-                    if poll.get("done").and_then(Value::as_bool) == Some(true) {
-                        let rows = poll.get("rows").ok_or_else(|| format!("no rows: {body}"))?;
-                        break serde_json::to_string(rows)
-                            .map_err(|e| format!("render rows: {e}"))?;
-                    }
+    let msg = "sweep never finished across the failover";
+    let rows = wait_for(
+        DRILL_DEADLINE,
+        Duration::from_millis(50),
+        msg,
+        || match failover_request(&candidates, "GET", &path, b"") {
+            Some((200, body)) => {
+                let poll: Value =
+                    serde_json::from_str(&body).map_err(|e| format!("bad poll: {e}: {body}"))?;
+                let flag = |key| poll.get(key).and_then(Value::as_bool) == Some(true);
+                if flag("done") || flag("failed") {
+                    job_rows(&body)
+                        .map(Some)
+                        .map_err(|e| format!("across the failover: {e}"))
+                } else {
+                    Ok(None)
                 }
-                404 => {}
-                other => return Err(format!("poll answered {other}: {body}")),
             }
-        }
-        if Instant::now() >= deadline {
-            return Err("sweep never finished across the failover".into());
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
+            Some((404, _)) | None => Ok(None),
+            Some((other, body)) => Err(format!("poll answered {other}: {body}")),
+        },
+    )?;
     let wall = started.elapsed().as_secs_f64();
 
     // The promoted coordinator: whichever standby now claims the
     // active role (the fence drill's zombie also said "active" until
     // its demotion, so only standbys are consulted).
-    let promoted = {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let promoted = standby_addrs.iter().copied().find(|&addr| {
+    let promoted = wait_for(
+        Duration::from_secs(30),
+        Duration::from_millis(50),
+        "no standby ever promoted itself",
+        || {
+            Ok(standby_addrs.iter().copied().find(|&addr| {
                 matches!(
                     client::request_json(addr, "GET", "/healthz", ""),
                     Ok((200, body)) if body.contains("\"role\": \"active\"")
                 )
-            });
-            if let Some(addr) = promoted {
-                break addr;
-            }
-            if Instant::now() >= deadline {
-                return Err("no standby ever promoted itself".into());
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    };
+            }))
+        },
+    )?;
 
-    if cfg.coordinator_fence {
+    if sc.fault == Fault::FenceCoordinator {
         // The zombie must have been fenced at the worker boundary and
         // demoted itself on the first 409.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let parsed = fetch_metrics(active_addr)?;
-            let fenced = metric_u64(&parsed, "fenced_dispatches");
-            let still_leader = parsed.get("leader").and_then(Value::as_bool) == Some(true);
-            if fenced >= 1 && !still_leader {
-                break;
-            }
-            if Instant::now() >= deadline {
-                return Err(format!(
-                    "the zombie coordinator was never fenced: {parsed:?}"
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        let msg = "the zombie coordinator was never fenced and demoted";
+        wait_for(
+            Duration::from_secs(30),
+            Duration::from_millis(50),
+            msg,
+            || {
+                let metrics = fetch_metrics(active_addr)?;
+                let still_leader = metrics.get("leader").and_then(Value::as_bool) == Some(true);
+                Ok((metric_u64(&metrics, "fenced_dispatches") >= 1 && !still_leader).then_some(()))
+            },
+        )?;
         let bumped = worker_addrs
             .iter()
             .any(|&w| fetch_metrics(w).is_ok_and(|m| metric_u64(&m, "epoch_seen") >= 2));
@@ -1533,82 +1308,39 @@ fn run_cluster_failover(cfg: &LoadConfig, n: usize) -> Result<(), String> {
         }
     }
 
-    let parsed = fetch_metrics(promoted)?;
-    let epoch = metric_u64(&parsed, "epoch");
+    let metrics = fetch_metrics(promoted)?;
+    let epoch = metric_u64(&metrics, "epoch");
     if epoch < 2 {
         return Err(format!(
             "promoted coordinator claims epoch {epoch}, wanted >= 2"
         ));
     }
-    if parsed.get("leader").and_then(Value::as_bool) != Some(true) {
+    if metrics.get("leader").and_then(Value::as_bool) != Some(true) {
         return Err(format!(
-            "promoted coordinator does not report leadership: {parsed:?}"
+            "promoted coordinator does not report leadership: {metrics:?}"
         ));
     }
-    if metric_u64(&parsed, "audit_mismatches") != 0 {
-        return Err(format!("audit mismatches across the failover: {parsed:?}"));
+    if metric_u64(&metrics, "audit_mismatches") != 0 {
+        return Err(format!("audit mismatches across the failover: {metrics:?}"));
     }
 
     // The journaled job's rows must match a lone worker running the
     // same sweep — failover may cost recomputation, never correctness.
-    let (status, direct) = client::request_json(worker_addrs[0], "POST", "/sweep", &sweep)
-        .map_err(|e| format!("direct /sweep: {e}"))?;
-    if status != 200 {
-        return Err(format!("direct /sweep answered {status}: {direct}"));
-    }
-    let failover_rows: Vec<SweepRow> = serde_json::from_str(&rows_text)
-        .map_err(|e| format!("failover rows do not parse: {e}: {rows_text}"))?;
-    let direct_rows: Vec<SweepRow> =
-        serde_json::from_str(&direct).map_err(|e| format!("direct rows do not parse: {e}"))?;
-    if failover_rows != direct_rows {
-        return Err(format!(
-            "failover rows diverge from a single node\n  failover: {rows_text}\n  \
-             direct:   {direct}"
-        ));
-    }
+    let (sweep, _) = sweep_request(cfg, sc.tws, &[seed(42)]);
+    match_lone_worker(worker_addrs[0], &sweep, &rows, false)?;
 
     // Fresh sync sweeps through the promoted coordinator: byte-
-    // identical to a single node in JSON, and the binary codec must
+    // identical to a lone worker in JSON, and the binary codec must
     // decode to those exact bytes (the cross-codec contract survives
     // promotion).
-    let small_json = format!(
-        "{{\"network\": \"{}\", \"policy\": \"{}\", \"tws\": [1, 2, 4, 8], \
-         \"quick\": true, \"seed\": 42}}",
-        cfg.network, cfg.policy
-    );
-    let small_value = Value::Object(vec![
-        ("network".into(), Value::Str(cfg.network.clone())),
-        ("policy".into(), Value::Str(cfg.policy.clone())),
-        (
-            "tws".into(),
-            Value::Array(vec![
-                Value::U64(1),
-                Value::U64(2),
-                Value::U64(4),
-                Value::U64(8),
-            ]),
-        ),
-        ("quick".into(), Value::Bool(true)),
-        ("seed".into(), Value::U64(42)),
-    ]);
+    let (small_json, small_value) = sweep_request(cfg, &[1, 2, 4, 8], &[seed(42)]);
     let (status, via_cluster) = client::request_json(promoted, "POST", "/sweep", &small_json)
         .map_err(|e| format!("promoted /sweep: {e}"))?;
     if status != 200 {
         return Err(format!("promoted /sweep answered {status}: {via_cluster}"));
     }
-    let (status, via_worker) =
-        client::request_json(worker_addrs[1 % n], "POST", "/sweep", &small_json)
-            .map_err(|e| format!("reference /sweep: {e}"))?;
-    if status != 200 {
-        return Err(format!("reference /sweep answered {status}: {via_worker}"));
-    }
-    if via_cluster != via_worker {
-        return Err(format!(
-            "promoted coordinator's sweep is not byte-identical to a single node\n  \
-             cluster: {via_cluster}\n  direct:  {via_worker}"
-        ));
-    }
-    let bin = client::request_typed(
+    match_lone_worker(worker_addrs[1], &small_json, &via_cluster, true)?;
+    let bin_resp = client::request_typed(
         promoted,
         "POST",
         "/sweep",
@@ -1616,57 +1348,36 @@ fn run_cluster_failover(cfg: &LoadConfig, n: usize) -> Result<(), String> {
         &wire::frame(wire::KIND_SWEEP, &small_value),
     )
     .map_err(|e| format!("promoted /sweep (bin): {e}"))?;
-    if bin.status != 200 {
+    if bin_resp.status != 200 {
         return Err(format!(
             "promoted /sweep (bin) answered {}: {}",
-            bin.status,
-            String::from_utf8_lossy(&bin.body)
+            bin_resp.status,
+            String::from_utf8_lossy(&bin_resp.body)
         ));
     }
-    check_bit_identical("/sweep", wire::KIND_ROWS, &bin.body, via_cluster.as_bytes())?;
-
-    let _ = client::request_json(promoted, "POST", "/shutdown", "");
-    if !cfg.coordinator_kill {
-        let _ = client::request_json(active_addr, "POST", "/shutdown", "");
-    }
-    drop(fleet);
-    let _ = std::fs::remove_dir_all(&scratch);
-    println!(
-        "{{\"label\": \"{}\", \"mode\": \"{}\", \"workers\": {n}, \
-         \"standbys\": {standbys}, \"epoch\": {epoch}, \"shards\": {}, \
-         \"wall_s\": {wall:.3}, \"bit_identical\": true}}",
+    check_bit_identical(
+        "/sweep",
+        wire::KIND_ROWS,
+        &bin_resp.body,
+        via_cluster.as_bytes(),
+    )?;
+    Ok(format!(
+        "{{\"label\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"standbys\": {}, \
+         \"epoch\": {epoch}, \"shards\": {}, \"wall_s\": {wall:.3}, \"bit_identical\": true}}",
         cfg.label,
-        if cfg.coordinator_kill {
-            "coordinator-kill"
-        } else {
-            "coordinator-fence"
-        },
-        tws.len(),
-    );
-    Ok(())
+        sc.name,
+        sc.workers,
+        sc.standbys,
+        sc.tws.len(),
+    ))
 }
 
-/// A numeric counter out of a parsed `/metrics` body (0 when absent).
-fn metric_u64(parsed: &Value, key: &str) -> u64 {
-    parsed.get(key).and_then(Value::as_u64).unwrap_or(0)
-}
-
-/// One `/metrics` fetch, parsed.
-fn fetch_metrics(addr: SocketAddr) -> Result<Value, String> {
-    let (status, body) =
-        client::request_json(addr, "GET", "/metrics", "").map_err(|e| format!("/metrics: {e}"))?;
-    if status != 200 {
-        return Err(format!("/metrics answered {status}: {body}"));
-    }
-    serde_json::from_str(&body).map_err(|e| format!("bad /metrics: {e}: {body}"))
-}
-
-/// `--soak SECS`: the resource-governance soak. Spawns a worker daemon
-/// strangled by tiny budgets (64 KiB memory cache, 256 KiB disk cache,
-/// a 4-deep queue, 1-second job retention) and drives bursty
-/// unique-seed traffic at it for `SECS` seconds, so the working set
-/// dwarfs every budget. The run exits nonzero unless governance
-/// demonstrably engaged without breaking anything:
+/// `soak`: the resource-governance soak. Boots a worker strangled by
+/// tiny budgets (64 KiB memory cache, 256 KiB disk cache, a 4-deep
+/// queue, 1-second job retention) and drives bursty unique-seed
+/// traffic at it for `sc.soak_secs` seconds, so the working set dwarfs
+/// every budget. The run fails unless governance demonstrably engaged
+/// without breaking anything:
 ///
 /// - progress happened (`ok > 0`) and the ONLY tolerated per-request
 ///   failure is a 503 shed — any other status or transport error fails
@@ -1678,18 +1389,15 @@ fn fetch_metrics(addr: SocketAddr) -> Result<Value, String> {
 /// - the up-front background job finishes, then *expires*: its journal
 ///   file is GC'd and its poll answers the documented `"gone"` 404,
 /// - a final `/sweep` is byte-identical to an unbudgeted daemon's.
-fn run_soak(cfg: &LoadConfig, secs: u64) -> Result<(), String> {
+fn run_soak(cfg: &LoadConfig, sc: &Scenario) -> Result<String, String> {
     const MEM_BUDGET: u64 = 64 * 1024;
     const DISK_BUDGET: u64 = 256 * 1024;
     const JOB_DIR_BUDGET: u64 = 64 * 1024;
     const SOAK_THREADS: usize = 8;
-    let binary = clusterd_binary()?;
-    let scratch = std::env::temp_dir().join(format!("ptb-soak-{}", std::process::id()));
-    let cache_dir = scratch.join("cache");
-    let job_dir = scratch.join("jobs");
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    let mut fleet = FleetProcs { children: vec![] };
+    let bin = clusterd_binary()?;
+    let scratch = Scratch::new("soak");
+    let cache_dir = scratch.0.join("cache");
+    let job_dir = scratch.0.join("jobs");
     let envs: Vec<(&str, String)> = vec![
         ("PTB_CACHE", "disk".into()),
         ("PTB_CACHE_DIR", cache_dir.display().to_string()),
@@ -1699,58 +1407,12 @@ fn run_soak(cfg: &LoadConfig, secs: u64) -> Result<(), String> {
         ("PTB_JOB_RETAIN", "1".into()),
         ("PTB_JOB_DIR_BYTES", JOB_DIR_BUDGET.to_string()),
     ];
-    let job_dir_arg = job_dir.display().to_string();
-    let (child, addr) = spawn_daemon(
-        &binary,
-        &[
-            "--spawn-worker",
-            "--addr",
-            "127.0.0.1:0",
-            "--job-dir",
-            &job_dir_arg,
-            "--workers",
-            "2",
-        ],
-        &envs,
-        0,
-    )?;
-    fleet.children.push(child);
+    let daemon = Daemon::worker(&bin, Some(job_dir.as_path()), &envs)?;
+    let addr = daemon.addr();
 
     // A background job up front: it must finish now and EXPIRE later.
-    let background = format!(
-        "{{\"network\": \"{}\", \"policy\": \"{}\", \"tws\": [1, 2], \
-         \"quick\": true, \"seed\": 7, \"background\": true}}",
-        cfg.network, cfg.policy
-    );
-    let (status, ack) = client::request_json(addr, "POST", "/sweep", &background)
-        .map_err(|e| format!("background /sweep: {e}"))?;
-    if status != 202 {
-        return Err(format!("background /sweep answered {status}: {ack}"));
-    }
-    let ack: Value = serde_json::from_str(&ack).map_err(|e| format!("bad ack: {e}: {ack}"))?;
-    let job_id = ack
-        .get("job")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| "ack has no job id".to_string())?;
-    let poll_path = format!("/jobs/{job_id}");
-    let poll_deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let (status, body) = client::request_json(addr, "GET", &poll_path, "")
-            .map_err(|e| format!("poll {poll_path}: {e}"))?;
-        if status != 200 {
-            return Err(format!("poll answered {status}: {body}"));
-        }
-        if body.contains("\"failed\": true") {
-            return Err(format!("background job failed: {body}"));
-        }
-        if body.contains("\"done\": true") {
-            break;
-        }
-        if Instant::now() >= poll_deadline {
-            return Err("background job never finished".into());
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    let job_id = submit(addr, cfg, sc.tws, &[seed(7)])?;
+    finished_rows(addr, job_id).map_err(|e| format!("background job: {e}"))?;
 
     // The soak itself: SOAK_THREADS closed loops of unique-seed
     // /simulate (every 16th a sync /sweep), far outrunning a 4-deep
@@ -1758,7 +1420,7 @@ fn run_soak(cfg: &LoadConfig, secs: u64) -> Result<(), String> {
     let ok = AtomicU64::new(0);
     let sheds = AtomicU64::new(0);
     let hard_error: Mutex<Option<String>> = Mutex::new(None);
-    let deadline = Instant::now() + Duration::from_secs(secs);
+    let deadline = Instant::now() + Duration::from_secs(sc.soak_secs);
     std::thread::scope(|s| {
         for worker in 0..SOAK_THREADS {
             let ok = &ok;
@@ -1768,44 +1430,33 @@ fn run_soak(cfg: &LoadConfig, secs: u64) -> Result<(), String> {
                 let mut i: u64 = 0;
                 while Instant::now() < deadline {
                     i += 1;
-                    let seed = 1_000_000 * (worker as u64 + 1) + i;
+                    let unique = 1_000_000 * (worker as u64 + 1) + i;
                     let (path, body) = if i.is_multiple_of(16) {
-                        (
-                            "/sweep",
-                            format!(
-                                "{{\"network\": \"{}\", \"policy\": \"{}\", \
-                                 \"tws\": [1, {}], \"quick\": true, \"seed\": {seed}}}",
-                                cfg.network, cfg.policy, cfg.tw
-                            ),
-                        )
+                        let (body, _) = sweep_request(cfg, &[1, cfg.tw], &[seed(unique)]);
+                        ("/sweep", body)
                     } else {
-                        ("/simulate", simulate_body(cfg, seed))
+                        ("/simulate", simulate_request(cfg, unique).0)
                     };
-                    match client::request_json(addr, "POST", path, &body) {
+                    let failure = match client::request_json(addr, "POST", path, &body) {
                         Ok((200, _)) => {
                             ok.fetch_add(1, Ordering::Relaxed);
+                            continue;
                         }
                         Ok((503, _)) => {
                             // The one tolerated failure: governance
                             // shedding load. Back off briefly.
                             sheds.fetch_add(1, Ordering::Relaxed);
                             std::thread::sleep(Duration::from_millis(20));
+                            continue;
                         }
-                        Ok((status, body)) => {
-                            let mut slot = hard_error
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            slot.get_or_insert(format!("{path} answered {status}: {body}"));
-                            return;
-                        }
-                        Err(e) => {
-                            let mut slot = hard_error
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            slot.get_or_insert(format!("{path} transport error: {e}"));
-                            return;
-                        }
-                    }
+                        Ok((status, body)) => format!("{path} answered {status}: {body}"),
+                        Err(e) => format!("{path} transport error: {e}"),
+                    };
+                    hard_error
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .get_or_insert(failure);
+                    return;
                 }
             });
         }
@@ -1822,14 +1473,14 @@ fn run_soak(cfg: &LoadConfig, secs: u64) -> Result<(), String> {
     }
 
     // Governance must have ENGAGED, not just not-crashed.
-    let parsed = fetch_metrics(addr)?;
-    if metric_u64(&parsed, "audit_mismatches") != 0 {
-        return Err(format!("audit mismatches under soak: {parsed:?}"));
+    let metrics = fetch_metrics(addr)?;
+    if metric_u64(&metrics, "audit_mismatches") != 0 {
+        return Err(format!("audit mismatches under soak: {metrics:?}"));
     }
-    if metric_u64(&parsed, "cache_evictions") == 0 {
+    if metric_u64(&metrics, "cache_evictions") == 0 {
         return Err("budgets never forced a cache eviction".into());
     }
-    let mut shed_count = metric_u64(&parsed, "admission_shed");
+    let mut shed_count = metric_u64(&metrics, "admission_shed");
     if shed_count == 0 {
         // Bursts may have all landed in queue gaps; force the issue
         // with a few more concurrent waves before giving up.
@@ -1837,8 +1488,7 @@ fn run_soak(cfg: &LoadConfig, secs: u64) -> Result<(), String> {
             std::thread::scope(|s| {
                 for worker in 0..SOAK_THREADS {
                     s.spawn(move || {
-                        let seed = 77_000_000 + worker as u64;
-                        let body = simulate_body(cfg, seed);
+                        let (body, _) = simulate_request(cfg, 77_000_000 + worker as u64);
                         let _ = client::request_json(addr, "POST", "/simulate", &body);
                     });
                 }
@@ -1855,7 +1505,7 @@ fn run_soak(cfg: &LoadConfig, secs: u64) -> Result<(), String> {
 
     // Footprints stay bounded: the disk cache within its budget (plus
     // one in-flight temp file of slack), the journal dir within its.
-    let dir_total = |dir: &PathBuf| -> u64 {
+    let dir_total = |dir: &Path| -> u64 {
         std::fs::read_dir(dir)
             .map(|entries| {
                 entries
@@ -1882,21 +1532,19 @@ fn run_soak(cfg: &LoadConfig, secs: u64) -> Result<(), String> {
 
     // Retention: the long-finished background job must expire — journal
     // reaped, poll answering the documented "gone" 404.
-    let gone_deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let (status, body) = client::request_json(addr, "GET", &poll_path, "")
-            .map_err(|e| format!("expiry poll: {e}"))?;
-        if status == 404 && body.contains("\"gone\": true") {
-            break;
-        }
-        if Instant::now() >= gone_deadline {
-            return Err(format!(
-                "job {job_id} never expired: still answering {status}: {body}"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(200));
-    }
-    let journal_file = job_dir.join(format!("job-{job_id:x}.ptbj"));
+    let poll_path = format!("/jobs/{job_id}");
+    let msg = format!("job {job_id} never expired");
+    wait_for(
+        Duration::from_secs(30),
+        Duration::from_millis(200),
+        &msg,
+        || {
+            let (status, body) = client::request_json(addr, "GET", &poll_path, "")
+                .map_err(|e| format!("expiry poll: {e}"))?;
+            Ok((status == 404 && body.contains("\"gone\": true")).then_some(()))
+        },
+    )?;
+    let journal_file = job_dir.join(format!("job-{job_id:016x}.ptbj"));
     if journal_file.exists() {
         return Err(format!(
             "expired job's journal survived GC: {}",
@@ -1906,59 +1554,94 @@ fn run_soak(cfg: &LoadConfig, secs: u64) -> Result<(), String> {
 
     // Finally: budgets may cost recomputation, never correctness. The
     // same sweep on an unbudgeted daemon must be byte-identical.
-    let (fresh, fresh_addr) = spawn_daemon(
-        &binary,
-        &[
-            "--spawn-worker",
-            "--addr",
-            "127.0.0.1:0",
-            "--job-dir",
-            "off",
-            "--workers",
-            "2",
-        ],
-        &[],
-        1,
+    let pristine = Daemon::worker(&bin, None, &[])?;
+    let (sweep, _) = sweep_request(cfg, &[1, cfg.tw], &[seed(42)]);
+    let soaked = wait_for(
+        DRILL_DEADLINE,
+        Duration::from_millis(50),
+        "soaked /sweep shed",
+        || {
+            let (status, body) = client::request_json(addr, "POST", "/sweep", &sweep)
+                .map_err(|e| format!("soaked /sweep: {e}"))?;
+            match status {
+                200 => Ok(Some(body)),
+                503 => Ok(None),
+                _ => Err(format!("soaked /sweep answered {status}: {body}")),
+            }
+        },
     )?;
-    fleet.children.push(fresh);
-    let sweep = format!(
-        "{{\"network\": \"{}\", \"policy\": \"{}\", \"tws\": [1, {}], \
-         \"quick\": true, \"seed\": 42}}",
-        cfg.network, cfg.policy, cfg.tw
-    );
-    let soaked = loop {
-        let (status, body) = client::request_json(addr, "POST", "/sweep", &sweep)
-            .map_err(|e| format!("soaked /sweep: {e}"))?;
-        match status {
-            200 => break body,
-            503 => std::thread::sleep(Duration::from_millis(50)),
-            _ => return Err(format!("soaked /sweep answered {status}: {body}")),
-        }
-    };
-    let (status, pristine) = client::request_json(fresh_addr, "POST", "/sweep", &sweep)
-        .map_err(|e| format!("pristine /sweep: {e}"))?;
-    if status != 200 {
-        return Err(format!("pristine /sweep answered {status}: {pristine}"));
-    }
-    if soaked != pristine {
-        return Err(format!(
-            "budgeted sweep diverged from the unbudgeted reference\n  soaked:   {soaked}\n  \
-             pristine: {pristine}"
-        ));
-    }
+    match_lone_worker(pristine.addr(), &sweep, &soaked, true)
+        .map_err(|e| format!("budgeted sweep vs an unbudgeted daemon: {e}"))?;
 
     let evictions = metric_u64(&fetch_metrics(addr)?, "cache_evictions");
-    let _ = client::request_json(addr, "POST", "/shutdown", "");
-    let _ = client::request_json(fresh_addr, "POST", "/shutdown", "");
-    drop(fleet);
-    let _ = std::fs::remove_dir_all(&scratch);
-    println!(
-        "{{\"label\": \"{}\", \"mode\": \"soak\", \"secs\": {secs}, \"ok\": {ok}, \
+    Ok(format!(
+        "{{\"label\": \"{}\", \"mode\": \"{}\", \"secs\": {}, \"ok\": {ok}, \
          \"sheds_seen\": {}, \"admission_shed\": {shed_count}, \
          \"cache_evictions\": {evictions}, \"disk_bytes\": {cache_total}, \
          \"journal_bytes\": {job_total}, \"bit_identical\": true}}",
         cfg.label,
+        sc.name,
+        sc.soak_secs,
         sheds.load(Ordering::Relaxed),
-    );
-    Ok(())
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<LoadConfig, (i32, String)> {
+        parse_args(args.iter().map(|s| (*s).to_string()))
+    }
+
+    #[test]
+    fn every_ci_scenario_is_in_the_table_and_every_row_runs_in_ci() {
+        let ci =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/ci.sh"))
+                .expect("read scripts/ci.sh");
+        let in_ci: Vec<&str> = ci
+            .split("--scenario ")
+            .skip(1)
+            .filter_map(|rest| rest.split_whitespace().next())
+            .collect();
+        for name in &in_ci {
+            assert!(
+                parse(&["--scenario", name]).is_ok(),
+                "ci.sh runs unknown {name:?}"
+            );
+        }
+        for sc in SCENARIOS {
+            assert!(in_ci.contains(&sc.name), "ci.sh never runs {:?}", sc.name);
+        }
+    }
+
+    #[test]
+    fn unknown_scenarios_exit_2_listing_the_table_and_help_prints_it() {
+        let Err((code, text)) = parse(&["--scenario", "no-such-drill"]) else {
+            panic!("an unknown scenario must not parse");
+        };
+        assert_eq!(code, 2);
+        assert!(SCENARIOS.iter().all(|sc| text.contains(sc.name)), "{text}");
+        let Err((code, help)) = parse(&["--help"]) else {
+            panic!("--help must exit");
+        };
+        assert_eq!(code, 0);
+        for sc in SCENARIOS {
+            let row = format!("{:<15} {}", sc.name, sc.about);
+            assert!(help.contains(&row), "--help omits {:?}: {help}", sc.name);
+        }
+    }
+
+    #[test]
+    fn the_drill_flags_are_gone() {
+        let gone = "--cluster --cluster-kill --cluster-saturate --standby --coordinator-kill \
+                    --coordinator-fence --soak --submit-tws --poll-job";
+        for flag in gone.split_whitespace() {
+            assert_eq!(
+                parse(&[flag]).err().map(|(code, _)| code),
+                Some(2),
+                "{flag}"
+            );
+        }
+    }
 }

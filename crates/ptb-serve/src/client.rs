@@ -13,7 +13,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long a request may take end to end before the client errors.
 /// Full-fidelity sweeps on one core can take minutes; be generous.
@@ -426,6 +426,30 @@ pub fn request_json(
             "response body is not UTF-8",
         )
     })
+}
+
+/// Polls `GET /jobs/{id}` until the job is done or failed and returns
+/// that final poll body. Any answer but `200`, a transport error, or
+/// passing `deadline` with the job still running is an `Err`.
+pub fn poll_job(addr: SocketAddr, id: u64, deadline: Instant) -> Result<String, String> {
+    let path = format!("/jobs/{id}");
+    loop {
+        let (status, body) =
+            request_json(addr, "GET", &path, "").map_err(|e| format!("poll {path}: {e}"))?;
+        if status != 200 {
+            return Err(format!("poll {path} answered {status}: {body}"));
+        }
+        let poll: serde::Value =
+            serde_json::from_str(&body).map_err(|e| format!("bad poll body: {e}: {body}"))?;
+        let flag = |key| poll.get(key).and_then(serde::Value::as_bool) == Some(true);
+        if flag("done") || flag("failed") {
+            return Ok(body);
+        }
+        if Instant::now() >= deadline {
+            return Err(format!("job {id} still running at the deadline: {body}"));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 #[cfg(test)]

@@ -73,6 +73,7 @@ pub mod engine;
 pub mod http;
 pub mod jobs;
 pub mod journal;
+pub mod launch;
 pub mod metrics;
 pub mod server;
 pub mod wire;

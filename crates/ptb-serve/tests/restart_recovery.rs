@@ -53,19 +53,8 @@ fn server_with_jobs(dir: &Path, workers: usize) -> Server {
 /// poll JSON.
 fn poll_to_terminal(addr: std::net::SocketAddr, id: u64) -> serde_json::Value {
     let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, text) =
-            client::request_json(addr, "GET", &format!("/jobs/{id}"), "").expect("poll");
-        assert_eq!(status, 200, "{text}");
-        let poll: serde_json::Value = serde_json::from_str(&text).expect("poll parses");
-        let done = poll.get("done").and_then(|v| v.as_bool()) == Some(true);
-        let failed = poll.get("failed").and_then(|v| v.as_bool()) == Some(true);
-        if done || failed {
-            return poll;
-        }
-        assert!(Instant::now() < deadline, "job {id} never terminated");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let text = client::poll_job(addr, id, deadline).expect("job must terminate");
+    serde_json::from_str(&text).expect("poll parses")
 }
 
 fn metrics(addr: std::net::SocketAddr) -> serde_json::Value {

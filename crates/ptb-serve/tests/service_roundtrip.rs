@@ -9,6 +9,11 @@ use ptb_bench::{run_network_cached, sweep_summary_cached, RunOptions, SweepRow};
 use ptb_serve::client;
 use ptb_serve::{Server, ServerConfig};
 
+/// How long a background job may take to finish.
+fn poll_deadline() -> std::time::Instant {
+    std::time::Instant::now() + std::time::Duration::from_secs(120)
+}
+
 fn test_server(workers: usize) -> Server {
     Server::start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -124,16 +129,15 @@ fn background_sweeps_poll_to_the_same_rows() {
     let id = ack.get("job").and_then(|v| v.as_u64()).expect("job id");
 
     // Poll until done (the job may already be complete).
-    let rows: Vec<SweepRow> = loop {
-        let (status, text) = client::request_json(addr, "GET", &format!("/jobs/{id}"), "").unwrap();
-        assert_eq!(status, 200, "{text}");
-        let poll: serde_json::Value = serde_json::from_str(&text).unwrap();
-        if poll.get("done").and_then(|v| v.as_bool()) == Some(true) {
-            let rows = poll.get("rows").expect("rows present when done");
-            break serde_json::from_value::<Vec<SweepRow>>(rows).expect("rows parse");
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    };
+    let text = client::poll_job(addr, id, poll_deadline()).unwrap();
+    let poll: serde_json::Value = serde_json::from_str(&text).unwrap();
+    assert_eq!(
+        poll.get("done").and_then(|v| v.as_bool()),
+        Some(true),
+        "{text}"
+    );
+    let rows = poll.get("rows").expect("rows present when done");
+    let rows = serde_json::from_value::<Vec<SweepRow>>(rows).expect("rows parse");
 
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("DVS-Gesture").unwrap();
@@ -186,19 +190,13 @@ fn verified_requests_round_trip_clean_and_bad_levels_are_rejected() {
     assert_eq!(status, 202, "{text}");
     let ack: serde_json::Value = serde_json::from_str(&text).unwrap();
     let id = ack.get("job").and_then(|v| v.as_u64()).expect("job id");
-    let audit = loop {
-        let (status, text) = client::request_json(addr, "GET", &format!("/jobs/{id}"), "").unwrap();
-        assert_eq!(status, 200, "{text}");
-        let poll: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert!(
-            poll.get("failed").and_then(|v| v.as_bool()) != Some(true),
-            "clean job must not fail: {text}"
-        );
-        if poll.get("done").and_then(|v| v.as_bool()) == Some(true) {
-            break poll.get("audit").expect("audit object present").clone();
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    };
+    let text = client::poll_job(addr, id, poll_deadline()).unwrap();
+    let poll: serde_json::Value = serde_json::from_str(&text).unwrap();
+    assert!(
+        poll.get("failed").and_then(|v| v.as_bool()) != Some(true),
+        "clean job must not fail: {text}"
+    );
+    let audit = poll.get("audit").expect("audit object present").clone();
     assert_eq!(audit.get("mismatches").and_then(|v| v.as_u64()), Some(0));
     assert!(
         audit.get("layers_checked").and_then(|v| v.as_u64()) > Some(0),
