@@ -27,29 +27,71 @@ use crate::window::WindowPartition;
 /// Precomputed receptive-field geometry of one layer: the input-neuron
 /// indices feeding every output position, in the simulator's canonical
 /// position order (`x` major, `y` minor — position `p = x · E + y`).
+///
+/// The fields lie back to back in one list, allocated at its exact size,
+/// so the geometry's heap footprint is a function of the shape alone
+/// ([`LayerGeometry::heap_bytes`]).
 #[derive(Debug, Clone)]
 pub struct LayerGeometry {
     side: usize,
-    rf: Vec<Vec<usize>>,
-    rf_total: u64,
+    /// Every position's receptive field, in position order.
+    taps: Vec<usize>,
+    /// Position `p`'s field is `taps[ends[p]..ends[p + 1]]`.
+    ends: Vec<usize>,
+}
+
+/// Clipped input range `lo..hi` of each output row of `shape` (and, the
+/// map being square, of each output column): the box every channel of
+/// a receptive field covers.
+fn field_spans(shape: ConvShape) -> Vec<(usize, usize)> {
+    let side = shape.ifmap_side() as usize;
+    let (r, u, pad) = (
+        shape.filter_side() as usize,
+        shape.stride() as usize,
+        shape.padding() as usize,
+    );
+    (0..shape.ofmap_side() as usize)
+        .map(|x| {
+            let hi = (x * u + r).saturating_sub(pad).min(side);
+            ((x * u).saturating_sub(pad).min(hi), hi)
+        })
+        .collect()
 }
 
 impl LayerGeometry {
     /// Builds the geometry for `shape`, visiting positions in the same
-    /// `x`-major order the serial simulator historically used.
+    /// `x`-major order the serial simulator historically used, each
+    /// field in [`ConvShape::receptive_field_indices`] order.
     pub fn new(shape: ConvShape) -> Self {
-        let e = shape.ofmap_side();
-        let side = e as usize;
-        let mut rf = Vec::with_capacity(side * side);
-        let mut rf_total = 0u64;
-        for x in 0..e {
-            for y in 0..e {
-                let indices = shape.receptive_field_indices(x, y);
-                rf_total += indices.len() as u64;
-                rf.push(indices);
+        let spans = field_spans(shape);
+        let h = shape.ifmap_side() as usize;
+        let mut taps = Vec::with_capacity(field_taps(shape, &spans));
+        let mut ends = Vec::with_capacity(spans.len().pow(2) + 1);
+        ends.push(0);
+        for &(r0, r1) in &spans {
+            for &(s0, s1) in &spans {
+                for c in 0..shape.in_channels() as usize {
+                    for r in r0..r1 {
+                        taps.extend((c * h + r) * h + s0..(c * h + r) * h + s1);
+                    }
+                }
+                ends.push(taps.len());
             }
         }
-        LayerGeometry { side, rf, rf_total }
+        LayerGeometry {
+            side: spans.len(),
+            taps,
+            ends,
+        }
+    }
+
+    /// Heap bytes [`LayerGeometry::new`]`(shape)` allocates — one
+    /// `usize` per tap plus one per position and one more — computed
+    /// from the shape without building it.
+    pub fn heap_bytes(shape: ConvShape) -> u64 {
+        let spans = field_spans(shape);
+        let words = field_taps(shape, &spans) + spans.len().pow(2) + 1;
+        (words * std::mem::size_of::<usize>()) as u64
     }
 
     /// Output feature-map side `E`.
@@ -59,7 +101,7 @@ impl LayerGeometry {
 
     /// Number of output positions, `E²`.
     pub fn positions(&self) -> usize {
-        self.rf.len()
+        self.ends.len() - 1
     }
 
     /// Receptive field of position `p` (`p = x · E + y`).
@@ -68,30 +110,37 @@ impl LayerGeometry {
     ///
     /// Panics if `p` is out of range.
     pub fn rf(&self, p: usize) -> &[usize] {
-        &self.rf[p]
+        &self.taps[self.ends[p]..self.ends[p + 1]]
     }
 
     /// Receptive-field length of position `p`. With padding, edge
     /// positions have shorter fields than interior ones.
     pub fn rf_len(&self, p: usize) -> u64 {
-        self.rf[p].len() as u64
+        self.rf(p).len() as u64
     }
 
     /// Total taps across all positions, `Σ_p |RF(p)|` — the layer's true
     /// tap count, exact even when padding makes the per-position lengths
     /// uneven.
     pub fn rf_total(&self) -> u64 {
-        self.rf_total
+        self.taps.len() as u64
     }
 
     /// Longest receptive field among positions `p0..p1` (a position
     /// tile). Zero for an empty range.
     pub fn max_rf_len(&self, p0: usize, p1: usize) -> u64 {
-        (p0..p1.min(self.rf.len()))
+        (p0..p1.min(self.positions()))
             .map(|p| self.rf_len(p))
             .max()
             .unwrap_or(0)
     }
+}
+
+/// `Σ_p |RF(p)|` from the spans: each field is `channels × rows ×
+/// columns`, so the total factors into the spans' summed length squared.
+fn field_taps(shape: ConvShape, spans: &[(usize, usize)]) -> usize {
+    let run: usize = spans.iter().map(|&(lo, hi)| hi - lo).sum();
+    shape.in_channels() as usize * run * run
 }
 
 /// Summed-area planes over one layer's ifmap: the box-sum primitive of
@@ -127,22 +176,11 @@ impl BoxScan {
     /// Zeroed planes for `shape`, `planes` values per cell.
     pub fn new(shape: ConvShape, planes: usize) -> Self {
         let side = shape.ifmap_side() as usize;
-        let (r, u, pad) = (
-            shape.filter_side() as usize,
-            shape.stride() as usize,
-            shape.padding() as usize,
-        );
-        let spans = (0..shape.ofmap_side() as usize)
-            .map(|x| {
-                let hi = (x * u + r).saturating_sub(pad).min(side);
-                ((x * u).saturating_sub(pad).min(hi), hi)
-            })
-            .collect();
         BoxScan {
             side,
             channels: shape.in_channels() as usize,
             planes,
-            spans,
+            spans: field_spans(shape),
             sums: vec![0; (side + 1) * (side + 1) * planes],
         }
     }
@@ -213,6 +251,56 @@ impl BoxScan {
         let (c, d) = ((r0 * w + s1) * k, (r1 * w + s0) * k);
         for (q, o) in out[..k].iter_mut().enumerate() {
             *o = (self.sums[a + q] + self.sums[b + q]) - (self.sums[c + q] + self.sums[d + q]);
+        }
+    }
+
+    /// Calls `visit(n)` for every neuron `n` of position `p`'s receptive
+    /// field whose bit is set in `bits` (bit `n % 64` of word `n / 64`),
+    /// in ascending index order — the order
+    /// [`ConvShape::receptive_field_indices`] lists them in. A channel's
+    /// box rows lie `H` bits apart, so one 64-bit read masked by the
+    /// box's column pattern covers as many rows as fit in it, and silent
+    /// taps cost nothing per tap.
+    pub fn visit_field(&self, p: usize, bits: &[u64], mut visit: impl FnMut(usize)) {
+        let e = self.spans.len();
+        let (mut r0, mut r1) = self.spans[p / e];
+        let (s0, s1) = self.spans[p % e];
+        let (h, mut run, mut channels) = (self.side, s1 - s0, self.channels);
+        if run == 0 {
+            return;
+        }
+        if run == h && r1 - r0 == h {
+            // The field is the whole map (an FC layer): each channel's
+            // box continues the last one, so all of them are one run.
+            (channels, r0, r1, run) = (1, 0, 1, self.channels * h * h);
+        }
+        // Rows per read, and their column pattern. A run longer than a
+        // word takes one row per read, in word-sized pieces.
+        let g = if run > 64 { 1 } else { (64 - run) / h + 1 };
+        let row = u64::MAX >> (64 - run.min(64));
+        let pattern = (0..g).fold(0u64, |acc, i| acc | row << (i * h));
+        let read = |i: usize| {
+            let (w, sh) = (i / 64, i % 64);
+            let hi = bits.get(w + 1).map_or(0, |&x| x << 1 << (63 - sh));
+            bits[w] >> sh | hi
+        };
+        for c in 0..channels {
+            let mut r = r0;
+            while r < r1 {
+                let rows = g.min(r1 - r);
+                let (base, span) = ((c * h + r) * h + s0, (rows - 1) * h + run);
+                let mut off = 0;
+                while off < span {
+                    let len = (span - off).min(64);
+                    let mut word = read(base + off) & pattern & u64::MAX >> (64 - len);
+                    while word != 0 {
+                        visit(base + off + word.trailing_zeros() as usize);
+                        word &= word - 1;
+                    }
+                    off += len;
+                }
+                r += rows;
+            }
         }
     }
 }
@@ -354,6 +442,25 @@ mod tests {
     }
 
     #[test]
+    fn geometry_heap_bytes_follow_from_the_shape() {
+        for shape in [
+            ConvShape::with_padding(6, 3, 2, 4, 1, 1).unwrap(),
+            ConvShape::with_padding(11, 5, 2, 4, 2, 2).unwrap(),
+            ConvShape::with_padding(227, 11, 3, 4, 4, 0).unwrap(),
+            ConvShape::new(1, 1, 64, 8, 1).unwrap(),
+        ] {
+            let geo = LayerGeometry::new(shape);
+            let words = geo.taps.capacity() + geo.ends.capacity();
+            assert_eq!(geo.taps.capacity(), geo.taps.len(), "{shape:?}");
+            assert_eq!(
+                LayerGeometry::heap_bytes(shape),
+                words as u64 * 8,
+                "{shape:?}"
+            );
+        }
+    }
+
+    #[test]
     fn padded_geometry_has_uneven_fields() {
         let shape = ConvShape::with_padding(6, 3, 2, 4, 1, 1).unwrap();
         let geo = LayerGeometry::new(shape);
@@ -397,6 +504,41 @@ mod tests {
                 for (q, &g) in got.iter().enumerate() {
                     let expect: u64 = geo.rf(p).iter().map(|&n| value(n, q)).sum();
                     assert_eq!(g, expect, "{shape:?} position {p} plane {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn visit_field_lists_the_flagged_receptive_field_in_order() {
+        // Rows that straddle storage words (side 71 and 227), several
+        // rows per word (sides 6 and 13), one row per word, a run longer
+        // than a word (a 70-wide filter), the FC case and padding past
+        // the filter's reach.
+        let shapes = [
+            ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap(),
+            ConvShape::with_padding(13, 3, 3, 4, 1, 1).unwrap(),
+            ConvShape::with_padding(71, 11, 2, 4, 4, 2).unwrap(),
+            ConvShape::with_padding(227, 11, 1, 4, 4, 0).unwrap(),
+            ConvShape::with_padding(7, 1, 3, 4, 2, 2).unwrap(),
+            ConvShape::new(70, 70, 2, 4, 1).unwrap(),
+            ConvShape::new(1, 1, 130, 8, 1).unwrap(),
+        ];
+        for shape in shapes {
+            let boxes = BoxScan::new(shape, 1);
+            for density in [1usize, 3, 7] {
+                let flagged = |n: usize| (n * 2_654_435_761) % 7 < density;
+                let mut bits = vec![0u64; shape.ifmap_neurons().div_ceil(64)];
+                for n in (0..shape.ifmap_neurons()).filter(|&n| flagged(n)) {
+                    bits[n / 64] |= 1 << (n % 64);
+                }
+                let e = shape.ofmap_side();
+                for p in 0..boxes.positions() {
+                    let mut got = Vec::new();
+                    boxes.visit_field(p, &bits, |n| got.push(n));
+                    let field = shape.receptive_field_indices(p as u32 / e, p as u32 % e);
+                    let expect: Vec<usize> = field.into_iter().filter(|&n| flagged(n)).collect();
+                    assert_eq!(got, expect, "{shape:?} density {density} position {p}");
                 }
             }
         }

@@ -53,20 +53,19 @@
 //! window from the packed [`SpikeTensor`] words (the word rows). Then:
 //!
 //! * **Box sums** serve every policy whose per-(position, tile) terms
-//!   are receptive-field sums: plain PTB (entries, active windows,
-//!   spike span, slot beats), baseline \[14\] (each column tile's spike
-//!   count) and time-serial (whole-period fire counts).
-//!   Neighbouring receptive fields overlap almost entirely, so instead
-//!   of gathering each one, a [`BoxScan`] integrates channel-summed
-//!   per-(row, col) planes once per column tile and answers each
-//!   position with four lookups per plane.
-//! * **Gathers** remain where the per-position work is not a sum:
-//!   PTB+StSAP pairs the gathered tile masks, and event-driven counts
-//!   the active time points of each field's OR. The StSAP scan pushes
-//!   each field's entries into per-tile tag classes — an arena indexed
-//!   by tag for tiles of at most 8 windows, a sorted class list for
-//!   wider ones — and prices each tile from the StSAP pair plan
-//!   ([`crate::stsap`]) without materializing a slot list.
+//!   are receptive-field sums: PTB (entries, active windows, spike span,
+//!   slot beats), baseline \[14\] (each column tile's spike count) and
+//!   time-serial (whole-period fire counts). Neighbouring receptive
+//!   fields overlap almost entirely, so a [`BoxScan`] integrates
+//!   channel-summed per-(row, col) planes once per column tile and
+//!   answers each position with four lookups per plane.
+//! * **Gathers** remain where the per-position work is not a sum.
+//!   PTB+StSAP takes PTB's box sums and gathers only the *pairable*
+//!   entries (tag not the tile's full mask), reading each field's rows a
+//!   word of a per-tile pairable bitset at a time; it prices them from
+//!   the StSAP pair plan ([`crate::stsap`]) and skips tiles with none,
+//!   such as every single-window tile. Event-driven counts the active
+//!   time points of each field's OR.
 //!
 //! The retired byte-table walks survive verbatim behind
 //! [`simulate_layer_reference`] — the serial per-bit reference the
@@ -88,7 +87,7 @@ use crate::geom::{spike_bits, tag_mask, window_popcounts, BoxScan, LayerGeometry
 use crate::prepared::PreparedLayer;
 use crate::report::LayerReport;
 use crate::stsap::{
-    pack_tile, stream_cost, tile_full_mask, MaskArena, PairPlan, SortedClasses, TagClasses,
+    pack_tile, stream_cost, tile_full_mask, NarrowClasses, PairPlan, SortedClasses, TagClasses,
 };
 use crate::window::WindowPartition;
 
@@ -99,9 +98,9 @@ use crate::window::WindowPartition;
 ///
 /// The scan over output positions honors [`SimInputs::threads`]; the
 /// report is identical for every thread count (see the module docs).
-/// The receptive-field geometry is built fresh on every call; sweeps
-/// that re-simulate the same layer should use
-/// [`simulate_layer_prepared`] to reuse it.
+/// Policies that walk receptive-field lists build them fresh on every
+/// call; sweeps that re-simulate the same layer should use
+/// [`simulate_layer_prepared`] to reuse them.
 ///
 /// # Panics
 ///
@@ -232,12 +231,6 @@ fn geometry_of(prep: Option<&PreparedLayer>, shape: ConvShape) -> Arc<LayerGeome
         Some(p) => p.geometry(),
         None => Arc::new(LayerGeometry::new(shape)),
     }
-}
-
-/// The dense per-(neuron, time-point) bit table — only the scalar
-/// reference kernel reads it now, so it is always built fresh.
-fn bits_of(input: &SpikeTensor) -> Arc<Vec<u8>> {
-    Arc::new(spike_bits(input))
 }
 
 /// Bits per address-event in the event-driven baseline's AER-style input
@@ -384,11 +377,11 @@ fn simulate_event_driven(
     // `ofmap_side()²` could silently diverge under a future non-square
     // output map.
     let positions = geo.positions() as u64;
+    // Only the scalar reference reads the dense bit table.
     let bit_at = match kernel {
-        Kernel::Scalar => bits_of(input),
-        Kernel::Words => Arc::new(Vec::new()),
+        Kernel::Scalar => spike_bits(input),
+        Kernel::Words => Vec::new(),
     };
-    let bit_at: &[u8] = &bit_at;
     let wpn = input.words_per_neuron();
     if kernel == Kernel::Words {
         WORD_KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
@@ -789,61 +782,38 @@ impl PtbCtx<'_> {
 ///
 /// A column tile spans at most 128 windows, so `u128` always works; the
 /// paper's architecture streams 8 columns, so the common case fits a
-/// `u16` and the per-tile mask table shrinks 8× — small enough that one
-/// tile's slice stays cache-resident across every output position. It
-/// only sizes the row tables: the StSAP scan reads masks as `u128` and
-/// picks its class storage by tile width.
-trait TileMask: Copy + Default + Send + Sync {
-    fn from_u128(m: u128) -> Self;
-    fn to_u128(self) -> u128;
-}
-
-impl TileMask for u16 {
+/// `u16` and the per-tile mask table shrinks 8×. It only sizes the row
+/// tables: the StSAP scan reads masks as `u128` and picks its class
+/// storage by tile width.
+trait TileMask: Copy + Default + Send + Sync + Into<u128> + TryFrom<u128> {
     fn from_u128(m: u128) -> Self {
-        debug_assert!(m <= u128::from(u16::MAX));
-        m as u16
-    }
-    fn to_u128(self) -> u128 {
-        u128::from(self)
+        Self::try_from(m).ok().expect("mask fits the row word")
     }
 }
 
-impl TileMask for u128 {
-    fn from_u128(m: u128) -> Self {
-        m
-    }
-    fn to_u128(self) -> u128 {
-        self
-    }
-}
+impl TileMask for u16 {}
+impl TileMask for u128 {}
 
-/// The word kernel's hoisted gather tables, neuron-major: entry
-/// `n * n_tiles + ti` describes neuron `n` in column tile `ti`, so one
-/// neuron's whole tile row is contiguous (a cache line or two) and the
-/// scan's working set is just the current receptive field's rows.
+/// The word kernel's hoisted per-(neuron, tile) tables, tile-major:
+/// entry `ti * neurons + n` describes neuron `n` in column tile `ti`,
+/// so the scan, which fills one tile's planes at a time, reads one
+/// contiguous slice per tile, and the builders, which walk one neuron
+/// at a time, write each tile's slice in order.
 ///
-/// Everything the position scan re-reads per (neuron, tile) is a pure
+/// Everything the position scan reads per (neuron, tile) is a pure
 /// function of the activity and the partition, never of the output
-/// position — so one pass pays each neuron's window walk exactly once
-/// instead of once per overlapping receptive field, and the scan's
-/// inner loop degenerates to three table lookups.
+/// position — so one pass pays each neuron's window walk exactly once.
 struct WordRows<M> {
     n_tiles: usize,
-    /// Packed per-neuron tile-activity words (`tile_words` per neuron):
-    /// bit `ti` set iff the neuron has any spike in column tile `ti`.
-    /// The gather walks set bits only, skipping silent tiles wholesale.
-    active: Vec<u64>,
-    tile_words: usize,
     /// Window-activity mask of the tile (bit `i` ⇔ window `w0 + i` has
     /// spikes) — the [`tag_mask`] funnel-shift result.
     masks: Vec<M>,
     /// Packed per-(neuron, tile) pair: low 16 bits the sum of the
     /// tile's window popcounts (the entry's `spikes_span` contribution
     /// — at most 128 windows × a ≤64-spike window, 8192), high 16 bits
-    /// the busiest window (a lone entry's [`slot_cost`]). One load per
-    /// gathered entry. Empty at `TWS = 1`, where the span is the mask's
-    /// popcount, every busiest window is 1, and the scan never consults
-    /// the table.
+    /// the busiest window (a lone entry's [`slot_cost`]). Empty at
+    /// `TWS = 1`, where the span is the mask's popcount, every busiest
+    /// window is 1, and the scan never consults the table.
     span_busy: Vec<u32>,
 }
 
@@ -865,11 +835,8 @@ fn build_word_rows_tw1<M: TileMask>(
 ) -> WordRows<M> {
     let tile_width = ctx.tile_width;
     let n_tiles = ctx.tiles.len();
-    let tile_words = n_tiles.div_ceil(64);
     let mut rows = WordRows {
         n_tiles,
-        active: vec![0u64; neurons * tile_words],
-        tile_words,
         masks: vec![M::default(); neurons * n_tiles],
         span_busy: Vec::new(),
     };
@@ -888,7 +855,6 @@ fn build_word_rows_tw1<M: TileMask>(
             (1u64 << tile_width) - 1
         };
         for n in 0..neurons {
-            let row = n * n_tiles;
             for (wi, &word) in tags[n * tag_words..(n + 1) * tag_words].iter().enumerate() {
                 let mut word = word;
                 while word != 0 {
@@ -896,8 +862,7 @@ fn build_word_rows_tw1<M: TileMask>(
                     let sub = (word >> f) & field_mask;
                     word &= !(field_mask << f);
                     let ti = wi * tpw + f / tile_width;
-                    rows.masks[row + ti] = M::from_u128(u128::from(sub));
-                    rows.active[n * tile_words + ti / 64] |= 1u64 << (ti % 64);
+                    rows.masks[ti * neurons + n] = M::from_u128(u128::from(sub));
                 }
             }
         }
@@ -905,10 +870,7 @@ fn build_word_rows_tw1<M: TileMask>(
         for n in 0..neurons {
             for (ti, &(w0, w1)) in ctx.tiles.iter().enumerate() {
                 let mask = tag_mask(tags, tag_words, n, w0, w1);
-                if mask != 0 {
-                    rows.masks[n * n_tiles + ti] = M::from_u128(mask);
-                    rows.active[n * tile_words + ti / 64] |= 1u64 << (ti % 64);
-                }
+                rows.masks[ti * neurons + n] = M::from_u128(mask);
             }
         }
     }
@@ -932,7 +894,6 @@ fn build_word_rows<M: TileMask>(input: &SpikeTensor, ctx: &PtbCtx) -> WordRows<M
     let t = input.timesteps();
     let neurons = input.neurons();
     let n_tiles = ctx.tiles.len();
-    let tile_words = n_tiles.div_ceil(64);
     debug_assert!(ctx
         .tiles
         .iter()
@@ -940,8 +901,6 @@ fn build_word_rows<M: TileMask>(input: &SpikeTensor, ctx: &PtbCtx) -> WordRows<M
         .all(|(ti, &(w0, _))| w0 == ti * tile_width));
     let mut rows = WordRows {
         n_tiles,
-        active: vec![0u64; neurons * tile_words],
-        tile_words,
         masks: vec![M::default(); neurons * n_tiles],
         span_busy: vec![0u32; neurons * n_tiles],
     };
@@ -951,10 +910,9 @@ fn build_word_rows<M: TileMask>(input: &SpikeTensor, ctx: &PtbCtx) -> WordRows<M
     let tile_of: Vec<u32> = (0..ctx.n_w).map(|w| (w / tile_width) as u32).collect();
     for n in 0..neurons {
         let mut flush = |ti: usize, mask: u128, span: u32, busiest: u32| {
-            let idx = n * n_tiles + ti;
+            let idx = ti * neurons + n;
             rows.masks[idx] = M::from_u128(mask);
             rows.span_busy[idx] = span | (busiest << 16);
-            rows.active[n * tile_words + ti / 64] |= 1u64 << (ti % 64);
         };
         let mut cur_ti = usize::MAX;
         let (mut mask, mut span, mut busiest) = (0u128, 0u32, 0u32);
@@ -1004,14 +962,12 @@ fn build_word_rows<M: TileMask>(input: &SpikeTensor, ctx: &PtbCtx) -> WordRows<M
     rows
 }
 
-/// Builder dispatch + scan for one mask width: PTB+StSAP gathers each
-/// receptive field (pairing is not a sum) into class storage chosen by
-/// tile width, plain PTB takes box sums.
+/// Builder dispatch + box scan for one mask width, with StSAP class
+/// storage chosen by the widest tile.
 fn run_word_kernel<M: TileMask>(
     inputs: &SimInputs,
     stsap: bool,
     shape: ConvShape,
-    prep: Option<&PreparedLayer>,
     ctx: &PtbCtx,
     input: &SpikeTensor,
 ) -> Tally {
@@ -1025,149 +981,107 @@ fn run_word_kernel<M: TileMask>(
     } else {
         build_word_rows::<M>(input, ctx)
     };
-    if !stsap {
-        return ptb_box_scan(inputs.threads, shape, ctx, &rows);
-    }
-    let geo = geometry_of(prep, shape);
     let max_nw = ctx.tiles.iter().map(|&(w0, w1)| w1 - w0).max().unwrap_or(0);
     if max_nw <= 8 {
-        ptb_word_scan::<M, MaskArena>(inputs.threads, &geo, ctx, &rows, max_nw)
+        ptb_box_scan::<M, NarrowClasses>(inputs.threads, stsap, shape, ctx, &rows, max_nw)
     } else {
-        ptb_word_scan::<M, SortedClasses>(inputs.threads, &geo, ctx, &rows, max_nw)
+        ptb_box_scan::<M, SortedClasses>(inputs.threads, stsap, shape, ctx, &rows, max_nw)
     }
 }
 
-/// Plain PTB as box sums. Every term [`PtbCtx::account`] books for a
-/// (position, column tile) is a receptive-field sum of a per-(neuron,
-/// tile) value: the entry count (one per neuron with an active window),
-/// the active windows, the spike span, and the entry's slot beats (its
-/// busiest window floored at `min_beats` — without pairing every entry
-/// is its own slot). So each tile fills four [`BoxScan`] planes from
-/// the word rows and prices every position with four lookups per plane,
-/// instead of gathering each receptive field. Workers take whole column
-/// tiles and hold one tile's planes at a time; `account` sees the same
-/// per-(position, tile) values as the gather, in a different order of
-/// the same commutative saturating sums (see [`PtbCtx`]).
-fn ptb_box_scan<M: TileMask>(
-    threads: usize,
-    shape: ConvShape,
-    ctx: &PtbCtx,
-    rows: &WordRows<M>,
-) -> Tally {
-    let n_tiles = rows.n_tiles;
-    scan_chunks(threads, n_tiles, |range| {
-        let mut tally = Tally::default();
-        let mut boxes = BoxScan::new(shape, 4);
-        let mut sums = [0u64; 4];
-        for ti in range {
-            boxes.fill(|n, cell| {
-                let idx = n * n_tiles + ti;
-                let windows = u64::from(rows.masks[idx].to_u128().count_ones());
-                if windows == 0 {
-                    return;
-                }
-                // At `TWS = 1` the table is empty: one spike per window.
-                let (span, busiest) = match rows.span_busy.get(idx) {
-                    Some(&sb) => (u64::from(sb & 0xFFFF), u64::from(sb >> 16)),
-                    None => (windows, 1),
-                };
-                cell[0] += 1;
-                cell[1] += windows;
-                cell[2] += span;
-                cell[3] += busiest.max(ctx.min_beats);
-            });
-            boxes.integrate();
-            for p in 0..boxes.positions() {
-                boxes.query(p, &mut sums);
-                let [raw, windows, span, beats] = sums;
-                if raw > 0 {
-                    ctx.account(&mut tally, raw, raw, beats, span, windows);
-                }
-            }
-        }
-        tally
-    })
-}
-
-/// The bit-parallel PTB+StSAP position scan: per position, walks the
-/// receptive field once and pushes each neuron's *active* tiles (guided
-/// by the tile-activity words) into per-tile class storage `S`, then
-/// packs and prices each nonempty tile with [`stream_cost`]. Tiles of
-/// at most 8 windows use the tag-indexed [`MaskArena`], wider ones
-/// [`SortedClasses`]. At `TWS = 1` entries carry no busiest-window
-/// value: every window holds one spike, so every slot sits at the
-/// `min_beats` floor and only the pair plan's counts matter.
+/// PTB, with or without StSAP, as box sums plus an exact pairing term.
 ///
-/// Bit-identity with [`ptb_scalar_scan`] holds term by term: the
-/// hoisted span/mask/busiest are exactly the scalar walk's per-neuron
-/// results, both storages push entries in receptive-field order (the
-/// scalar walk's entry order), and the coster's beats are those of
-/// [`pack_tile`]'s slots, costed by [`slot_cost`] — an StSAP pair's
-/// tags are disjoint, so per column at most one member is nonzero and
-/// its busiest column is `max(busiest_a, busiest_b)`. The scatter order
-/// changes only the order of commutative saturating sums (see
-/// [`PtbCtx`]).
-fn ptb_word_scan<M: TileMask, S: TagClasses>(
+/// Without pairing, every term [`PtbCtx::account`] books for a
+/// (position, column tile) is a receptive-field sum of a per-(neuron,
+/// tile) value: the entry count, the active windows, the spike span and
+/// the entry's slot beats (its busiest window floored at `min_beats`).
+/// So each tile fills four [`BoxScan`] planes and prices every position
+/// with four lookups per plane instead of gathering its field.
+///
+/// StSAP changes slots and beats only through *pairable* entries, whose
+/// tag is not the tile's full mask: a full tag's complement is 0 and
+/// pass 2 skips it, so it streams alone and the pair plan is the same
+/// without it. Under StSAP the beats plane sums the unpairable entries
+/// only, and each position gathers its pairable ones in receptive-field
+/// order (the scalar walk's entry order, which the plan's tail pops
+/// depend on) into class storage `S`, priced by [`stream_cost`]. A tile
+/// without pairable entries (every single-window tile) gathers nothing.
+/// At `TWS = 1` entries carry no value: every slot sits at the floor.
+///
+/// Workers take whole column tiles and hold one tile's planes and
+/// pairable table at a time; `account` sees the same per-(position,
+/// tile) values as [`ptb_scalar_scan`] (see [`PtbCtx`]).
+fn ptb_box_scan<M: TileMask, S: TagClasses>(
     threads: usize,
-    geo: &LayerGeometry,
+    stsap: bool,
+    shape: ConvShape,
     ctx: &PtbCtx,
     rows: &WordRows<M>,
     max_nw: usize,
 ) -> Tally {
     let n_tiles = rows.n_tiles;
-    scan_chunks(threads, geo.positions(), |range| {
+    let neurons = shape.ifmap_neurons();
+    scan_chunks(threads, n_tiles, |range| {
         let mut tally = Tally::default();
+        let mut boxes = BoxScan::new(shape, 4);
+        let mut sums = [0u64; 4];
+        // This tile's pairable entries: a bit per neuron, and the
+        // neuron's tag and busiest window.
+        let table = if stsap { neurons } else { 0 };
+        let mut pairable = vec![0u64; table.div_ceil(64)];
+        let mut tags = vec![M::default(); table];
+        let mut busiest = vec![0u16; table];
+        let valued = !rows.span_busy.is_empty();
+        let mut store = S::new(max_nw);
         let mut plan = PairPlan::default();
-        let mut stores: Vec<S> = (0..n_tiles).map(|_| S::new(max_nw)).collect();
-        let mut span_acc = vec![0u64; n_tiles];
-        let mut win_acc = vec![0u64; n_tiles];
-        for p in range {
-            for &rn in geo.rf(p) {
-                let act = &rows.active[rn * rows.tile_words..(rn + 1) * rows.tile_words];
-                let row = rn * n_tiles;
-                for (wi, &word) in act.iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        let ti = wi * 64 + word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        let idx = row + ti;
-                        let mask = rows.masks[idx].to_u128();
-                        let windows = u64::from(mask.count_ones());
-                        win_acc[ti] += windows;
-                        // At `TWS = 1` the table is empty: one spike per
-                        // window, no value.
-                        match rows.span_busy.get(idx) {
-                            Some(&sb) => {
-                                span_acc[ti] += u64::from(sb & 0xFFFF);
-                                stores[ti].push(mask, Some((sb >> 16) as u16));
-                            }
-                            None => {
-                                span_acc[ti] += windows;
-                                stores[ti].push(mask, None);
-                            }
-                        }
-                    }
+        for ti in range {
+            let (w0, w1) = ctx.tiles[ti];
+            let full_mask = tile_full_mask(w1 - w0);
+            let mut any_pairable = false;
+            pairable.fill(0);
+            boxes.fill(|n, cell| {
+                let idx = ti * neurons + n;
+                let mask: u128 = rows.masks[idx].into();
+                if mask == 0 {
+                    return;
                 }
-            }
-            for (ti, &(w0, w1)) in ctx.tiles.iter().enumerate() {
-                let raw = stores[ti].len() as u64;
+                let windows = u64::from(mask.count_ones());
+                // At `TWS = 1` the table is empty: one spike per window.
+                let (span, busy) = match rows.span_busy.get(idx) {
+                    Some(&sb) => (u64::from(sb & 0xFFFF), sb >> 16),
+                    None => (windows, 1),
+                };
+                cell[0] += 1;
+                cell[1] += windows;
+                cell[2] += span;
+                if stsap && mask != full_mask {
+                    pairable[n / 64] |= 1 << (n % 64);
+                    (tags[n], busiest[n]) = (rows.masks[idx], busy as u16);
+                    any_pairable = true;
+                } else {
+                    cell[3] += u64::from(busy).max(ctx.min_beats);
+                }
+            });
+            boxes.integrate();
+            for p in 0..boxes.positions() {
+                boxes.query(p, &mut sums);
+                let [raw, windows, span, beats] = sums;
                 if raw == 0 {
                     continue;
                 }
-                let full_mask = tile_full_mask(w1 - w0);
-                let cost = stream_cost(&mut stores[ti], &mut plan, full_mask, ctx.min_beats);
-                sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
-                sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
-                ctx.account(
-                    &mut tally,
-                    raw,
-                    cost.slots,
-                    cost.beats,
-                    span_acc[ti],
-                    win_acc[ti],
-                );
-                span_acc[ti] = 0;
-                win_acc[ti] = 0;
+                let (mut slots, mut beats) = (raw, beats);
+                if any_pairable {
+                    boxes.visit_field(p, &pairable, |n| {
+                        store.push(tags[n].into(), valued.then(|| busiest[n]));
+                    });
+                    let packed = store.len() as u64;
+                    let cost = stream_cost(&mut store, &mut plan, full_mask, ctx.min_beats);
+                    sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
+                    sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
+                    slots = slots - packed + cost.slots;
+                    beats += cost.beats;
+                }
+                ctx.account(&mut tally, raw, slots, beats, span, windows);
             }
         }
         tally
@@ -1287,9 +1201,9 @@ fn simulate_ptb(
             // Narrow mask words keep a tile's whole lookup slice
             // cache-resident; the wide fallback covers any array.
             if cols <= 16 {
-                run_word_kernel::<u16>(inputs, stsap, shape, prep, &ctx, input)
+                run_word_kernel::<u16>(inputs, stsap, shape, &ctx, input)
             } else {
-                run_word_kernel::<u128>(inputs, stsap, shape, prep, &ctx, input)
+                run_word_kernel::<u128>(inputs, stsap, shape, &ctx, input)
             }
         }
         Kernel::Scalar => {
@@ -1487,7 +1401,7 @@ fn simulate_dense_temporal(
         }),
         Kernel::Scalar => {
             let geo = geometry_of(prep, shape);
-            let bit_at = bits_of(input);
+            let bit_at = spike_bits(input);
             scan_chunks(inputs.threads, positions, |range| {
                 let mut tally = Tally::default();
                 for p in range {
@@ -2121,10 +2035,42 @@ mod tests {
     }
 
     #[test]
+    fn single_window_tiles_pair_nothing() {
+        // With one window per column tile (T <= TW) every active entry
+        // carries the tile's full tag, so StSAP has nothing to pair and
+        // its report is plain PTB's in every field but the policy —
+        // from the word kernel and the scalar reference alike, on wide
+        // arrays too.
+        use systolic_sim::{ArchConfig, ArrayDims};
+        let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
+        for (t, tw, cols) in [(8usize, 8u32, 8u32), (40, 64, 8), (64, 64, 8), (33, 48, 20)] {
+            let input = straddle_input(shape, t);
+            let inputs = SimInputs {
+                arch: ArchConfig::hpca22().with_array(ArrayDims::new(4, cols)),
+                ..SimInputs::hpca22(tw)
+            };
+            for run in [simulate_layer, simulate_layer_reference] {
+                let plain = run(&inputs, Policy::ptb(), shape, &input);
+                let packed = run(&inputs, Policy::ptb_with_stsap(), shape, &input);
+                assert_eq!((packed.exact_pairs, packed.near_pairs), (0, 0));
+                assert!(plain.entries_before > 0, "t={t} tw={tw}: no activity");
+                assert_eq!(
+                    LayerReport {
+                        policy: Policy::ptb(),
+                        ..packed
+                    },
+                    plain,
+                    "t={t} tw={tw} cols={cols}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn word_kernel_matches_scalar_reference_on_wide_arrays() {
         // Column counts other than the default 8 pin the paths that
         // setup never reaches: the StSAP scan's sorted-class storage
-        // (tiles too wide for the tag arena) over `u16` tile masks (12
+        // (tiles too wide for 8-bit tags) over `u16` tile masks (12
         // and 16 columns) and `u128` ones (cols > 16), valued and at
         // the beats floor, and the funnel-shift TW=1 builder fallback
         // (a tile width that does not divide a storage word: 12 and
@@ -2201,13 +2147,10 @@ mod tests {
                                     busiest = busiest.max(u32::from(c));
                                 }
                             }
-                            let idx = n * tiles.len() + ti;
-                            let active =
-                                rows.active[n * rows.tile_words + ti / 64] >> (ti % 64) & 1;
+                            let idx = ti * input.neurons() + n;
                             let at = format!("t={t} tw={tw} cols={cols} neuron {n} tile {ti}");
                             assert_eq!(rows.masks[idx], mask, "{at}");
                             assert_eq!(rows.span_busy[idx], span | (busiest << 16), "{at}");
-                            assert_eq!(active == 1, mask != 0, "{at}");
                         }
                     }
                 }

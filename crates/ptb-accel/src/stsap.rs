@@ -24,9 +24,11 @@
 //!   prices beats by popping busiest-window values along it — a pass it
 //!   skips when every value sits at the delivery floor.
 //!
-//! Tiles of at most 8 windows keep their classes in an arena indexed by
-//! tag (a complement is a direct lookup); wider tiles sort their entries
-//! by tag once and find complements by binary search.
+//! Tiles of at most 8 windows count their classes by tag (a complement
+//! is a direct lookup), plan along a fixed pass-2 order over all 8-bit
+//! tags instead of sorting, and counting-sort values by class; wider
+//! tiles sort their entries by tag once and find complements by binary
+//! search.
 
 use serde::{Deserialize, Serialize};
 
@@ -104,51 +106,97 @@ pub(crate) struct PairPlan {
 }
 
 impl PairPlan {
-    /// Runs both passes over classes `ids` (pass 1 visits them in this
-    /// order), consuming `counts[id]`. `mask(id)` is a class's tag and
-    /// `find(tag)` the class carrying `tag`, if any.
-    fn build(
-        &mut self,
-        ids: impl Iterator<Item = u32> + Clone,
-        counts: &mut [u32],
-        mask: impl Fn(u32) -> u128,
-        find: impl Fn(u128) -> Option<u32>,
-        full_mask: u128,
-    ) {
+    /// Runs both passes over `classes` (`(tag, ..)` sorted by tag; pass
+    /// 1 visits them in this order), consuming `counts[class]`.
+    fn build(&mut self, classes: &[(u128, u32, u32)], counts: &mut [u32], full_mask: u128) {
         self.steps.clear();
         self.order.clear();
+        let mask = |c: u32| classes[c as usize].0;
         // Pass 1: exact 1's complements, each unordered pair once. The
         // full tag's complement is 0, so it never pairs.
-        for a in ids.clone() {
-            let m = mask(a);
-            let comp = full_mask & !m;
-            if m < comp {
-                if let Some(b) = find(comp) {
-                    self.pair(counts, a, b, true);
+        for a in 0..classes.len() as u32 {
+            let comp = full_mask & !mask(a);
+            if mask(a) < comp {
+                if let Ok(b) = classes.binary_search_by_key(&comp, |c| c.0) {
+                    self.pair(counts, a, b as u32, true);
                 }
             }
         }
         // Pass 2: nearest non-overlapping tags among the leftovers,
         // greedily from the densest tag down (Fig. 8c). Ids ascend with
-        // tags in both storages, so sorting on `(128 - popcount, id)`
-        // puts the densest class first, ties by tag. A class `j > i`
-        // skipped for overlap or exhaustion never becomes viable again,
-        // so each class's partner search is one forward scan.
+        // tags, so sorting on `(128 - popcount, id)` puts the densest
+        // class first, ties by tag. A class `j > i` skipped for overlap
+        // or exhaustion never becomes viable again, so each class's
+        // partner search is one forward scan.
         self.order.extend(
-            ids.filter(|&c| counts[c as usize] > 0 && mask(c) != full_mask)
+            (0..classes.len() as u32)
+                .filter(|&c| counts[c as usize] > 0 && mask(c) != full_mask)
                 .map(|c| u64::from(128 - mask(c).count_ones()) << 32 | u64::from(c)),
         );
         self.order.sort_unstable();
         for i in 0..self.order.len() {
             let a = self.order[i] as u32;
-            let ma = mask(a);
             for j in i + 1..self.order.len() {
                 if counts[a as usize] == 0 {
                     break;
                 }
                 let b = self.order[j] as u32;
-                if ma & mask(b) == 0 {
+                if mask(a) & mask(b) == 0 {
                     self.pair(counts, a, b, false);
+                }
+            }
+        }
+    }
+
+    /// [`PairPlan::build`] for tags of at most 8 bits, class id = tag:
+    /// the same per-class steps, without a sort. `present` has bit `m`
+    /// set iff `counts[m] > 0`. Pass 2 walks the fixed order, and each
+    /// class scans only its precomputed disjoint partners that are
+    /// still present.
+    fn build_narrow(&mut self, counts: &mut [u32; 256], present: [u64; 4], full_mask: u128) {
+        self.steps.clear();
+        self.order.clear();
+        let full = full_mask as usize;
+        // Pass 1, ascending: a class's count is final once its visit
+        // is over (its complement below it has paired with it already),
+        // so the same walk collects pass 2's classes by place.
+        let mut ranked = [0u64; 4];
+        for (w, &word) in present.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let a = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let comp = full & !a;
+                if a < comp {
+                    self.pair(counts, a as u32, comp as u32, true);
+                }
+                if counts[a] > 0 && a != full {
+                    let r = NARROW_ORDER.0[a] as usize;
+                    ranked[r / 64] |= 1 << (r % 64);
+                }
+            }
+        }
+        // Pass 2: each class, in place order, pairs with its disjoint
+        // partners after it while both last; exhausted partners leave
+        // the live set.
+        for w in 0..4 {
+            while ranked[w] != 0 {
+                let r = w * 64 + ranked[w].trailing_zeros() as usize;
+                ranked[w] &= ranked[w] - 1;
+                let a = NARROW_ORDER.1[r] as u32;
+                let partners = &NARROW_PARTNERS[a as usize];
+                'scan: for v in w..4 {
+                    while partners[v] & ranked[v] != 0 {
+                        let rb = v * 64 + (partners[v] & ranked[v]).trailing_zeros() as usize;
+                        let b = u32::from(NARROW_ORDER.1[rb]);
+                        self.pair(counts, a, b, false);
+                        if counts[b as usize] == 0 {
+                            ranked[v] &= !(1 << (rb % 64));
+                        }
+                        if counts[a as usize] == 0 {
+                            break 'scan;
+                        }
+                    }
                 }
             }
         }
@@ -203,29 +251,72 @@ pub(crate) trait TagClasses {
     fn reset(&mut self);
 }
 
-/// Class storage for tiles of at most 8 windows: counts and value
-/// buckets indexed by the tag itself, so a class id *is* its tag and a
-/// complement is a direct lookup.
+/// Pass 2's class order over every 8-bit tag — densest first, then by
+/// tag, the order [`PairPlan::build`] sorts 8-bit classes into —
+/// as `(RANK, BY_RANK)`: tag `m` sits at place `RANK[m]`, place `r`
+/// holds tag `BY_RANK[r]`. Restricted to a tile's tags it is that
+/// tile's order, so narrow tiles never sort.
+const NARROW_ORDER: ([u8; 256], [u8; 256]) = {
+    let (mut rank, mut by_rank) = ([0u8; 256], [0u8; 256]);
+    let mut m = 0;
+    while m < 256 {
+        let (mut r, mut o) = (0, 0);
+        while o < 256 {
+            let (po, pm) = ((o as u8).count_ones(), (m as u8).count_ones());
+            r += (po > pm || (po == pm && o < m)) as usize;
+            o += 1;
+        }
+        (rank[m], by_rank[r]) = (r as u8, m as u8);
+        m += 1;
+    }
+    (rank, by_rank)
+};
+
+/// `NARROW_PARTNERS[m]`: the places (bit `r` of the 256-bit set) of the
+/// nonzero tags disjoint from `m` that come after it in pass 2's order —
+/// the only classes its forward partner scan can pair with.
+const NARROW_PARTNERS: [[u64; 4]; 256] = {
+    let mut partners = [[0u64; 4]; 256];
+    let mut m = 0;
+    while m < 256 {
+        let mut o = 1;
+        while o < 256 {
+            let r = NARROW_ORDER.0[o] as usize;
+            if m & o == 0 && r > NARROW_ORDER.0[m] as usize {
+                partners[m][r / 64] |= 1 << (r % 64);
+            }
+            o += 1;
+        }
+        m += 1;
+    }
+    partners
+};
+
+/// Class storage for tiles of at most 8 windows: counts indexed by tag
+/// (a class id *is* its tag, so a complement is a direct lookup) and,
+/// when slots are valued, the entries in push order, which the beats
+/// pass counting-sorts into one flat value array, each class contiguous.
 #[derive(Debug)]
-pub(crate) struct MaskArena {
-    counts: Vec<u32>,
-    /// `values[m]`: busiest windows of the entries tagged `m`, in push
-    /// order, so popping takes the largest entry first.
-    values: Vec<Vec<u16>>,
-    /// Each tag with a nonzero count, once.
-    present: Vec<u32>,
+pub(crate) struct NarrowClasses {
+    counts: [u32; 256],
+    /// Bit `m` set iff tag `m` was pushed since the last reset.
+    present: [u64; 4],
     len: usize,
+    /// Valued entries' `(tag, busiest window)`, in push order.
+    valued: Vec<(u8, u16)>,
+    sorted: Vec<u16>,
     max: u16,
 }
 
-impl TagClasses for MaskArena {
+impl TagClasses for NarrowClasses {
     fn new(width: usize) -> Self {
-        assert!(width <= 8, "tag arena tiles span at most 8 windows");
-        MaskArena {
-            counts: vec![0; 1 << width],
-            values: vec![Vec::new(); 1 << width],
-            present: Vec::new(),
+        assert!(width <= 8, "narrow class tiles span at most 8 windows");
+        NarrowClasses {
+            counts: [0; 256],
+            present: [0; 4],
             len: 0,
+            valued: Vec::new(),
+            sorted: Vec::new(),
             max: 0,
         }
     }
@@ -233,14 +324,12 @@ impl TagClasses for MaskArena {
     fn push(&mut self, tag: u128, value: Option<u16>) {
         debug_assert!(tag != 0, "silent-in-tile entries must be filtered out");
         let m = tag as usize;
-        if self.counts[m] == 0 {
-            self.present.push(m as u32);
-        }
         self.counts[m] += 1;
+        self.present[m / 64] |= 1 << (m % 64);
         self.len += 1;
         if let Some(v) = value {
             debug_assert!(v > 0, "an active entry's busiest window holds a spike");
-            self.values[m].push(v);
+            self.valued.push((m as u8, v));
             self.max = self.max.max(v);
         }
     }
@@ -254,46 +343,50 @@ impl TagClasses for MaskArena {
     }
 
     fn plan(&mut self, full_mask: u128, plan: &mut PairPlan) {
-        plan.build(
-            self.present.iter().copied(),
-            &mut self.counts,
-            u128::from,
-            |tag| Some(tag as u32),
-            full_mask,
-        );
+        plan.build_narrow(&mut self.counts, self.present, full_mask);
     }
 
     fn beats(&mut self, plan: &PairPlan, min_beats: u64) -> u64 {
-        let values = &mut self.values;
+        // Counting sort: class `m` takes the places before `ends[m]`,
+        // filled back to front from the last pushed entry, so popping
+        // at `ends[m]` takes the largest entry first.
+        let mut ends = [0u32; 256];
+        for &(m, _) in &self.valued {
+            ends[m as usize] += 1;
+        }
+        let mut end = 0;
+        for e in &mut ends {
+            end += *e;
+            *e = end;
+        }
+        self.sorted.resize(self.valued.len(), 0);
+        let mut fill = ends;
+        let floor = |v: u16| u64::from(v).max(min_beats);
         let mut beats = 0;
+        for &(m, v) in self.valued.iter().rev() {
+            fill[m as usize] -= 1;
+            self.sorted[fill[m as usize] as usize] = v;
+            beats += floor(v);
+        }
+        // A pair's busiest column is its larger member's, so it saves
+        // the smaller member's beats.
         for &(a, b, k, _) in &plan.steps {
             for _ in 0..k {
-                let x = values[a as usize].pop().expect("one value per entry");
-                let y = values[b as usize].pop().expect("one value per entry");
-                beats += u64::from(x.max(y)).max(min_beats);
+                ends[a as usize] -= 1;
+                ends[b as usize] -= 1;
+                let x = self.sorted[ends[a as usize] as usize];
+                let y = self.sorted[ends[b as usize] as usize];
+                beats -= floor(x).min(floor(y));
             }
-        }
-        for &m in &self.present {
-            beats += values[m as usize]
-                .iter()
-                .map(|&v| u64::from(v).max(min_beats))
-                .sum::<u64>();
         }
         beats
     }
 
     fn reset(&mut self) {
-        for &m in &self.present {
-            self.counts[m as usize] = 0;
-        }
-        // Values are positive, so a zero max means none were pushed.
-        if self.max > 0 {
-            for &m in &self.present {
-                self.values[m as usize].clear();
-            }
-        }
-        self.present.clear();
+        self.counts = [0; 256];
+        self.present = [0; 4];
         self.len = 0;
+        self.valued.clear();
         self.max = 0;
     }
 }
@@ -367,17 +460,7 @@ impl TagClasses for SortedClasses {
         self.counts.clear();
         self.counts
             .extend(self.classes.iter().map(|&(_, lo, hi)| hi - lo));
-        let classes = &self.classes;
-        plan.build(
-            0..classes.len() as u32,
-            &mut self.counts,
-            |c| classes[c as usize].0,
-            |tag| {
-                let c = classes.binary_search_by_key(&tag, |&(m, _, _)| m).ok()?;
-                Some(c as u32)
-            },
-            full_mask,
-        );
+        plan.build(&self.classes, &mut self.counts, full_mask);
     }
 
     fn beats(&mut self, plan: &PairPlan, min_beats: u64) -> u64 {
@@ -983,8 +1066,8 @@ mod tests {
             );
         }
 
-        /// The coster, on both class storages (the tag arena for tiles
-        /// of at most 8 windows, sorted classes for any width), prices
+        /// The coster, on both class storages (tag counts for tiles of
+        /// at most 8 windows, sorted classes for any width), prices
         /// exactly the slots [`pack_tile`] materializes: same slots and
         /// pairs, and beats summed per slot from the members' busiest
         /// windows (pairs are disjoint, so a pair's busiest column is
@@ -1058,10 +1141,96 @@ mod tests {
             );
             if width <= 8 {
                 prop_assert_eq!(
-                    cost_twice::<MaskArena>(width, &tags, &busiest, second, tile),
+                    cost_twice::<NarrowClasses>(width, &tags, &busiest, second, tile),
                     [want; 2]
                 );
             }
+        }
+
+        /// The fixed-order narrow plan is [`PairPlan::build`] without
+        /// the sort: on random class counts at every narrow width (the
+        /// full tag present or not), both plans take the same steps in
+        /// the same order — so every class pops the same sequence — and
+        /// report the same exact and near totals.
+        #[test]
+        fn narrow_plan_matches_the_sorting_plan(
+            seed in proptest::any::<u64>(),
+            width in 1usize..=8,
+            sparsity in 1u64..=4,
+        ) {
+            let full = tile_full_mask(width);
+            let mut state = seed ^ 0x9A11_0C8E;
+            let mut counts = [0u32; 256];
+            let mut present = [0u64; 4];
+            for m in 1..=full as usize {
+                state = state
+                    .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                    .wrapping_add(0x1405_7B7E_F767_814F);
+                if (state >> 40) % sparsity == 0 {
+                    counts[m] = (state >> 20) as u32 % 6 + 1;
+                    present[m / 64] |= 1 << (m % 64);
+                }
+            }
+            let classes: Vec<(u128, u32, u32)> = (1..=full as usize)
+                .filter(|&m| counts[m] > 0)
+                .map(|m| (m as u128, 0, counts[m]))
+                .collect();
+            let mut sorted_counts: Vec<u32> = classes.iter().map(|c| c.2).collect();
+            let mut sorting = PairPlan::default();
+            sorting.build(&classes, &mut sorted_counts, full);
+            let mut narrow = PairPlan::default();
+            narrow.build_narrow(&mut counts, present, full);
+            let as_tags: Vec<_> = sorting
+                .steps
+                .iter()
+                .map(|&(a, b, k, exact)| {
+                    (classes[a as usize].0 as u32, classes[b as usize].0 as u32, k, exact)
+                })
+                .collect();
+            prop_assert_eq!(&narrow.steps, &as_tags);
+            prop_assert_eq!(narrow.pairs(), sorting.pairs());
+            for (c, &(tag, _, _)) in classes.iter().enumerate() {
+                prop_assert_eq!(counts[tag as usize], sorted_counts[c], "tag {:#b} left", tag);
+            }
+        }
+
+        /// The counting-sort coster prices every narrow tile exactly as
+        /// [`stream_cost`] over [`SortedClasses`] does, on random entry
+        /// lists with values (past the floor) and without.
+        #[test]
+        fn counting_sort_coster_matches_sorted_classes(
+            seed in proptest::any::<u64>(),
+            n in 0usize..400,
+            width in 1usize..=8,
+            min_beats in 1u64..=4,
+            valued in proptest::any::<bool>(),
+        ) {
+            let full = tile_full_mask(width);
+            let mut state = seed ^ 0xC057_50F7;
+            let mut step = || {
+                state = state
+                    .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                    .wrapping_add(0x1405_7B7E_F767_814F);
+                state >> 16
+            };
+            let entries: Vec<(u128, Option<u16>)> = (0..n)
+                .map(|_| {
+                    let m = u128::from(step()) & full;
+                    let v = (step() % 9 + 1) as u16;
+                    (if m == 0 { 1 } else { m }, valued.then_some(v))
+                })
+                .collect();
+            fn cost<S: TagClasses>(entries: &[(u128, Option<u16>)], full: u128, floor: u64) -> StreamCost {
+                let mut store = S::new(8);
+                for &(tag, value) in entries {
+                    store.push(tag, value);
+                }
+                stream_cost(&mut store, &mut PairPlan::default(), full, floor)
+            }
+            prop_assert_eq!(
+                cost::<NarrowClasses>(&entries, full, min_beats),
+                cost::<SortedClasses>(&entries, full, min_beats)
+            );
         }
 
         /// Same equivalence on wide (u128) tiles, where classes are

@@ -230,7 +230,7 @@ fn case_sim(rng: &mut Rng) -> Result<(), String> {
         Err(_) => return Ok(()),
     };
     let spikes = profile.generate(shape.ifmap_neurons(), timesteps, rng.next());
-    // Past 8 columns a tile can span more windows than the tag arena
+    // Past 8 columns a tile can span more windows than an 8-bit tag
     // holds, so StSAP takes the sorted-class path.
     let cols = [8u32, 12, 16, 20, 128][rng.below(5) as usize];
     let arch = ArchConfig::hpca22();

@@ -1,15 +1,15 @@
-//! `verify_sweep` — audited end-to-end sweep over the three paper
-//! workloads, the CI hook for the runtime verification layer.
+//! `verify_sweep` — audited end-to-end sweep over the four benchmark
+//! networks, the CI hook for the runtime verification layer.
 //!
 //! ```text
 //! cargo run --release -p ptb-bench --bin verify_sweep -- \
 //!     [--level off|sample|full] [--expect-findings] [--bench]
 //! ```
 //!
-//! Runs the TW sweeps of DVS-Gesture, CIFAR10-DVS, and AlexNet under
-//! the benchmark mix's three policies — PTB, PTB+StSAP and baseline
-//! \[14\] — through [`ptb_bench::sweep_summary_verified`] at the chosen
-//! audit level (default: `PTB_VERIFY`, falling back to `full`) and
+//! Runs the TW sweeps of DVS-Gesture, CIFAR10-DVS, AlexNet and CIFAR10
+//! (whose `T = 8` makes TW 16 and 64 single-window) under the benchmark
+//! mix's three policies — PTB, PTB+StSAP and baseline \[14\] — through
+//! [`ptb_bench::sweep_summary_verified`] at the chosen audit level (default: `PTB_VERIFY`, falling back to `full`) and
 //! prints a JSON summary of coverage counters and findings. At `full`
 //! every layer of every sweep is diffed against the serial per-bit
 //! reference, so each production kernel path is checked. The exit
@@ -103,12 +103,13 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The three paper workloads the acceptance gate names.
+/// The four networks the service and the benchmark mix serve.
 fn workloads() -> Vec<NetworkSpec> {
     vec![
         spikegen::dvs_gesture(),
         spikegen::cifar10_dvs(),
         spikegen::alexnet(),
+        spikegen::datasets::cifar10_cnn(),
     ]
 }
 

@@ -68,6 +68,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use ptb_accel::geom::LayerGeometry;
 use ptb_accel::PreparedLayer;
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
@@ -348,13 +349,16 @@ fn tensor_cost(t: &SpikeTensor) -> u64 {
 /// shares the tensor `Arc`; its derived state is the receptive-field
 /// geometry plus the report memo (see `ptb_accel::prepared`), and
 /// nothing in it depends on the TW size, so a layer entry is charged
-/// one extra tensor's worth however many TW points it serves. The
-/// report memo (at most four TW-invariant policies' `LayerReport`s,
-/// each under a kilobyte) fits inside that charge, so it adds no term
-/// here and the resident recount
-/// ([`ActivityCache::recounted_bytes`]) is unchanged.
-fn layer_cost(t: &SpikeTensor) -> u64 {
-    tensor_cost(t)
+/// one extra tensor's worth plus the geometry's receptive-field lists
+/// (`LayerGeometry::heap_bytes`, 5–18× the tensor for conv layers)
+/// however many TW points it serves. The lists are charged up front
+/// even though only the policies that walk fields build them, so the
+/// charge never changes after insertion. The report memo (at most four
+/// TW-invariant policies' `LayerReport`s, each under a kilobyte) fits
+/// inside the tensor's worth, so it adds no term here and the resident
+/// recount ([`ActivityCache::recounted_bytes`]) is unchanged.
+fn layer_cost(t: &SpikeTensor, shape: ConvShape) -> u64 {
+    tensor_cost(t) + LayerGeometry::heap_bytes(shape)
 }
 
 /// Removes an in-flight claim on drop, so a panicking generation can
@@ -590,7 +594,7 @@ impl ActivityCache {
             let mut layers = lock_recover(&self.layers);
             let seq = self.clock.fetch_add(1, Ordering::Relaxed);
             let entry = layers.entry(key).or_insert_with(|| {
-                let bytes = layer_cost(made.spikes());
+                let bytes = layer_cost(made.spikes(), shape);
                 self.mem_bytes.fetch_add(bytes, Ordering::Relaxed);
                 LayerEntry {
                     layer: made,
@@ -1119,6 +1123,26 @@ mod tests {
         assert_eq!(cache.stats().mem_hits, hits_before, "victim was evicted");
         let _ = cache.activity(&p, 400, 64, 3);
         assert!(cache.stats().mem_hits > hits_before, "seed-3 survived");
+        assert_accounting_exact(&cache);
+    }
+
+    #[test]
+    fn layer_entries_are_charged_for_their_receptive_field_lists() {
+        // AlexNet CONV2's lists are 18x its tensor: charging one tensor's
+        // worth for them left most of a layer entry off the gauge.
+        let spec = spikegen::alexnet();
+        let layer = &spec.layers[1];
+        let cache = ActivityCache::new(CacheMode::Mem);
+        let prep = cache.layer(layer, layer.shape, 32, 77);
+        let tensor = tensor_cost(prep.spikes());
+        let geo = prep.geometry();
+        let lists = (geo.rf_total() + geo.positions() as u64 + 1) * 8;
+        assert!(lists > 10 * tensor, "conv lists dwarf the tensor");
+        assert_eq!(
+            cache.resident_bytes(),
+            2 * tensor + lists,
+            "tensor + layer entry"
+        );
         assert_accounting_exact(&cache);
     }
 

@@ -1035,13 +1035,21 @@ fn run_crash_recovery(cfg: &LoadConfig, sc: &Scenario) -> Result<String, String>
     ))
 }
 
-/// `cluster`, `worker-kill` and `saturate`: a coordinator over
-/// `sc.workers` worker processes. The sweep must match a lone worker —
-/// byte for byte when nothing was killed. `worker-kill` SIGKILLs the
-/// first worker to land a shard of a background sweep; `saturate`
-/// strangles worker 0's admission watermark and demands zero
-/// `worker_deaths` with nonzero `backpressure_redispatch`.
-fn run_cluster(cfg: &LoadConfig, sc: &Scenario) -> Result<String, String> {
+/// One fleet of [`run_cluster`] and the sweep it answered. The daemons
+/// live as long as this does.
+struct ClusterRun {
+    workers: Vec<Daemon>,
+    coordinator: Daemon,
+    sweep: String,
+    rows: String,
+    victim: Option<usize>,
+    wall: f64,
+}
+
+/// Boots [`run_cluster`]'s fleet and sends its sweep: synchronously, or
+/// under `worker-kill` as a background job whose first shard-landing
+/// worker is SIGKILLed.
+fn cluster_sweep(cfg: &LoadConfig, sc: &Scenario) -> Result<ClusterRun, String> {
     let bin = clusterd_binary()?;
     let saturate = sc.fault == Fault::SaturateWorker;
     let mut workers = Vec::with_capacity(sc.workers);
@@ -1099,7 +1107,64 @@ fn run_cluster(cfg: &LoadConfig, sc: &Scenario) -> Result<String, String> {
         }
         (body, None)
     };
-    let wall = started.elapsed().as_secs_f64();
+    Ok(ClusterRun {
+        workers,
+        coordinator,
+        sweep,
+        rows,
+        victim,
+        wall: started.elapsed().as_secs_f64(),
+    })
+}
+
+/// Fleets `saturate` boots before it gives up on placing a shard of its
+/// sweep on the strangled worker.
+const SATURATE_ATTEMPTS: usize = 3;
+
+/// `cluster`, `worker-kill` and `saturate`: a coordinator over
+/// `sc.workers` worker processes. The sweep must match a lone worker —
+/// byte for byte when nothing was killed. `worker-kill` SIGKILLs the
+/// first worker to land a shard of a background sweep; `saturate`
+/// strangles worker 0's admission watermark and demands zero
+/// `worker_deaths` with nonzero `backpressure_redispatch`.
+///
+/// Shards land by a hash ring seeded with the workers' ephemeral
+/// addresses, so about one `saturate` fleet in fifty places none of the
+/// sweep's shards on worker 0, and nothing can bounce. Such a fleet is
+/// re-spawned on fresh ports, up to [`SATURATE_ATTEMPTS`] fleets.
+fn run_cluster(cfg: &LoadConfig, sc: &Scenario) -> Result<String, String> {
+    let saturate = sc.fault == Fault::SaturateWorker;
+    let mut attempt = 1;
+    let run = loop {
+        let run = cluster_sweep(cfg, sc)?;
+        if !saturate {
+            break run;
+        }
+        // Worker 0 admitted only the priming request, so it shed every
+        // shard it was sent. (The coordinator's per-worker `dispatched`
+        // counts completed shards only, which is 0 either way.)
+        let metrics = fetch_metrics(run.workers[0].addr())?;
+        if metric_u64(&metrics, "admission_shed") > 0 {
+            break run;
+        }
+        if attempt == SATURATE_ATTEMPTS {
+            return Err(format!(
+                "no fleet in {attempt} placed a shard on the saturated worker: {metrics:?}"
+            ));
+        }
+        eprintln!("saturate: worker 0 owns no shard of the sweep; re-spawning the fleet");
+        attempt += 1;
+    };
+    let ClusterRun {
+        workers,
+        coordinator,
+        sweep,
+        rows,
+        victim,
+        wall,
+    } = run;
+    let addr = coordinator.addr();
+    let worker_addrs: Vec<SocketAddr> = workers.iter().map(Daemon::addr).collect();
 
     // After a kill the reference must be a survivor; under saturation
     // an unthrottled worker (worker 0 sheds direct sweeps too).

@@ -30,7 +30,7 @@ cargo test --workspace -q
 echo "== structured fuzz (time-boxed; exit nonzero on any panic or audit finding)"
 ./target/release/fuzz_pipeline --seconds 20
 
-echo "== audited sweep (PTB_VERIFY=sample over the three workloads, zero findings)"
+echo "== audited sweep (PTB_VERIFY=sample over the four networks, zero findings)"
 PTB_QUICK=1 ./target/release/verify_sweep --level sample
 
 echo "== serial-reference oracle (PTB_VERIFY=full gates the bit-parallel kernel)"
