@@ -66,11 +66,11 @@ use snn_core::neuron::NeuronConfig;
 use snn_core::spike::SpikeTensor;
 
 use crate::config::{Policy, SimInputs};
-use crate::geom::window_popcounts;
+use crate::geom::{field_indices, window_popcounts};
 use crate::prepared::PreparedLayer;
 use crate::reference::{batched_neuron_forward, serial_neuron_forward};
 use crate::report::LayerReport;
-use crate::sim::{simulate_layer_prepared, simulate_layer_reference};
+use crate::sim::{simulate_layer, simulate_layer_reference};
 use crate::stsap::{pack_tile, tile_full_mask, PackResult};
 use crate::window::WindowPartition;
 
@@ -383,12 +383,13 @@ pub fn audit_layer(
     }
 
     let is_ptb = matches!(policy, Policy::Ptb { .. });
-    let spikes = prep.spikes();
+    let (shape, spikes) = (prep.shape(), prep.spikes());
     let t = spikes.timesteps();
 
     if is_ptb && t > 0 {
         let part = WindowPartition::new(t, inputs.tw_size as usize);
         let n_w = part.num_windows();
+        let positions = (shape.ofmap_side() as usize).pow(2);
 
         // --- Popcount re-derivation: the window-count table, built
         // fresh, vs counts taken window by window from the raw tensor.
@@ -440,19 +441,17 @@ pub fn audit_layer(
         // --- StSAP re-pack: rebuild each sampled position's tile tags
         // exactly like the scheduler and verify the packing invariants.
         if let Policy::Ptb { stsap: true } = policy {
-            let geo = prep.geometry();
-            let positions = geo.positions();
             let pos_stride = match level {
                 AuditLevel::Full => 1,
                 _ => (positions / SAMPLE_TILE_BUDGET).max(1),
             };
             let mut tags: Vec<u128> = Vec::new();
             for p in (0..positions).step_by(pos_stride) {
-                let rf = geo.rf(p);
+                let rf = field_indices(shape, p);
                 for (tile_idx, &(w0, w1)) in tiles.iter().enumerate() {
                     let full_mask = tile_full_mask(w1 - w0);
                     tags.clear();
-                    for &n in rf {
+                    for &n in &rf {
                         let base = n * n_w;
                         let mut mask = 0u128;
                         for (i, w) in (w0..w1).enumerate() {
@@ -476,9 +475,7 @@ pub fn audit_layer(
         // --- Replay: stratified post-synaptic neurons through the
         // serial reference dynamics, diffed bit-for-bit against the
         // batched Step A / Step B decomposition.
-        let geo = prep.geometry();
-        let positions = geo.positions();
-        let channels = prep.shape().out_channels() as usize;
+        let channels = shape.out_channels() as usize;
         if positions > 0 && channels > 0 {
             let budget = match level {
                 AuditLevel::Full => FULL_REPLAY_BUDGET,
@@ -493,12 +490,12 @@ pub fn audit_layer(
                 // channel (and weights) from the deterministic stream.
                 let p = (i * positions) / budget;
                 let ch = (splitmix(&mut rng) as usize) % channels;
-                let rf = geo.rf(p);
+                let rf = field_indices(shape, p);
                 if rf.is_empty() {
                     continue;
                 }
                 let rf_spikes = spikes
-                    .select(rf)
+                    .select(&rf)
                     .expect("receptive-field indices are in range");
                 let weights: Vec<f32> = (0..rf.len())
                     .map(|_| weight_from(splitmix(&mut rng)))
@@ -529,14 +526,14 @@ pub fn audit_layer(
     // extra simulation). The serial per-bit oracle must reproduce the
     // report bit-for-bit, and so must a different worker count.
     if level == AuditLevel::Full {
-        let oracle = simulate_layer_reference(inputs, policy, prep.shape(), spikes);
+        let oracle = simulate_layer_reference(inputs, policy, shape, spikes);
         if oracle != *report {
             summary.record(AuditError::ReferenceDivergence {
                 layer: layer_name.to_string(),
             });
         }
         let alt_threads = if inputs.threads == 1 { 2 } else { 1 };
-        let alt = simulate_layer_prepared(&inputs.with_threads(alt_threads), policy, prep);
+        let alt = simulate_layer(&inputs.with_threads(alt_threads), policy, shape, spikes);
         if alt != *report {
             summary.record(AuditError::MergeDivergence {
                 layer: layer_name.to_string(),
@@ -582,7 +579,7 @@ mod tests {
             let policy = Policy::Ptb { stsap };
             for threads in [1usize, 3] {
                 let inputs = SimInputs::hpca22(8).with_threads(threads);
-                let report = simulate_layer_prepared(&inputs, policy, &prep);
+                let report = simulate_layer(&inputs, policy, prep.shape(), prep.spikes());
                 for level in [AuditLevel::Sample, AuditLevel::Full] {
                     let mut summary = AuditSummary::new(level);
                     audit_layer(
@@ -610,7 +607,7 @@ mod tests {
     fn off_level_checks_nothing() {
         let prep = prepared();
         let inputs = SimInputs::hpca22(8);
-        let report = simulate_layer_prepared(&inputs, Policy::ptb(), &prep);
+        let report = simulate_layer(&inputs, Policy::ptb(), prep.shape(), prep.spikes());
         let mut summary = AuditSummary::new(AuditLevel::Off);
         audit_layer(
             &inputs,
@@ -630,7 +627,7 @@ mod tests {
     fn saturated_report_becomes_a_finding() {
         let prep = prepared();
         let inputs = SimInputs::hpca22(8);
-        let mut report = simulate_layer_prepared(&inputs, Policy::ptb(), &prep);
+        let mut report = simulate_layer(&inputs, Policy::ptb(), prep.shape(), prep.spikes());
         report.counts.saturated = 7;
         let mut summary = AuditSummary::new(AuditLevel::Sample);
         audit_layer(
@@ -657,7 +654,7 @@ mod tests {
         let prep = prepared();
         for (policy, tw) in [(Policy::ptb_with_stsap(), 5u32), (Policy::EventDriven, 1)] {
             let inputs = SimInputs::hpca22(tw);
-            let mut planted = simulate_layer_prepared(&inputs, policy, &prep);
+            let mut planted = simulate_layer(&inputs, policy, prep.shape(), prep.spikes());
             planted.cycles += 1;
             let mut summary = AuditSummary::new(AuditLevel::Full);
             audit_layer(
@@ -863,7 +860,7 @@ mod tests {
     fn replay_is_deterministic_across_runs() {
         let prep = prepared();
         let inputs = SimInputs::hpca22(8);
-        let report = simulate_layer_prepared(&inputs, Policy::ptb(), &prep);
+        let report = simulate_layer(&inputs, Policy::ptb(), prep.shape(), prep.spikes());
         let run = || {
             let mut s = AuditSummary::new(AuditLevel::Sample);
             audit_layer(

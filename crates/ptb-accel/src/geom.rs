@@ -1,15 +1,15 @@
-//! Shared per-layer geometry and spike tables for the simulator.
+//! Receptive-field box sums and spike tables for the simulator.
 //!
 //! Every policy in [`crate::sim`] walks the same iteration space: output
 //! positions, their receptive fields, and the input's spike activity
-//! viewed either per time point or per time window. Before this module
-//! existed each policy recomputed `receptive_field_indices` at every
-//! position and built its own popcount tables inline; now the geometry
-//! is computed once per `simulate_layer` call and shared read-only by
-//! every worker of the parallel position scan. The policies whose
-//! per-position terms are receptive-field sums skip the per-position
-//! lists altogether: [`BoxScan`] answers each field's sum from 2D
-//! prefix planes.
+//! viewed either per time point or per time window. A receptive field is
+//! a clipped `(row, col)` box across every channel, so the production
+//! scans never list one: [`BoxScan`] answers each field's sums from 2D
+//! prefix planes, its length from the box, its box itself for per-cell
+//! tables, and visits its flagged neurons a word at a time. Only the
+//! slow paths — the scalar reference and the audit's sampled re-packs
+//! and replays — list a field, one position at a time
+//! (`field_indices`).
 //!
 //! The popcount tables are deliberately wider than the hardware needs:
 //! a window's spike count is bounded by the window length, and the
@@ -23,22 +23,6 @@ use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
 
 use crate::window::WindowPartition;
-
-/// Precomputed receptive-field geometry of one layer: the input-neuron
-/// indices feeding every output position, in the simulator's canonical
-/// position order (`x` major, `y` minor — position `p = x · E + y`).
-///
-/// The fields lie back to back in one list, allocated at its exact size,
-/// so the geometry's heap footprint is a function of the shape alone
-/// ([`LayerGeometry::heap_bytes`]).
-#[derive(Debug, Clone)]
-pub struct LayerGeometry {
-    side: usize,
-    /// Every position's receptive field, in position order.
-    taps: Vec<usize>,
-    /// Position `p`'s field is `taps[ends[p]..ends[p + 1]]`.
-    ends: Vec<usize>,
-}
 
 /// Clipped input range `lo..hi` of each output row of `shape` (and, the
 /// map being square, of each output column): the box every channel of
@@ -58,89 +42,12 @@ fn field_spans(shape: ConvShape) -> Vec<(usize, usize)> {
         .collect()
 }
 
-impl LayerGeometry {
-    /// Builds the geometry for `shape`, visiting positions in the same
-    /// `x`-major order the serial simulator historically used, each
-    /// field in [`ConvShape::receptive_field_indices`] order.
-    pub fn new(shape: ConvShape) -> Self {
-        let spans = field_spans(shape);
-        let h = shape.ifmap_side() as usize;
-        let mut taps = Vec::with_capacity(field_taps(shape, &spans));
-        let mut ends = Vec::with_capacity(spans.len().pow(2) + 1);
-        ends.push(0);
-        for &(r0, r1) in &spans {
-            for &(s0, s1) in &spans {
-                for c in 0..shape.in_channels() as usize {
-                    for r in r0..r1 {
-                        taps.extend((c * h + r) * h + s0..(c * h + r) * h + s1);
-                    }
-                }
-                ends.push(taps.len());
-            }
-        }
-        LayerGeometry {
-            side: spans.len(),
-            taps,
-            ends,
-        }
-    }
-
-    /// Heap bytes [`LayerGeometry::new`]`(shape)` allocates — one
-    /// `usize` per tap plus one per position and one more — computed
-    /// from the shape without building it.
-    pub fn heap_bytes(shape: ConvShape) -> u64 {
-        let spans = field_spans(shape);
-        let words = field_taps(shape, &spans) + spans.len().pow(2) + 1;
-        (words * std::mem::size_of::<usize>()) as u64
-    }
-
-    /// Output feature-map side `E`.
-    pub fn side(&self) -> usize {
-        self.side
-    }
-
-    /// Number of output positions, `E²`.
-    pub fn positions(&self) -> usize {
-        self.ends.len() - 1
-    }
-
-    /// Receptive field of position `p` (`p = x · E + y`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn rf(&self, p: usize) -> &[usize] {
-        &self.taps[self.ends[p]..self.ends[p + 1]]
-    }
-
-    /// Receptive-field length of position `p`. With padding, edge
-    /// positions have shorter fields than interior ones.
-    pub fn rf_len(&self, p: usize) -> u64 {
-        self.rf(p).len() as u64
-    }
-
-    /// Total taps across all positions, `Σ_p |RF(p)|` — the layer's true
-    /// tap count, exact even when padding makes the per-position lengths
-    /// uneven.
-    pub fn rf_total(&self) -> u64 {
-        self.taps.len() as u64
-    }
-
-    /// Longest receptive field among positions `p0..p1` (a position
-    /// tile). Zero for an empty range.
-    pub fn max_rf_len(&self, p0: usize, p1: usize) -> u64 {
-        (p0..p1.min(self.positions()))
-            .map(|p| self.rf_len(p))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// `Σ_p |RF(p)|` from the spans: each field is `channels × rows ×
-/// columns`, so the total factors into the spans' summed length squared.
-fn field_taps(shape: ConvShape, spans: &[(usize, usize)]) -> usize {
-    let run: usize = spans.iter().map(|&(lo, hi)| hi - lo).sum();
-    shape.in_channels() as usize * run * run
+/// Receptive field of output position `p = x · E + y`, in
+/// [`ConvShape::receptive_field_indices`] order: the per-position list
+/// the scalar reference and the audit gather from.
+pub(crate) fn field_indices(shape: ConvShape, p: usize) -> Vec<usize> {
+    let e = shape.ofmap_side() as usize;
+    shape.receptive_field_indices((p / e) as u32, (p % e) as u32)
 }
 
 /// Summed-area planes over one layer's ifmap: the box-sum primitive of
@@ -190,13 +97,22 @@ impl BoxScan {
         self.spans.len() * self.spans.len()
     }
 
+    /// The clipped input rows `r0..r1` and columns `s0..s1` of position
+    /// `p`'s receptive field, as `((r0, r1), (s0, s1))`: the box every
+    /// channel of the field covers (empty when padding leaves it
+    /// outside the map).
+    #[inline]
+    pub fn field_box(&self, p: usize) -> ((usize, usize), (usize, usize)) {
+        let e = self.spans.len();
+        (self.spans[p / e], self.spans[p % e])
+    }
+
     /// Receptive-field length of position `p`: channels times the
-    /// clipped box area, equal to [`LayerGeometry::rf_len`].
+    /// clipped box area, the length of
+    /// [`ConvShape::receptive_field_indices`] at that position.
     #[inline]
     pub fn field_len(&self, p: usize) -> u64 {
-        let e = self.spans.len();
-        let (r0, r1) = self.spans[p / e];
-        let (s0, s1) = self.spans[p % e];
+        let ((r0, r1), (s0, s1)) = self.field_box(p);
         (self.channels * (r1 - r0) * (s1 - s0)) as u64
     }
 
@@ -243,9 +159,7 @@ impl BoxScan {
     /// (zeros when padding leaves the field empty).
     #[inline]
     pub fn query(&self, p: usize, out: &mut [u64]) {
-        let e = self.spans.len();
-        let (r0, r1) = self.spans[p / e];
-        let (s0, s1) = self.spans[p % e];
+        let ((r0, r1), (s0, s1)) = self.field_box(p);
         let (w, k) = (self.side + 1, self.planes);
         let (a, b) = ((r1 * w + s1) * k, (r0 * w + s0) * k);
         let (c, d) = ((r0 * w + s1) * k, (r1 * w + s0) * k);
@@ -262,9 +176,7 @@ impl BoxScan {
     /// box's column pattern covers as many rows as fit in it, and silent
     /// taps cost nothing per tap.
     pub fn visit_field(&self, p: usize, bits: &[u64], mut visit: impl FnMut(usize)) {
-        let e = self.spans.len();
-        let (mut r0, mut r1) = self.spans[p / e];
-        let (s0, s1) = self.spans[p % e];
+        let ((mut r0, mut r1), (s0, s1)) = self.field_box(p);
         let (h, mut run, mut channels) = (self.side, s1 - s0, self.channels);
         if run == 0 {
             return;
@@ -423,59 +335,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn geometry_matches_shape_queries() {
-        let shape = ConvShape::with_padding(6, 3, 2, 4, 1, 1).unwrap();
-        let geo = LayerGeometry::new(shape);
-        let e = shape.ofmap_side();
-        assert_eq!(geo.side(), e as usize);
-        assert_eq!(geo.positions(), (e as usize).pow(2));
-        let mut total = 0u64;
-        for x in 0..e {
-            for y in 0..e {
-                let p = (x * e + y) as usize;
-                let expect = shape.receptive_field_indices(x, y);
-                assert_eq!(geo.rf(p), expect.as_slice(), "position ({x},{y})");
-                total += expect.len() as u64;
-            }
-        }
-        assert_eq!(geo.rf_total(), total);
-    }
-
-    #[test]
-    fn geometry_heap_bytes_follow_from_the_shape() {
-        for shape in [
-            ConvShape::with_padding(6, 3, 2, 4, 1, 1).unwrap(),
-            ConvShape::with_padding(11, 5, 2, 4, 2, 2).unwrap(),
-            ConvShape::with_padding(227, 11, 3, 4, 4, 0).unwrap(),
-            ConvShape::new(1, 1, 64, 8, 1).unwrap(),
-        ] {
-            let geo = LayerGeometry::new(shape);
-            let words = geo.taps.capacity() + geo.ends.capacity();
-            assert_eq!(geo.taps.capacity(), geo.taps.len(), "{shape:?}");
-            assert_eq!(
-                LayerGeometry::heap_bytes(shape),
-                words as u64 * 8,
-                "{shape:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn padded_geometry_has_uneven_fields() {
-        let shape = ConvShape::with_padding(6, 3, 2, 4, 1, 1).unwrap();
-        let geo = LayerGeometry::new(shape);
-        // Corner position sees a cropped field, interior sees the full one.
-        assert!(geo.rf_len(0) < shape.receptive_field() as u64);
-        let e = geo.side();
-        let interior = e + 1; // (1, 1)
-        assert_eq!(geo.rf_len(interior), shape.receptive_field() as u64);
-        assert!(geo.max_rf_len(0, geo.positions()) == shape.receptive_field() as u64);
-        // The total is NOT divisible by the position count — the case an
-        // integer mean silently truncates.
-        assert_ne!(geo.rf_total() % geo.positions() as u64, 0);
-    }
-
-    #[test]
     fn box_sums_equal_receptive_field_gathers() {
         // Stride, padding past the filter's reach (empty fields), large
         // filters and the FC case (a 1x1 map, one position).
@@ -487,10 +346,10 @@ mod tests {
             ConvShape::new(1, 1, 64, 8, 1).unwrap(),
         ];
         for shape in shapes {
-            let geo = LayerGeometry::new(shape);
+            let h = shape.ifmap_side() as usize;
             let value = |n: usize, q: usize| ((n * 2_654_435_761 + q * 97) % 13) as u64;
             let mut boxes = BoxScan::new(shape, 3);
-            assert_eq!(boxes.positions(), geo.positions());
+            assert_eq!(boxes.positions(), (shape.ofmap_side() as usize).pow(2));
             boxes.fill(|n, cell| {
                 for (q, c) in cell.iter_mut().enumerate() {
                     *c += value(n, q);
@@ -498,13 +357,34 @@ mod tests {
             });
             boxes.integrate();
             let mut got = [0u64; 3];
-            for p in 0..geo.positions() {
-                assert_eq!(boxes.field_len(p), geo.rf_len(p), "{shape:?} position {p}");
+            let mut taps = 0u64;
+            for p in 0..boxes.positions() {
+                let field = field_indices(shape, p);
+                // The field is its box across every channel, row-major.
+                let ((r0, r1), (s0, s1)) = boxes.field_box(p);
+                let from_box: Vec<usize> = (0..shape.in_channels() as usize)
+                    .flat_map(|c| {
+                        (r0..r1).flat_map(move |r| (s0..s1).map(move |s| (c * h + r) * h + s))
+                    })
+                    .collect();
+                assert_eq!(from_box, field, "{shape:?} position {p}");
+                assert_eq!(
+                    boxes.field_len(p),
+                    field.len() as u64,
+                    "{shape:?} position {p}"
+                );
+                taps += field.len() as u64;
                 boxes.query(p, &mut got);
                 for (q, &g) in got.iter().enumerate() {
-                    let expect: u64 = geo.rf(p).iter().map(|&n| value(n, q)).sum();
+                    let expect: u64 = field.iter().map(|&n| value(n, q)).sum();
                     assert_eq!(g, expect, "{shape:?} position {p} plane {q}");
                 }
+            }
+            if shape.padding() > 0 {
+                // Padding makes the fields uneven: the tap total is NOT
+                // divisible by the position count — the case an integer
+                // mean silently truncates.
+                assert_ne!(taps % boxes.positions() as u64, 0, "{shape:?}");
             }
         }
     }

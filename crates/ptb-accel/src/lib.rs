@@ -27,13 +27,12 @@
 //! * [`stsap`] — the greedy complement-packing algorithm (Fig. 8).
 //! * [`config`] — simulator inputs (Table III), including the
 //!   [`SimInputs::threads`] worker-count knob of the parallel scan.
-//! * [`geom`] — per-layer receptive-field geometry, the summed-area
-//!   box sums ([`geom::BoxScan`]) that price the sum-separable policies,
-//!   and the scalar reference's spike popcount tables.
-//! * [`prepared`] — [`PreparedLayer`]: memoized geometry and
-//!   TW-invariant reports for incremental re-simulation across
-//!   TW/policy sweeps
-//!   ([`simulate_layer_prepared`] is bit-identical to
+//! * [`geom`] — receptive fields as clipped boxes: the summed-area box
+//!   sums ([`geom::BoxScan`]) that price every production scan, and the
+//!   scalar reference's spike popcount tables.
+//! * [`prepared`] — [`PreparedLayer`]: memoized TW-invariant reports
+//!   for incremental re-simulation across TW/policy sweeps
+//!   ([`PreparedLayer::simulate_memoized`] is bit-identical to
 //!   [`simulate_layer`]).
 //! * [`sim`] — the analytic layer simulator for PTB and the baselines
 //!   (conventional time-serial, dense temporal tiling \[14\], and the
@@ -89,8 +88,6 @@ pub use audit::{audit_layer, AuditLevel, AuditSummary};
 pub use config::{Policy, SimInputs};
 pub use prepared::PreparedLayer;
 pub use report::{LayerReport, NetworkReport};
-pub use sim::{
-    simulate_layer, simulate_layer_prepared, simulate_layer_reference, word_kernel_calls,
-};
+pub use sim::{simulate_layer, simulate_layer_reference, word_kernel_calls};
 pub use tag::{NeuronClass, TbTag};
 pub use window::WindowPartition;

@@ -1,39 +1,33 @@
 //! Reusable per-layer simulation state for incremental re-simulation.
 //!
 //! A TW or policy sweep re-simulates the same `(shape, activity)` pair
-//! many times, but some of what [`crate::sim::simulate_layer`] derives
-//! from that pair is invariant across the sweep:
+//! many times. The whole report of a TW-invariant policy
+//! ([`Policy::tw_invariant`]: the dense baseline \[14\], time-serial,
+//! event-driven, ANN) depends on the activity and the arch/energy model
+//! only — it is invariant across *TW sizes*.
 //!
-//! * the receptive-field geometry ([`LayerGeometry`]) depends only on
-//!   the shape — it never changes across TW *or* policy;
-//! * the whole report of a TW-invariant policy
-//!   ([`Policy::tw_invariant`]: the dense baseline \[14\], time-serial,
-//!   event-driven, ANN) depends on the activity and the arch/energy
-//!   model only — invariant across *TW sizes*.
-//!
-//! A [`PreparedLayer`] owns the activity tensor and memoizes both, so
-//! changing the policy or the TW rebuilds no geometry, and a
-//! TW-invariant policy is simulated once per layer however many TW
-//! points ask for it ([`PreparedLayer::simulate_memoized`]). Nothing it
-//! holds depends on the TW size: the bit-parallel kernel derives each
-//! (neuron, column tile)'s window mask, spike span and busiest window
+//! A [`PreparedLayer`] owns the shape and the activity tensor and
+//! memoizes those reports, so a TW-invariant policy is simulated once
+//! per layer however many TW points ask for it
+//! ([`PreparedLayer::simulate_memoized`]). It holds nothing else: every
+//! scan derives its receptive fields from the shape's box spans
+//! ([`crate::geom::BoxScan`]) and its per-(neuron, column tile) tables
 //! from the tensor's packed `u64` time words on every call.
 //!
 //! ## Determinism
 //!
-//! The geometry and every memoized report are *pure functions* of the
-//! tensor and shape the `PreparedLayer` was constructed with (plus, for
-//! a report, its key) — the memo only skips recomputation, never changes
-//! a value. Consequently [`crate::sim::simulate_layer_prepared`] and
-//! [`PreparedLayer::simulate_memoized`] return reports bit-identical to
+//! Every memoized report is a *pure function* of the tensor and shape
+//! the `PreparedLayer` was constructed with, plus its key — the memo
+//! only skips recomputation, never changes a value. Consequently
+//! [`PreparedLayer::simulate_memoized`] returns reports bit-identical to
 //! [`crate::sim::simulate_layer`] on the same `(shape, input)`, for
 //! every policy, TW size, and thread count;
 //! `prepared_reports_match_fresh_for_every_policy` and the
 //! TW-invariance tests pin this.
 //!
-//! [`crate::sim::simulate_layer_prepared`] itself never reads or fills
-//! the report memo: it stays a real computation, which is what audits
-//! (and the merge-invariance check in [`crate::audit`]) rely on.
+//! [`crate::sim::simulate_layer`] itself never reads or fills the report
+//! memo: it stays a real computation, which is what audits (and the
+//! merge-invariance check in [`crate::audit`]) rely on.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -41,19 +35,17 @@ use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
 
 use crate::config::{Policy, SimInputs};
-use crate::geom::LayerGeometry;
 use crate::report::LayerReport;
-use crate::sim::simulate_layer_prepared;
+use crate::sim::simulate_layer;
 
-/// One layer's simulation-ready state: the input activity plus its
-/// lazily built geometry and the memoized reports of TW-invariant
-/// policies. Cheap to share across threads and sweep points via
-/// [`Arc`]; all interior mutability is memoization only.
+/// One layer's simulation-ready state: the input activity plus the
+/// memoized reports of TW-invariant policies. Cheap to share across
+/// threads and sweep points via [`Arc`]; all interior mutability is
+/// memoization only.
 #[derive(Debug)]
 pub struct PreparedLayer {
     shape: ConvShape,
     spikes: Arc<SpikeTensor>,
-    geo: OnceLock<Arc<LayerGeometry>>,
     /// Reports of TW-invariant policies, keyed by the policy and the
     /// normalized [`SimInputs`] ([`report_key`]). Holds entries for one
     /// arch/energy model at a time — a key with a different model
@@ -98,7 +90,6 @@ impl PreparedLayer {
         PreparedLayer {
             shape,
             spikes,
-            geo: OnceLock::new(),
             reports: Mutex::new(Vec::new()),
         }
     }
@@ -113,16 +104,8 @@ impl PreparedLayer {
         &self.spikes
     }
 
-    /// The receptive-field geometry, built on first use and shared
-    /// thereafter (TW- and policy-invariant).
-    pub fn geometry(&self) -> Arc<LayerGeometry> {
-        self.geo
-            .get_or_init(|| Arc::new(LayerGeometry::new(self.shape)))
-            .clone()
-    }
-
     /// The report of `policy` under `inputs`, bit-identical to
-    /// [`simulate_layer_prepared`]`(inputs, policy, self)`.
+    /// [`simulate_layer`]`(inputs, policy, self.shape(), self.spikes())`.
     ///
     /// A TW-invariant policy ([`Policy::tw_invariant`]) is simulated
     /// once per (policy, arch, energy model) and its report reused for
@@ -130,7 +113,7 @@ impl PreparedLayer {
     /// on every call. Two threads asking for the same missing entry
     /// simulate it once: the second waits for the first's result.
     ///
-    /// Audited runs must call [`simulate_layer_prepared`] instead, so an
+    /// Audited runs must call [`simulate_layer`] instead, so an
     /// audit always checks a fresh computation, never a memoized one.
     ///
     /// # Panics
@@ -138,7 +121,7 @@ impl PreparedLayer {
     /// Panics if `inputs` is invalid.
     pub fn simulate_memoized(&self, inputs: &SimInputs, policy: Policy) -> LayerReport {
         if !policy.tw_invariant() {
-            return simulate_layer_prepared(inputs, policy, self);
+            return simulate_layer(inputs, policy, self.shape, &self.spikes);
         }
         inputs.assert_valid();
         let key = report_key(inputs);
@@ -154,7 +137,7 @@ impl PreparedLayer {
                 }
             }
         };
-        cell.get_or_init(|| simulate_layer_prepared(inputs, policy, self))
+        cell.get_or_init(|| simulate_layer(inputs, policy, self.shape, &self.spikes))
             .clone()
     }
 
@@ -179,15 +162,6 @@ mod tests {
         let shape = ConvShape::new(6, 3, 2, 4, 1).unwrap();
         let spikes = SpikeTensor::from_fn(shape.ifmap_neurons(), 40, |n, t| (n + 3 * t) % 7 == 0);
         PreparedLayer::new(shape, Arc::new(spikes))
-    }
-
-    #[test]
-    fn geometry_is_built_once_and_matches_fresh() {
-        let p = prep();
-        let geo = LayerGeometry::new(p.shape());
-        assert_eq!(p.geometry().rf_total(), geo.rf_total());
-        assert_eq!(p.geometry().positions(), geo.positions());
-        assert!(Arc::ptr_eq(&p.geometry(), &p.geometry()));
     }
 
     const INVARIANT: [Policy; 4] = [
@@ -262,7 +236,7 @@ mod tests {
 
     /// A memo entry that disagrees with the simulator (planted here,
     /// since a correct memo never does) shows which paths read it:
-    /// `simulate_memoized` serves it, while `simulate_layer_prepared`
+    /// `simulate_memoized` serves it, while `simulate_layer`
     /// and the Full audit's merge-invariance check recompute.
     #[test]
     fn audits_and_prepared_simulation_never_read_the_memo() {
@@ -272,8 +246,8 @@ mod tests {
         let p = prep();
         let inputs = SimInputs::hpca22(8);
         let policy = Policy::BaselineTemporal;
-        let truth = simulate_layer_prepared(&inputs, policy, &p);
-        assert_eq!(p.memoized_reports(), 0, "prepared simulation fills no memo");
+        let truth = simulate_layer(&inputs, policy, p.shape(), p.spikes());
+        assert_eq!(p.memoized_reports(), 0, "simulate_layer fills no memo");
         let mut planted = truth.clone();
         planted.cycles += 1;
         let cell = Arc::new(OnceLock::from(planted.clone()));
@@ -283,7 +257,10 @@ mod tests {
             .push((policy, report_key(&inputs), cell));
 
         assert_eq!(p.simulate_memoized(&inputs, policy), planted);
-        assert_eq!(simulate_layer_prepared(&inputs, policy, &p), truth);
+        assert_eq!(
+            simulate_layer(&inputs, policy, p.shape(), p.spikes()),
+            truth
+        );
 
         let mut clean = AuditSummary::new(AuditLevel::Full);
         audit_layer(

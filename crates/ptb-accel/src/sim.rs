@@ -41,9 +41,10 @@
 //! serial iteration order; any other count yields an
 //! [`assert_eq!`]-identical [`LayerReport`], because the floating-point
 //! energy/latency figures are derived only after the integer totals are
-//! final. The shared read-only inputs of the scan — receptive fields
-//! and, for the scalar reference, spike popcount tables — are hoisted
-//! into [`crate::geom`] and computed once per call.
+//! final. The shared read-only inputs of the scan — word rows,
+//! fire-count planes, per-cell time words and, for the scalar
+//! reference, spike popcount tables — are built once per call, before
+//! the workers start.
 //!
 //! ## Bit-parallel kernel
 //!
@@ -54,18 +55,23 @@
 //!
 //! * **Box sums** serve every policy whose per-(position, tile) terms
 //!   are receptive-field sums: PTB (entries, active windows, spike span,
-//!   slot beats), baseline \[14\] (each column tile's spike count) and
-//!   time-serial (whole-period fire counts). Neighbouring receptive
-//!   fields overlap almost entirely, so a [`BoxScan`] integrates
-//!   channel-summed per-(row, col) planes once per column tile and
-//!   answers each position with four lookups per plane.
-//! * **Gathers** remain where the per-position work is not a sum.
+//!   slot beats), baseline \[14\] (each column tile's spike count),
+//!   time-serial and event-driven (whole-period fire counts) and ANN
+//!   (field lengths alone). Neighbouring receptive fields overlap almost
+//!   entirely, so a [`BoxScan`] integrates channel-summed per-(row, col)
+//!   planes once per column tile and answers each position with four
+//!   lookups per plane.
+//! * **Box walks** remain where the per-position work is not a sum.
 //!   PTB+StSAP takes PTB's box sums and gathers only the *pairable*
 //!   entries (tag not the tile's full mask), reading each field's rows a
 //!   word of a per-tile pairable bitset at a time; it prices them from
 //!   the StSAP pair plan ([`crate::stsap`]) and skips tiles with none,
 //!   such as every single-window tile. Event-driven counts the active
-//!   time points of each field's OR.
+//!   time points of each field's OR, taken over the field's `(row,
+//!   col)` box of per-cell time words already OR-ed across channels.
+//!
+//! No production path lists a receptive field; only the scalar
+//! reference does, one position at a time.
 //!
 //! The retired byte-table walks survive verbatim behind
 //! [`simulate_layer_reference`] — the serial per-bit reference the
@@ -76,15 +82,13 @@
 //! sum), so reports stay bit-identical to the reference.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
 use systolic_sim::{sat_add, sat_mul, AccessCounts, DataKind, MemLevel};
 
 use crate::config::{Policy, SimInputs};
-use crate::geom::{spike_bits, tag_mask, window_popcounts, BoxScan, LayerGeometry};
-use crate::prepared::PreparedLayer;
+use crate::geom::{field_indices, spike_bits, tag_mask, window_popcounts, BoxScan};
 use crate::report::LayerReport;
 use crate::stsap::{
     pack_tile, stream_cost, tile_full_mask, NarrowClasses, PairPlan, SortedClasses, TagClasses,
@@ -98,9 +102,9 @@ use crate::window::WindowPartition;
 ///
 /// The scan over output positions honors [`SimInputs::threads`]; the
 /// report is identical for every thread count (see the module docs).
-/// Policies that walk receptive-field lists build them fresh on every
-/// call; sweeps that re-simulate the same layer should use
-/// [`simulate_layer_prepared`] to reuse them.
+/// Sweeps that ask for a TW-invariant policy on the same layer at many
+/// TW sizes can serve it from
+/// [`crate::prepared::PreparedLayer::simulate_memoized`].
 ///
 /// # Panics
 ///
@@ -118,7 +122,7 @@ pub fn simulate_layer(
         "input tensor must match the layer's ifmap"
     );
     assert!(input.timesteps() > 0, "operational period must be nonzero");
-    dispatch(inputs, policy, shape, input, None, Kernel::Words)
+    dispatch(inputs, policy, shape, input, Kernel::Words)
 }
 
 /// Simulates one layer with the retired *serial per-bit* inner loops —
@@ -146,36 +150,7 @@ pub fn simulate_layer_reference(
         "input tensor must match the layer's ifmap"
     );
     assert!(input.timesteps() > 0, "operational period must be nonzero");
-    dispatch(inputs, policy, shape, input, None, Kernel::Scalar)
-}
-
-/// Simulates one layer under `policy` reusing `prep`'s memoized
-/// geometry — the incremental re-simulation entry point for TW and
-/// policy sweeps.
-///
-/// The report is **bit-identical** to
-/// [`simulate_layer`]`(inputs, policy, prep.shape(), prep.spikes())`
-/// for every policy, TW size, and thread count: the geometry is a pure
-/// function of the prepared shape, so reuse skips recomputation without
-/// changing any value (see [`crate::prepared`]).
-///
-/// # Panics
-///
-/// Panics if `inputs` is invalid (the prepared state's own invariants
-/// are asserted at [`PreparedLayer::new`]).
-pub fn simulate_layer_prepared(
-    inputs: &SimInputs,
-    policy: Policy,
-    prep: &PreparedLayer,
-) -> LayerReport {
-    dispatch(
-        inputs,
-        policy,
-        prep.shape(),
-        prep.spikes(),
-        Some(prep),
-        Kernel::Words,
-    )
+    dispatch(inputs, policy, shape, input, Kernel::Scalar)
 }
 
 /// Which inner-loop implementation a simulation runs.
@@ -202,34 +177,21 @@ pub fn word_kernel_calls() -> u64 {
     WORD_KERNEL_CALLS.load(Ordering::Relaxed)
 }
 
-/// Common dispatch: `prep = None` builds the geometry fresh (the
-/// historical path), `Some` reuses the prepared one.
+/// Common dispatch of both entry points.
 fn dispatch(
     inputs: &SimInputs,
     policy: Policy,
     shape: ConvShape,
     input: &SpikeTensor,
-    prep: Option<&PreparedLayer>,
     kernel: Kernel,
 ) -> LayerReport {
     inputs.assert_valid();
     match policy {
-        Policy::Ptb { stsap } => simulate_ptb(inputs, stsap, shape, input, prep, kernel),
-        Policy::BaselineTemporal => {
-            simulate_dense_temporal(inputs, shape, input, false, prep, kernel)
-        }
-        Policy::TimeSerial => simulate_dense_temporal(inputs, shape, input, true, prep, kernel),
-        Policy::Ann => simulate_ann(inputs, shape, input, prep),
-        Policy::EventDriven => simulate_event_driven(inputs, shape, input, prep, kernel),
-    }
-}
-
-/// The layer's receptive-field geometry: the prepared memo when
-/// available, otherwise built fresh.
-fn geometry_of(prep: Option<&PreparedLayer>, shape: ConvShape) -> Arc<LayerGeometry> {
-    match prep {
-        Some(p) => p.geometry(),
-        None => Arc::new(LayerGeometry::new(shape)),
+        Policy::Ptb { stsap } => simulate_ptb(inputs, stsap, shape, input, kernel),
+        Policy::BaselineTemporal => simulate_dense_temporal(inputs, shape, input, false, kernel),
+        Policy::TimeSerial => simulate_dense_temporal(inputs, shape, input, true, kernel),
+        Policy::Ann => simulate_ann(inputs, shape, input),
+        Policy::EventDriven => simulate_event_driven(inputs, shape, input, kernel),
     }
 }
 
@@ -328,6 +290,17 @@ where
     total
 }
 
+/// Whole-period fire counts as one integrated [`BoxScan`] plane: a
+/// position's box sum is the spikes its receptive field gathers over
+/// the period (time-serial's useful work, event-driven's events).
+fn fire_count_box(shape: ConvShape, input: &SpikeTensor) -> BoxScan {
+    let t = input.timesteps();
+    let mut boxes = BoxScan::new(shape, 1);
+    boxes.fill(|n, cell| cell[0] += u64::from(input.popcount_range(n, 0, t)));
+    boxes.integrate();
+    boxes
+}
+
 /// Streaming cost of one slot, in beats: the busiest column's
 /// accumulate count, floored at the spike-link delivery time. For an
 /// StSAP pair both members' window popcounts are summed per column —
@@ -359,7 +332,6 @@ fn simulate_event_driven(
     inputs: &SimInputs,
     shape: ConvShape,
     input: &SpikeTensor,
-    prep: Option<&PreparedLayer>,
     kernel: Kernel,
 ) -> LayerReport {
     let arch = &inputs.arch;
@@ -371,21 +343,7 @@ fn simulate_event_driven(
     let row_tiles = m.div_ceil(rows);
     let pbits = u64::from(arch.potential_bits);
     let wbits = u64::from(arch.weight_bits);
-
-    let geo = geometry_of(prep, shape);
-    // Derived once from the geometry the scan iterates — a separate
-    // `ofmap_side()²` could silently diverge under a future non-square
-    // output map.
-    let positions = geo.positions() as u64;
-    // Only the scalar reference reads the dense bit table.
-    let bit_at = match kernel {
-        Kernel::Scalar => spike_bits(input),
-        Kernel::Words => Vec::new(),
-    };
-    let wpn = input.words_per_neuron();
-    if kernel == Kernel::Words {
-        WORD_KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
-    }
+    let positions = (shape.ofmap_side() as usize).pow(2);
 
     // Events are integrated per position; with columns used spatially, a
     // position tile of up to `cols` positions shares one pass per time
@@ -400,27 +358,43 @@ fn simulate_event_driven(
     // "iterative weight data access" the paper targets).
     //
     // Every per-time-point tally is linear in the point's event count or
-    // constant per *active* point, so the word kernel aggregates: total
-    // events by popcounting each receptive-field neuron's packed words,
-    // active points by popcounting their OR. Identical integer sums,
-    // one pass over `|RF| · T / 64` words instead of `|RF| · T` bytes.
-    let mut tally = scan_chunks(inputs.threads, geo.positions(), |range| {
-        let mut tally = Tally::default();
-        let mut union = vec![0u64; wpn];
-        for p in range {
-            let rf = geo.rf(p);
-            match kernel {
-                Kernel::Words => {
-                    union.fill(0);
-                    let mut events = 0u64;
-                    for &n in rf {
-                        for (u, &w) in union.iter_mut().zip(input.neuron_words(n)) {
-                            *u |= w;
-                            events += u64::from(w.count_ones());
-                        }
-                    }
+    // constant per *active* point, so the word kernel aggregates both
+    // over the receptive field's box: total events as a box sum of
+    // whole-period fire counts, active points as the popcount of the OR
+    // of the box's cells, each cell's time words already OR-ed across
+    // channels. Identical integer sums, `R² · T / 64` words per position
+    // instead of `|RF| · T` bytes.
+    let mut tally = match kernel {
+        Kernel::Words => {
+            WORD_KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
+            let fires = fire_count_box(shape, input);
+            let (h, wpn) = (shape.ifmap_side() as usize, input.words_per_neuron());
+            // Each channel's words are one `H² · wpn` block, cell-major.
+            let mut cell_words = vec![0u64; h * h * wpn];
+            for channel in input.words().chunks_exact(h * h * wpn) {
+                for (c, &w) in cell_words.iter_mut().zip(channel) {
+                    *c |= w;
+                }
+            }
+            scan_chunks(inputs.threads, positions, |range| {
+                let mut tally = Tally::default();
+                let mut union = vec![0u64; wpn];
+                let mut fired = [0u64];
+                for p in range {
+                    fires.query(p, &mut fired);
+                    let events = fired[0];
                     if events == 0 {
                         continue; // a fully silent receptive field
+                    }
+                    union.fill(0);
+                    let ((r0, r1), (s0, s1)) = fires.field_box(p);
+                    for r in r0..r1 {
+                        let row = &cell_words[(r * h + s0) * wpn..(r * h + s1) * wpn];
+                        for cell in row.chunks_exact(wpn) {
+                            for (u, &w) in union.iter_mut().zip(cell) {
+                                *u |= w;
+                            }
+                        }
                     }
                     let active_tps: u64 = union.iter().map(|w| u64::from(w.count_ones())).sum();
                     sat!(tally.compute_cycles += (events + fill * active_tps) * row_tiles);
@@ -465,10 +439,18 @@ fn simulate_event_driven(
                         m * pbits * active_tps,
                     );
                 }
-                Kernel::Scalar => {
+                tally
+            })
+        }
+        Kernel::Scalar => {
+            let bit_at = spike_bits(input);
+            scan_chunks(inputs.threads, positions, |range| {
+                let mut tally = Tally::default();
+                for p in range {
+                    let rf = field_indices(shape, p);
                     for tp in 0..t {
                         let mut active = 0u64;
-                        for &n in rf {
+                        for &n in &rf {
                             active += u64::from(bit_at[n * t + tp]);
                         }
                         if active == 0 {
@@ -513,13 +495,13 @@ fn simulate_event_driven(
                             .write(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
                     }
                 }
-            }
+                tally
+            })
         }
-        tally
-    });
+    };
     tally.entries_after = tally.entries_before;
 
-    sat!(tally.counts.compare_ops += m * positions * t as u64);
+    sat!(tally.counts.compare_ops += m * positions as u64 * t as u64);
     // Input events from DRAM once (event streams are compact).
     let events = input.total_spikes();
     tally.counts.transfer(
@@ -528,7 +510,7 @@ fn simulate_event_driven(
         DataKind::InputSpike,
         events * AER_EVENT_BITS,
     );
-    let out_bits = m * positions * t as u64;
+    let out_bits = m * positions as u64 * t as u64;
     tally
         .counts
         .write(MemLevel::GlobalBuffer, DataKind::OutputSpike, out_bits);
@@ -1094,16 +1076,17 @@ fn ptb_box_scan<M: TileMask, S: TagClasses>(
 fn ptb_scalar_scan(
     threads: usize,
     stsap: bool,
-    geo: &LayerGeometry,
+    shape: ConvShape,
     ctx: &PtbCtx,
     win_pop: &[u16],
 ) -> Tally {
-    scan_chunks(threads, geo.positions(), |range| {
+    let positions = (shape.ofmap_side() as usize).pow(2);
+    scan_chunks(threads, positions, |range| {
         let mut tally = Tally::default();
         let mut tile_tags: Vec<u128> = Vec::new();
         let mut tile_pops: Vec<u16> = Vec::new(); // per entry × window popcounts
         for p in range {
-            let rf = geo.rf(p);
+            let rf = field_indices(shape, p);
             for &(w0, w1) in ctx.tiles {
                 let nw = w1 - w0;
                 let full_mask = tile_full_mask(nw);
@@ -1111,7 +1094,7 @@ fn ptb_scalar_scan(
                 tile_pops.clear();
                 let mut spikes_span = 0u64;
                 let mut active_windows = 0u64;
-                for &n in rf {
+                for &n in &rf {
                     let base = n * ctx.n_w;
                     let mut mask = 0u128;
                     for (i, w) in (w0..w1).enumerate() {
@@ -1171,7 +1154,6 @@ fn simulate_ptb(
     stsap: bool,
     shape: ConvShape,
     input: &SpikeTensor,
-    prep: Option<&PreparedLayer>,
     kernel: Kernel,
 ) -> LayerReport {
     let arch = &inputs.arch;
@@ -1208,8 +1190,7 @@ fn simulate_ptb(
         }
         Kernel::Scalar => {
             let win_pop = window_popcounts(input, &part);
-            let geo = geometry_of(prep, shape);
-            ptb_scalar_scan(inputs.threads, stsap, &geo, &ctx, &win_pop)
+            ptb_scalar_scan(inputs.threads, stsap, shape, &ctx, &win_pop)
         }
     };
     let positions = u64::from(shape.ofmap_side()).pow(2);
@@ -1242,7 +1223,6 @@ fn simulate_dense_temporal(
     shape: ConvShape,
     input: &SpikeTensor,
     time_serial: bool,
-    prep: Option<&PreparedLayer>,
     kernel: Kernel,
 ) -> LayerReport {
     let arch = &inputs.arch;
@@ -1275,9 +1255,7 @@ fn simulate_dense_temporal(
         // the whole period).
         let fields: Vec<(u64, u64)> = match kernel {
             Kernel::Words => {
-                let mut boxes = BoxScan::new(shape, 1);
-                boxes.fill(|n, cell| cell[0] += u64::from(input.popcount_range(n, 0, t)));
-                boxes.integrate();
+                let boxes = fire_count_box(shape, input);
                 let mut spikes = [0u64];
                 (0..positions)
                     .map(|p| {
@@ -1287,12 +1265,14 @@ fn simulate_dense_temporal(
                     .collect()
             }
             Kernel::Scalar => {
-                let geo = geometry_of(prep, shape);
                 let fires: Vec<u64> = (0..input.neurons())
                     .map(|n| u64::from(input.popcount_range(n, 0, t)))
                     .collect();
                 (0..positions)
-                    .map(|p| (geo.rf_len(p), geo.rf(p).iter().map(|&n| fires[n]).sum()))
+                    .map(|p| {
+                        let rf = field_indices(shape, p);
+                        (rf.len() as u64, rf.iter().map(|&n| fires[n]).sum())
+                    })
                     .collect()
             }
         };
@@ -1400,18 +1380,17 @@ fn simulate_dense_temporal(
             tally
         }),
         Kernel::Scalar => {
-            let geo = geometry_of(prep, shape);
             let bit_at = spike_bits(input);
             scan_chunks(inputs.threads, positions, |range| {
                 let mut tally = Tally::default();
                 for p in range {
-                    let rf = geo.rf(p);
+                    let rf = field_indices(shape, p);
                     for &(w0, w1) in &tiles {
                         let mut spikes = 0u64;
                         let mut busiest = 0u64;
                         for tp in w0..w1 {
                             let mut col_spikes = 0u64;
-                            for &n in rf {
+                            for &n in &rf {
                                 col_spikes += u64::from(bit_at[n * t + tp]);
                             }
                             busiest = busiest.max(col_spikes);
@@ -1447,12 +1426,7 @@ fn simulate_dense_temporal(
 /// The non-spiking ANN accelerator of the Fig. 12(b) comparison: one
 /// dense pass, 8-bit activations, MAC PEs, good weight reuse
 /// (SCALE-Sim-class output-stationary mapping on the same 128-PE array).
-fn simulate_ann(
-    inputs: &SimInputs,
-    shape: ConvShape,
-    input: &SpikeTensor,
-    prep: Option<&PreparedLayer>,
-) -> LayerReport {
+fn simulate_ann(inputs: &SimInputs, shape: ConvShape, input: &SpikeTensor) -> LayerReport {
     let arch = &inputs.arch;
     let rows = u64::from(arch.array.rows());
     let cols = arch.array.cols() as usize;
@@ -1462,20 +1436,18 @@ fn simulate_ann(
     let abits = u64::from(arch.weight_bits); // activations share the 8-bit width
     let pbits = u64::from(arch.potential_bits);
 
-    let geo = geometry_of(prep, shape);
-    let positions = geo.positions();
-    let rf_total = geo.rf_total();
+    // No planes: the scan only needs each field's length.
+    let boxes = BoxScan::new(shape, 0);
+    let positions = boxes.positions();
+    let rf_total: u64 = (0..positions).map(|p| boxes.field_len(p)).sum();
 
     // Exact per position tile: the wavefront is bound by the tile's
     // longest receptive field, and every tap of every position is a
     // streamed entry (no integer-mean truncation at padded edges).
     let mut pass_cycles = 0u64;
-    let mut tile = 0;
-    while tile * cols < positions {
-        let p0 = tile * cols;
-        let p1 = ((tile + 1) * cols).min(positions);
-        pass_cycles += geo.max_rf_len(p0, p1) + fill;
-        tile += 1;
+    for p0 in (0..positions).step_by(cols) {
+        let p1 = (p0 + cols).min(positions);
+        pass_cycles += (p0..p1).map(|p| boxes.field_len(p)).max().unwrap_or(0) + fill;
     }
 
     let entries_before = rf_total * row_tiles;
@@ -1843,10 +1815,11 @@ mod tests {
 
     #[test]
     fn prepared_reports_match_fresh_for_every_policy() {
-        // The incremental re-simulation guarantee: reusing a
-        // PreparedLayer's memoized geometry across a TW and policy
-        // sweep yields reports bit-identical to the fresh path, serial
-        // and threaded, on a padded shape with uneven receptive fields.
+        // The incremental re-simulation guarantee: serving a TW and
+        // policy sweep from a PreparedLayer (TW-invariant reports
+        // memoized) yields reports bit-identical to the fresh path,
+        // serial and threaded, on a padded shape with uneven receptive
+        // fields.
         let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
         let input = sparse_input(shape, 40);
         let prep = crate::prepared::PreparedLayer::new(shape, std::sync::Arc::new(input.clone()));
@@ -1862,7 +1835,7 @@ mod tests {
                     Policy::EventDriven,
                 ] {
                     let fresh = simulate_layer(&inputs, policy, shape, &input);
-                    let prepared = simulate_layer_prepared(&inputs, policy, &prep);
+                    let prepared = prep.simulate_memoized(&inputs, policy);
                     assert_eq!(
                         fresh, prepared,
                         "{policy:?} tw={tw} threads={threads} diverged under reuse"
@@ -2183,10 +2156,12 @@ mod tests {
         let shape = ConvShape::with_padding(6, 3, 2, 4, 1, 1).unwrap();
         let input = sparse_input(shape, 16);
         let inputs = SimInputs::hpca22(1);
-        let geo = crate::geom::LayerGeometry::new(shape);
-        let taps = geo.rf_total();
+        let positions = (shape.ofmap_side() as usize).pow(2);
+        let taps: u64 = (0..positions)
+            .map(|p| field_indices(shape, p).len() as u64)
+            .sum();
         assert_ne!(
-            taps % geo.positions() as u64,
+            taps % positions as u64,
             0,
             "padding must make the per-position mean fractional"
         );

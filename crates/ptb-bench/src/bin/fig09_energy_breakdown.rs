@@ -6,7 +6,7 @@
 //! near-optimal 128-PE shape balancing weight and input reuse (9b).
 
 use ptb_accel::config::{Policy, SimInputs};
-use ptb_accel::sim::simulate_layer_prepared;
+use ptb_accel::sim::simulate_layer;
 use ptb_bench::RunOptions;
 use systolic_sim::array::ArrayDims;
 use systolic_sim::{ArchConfig, DataKind, EnergyModel};
@@ -37,7 +37,7 @@ fn main() {
         layer.shape
     };
     // The (a) TW sweep and the (b) shape sweep reuse one prepared
-    // layer: activity and geometry carry across sweep points.
+    // layer: its activity carries across sweep points.
     let prep = opts.new_cache().layer(layer, shape, timesteps, 42);
 
     println!("=== Fig. 9(a): energy breakdown vs TW size (DVS-Gesture CONV2, 16x8) ===");
@@ -46,7 +46,7 @@ fn main() {
         "TW", "weight(uJ)", "input(uJ)", "psum(uJ)", "membrane(uJ)", "compute(uJ)", "total(uJ)"
     );
     for tw in SimInputs::tw_sweep() {
-        let r = simulate_layer_prepared(&SimInputs::hpca22(tw), Policy::ptb(), &prep);
+        let r = simulate_layer(&SimInputs::hpca22(tw), Policy::ptb(), shape, prep.spikes());
         let uj = |k: DataKind| r.energy.kind_pj(k) / 1e6;
         println!(
             "{:>4} {:>12.2} {:>12.2} {:>12.2} {:>12.2} {:>12.2} {:>12.2}",
@@ -72,7 +72,7 @@ fn main() {
             tw_size: 8,
             threads: 1,
         };
-        let r = simulate_layer_prepared(&inputs, Policy::ptb(), &prep);
+        let r = simulate_layer(&inputs, Policy::ptb(), shape, prep.spikes());
         println!(
             "{:>8} {:>12.2} {:>12.2} {:>12.2} {:>12}",
             dims.to_string(),

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use ptb_accel::audit::{audit_layer, verify_pack, AuditLevel, AuditSummary};
 use ptb_accel::config::{Policy, SimInputs};
 use ptb_accel::stsap::tile_full_mask;
-use ptb_accel::{simulate_layer_prepared, PreparedLayer};
+use ptb_accel::{simulate_layer, PreparedLayer};
 use serde::Serialize;
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
@@ -239,7 +239,7 @@ fn case_sim(rng: &mut Rng) -> Result<(), String> {
         ..SimInputs::hpca22(tw)
     };
     let prep = PreparedLayer::new(shape, Arc::new(spikes));
-    let report = simulate_layer_prepared(&inputs, policy, &prep);
+    let report = simulate_layer(&inputs, policy, shape, prep.spikes());
     let mut summary = AuditSummary::new(AuditLevel::Full);
     audit_layer(
         &inputs,

@@ -8,7 +8,7 @@
 //! `results/*.txt` files written by `all_experiments`.
 
 use ptb_accel::config::{Policy, SimInputs};
-use ptb_accel::sim::simulate_layer_prepared;
+use ptb_accel::sim::simulate_layer;
 use ptb_bench::plot::LineChart;
 use ptb_bench::{run_network_cached, RunOptions};
 use systolic_sim::DataKind;
@@ -34,7 +34,7 @@ fn main() {
         .max_timesteps
         .map_or(net.timesteps, |cap| net.timesteps.min(cap));
     // Use a cropped shape consistent with the sampled activity; the
-    // prepared layer reuses geometry and activity across the TW sweep.
+    // prepared layer reuses its activity across the TW sweep.
     let shape =
         snn_core::shape::ConvShape::with_padding(16, 3, 64, conv2.shape.out_channels(), 1, 1)
             .expect("cropped CONV2 is valid");
@@ -43,7 +43,7 @@ fn main() {
     let mut input_pts = Vec::new();
     let mut total_pts = Vec::new();
     for &tw in &tws {
-        let r = simulate_layer_prepared(&SimInputs::hpca22(tw), Policy::ptb(), &prep);
+        let r = simulate_layer(&SimInputs::hpca22(tw), Policy::ptb(), shape, prep.spikes());
         let x = f64::from(tw).log2();
         weight_pts.push((x, r.energy.kind_pj(DataKind::Weight) / 1e6));
         input_pts.push((x, r.energy.kind_pj(DataKind::InputSpike) / 1e6));

@@ -148,7 +148,7 @@ fn main() {
                 );
                 (
                     l.name.clone(),
-                    ptb_accel::sim::simulate_layer_prepared(&inputs, args.policy, &prep),
+                    ptb_accel::sim::simulate_layer(&inputs, args.policy, shape, prep.spikes()),
                 )
             })
             .collect();

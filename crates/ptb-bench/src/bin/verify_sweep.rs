@@ -7,12 +7,14 @@
 //! ```
 //!
 //! Runs the TW sweeps of DVS-Gesture, CIFAR10-DVS, AlexNet and CIFAR10
-//! (whose `T = 8` makes TW 16 and 64 single-window) under the benchmark
-//! mix's three policies — PTB, PTB+StSAP and baseline \[14\] — through
+//! (whose `T = 8` makes TW 16 and 64 single-window) under every policy
+//! ([`Policy::all`]: PTB, PTB+StSAP, baseline \[14\], time-serial, ANN
+//! and event-driven) through
 //! [`ptb_bench::sweep_summary_verified`] at the chosen audit level (default: `PTB_VERIFY`, falling back to `full`) and
 //! prints a JSON summary of coverage counters and findings. At `full`
 //! every layer of every sweep is diffed against the serial per-bit
-//! reference, so each production kernel path is checked. The exit
+//! reference, so each production kernel path is checked on the
+//! networks' real shapes. The exit
 //! code is the contract: `0` when every audit is clean, `1` when any
 //! finding survives — inverted under `--expect-findings`, which CI uses
 //! with an armed corruption failpoint (e.g.
@@ -40,13 +42,6 @@ use spikegen::NetworkSpec;
 /// paper's sweep, enough to exercise single-window, multi-tile, and
 /// full-array schedules without full-sweep cost at `full` verification.
 const TWS: [u32; 4] = [1, 4, 16, 64];
-
-/// Policies the audit covers: the benchmark mix's three.
-const AUDITED: [Policy; 3] = [
-    Policy::Ptb { stsap: false },
-    Policy::Ptb { stsap: true },
-    Policy::BaselineTemporal,
-];
 
 #[derive(Serialize)]
 struct NetworkAudit {
@@ -227,7 +222,7 @@ fn main() {
     let mut networks = Vec::new();
     let mut total_mismatches = 0u64;
     for net in workloads() {
-        for policy in AUDITED {
+        for policy in Policy::all() {
             let (wall_ms, summary) = audited_sweep(&net, policy, level, &base);
             total_mismatches += summary.mismatches;
             networks.push(NetworkAudit {
@@ -250,7 +245,7 @@ fn main() {
         quick_mode: quick,
         threads: base.threads,
         tw_sizes: TWS.iter().map(|&t| u64::from(t)).collect(),
-        policies: AUDITED.iter().map(|p| p.label().to_string()).collect(),
+        policies: Policy::all().map(|p| p.label().to_string()).into(),
         networks,
         total_mismatches,
         clean,

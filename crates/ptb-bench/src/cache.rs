@@ -6,8 +6,8 @@
 //! sweep point, even though the generated tensor depends only on
 //! `(profile, neurons, timesteps, seed)` and not on the TW or policy
 //! under test. [`ActivityCache`] memoizes those tensors (and the
-//! [`PreparedLayer`] wrappers that additionally memoize the geometry
-//! and TW-invariant reports, see `ptb_accel::prepared`) keyed by their
+//! [`PreparedLayer`] wrappers that additionally memoize TW-invariant
+//! reports, see `ptb_accel::prepared`) keyed by their
 //! *content identity*, so a sweep pays for generation once and each
 //! subsequent point performs only the incremental re-simulation its
 //! changed axis requires.
@@ -68,7 +68,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use ptb_accel::geom::LayerGeometry;
 use ptb_accel::PreparedLayer;
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
@@ -346,19 +345,15 @@ fn tensor_cost(t: &SpikeTensor) -> u64 {
 }
 
 /// Estimated resident bytes of one prepared-layer entry. The wrapper
-/// shares the tensor `Arc`; its derived state is the receptive-field
-/// geometry plus the report memo (see `ptb_accel::prepared`), and
-/// nothing in it depends on the TW size, so a layer entry is charged
-/// one extra tensor's worth plus the geometry's receptive-field lists
-/// (`LayerGeometry::heap_bytes`, 5–18× the tensor for conv layers)
-/// however many TW points it serves. The lists are charged up front
-/// even though only the policies that walk fields build them, so the
-/// charge never changes after insertion. The report memo (at most four
-/// TW-invariant policies' `LayerReport`s, each under a kilobyte) fits
-/// inside the tensor's worth, so it adds no term here and the resident
-/// recount ([`ActivityCache::recounted_bytes`]) is unchanged.
-fn layer_cost(t: &SpikeTensor, shape: ConvShape) -> u64 {
-    tensor_cost(t) + LayerGeometry::heap_bytes(shape)
+/// shares the tensor `Arc`; its only derived state is the report memo
+/// (see `ptb_accel::prepared`), and nothing in it depends on the TW
+/// size, so a layer entry is charged one extra tensor's worth however
+/// many TW points it serves. The memo (at most four TW-invariant
+/// policies' `LayerReport`s, each under a kilobyte) fits inside that
+/// charge, so it adds no term here and the resident recount
+/// ([`ActivityCache::recounted_bytes`]) is unchanged.
+fn layer_cost(t: &SpikeTensor) -> u64 {
+    tensor_cost(t)
 }
 
 /// Removes an in-flight claim on drop, so a panicking generation can
@@ -556,9 +551,8 @@ impl ActivityCache {
 
     /// Simulation-ready state for `layer` at the effective `shape`:
     /// the memoized activity tensor wrapped in a [`PreparedLayer`]
-    /// whose geometry and TW-invariant reports are themselves
-    /// memoized and shared across every sweep point that hits this
-    /// entry.
+    /// whose TW-invariant reports are themselves memoized and shared
+    /// across every sweep point that hits this entry.
     ///
     /// `seed` is the *layer-derived* seed (the harness derives one per
     /// layer index from the run seed), so two layers of one network
@@ -594,7 +588,7 @@ impl ActivityCache {
             let mut layers = lock_recover(&self.layers);
             let seq = self.clock.fetch_add(1, Ordering::Relaxed);
             let entry = layers.entry(key).or_insert_with(|| {
-                let bytes = layer_cost(made.spikes(), shape);
+                let bytes = layer_cost(made.spikes());
                 self.mem_bytes.fetch_add(bytes, Ordering::Relaxed);
                 LayerEntry {
                     layer: made,
@@ -1127,22 +1121,15 @@ mod tests {
     }
 
     #[test]
-    fn layer_entries_are_charged_for_their_receptive_field_lists() {
-        // AlexNet CONV2's lists are 18x its tensor: charging one tensor's
-        // worth for them left most of a layer entry off the gauge.
+    fn layer_entries_are_charged_one_tensor_worth() {
+        // A layer entry holds the shared tensor, its shape and the report
+        // memo: the tensor entry plus one more tensor's worth, exactly.
         let spec = spikegen::alexnet();
         let layer = &spec.layers[1];
         let cache = ActivityCache::new(CacheMode::Mem);
         let prep = cache.layer(layer, layer.shape, 32, 77);
         let tensor = tensor_cost(prep.spikes());
-        let geo = prep.geometry();
-        let lists = (geo.rf_total() + geo.positions() as u64 + 1) * 8;
-        assert!(lists > 10 * tensor, "conv lists dwarf the tensor");
-        assert_eq!(
-            cache.resident_bytes(),
-            2 * tensor + lists,
-            "tensor + layer entry"
-        );
+        assert_eq!(cache.resident_bytes(), 2 * tensor, "tensor + layer entry");
         assert_accounting_exact(&cache);
     }
 

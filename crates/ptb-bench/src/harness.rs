@@ -4,7 +4,7 @@
 use ptb_accel::audit::{self, AuditLevel, AuditSummary};
 use ptb_accel::config::{Policy, SimInputs};
 use ptb_accel::report::NetworkReport;
-use ptb_accel::sim::simulate_layer_prepared;
+use ptb_accel::sim::simulate_layer;
 use spikegen::NetworkSpec;
 
 use crate::cache::{ActivityCache, CacheMode};
@@ -234,7 +234,7 @@ pub fn run_network_verified(
                     let prep = cache.layer(layer, shape, timesteps, seed);
                     // An audit must check a fresh report, never a memoized one.
                     let report = if level.is_on() {
-                        simulate_layer_prepared(&inputs, policy, &prep)
+                        simulate_layer(&inputs, policy, shape, prep.spikes())
                     } else {
                         prep.simulate_memoized(&inputs, policy)
                     };
@@ -308,7 +308,7 @@ pub struct SweepRow {
 /// [`RunOptions::cache`], so activity is generated once per layer and
 /// each subsequent TW point re-simulates incrementally: PTB re-derives
 /// only its TW-dependent window rows and schedule from the cached spike
-/// words (the geometry is reused), and a
+/// words, and a
 /// TW-invariant policy ([`Policy::tw_invariant`]) is simulated once per
 /// layer and reused at every other TW point (unless
 /// [`RunOptions::verify`] audits the run, which always recomputes). Use

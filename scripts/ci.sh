@@ -30,10 +30,10 @@ cargo test --workspace -q
 echo "== structured fuzz (time-boxed; exit nonzero on any panic or audit finding)"
 ./target/release/fuzz_pipeline --seconds 20
 
-echo "== audited sweep (PTB_VERIFY=sample over the four networks, zero findings)"
+echo "== audited sweep (PTB_VERIFY=sample over the four networks and six policies, zero findings)"
 PTB_QUICK=1 ./target/release/verify_sweep --level sample
 
-echo "== serial-reference oracle (PTB_VERIFY=full gates the bit-parallel kernel)"
+echo "== serial-reference oracle (PTB_VERIFY=full diffs all six policies against the serial reference)"
 PTB_QUICK=1 PTB_VERIFY=full ./target/release/verify_sweep --level full
 
 echo "== paper figures regenerate byte-identically (full fidelity, diffed against results/)"
