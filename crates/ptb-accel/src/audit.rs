@@ -19,7 +19,7 @@
 //!   sampled popcount re-derivation.
 //! * [`AuditLevel::Full`] — exhaustive structural checks (every
 //!   position's tiles, every neuron's window popcounts), a diff of the
-//!   report against the serial per-bit reference simulation, a merge
+//!   report against the oracle's serial per-tap simulation, a merge
 //!   permutation-invariance re-simulation, and a replay sample widened
 //!   to [`FULL_REPLAY_BUDGET`] stratified neurons per layer.
 //!
@@ -40,8 +40,8 @@
 //!   (post-neuron, TW) tile exactly once; a gap silently drops work, an
 //!   overlap double-counts energy.
 //! * **Popcount re-derivation** — the per-(neuron, window) spike
-//!   count table ([`crate::geom::window_popcounts`], which the scalar
-//!   reference and the audit's own StSAP re-pack read) matches counts
+//!   count table ([`crate::geom::window_popcounts`], which the oracle
+//!   and the audit's own StSAP re-pack read) matches counts
 //!   taken window by window from the raw `SpikeTensor`.
 //! * **StSAP packing** — packing conserves entries (each input entry in
 //!   exactly one slot), never pairs overlapping tags, and its slot
@@ -51,9 +51,10 @@
 //!   matches the serial reference dynamics (Eqs. 1–3) on the actual
 //!   layer activity.
 //! * **Reference diff** (full only) — the report matches
-//!   [`simulate_layer_reference`], the serial per-bit walk, bit for
-//!   bit, for every policy: the word kernel's row builders, position
-//!   scans and StSAP coster against the slow, obvious oracle.
+//!   [`simulate_layer_reference`], the oracle's serial per-tap walk,
+//!   bit for bit, for every policy including ANN: the production row
+//!   builders, box scans and StSAP coster against the slow, obvious
+//!   walk.
 //! * **Merge invariance** — re-simulating with a different worker count
 //!   reproduces the report bit-for-bit (the determinism contract of
 //!   `ptb_accel::sim`).
@@ -70,7 +71,8 @@ use crate::geom::{field_indices, window_popcounts};
 use crate::prepared::PreparedLayer;
 use crate::reference::{batched_neuron_forward, serial_neuron_forward};
 use crate::report::LayerReport;
-use crate::sim::{simulate_layer, simulate_layer_reference};
+use crate::sim::oracle::{simulate_layer_reference, tile_entries};
+use crate::sim::simulate_layer;
 use crate::stsap::{pack_tile, tile_full_mask, PackResult};
 use crate::window::WindowPartition;
 
@@ -438,36 +440,22 @@ pub fn audit_layer(
             }
         }
 
-        // --- StSAP re-pack: rebuild each sampled position's tile tags
-        // exactly like the scheduler and verify the packing invariants.
+        // --- StSAP re-pack: list each sampled position's tile tags
+        // with the oracle's walk and verify the packing invariants.
         if let Policy::Ptb { stsap: true } = policy {
             let pos_stride = match level {
                 AuditLevel::Full => 1,
                 _ => (positions / SAMPLE_TILE_BUDGET).max(1),
             };
-            let mut tags: Vec<u128> = Vec::new();
+            let (mut tags, mut counts) = (Vec::new(), Vec::new());
             for p in (0..positions).step_by(pos_stride) {
                 let rf = field_indices(shape, p);
                 for (tile_idx, &(w0, w1)) in tiles.iter().enumerate() {
-                    let full_mask = tile_full_mask(w1 - w0);
-                    tags.clear();
-                    for &n in &rf {
-                        let base = n * n_w;
-                        let mut mask = 0u128;
-                        for (i, w) in (w0..w1).enumerate() {
-                            if pops[base + w] > 0 {
-                                mask |= 1 << i;
-                            }
-                        }
-                        if mask != 0 {
-                            tags.push(mask);
-                        }
+                    tile_entries(&rf, &pops, n_w, (w0, w1), &mut tags, &mut counts);
+                    if !tags.is_empty() {
+                        let packed = pack_tile(&tags, tile_full_mask(w1 - w0));
+                        verify_pack(layer_name, tile_idx, &tags, &packed, summary);
                     }
-                    if tags.is_empty() {
-                        continue;
-                    }
-                    let packed = pack_tile(&tags, full_mask);
-                    verify_pack(layer_name, tile_idx, &tags, &packed, summary);
                 }
             }
         }
@@ -523,7 +511,7 @@ pub fn audit_layer(
     }
 
     // --- Reference diff and merge invariance (full only: each costs one
-    // extra simulation). The serial per-bit oracle must reproduce the
+    // extra simulation). The serial per-tap oracle must reproduce the
     // report bit-for-bit, and so must a different worker count.
     if level == AuditLevel::Full {
         let oracle = simulate_layer_reference(inputs, policy, shape, spikes);

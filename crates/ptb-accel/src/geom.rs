@@ -6,10 +6,13 @@
 //! a clipped `(row, col)` box across every channel, so the production
 //! scans never list one: [`BoxScan`] answers each field's sums from 2D
 //! prefix planes, its length from the box, its box itself for per-cell
-//! tables, and visits its flagged neurons a word at a time. Only the
-//! slow paths — the scalar reference and the audit's sampled re-packs
-//! and replays — list a field, one position at a time
-//! (`field_indices`).
+//! tables, and visits its flagged neurons a word at a time.
+//!
+//! The rest of this module serves the slow paths — the oracle
+//! ([`crate::sim::oracle`]) and the audit ([`crate::audit`]): a field's
+//! list, one position at a time (`field_indices`), and the dense
+//! per-(neuron, time point) bits ([`spike_bits`]) and per-(neuron,
+//! window) counts ([`window_popcounts`]) they read it through.
 //!
 //! The popcount tables are deliberately wider than the hardware needs:
 //! a window's spike count is bounded by the window length, and the
@@ -44,7 +47,7 @@ fn field_spans(shape: ConvShape) -> Vec<(usize, usize)> {
 
 /// Receptive field of output position `p = x · E + y`, in
 /// [`ConvShape::receptive_field_indices`] order: the per-position list
-/// the scalar reference and the audit gather from.
+/// the oracle and the audit gather from.
 pub(crate) fn field_indices(shape: ConvShape, p: usize) -> Vec<usize> {
     let e = shape.ofmap_side() as usize;
     shape.receptive_field_indices((p / e) as u32, (p % e) as u32)
@@ -312,12 +315,8 @@ pub fn tag_mask(tags: &[u64], tag_words: usize, n: usize, w0: usize, w1: usize) 
 }
 
 /// Per-(neuron, time point) spike bits of `input`, row-major by neuron:
-/// entry `n · T + t` is 1 iff neuron `n` fires at time `t`.
-///
-/// This dense table was the hot-path representation before the
-/// bit-parallel kernel; it is retained as the *serial per-bit
-/// reference* — [`crate::sim::simulate_layer_reference`] streams from
-/// it, and the equivalence tests pin the word kernel against it.
+/// entry `n · T + t` is 1 iff neuron `n` fires at time `t` — the table
+/// the oracle's non-PTB walks read tap by tap.
 pub fn spike_bits(input: &SpikeTensor) -> Vec<u8> {
     let t = input.timesteps();
     let mut bits = vec![0u8; input.neurons() * t];

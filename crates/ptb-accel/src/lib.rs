@@ -29,7 +29,7 @@
 //!   [`SimInputs::threads`] worker-count knob of the parallel scan.
 //! * [`geom`] — receptive fields as clipped boxes: the summed-area box
 //!   sums ([`geom::BoxScan`]) that price every production scan, and the
-//!   scalar reference's spike popcount tables.
+//!   field lists and spike tables the oracle and the audit read.
 //! * [`prepared`] — [`PreparedLayer`]: memoized TW-invariant reports
 //!   for incremental re-simulation across TW/policy sweeps
 //!   ([`PreparedLayer::simulate_memoized`] is bit-identical to
@@ -37,6 +37,9 @@
 //! * [`sim`] — the analytic layer simulator for PTB and the baselines
 //!   (conventional time-serial, dense temporal tiling \[14\], and the
 //!   non-spiking ANN accelerator of the Fig. 12(b) comparison).
+//! * [`sim::oracle`] — [`simulate_layer_reference`], the serial per-tap
+//!   walk of all six policies that the production kernel is pinned
+//!   against.
 //! * [`report`] — per-layer and per-network results: energy breakdown,
 //!   latency, utilization, and EDP.
 //! * `reference` — a bit-exact functional check that PTB's batched
@@ -45,10 +48,9 @@
 //! * [`audit`] — the runtime audit layer (`PTB_VERIFY=off|sample|full`):
 //!   re-derives structural invariants (tile coverage, window popcounts,
 //!   StSAP conservation), replays sampled neurons through `reference`,
-//!   and at `full` diffs each report against the serial per-bit
-//!   reference simulation, reporting divergences as typed
-//!   [`snn_core::error::AuditError`] findings with first-divergence
-//!   coordinates.
+//!   and at `full` diffs each report against the oracle, reporting
+//!   divergences as typed [`snn_core::error::AuditError`] findings
+//!   with first-divergence coordinates.
 //!
 //! ## Quick start
 //!
@@ -88,6 +90,7 @@ pub use audit::{audit_layer, AuditLevel, AuditSummary};
 pub use config::{Policy, SimInputs};
 pub use prepared::PreparedLayer;
 pub use report::{LayerReport, NetworkReport};
-pub use sim::{simulate_layer, simulate_layer_reference, word_kernel_calls};
+pub use sim::oracle::simulate_layer_reference;
+pub use sim::simulate_layer;
 pub use tag::{NeuronClass, TbTag};
 pub use window::WindowPartition;

@@ -25,33 +25,32 @@
 //! ## Energy
 //!
 //! Access counts per level/kind follow the working-set rules documented
-//! on each policy function; `systolic_sim::EnergyModel` turns them into
+//! on each policy's booking; `systolic_sim::EnergyModel` turns them into
 //! joules. See DESIGN.md §4 for the model's assumptions.
 //!
 //! ## Parallelism and determinism
 //!
-//! Every policy's position loop only *accumulates* into a `Tally`,
-//! and every tally field is an integer sum — so accumulation is
-//! associative and commutative, and any partition of the position space
-//! merged in any order produces bit-identical totals. The simulator
-//! exploits this: [`SimInputs::threads`] fans contiguous chunks of the
-//! scan — positions, position tiles, or (for the box-sum scans) column
-//! tiles — across scoped worker threads and merges the per-chunk
-//! tallies in chunk-index order. `threads = 1` is one chunk in the
-//! serial iteration order; any other count yields an
-//! [`assert_eq!`]-identical [`LayerReport`], because the floating-point
-//! energy/latency figures are derived only after the integer totals are
-//! final. The shared read-only inputs of the scan — word rows,
-//! fire-count planes, per-cell time words and, for the scalar
-//! reference, spike popcount tables — are built once per call, before
-//! the workers start.
+//! Every policy's scan only *accumulates* into a `Tally`, and every
+//! tally field is an integer sum — so accumulation is associative and
+//! commutative, and any partition of the scan merged in any order
+//! produces bit-identical totals. The simulator exploits this:
+//! [`SimInputs::threads`] fans contiguous chunks of the scan —
+//! positions, position tiles, or (for the box-sum scans) column tiles —
+//! across scoped worker threads and merges the per-chunk tallies in
+//! chunk-index order. `threads = 1` is one chunk in the serial
+//! iteration order; any other count yields an [`assert_eq!`]-identical
+//! [`LayerReport`], because the floating-point energy/latency figures
+//! are derived only after the integer totals are final. The shared
+//! read-only inputs of the scan — word rows, fire-count planes and
+//! per-cell time words — are built once per call, before the workers
+//! start.
 //!
 //! ## Bit-parallel kernel
 //!
-//! The hot paths read the activity in whole 64-time-point blocks and
-//! never walk a per-(neuron, time-point) byte table. PTB first derives
-//! each (neuron, column tile)'s window mask, spike span and busiest
-//! window from the packed [`SpikeTensor`] words (the word rows). Then:
+//! The scans read the activity in whole 64-time-point blocks and never
+//! walk a per-(neuron, time-point) table. PTB first derives each
+//! (neuron, column tile)'s window mask, spike span and busiest window
+//! from the packed [`SpikeTensor`] words (the word rows). Then:
 //!
 //! * **Box sums** serve every policy whose per-(position, tile) terms
 //!   are receptive-field sums: PTB (entries, active windows, spike span,
@@ -70,134 +69,29 @@
 //!   time points of each field's OR, taken over the field's `(row,
 //!   col)` box of per-cell time words already OR-ed across channels.
 //!
-//! No production path lists a receptive field; only the scalar
-//! reference does, one position at a time.
+//! No scan here lists a receptive field.
 //!
-//! The retired byte-table walks survive verbatim behind
-//! [`simulate_layer_reference`] — the serial per-bit reference the
-//! equivalence tests (and benchmarks) pin the word kernel against.
-//! Every tally field is an integer sum, and the word paths accumulate
-//! exactly the same summands (zero-count windows add zero; per-point
-//! event totals aggregate to popcounts; a box sum *is* the field's
-//! sum), so reports stay bit-identical to the reference.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! ## The oracle
+//!
+//! The [`oracle`] walks the same iteration space serially and tap by
+//! tap, listing every receptive field, for all six policies. Its walks and these scans feed the same per-iteration
+//! booking and the same layer-granular close, so the two differ only in
+//! how they gather each iteration's terms. Every tally field is an
+//! integer sum and both gather exactly the same summands (zero-count
+//! windows add zero; per-point event totals aggregate to popcounts; a
+//! box sum *is* the field's sum), so the reports are bit-identical.
 
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
 use systolic_sim::{sat_add, sat_mul, AccessCounts, DataKind, MemLevel};
 
 use crate::config::{Policy, SimInputs};
-use crate::geom::{field_indices, spike_bits, tag_mask, window_popcounts, BoxScan};
+use crate::geom::{tag_mask, BoxScan};
 use crate::report::LayerReport;
 use crate::stsap::{
-    pack_tile, stream_cost, tile_full_mask, NarrowClasses, PairPlan, SortedClasses, TagClasses,
+    stream_cost, tile_full_mask, NarrowClasses, PairPlan, SortedClasses, TagClasses,
 };
 use crate::window::WindowPartition;
-
-/// Simulates one layer under `policy`, returning the full report.
-///
-/// `input` holds the layer's pre-synaptic spike activity
-/// (`shape.ifmap_neurons()` neurons over the operational period).
-///
-/// The scan over output positions honors [`SimInputs::threads`]; the
-/// report is identical for every thread count (see the module docs).
-/// Sweeps that ask for a TW-invariant policy on the same layer at many
-/// TW sizes can serve it from
-/// [`crate::prepared::PreparedLayer::simulate_memoized`].
-///
-/// # Panics
-///
-/// Panics if the input tensor does not match the shape, the period is
-/// zero, or `inputs` is invalid.
-pub fn simulate_layer(
-    inputs: &SimInputs,
-    policy: Policy,
-    shape: ConvShape,
-    input: &SpikeTensor,
-) -> LayerReport {
-    assert_eq!(
-        input.neurons(),
-        shape.ifmap_neurons(),
-        "input tensor must match the layer's ifmap"
-    );
-    assert!(input.timesteps() > 0, "operational period must be nonzero");
-    dispatch(inputs, policy, shape, input, Kernel::Words)
-}
-
-/// Simulates one layer with the retired *serial per-bit* inner loops —
-/// the pre-kernel implementation, kept as the correctness and
-/// performance reference for the bit-parallel word kernel.
-///
-/// The report is bit-identical to [`simulate_layer`] for every policy,
-/// TW size, and thread count (the equivalence tests pin this): the word
-/// kernel accumulates exactly the same integer summands, just 64 time
-/// points at a time. Derived tables are always built fresh here — the
-/// reference exists to be slow and obvious, not memoized.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate_layer`].
-pub fn simulate_layer_reference(
-    inputs: &SimInputs,
-    policy: Policy,
-    shape: ConvShape,
-    input: &SpikeTensor,
-) -> LayerReport {
-    assert_eq!(
-        input.neurons(),
-        shape.ifmap_neurons(),
-        "input tensor must match the layer's ifmap"
-    );
-    assert!(input.timesteps() > 0, "operational period must be nonzero");
-    dispatch(inputs, policy, shape, input, Kernel::Scalar)
-}
-
-/// Which inner-loop implementation a simulation runs.
-///
-/// [`Kernel::Words`] is the production bit-parallel kernel (mask /
-/// popcount over packed 64-point words); [`Kernel::Scalar`] is the
-/// retired per-bit walk kept behind [`simulate_layer_reference`]. Both
-/// accumulate identical integer summands, so the choice never changes a
-/// report — only how fast it is produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    Words,
-    Scalar,
-}
-
-/// Times the word kernel's inner gathers have run in this process (all
-/// threads). Monotone, `Relaxed` — a smoke-test observability counter
-/// (the CI bench asserts it advances, proving the bit-parallel path is
-/// actually exercised), never part of any report.
-static WORD_KERNEL_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Current value of the process-wide word-kernel invocation counter.
-pub fn word_kernel_calls() -> u64 {
-    WORD_KERNEL_CALLS.load(Ordering::Relaxed)
-}
-
-/// Common dispatch of both entry points.
-fn dispatch(
-    inputs: &SimInputs,
-    policy: Policy,
-    shape: ConvShape,
-    input: &SpikeTensor,
-    kernel: Kernel,
-) -> LayerReport {
-    inputs.assert_valid();
-    match policy {
-        Policy::Ptb { stsap } => simulate_ptb(inputs, stsap, shape, input, kernel),
-        Policy::BaselineTemporal => simulate_dense_temporal(inputs, shape, input, false, kernel),
-        Policy::TimeSerial => simulate_dense_temporal(inputs, shape, input, true, kernel),
-        Policy::Ann => simulate_ann(inputs, shape, input),
-        Policy::EventDriven => simulate_event_driven(inputs, shape, input, kernel),
-    }
-}
-
-/// Bits per address-event in the event-driven baseline's AER-style input
-/// representation (neuron address + payload).
-const AER_EVENT_BITS: u64 = 16;
 
 /// Checked accumulation into a tally field: `sat!(tally.field += expr)`
 /// clamps at `u64::MAX` instead of wrapping and counts every clamp in
@@ -210,8 +104,181 @@ macro_rules! sat {
     ($t:ident . $($f:ident).+ += $v:expr) => {{
         let v: u64 = $v;
         let cur = $t.$($f).+;
-        $t.$($f).+ = sat_add(cur, v, &mut $t.counts.saturated);
+        $t.$($f).+ = systolic_sim::sat_add(cur, v, &mut $t.counts.saturated);
     }};
+}
+
+pub mod oracle;
+
+/// Simulates one layer under `policy`, returning the full report.
+///
+/// `input` holds the layer's pre-synaptic spike activity
+/// (`shape.ifmap_neurons()` neurons over the operational period).
+///
+/// The scan honors [`SimInputs::threads`]; the report is identical for
+/// every thread count (see the module docs). Sweeps that ask for a
+/// TW-invariant policy on the same layer at many TW sizes can serve it
+/// from [`crate::prepared::PreparedLayer::simulate_memoized`].
+///
+/// # Panics
+///
+/// Panics if the input tensor does not match the shape, the period is
+/// zero, or `inputs` is invalid.
+pub fn simulate_layer(
+    inputs: &SimInputs,
+    policy: Policy,
+    shape: ConvShape,
+    input: &SpikeTensor,
+) -> LayerReport {
+    let d = Dims::new(inputs, shape, input);
+    let threads = inputs.threads;
+    let tally = match policy {
+        Policy::Ptb { stsap } => {
+            let ctx = PtbCtx::new(inputs, d);
+            // Narrow mask words keep a tile's whole lookup slice
+            // cache-resident; the wide fallback covers any array.
+            if d.cols <= 16 {
+                run_word_kernel::<u16>(threads, stsap, shape, &ctx, input)
+            } else {
+                run_word_kernel::<u128>(threads, stsap, shape, &ctx, input)
+            }
+        }
+        Policy::BaselineTemporal => baseline_scan(threads, shape, input, &d),
+        Policy::TimeSerial => time_serial_scan(threads, shape, input, &d),
+        Policy::Ann => ann_scan(shape, &d),
+        Policy::EventDriven => event_scan(threads, shape, input, &d),
+    };
+    close(inputs, policy, shape, input, &d, tally)
+}
+
+/// Bits per address-event in the event-driven baseline's AER-style input
+/// representation (neuron address + payload).
+const AER_EVENT_BITS: u64 = 16;
+
+/// Layer-wide constants of the accounting, shared by the scans here and
+/// the oracle's walks.
+#[derive(Debug, Clone, Copy)]
+struct Dims {
+    /// Output channels.
+    m: u64,
+    /// Array row tiles the output channels take.
+    row_tiles: u64,
+    /// Fill/drain cycles of one array iteration.
+    fill: u64,
+    /// Membrane potential width, bits.
+    pbits: u64,
+    /// Weight width, bits.
+    wbits: u64,
+    /// Array columns.
+    cols: usize,
+    /// Output positions, `E²`.
+    positions: usize,
+    /// Time points of the operational period.
+    t: usize,
+}
+
+impl Dims {
+    /// Checks the layer and reads its constants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input tensor does not match the shape, the period is
+    /// zero, or `inputs` is invalid.
+    fn new(inputs: &SimInputs, shape: ConvShape, input: &SpikeTensor) -> Self {
+        assert_eq!(
+            input.neurons(),
+            shape.ifmap_neurons(),
+            "input tensor must match the layer's ifmap"
+        );
+        assert!(input.timesteps() > 0, "operational period must be nonzero");
+        inputs.assert_valid();
+        let arch = &inputs.arch;
+        let m = u64::from(shape.out_channels());
+        Dims {
+            m,
+            row_tiles: m.div_ceil(u64::from(arch.array.rows())),
+            fill: arch.array.fill_cycles(),
+            pbits: u64::from(arch.potential_bits),
+            wbits: u64::from(arch.weight_bits),
+            cols: arch.array.cols() as usize,
+            positions: (shape.ofmap_side() as usize).pow(2),
+            t: input.timesteps(),
+        }
+    }
+
+    /// Books one baseline \[14\] iteration: a (position, column tile)
+    /// pair streaming its field's `rf_len` taps densely over `span_len`
+    /// time points, `spikes` of them firing. A column is one time point
+    /// and counts at most one spike per field neuron, so the busiest
+    /// column never outlasts the dense stream: the iteration takes
+    /// `rf_len` beats plus the fill.
+    fn book_dense_tile(&self, tally: &mut Tally, rf_len: u64, span_len: u64, spikes: u64) {
+        sat!(tally.compute_cycles += (rf_len + self.fill) * self.row_tiles);
+        sat!(tally.useful_ops += spikes * self.m);
+        sat!(tally.counts.ac_ops += spikes * self.m);
+        sat!(tally.entries_before += rf_len * self.row_tiles);
+        sat!(tally.entries_after += rf_len * self.row_tiles);
+        sat!(tally.sum_entries_raw += rf_len);
+        tally.stage_l1(DataKind::InputSpike, rf_len * span_len * self.row_tiles);
+        tally.membrane(self.m * self.pbits);
+    }
+
+    /// Books one time-serial position tile: `positions` output positions
+    /// on the columns, their fields `rf_sum` taps long in total and the
+    /// longest `rf_max`, gathering `spikes` over the period. Every time
+    /// point is a separate dense pass: every tap of every position is a
+    /// streamed entry (the true tap count under padding), and the
+    /// wavefront is bound by the longest field. Useful work is still
+    /// gated by actual spikes.
+    fn book_position_tile(
+        &self,
+        tally: &mut Tally,
+        positions: u64,
+        rf_sum: u64,
+        rf_max: u64,
+        spikes: u64,
+    ) {
+        let t = self.t as u64;
+        sat!(tally.compute_cycles += (rf_max + self.fill) * t * self.row_tiles);
+        sat!(tally.useful_ops += spikes * self.m);
+        sat!(tally.counts.ac_ops += spikes * self.m);
+        sat!(tally.entries_before += rf_sum * t * self.row_tiles);
+        sat!(tally.entries_after += rf_sum * t * self.row_tiles);
+        // Weight-fetch driver: a dense RF per (position, time point).
+        sat!(tally.sum_entries_raw += rf_sum * t);
+        // Input bits: one bit per tap per time point, per row tile.
+        tally.stage_l1(DataKind::InputSpike, rf_sum * t * self.row_tiles);
+        // Membrane read+write per output neuron per time point — the
+        // multi-bit movement bottleneck PTB amortizes per window.
+        tally.membrane(self.m * positions * t * self.pbits);
+    }
+
+    /// Books one position's `events` input events, integrated over
+    /// `active_tps` active time points (event-driven). Every event's
+    /// weight column walks the whole hierarchy from off-chip (no
+    /// windowed reuse; the "iterative weight data access" the paper
+    /// targets), and each active point pays its own fill and membrane
+    /// update for the position's output neurons.
+    fn book_events(&self, tally: &mut Tally, events: u64, active_tps: u64) {
+        sat!(tally.compute_cycles += (events + self.fill * active_tps) * self.row_tiles);
+        sat!(tally.entries_before += events * self.row_tiles);
+        sat!(tally.entries_after += events * self.row_tiles);
+        sat!(tally.useful_ops += events * self.m);
+        sat!(tally.counts.ac_ops += events * self.m);
+        let w_bits = events * self.m * self.wbits;
+        tally.counts.transfer(
+            MemLevel::Dram,
+            MemLevel::GlobalBuffer,
+            DataKind::Weight,
+            w_bits,
+        );
+        tally.stage_l1(DataKind::Weight, w_bits);
+        tally.stage_l1(
+            DataKind::InputSpike,
+            events * AER_EVENT_BITS * self.row_tiles,
+        );
+        tally.membrane(self.m * self.pbits * active_tps);
+    }
 }
 
 /// Shared accumulation state while walking a layer's iteration space.
@@ -249,6 +316,40 @@ impl Tally {
         self.exact_pairs = sat_add(self.exact_pairs, other.exact_pairs, sat);
         self.near_pairs = sat_add(self.near_pairs, other.near_pairs, sat);
         self.sum_entries_raw = sat_add(self.sum_entries_raw, other.sum_entries_raw, sat);
+    }
+
+    /// Moves `bits` of `kind` from the global buffer into L1 and reads
+    /// them there.
+    fn stage_l1(&mut self, kind: DataKind, bits: u64) {
+        self.counts
+            .transfer(MemLevel::GlobalBuffer, MemLevel::L1, kind, bits);
+        self.counts.read(MemLevel::L1, kind, bits);
+    }
+
+    /// Reads and writes back `bits` of membrane potential in the global
+    /// buffer.
+    fn membrane(&mut self, bits: u64) {
+        self.counts
+            .read(MemLevel::GlobalBuffer, DataKind::Membrane, bits);
+        self.counts
+            .write(MemLevel::GlobalBuffer, DataKind::Membrane, bits);
+    }
+
+    /// Writes `bits` of output through the global buffer to DRAM.
+    fn write_out(&mut self, bits: u64) {
+        self.counts
+            .write(MemLevel::GlobalBuffer, DataKind::OutputSpike, bits);
+        self.counts
+            .write(MemLevel::Dram, DataKind::OutputSpike, bits);
+    }
+
+    /// Partial sums: one `pbits`-wide read-modify-write in the PE
+    /// scratchpad per accumulate `ops`.
+    fn psums(&mut self, ops: u64, pbits: u64) {
+        let bits = sat_mul(ops, pbits, &mut self.counts.saturated);
+        self.counts.read(MemLevel::Scratchpad, DataKind::Psum, bits);
+        self.counts
+            .write(MemLevel::Scratchpad, DataKind::Psum, bits);
     }
 }
 
@@ -301,298 +402,158 @@ fn fire_count_box(shape: ConvShape, input: &SpikeTensor) -> BoxScan {
     boxes
 }
 
-/// Streaming cost of one slot, in beats: the busiest column's
-/// accumulate count, floored at the spike-link delivery time. For an
-/// StSAP pair both members' window popcounts are summed per column —
-/// their tags are disjoint so at most one member is nonzero per window,
-/// but the sum is computed in `u32` so that large analysis-scale windows
-/// (popcounts beyond `u8`) can never overflow the addition, which the
-/// old `u8 + u8` did in debug builds.
-fn slot_cost(a: &[u16], b: Option<&[u16]>, min_beats: u64) -> u64 {
-    let busiest = match b {
-        None => a.iter().copied().map(u32::from).max().unwrap_or(0),
-        Some(b) => a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| u32::from(x) + u32::from(y))
-            .max()
-            .unwrap_or(0),
-    };
-    u64::from(busiest).max(min_beats)
-}
-
 /// The event-driven time-serial SNN accelerator (\[15, 34, 35\]): at each
 /// time point, only firing pre-synaptic neurons are fetched and
 /// integrated (AER events of [`AER_EVENT_BITS`] each), but weights are
 /// refetched at *every* time point a neuron fires (no reuse through
 /// time) and time points are processed strictly serially with the
 /// columns used spatially — the lack-of-parallelism critique of
-/// Section I.
-fn simulate_event_driven(
-    inputs: &SimInputs,
-    shape: ConvShape,
-    input: &SpikeTensor,
-    kernel: Kernel,
-) -> LayerReport {
-    let arch = &inputs.arch;
-    let rows = u64::from(arch.array.rows());
-    // No spatial or temporal parallelism in this baseline: columns idle.
-    let fill = arch.array.fill_cycles();
-    let t = input.timesteps();
-    let m = u64::from(shape.out_channels());
-    let row_tiles = m.div_ceil(rows);
-    let pbits = u64::from(arch.potential_bits);
-    let wbits = u64::from(arch.weight_bits);
-    let positions = (shape.ofmap_side() as usize).pow(2);
-
-    // Events are integrated per position; with columns used spatially, a
-    // position tile of up to `cols` positions shares one pass per time
-    // point, streaming the union of their active receptive-field events
-    // (adjacent RFs almost coincide, so we approximate the union by the
-    // per-position count and divide the shared quantities by `cols`).
-    //
-    // No spatial parallelism: neurons are processed "one at a time, and
-    // from time points to time points" (Section I's critique) — every
-    // position pays its own serial pass, and every event's weight column
-    // walks the whole hierarchy from off-chip (no windowed reuse; the
-    // "iterative weight data access" the paper targets).
-    //
-    // Every per-time-point tally is linear in the point's event count or
-    // constant per *active* point, so the word kernel aggregates both
-    // over the receptive field's box: total events as a box sum of
-    // whole-period fire counts, active points as the popcount of the OR
-    // of the box's cells, each cell's time words already OR-ed across
-    // channels. Identical integer sums, `R² · T / 64` words per position
-    // instead of `|RF| · T` bytes.
-    let mut tally = match kernel {
-        Kernel::Words => {
-            WORD_KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
-            let fires = fire_count_box(shape, input);
-            let (h, wpn) = (shape.ifmap_side() as usize, input.words_per_neuron());
-            // Each channel's words are one `H² · wpn` block, cell-major.
-            let mut cell_words = vec![0u64; h * h * wpn];
-            for channel in input.words().chunks_exact(h * h * wpn) {
-                for (c, &w) in cell_words.iter_mut().zip(channel) {
-                    *c |= w;
+/// Section I: neurons are processed "one at a time, and from time points
+/// to time points", so every position pays its own serial pass.
+///
+/// Every per-time-point term is linear in the point's event count or
+/// constant per *active* point, so the scan aggregates both over the
+/// receptive field's box: total events as a box sum of whole-period
+/// fire counts, active points as the popcount of the OR of the box's
+/// cells, each cell's time words already OR-ed across channels.
+/// Identical integer sums, `R² · T / 64` words per position instead of
+/// `|RF| · T` bits.
+fn event_scan(threads: usize, shape: ConvShape, input: &SpikeTensor, d: &Dims) -> Tally {
+    let fires = fire_count_box(shape, input);
+    let (h, wpn) = (shape.ifmap_side() as usize, input.words_per_neuron());
+    // Each channel's words are one `H² · wpn` block, cell-major.
+    let mut cell_words = vec![0u64; h * h * wpn];
+    for channel in input.words().chunks_exact(h * h * wpn) {
+        for (c, &w) in cell_words.iter_mut().zip(channel) {
+            *c |= w;
+        }
+    }
+    scan_chunks(threads, d.positions, |range| {
+        let mut tally = Tally::default();
+        let mut union = vec![0u64; wpn];
+        let mut fired = [0u64];
+        for p in range {
+            fires.query(p, &mut fired);
+            if fired[0] == 0 {
+                continue; // a fully silent receptive field
+            }
+            union.fill(0);
+            let ((r0, r1), (s0, s1)) = fires.field_box(p);
+            for r in r0..r1 {
+                let row = &cell_words[(r * h + s0) * wpn..(r * h + s1) * wpn];
+                for cell in row.chunks_exact(wpn) {
+                    for (u, &w) in union.iter_mut().zip(cell) {
+                        *u |= w;
+                    }
                 }
             }
-            scan_chunks(inputs.threads, positions, |range| {
-                let mut tally = Tally::default();
-                let mut union = vec![0u64; wpn];
-                let mut fired = [0u64];
-                for p in range {
-                    fires.query(p, &mut fired);
-                    let events = fired[0];
-                    if events == 0 {
-                        continue; // a fully silent receptive field
-                    }
-                    union.fill(0);
-                    let ((r0, r1), (s0, s1)) = fires.field_box(p);
-                    for r in r0..r1 {
-                        let row = &cell_words[(r * h + s0) * wpn..(r * h + s1) * wpn];
-                        for cell in row.chunks_exact(wpn) {
-                            for (u, &w) in union.iter_mut().zip(cell) {
-                                *u |= w;
-                            }
-                        }
-                    }
-                    let active_tps: u64 = union.iter().map(|w| u64::from(w.count_ones())).sum();
-                    sat!(tally.compute_cycles += (events + fill * active_tps) * row_tiles);
-                    sat!(tally.entries_before += events * row_tiles);
-                    sat!(tally.useful_ops += events * m);
-                    sat!(tally.counts.ac_ops += events * m);
-                    // Weights refetched for every event at every time point.
-                    let w_bits = events * m * wbits;
-                    tally.counts.transfer(
-                        MemLevel::Dram,
-                        MemLevel::GlobalBuffer,
-                        DataKind::Weight,
-                        w_bits,
-                    );
-                    tally.counts.transfer(
-                        MemLevel::GlobalBuffer,
-                        MemLevel::L1,
-                        DataKind::Weight,
-                        w_bits,
-                    );
-                    tally.counts.read(MemLevel::L1, DataKind::Weight, w_bits);
-                    let in_bits = events * AER_EVENT_BITS * row_tiles;
-                    tally.counts.transfer(
-                        MemLevel::GlobalBuffer,
-                        MemLevel::L1,
-                        DataKind::InputSpike,
-                        in_bits,
-                    );
-                    tally
-                        .counts
-                        .read(MemLevel::L1, DataKind::InputSpike, in_bits);
-                    // Membrane potentials move once per *active* time
-                    // point, for every position's own output neurons.
-                    tally.counts.read(
-                        MemLevel::GlobalBuffer,
-                        DataKind::Membrane,
-                        m * pbits * active_tps,
-                    );
-                    tally.counts.write(
-                        MemLevel::GlobalBuffer,
-                        DataKind::Membrane,
-                        m * pbits * active_tps,
-                    );
-                }
-                tally
-            })
+            let active_tps: u64 = union.iter().map(|w| u64::from(w.count_ones())).sum();
+            d.book_events(&mut tally, fired[0], active_tps);
         }
-        Kernel::Scalar => {
-            let bit_at = spike_bits(input);
-            scan_chunks(inputs.threads, positions, |range| {
-                let mut tally = Tally::default();
-                for p in range {
-                    let rf = field_indices(shape, p);
-                    for tp in 0..t {
-                        let mut active = 0u64;
-                        for &n in &rf {
-                            active += u64::from(bit_at[n * t + tp]);
-                        }
-                        if active == 0 {
-                            continue; // silent time points are skipped entirely
-                        }
-                        sat!(tally.compute_cycles += (active + fill) * row_tiles);
-                        sat!(tally.entries_before += active * row_tiles);
-                        sat!(tally.useful_ops += active * m);
-                        sat!(tally.counts.ac_ops += active * m);
-                        // Weights refetched for every event at every time point.
-                        let w_bits = active * m * wbits;
-                        tally.counts.transfer(
-                            MemLevel::Dram,
-                            MemLevel::GlobalBuffer,
-                            DataKind::Weight,
-                            w_bits,
-                        );
-                        tally.counts.transfer(
-                            MemLevel::GlobalBuffer,
-                            MemLevel::L1,
-                            DataKind::Weight,
-                            w_bits,
-                        );
-                        tally.counts.read(MemLevel::L1, DataKind::Weight, w_bits);
-                        let in_bits = active * AER_EVENT_BITS * row_tiles;
-                        tally.counts.transfer(
-                            MemLevel::GlobalBuffer,
-                            MemLevel::L1,
-                            DataKind::InputSpike,
-                            in_bits,
-                        );
-                        tally
-                            .counts
-                            .read(MemLevel::L1, DataKind::InputSpike, in_bits);
-                        // Membrane potentials move every active time point,
-                        // for every position's own output neurons.
-                        tally
-                            .counts
-                            .read(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
-                        tally
-                            .counts
-                            .write(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
-                    }
-                }
-                tally
-            })
-        }
-    };
-    tally.entries_after = tally.entries_before;
-
-    sat!(tally.counts.compare_ops += m * positions as u64 * t as u64);
-    // Input events from DRAM once (event streams are compact).
-    let events = input.total_spikes();
-    tally.counts.transfer(
-        MemLevel::Dram,
-        MemLevel::GlobalBuffer,
-        DataKind::InputSpike,
-        events * AER_EVENT_BITS,
-    );
-    let out_bits = m * positions as u64 * t as u64;
-    tally
-        .counts
-        .write(MemLevel::GlobalBuffer, DataKind::OutputSpike, out_bits);
-    tally
-        .counts
-        .write(MemLevel::Dram, DataKind::OutputSpike, out_bits);
-    let ac = tally.counts.ac_ops;
-    let psum_bits = sat_mul(ac, pbits, &mut tally.counts.saturated);
-    tally
-        .counts
-        .read(MemLevel::Scratchpad, DataKind::Psum, psum_bits);
-    tally
-        .counts
-        .write(MemLevel::Scratchpad, DataKind::Psum, psum_bits);
-
-    let dram_bytes = tally.counts.dram_traffic_bits() as f64 / 8.0;
-    let dram_cycles = (dram_bytes / arch.dram_bytes_per_cycle()).ceil() as u64;
-    let cycles = tally.compute_cycles.max(dram_cycles);
-    let pe_cycles = sat_mul(
-        u64::from(arch.array.pe_count()),
-        cycles,
-        &mut tally.counts.saturated,
-    );
-    let energy = inputs.energy.evaluate(&tally.counts);
-    LayerReport {
-        policy: Policy::EventDriven,
-        tw_size: 1,
-        energy,
-        cycles,
-        seconds: arch.cycles_to_seconds(cycles),
-        useful_ops: tally.useful_ops,
-        pe_cycles,
-        entries_before: tally.entries_before,
-        entries_after: tally.entries_after,
-        exact_pairs: 0,
-        near_pairs: 0,
-        counts: tally.counts,
-    }
+        tally
+    })
 }
 
-/// Finalizes a tally into a report: applies weight/input/output movement
-/// that is computed at layer granularity, evaluates energy, and applies
-/// the bandwidth bound.
-#[allow(clippy::too_many_arguments)]
-fn finalize(
+/// Closes a scan's tally into `policy`'s report: the movement and
+/// compare work booked at layer granularity, then [`report`].
+fn close(
     inputs: &SimInputs,
     policy: Policy,
     shape: ConvShape,
     input: &SpikeTensor,
+    d: &Dims,
     mut tally: Tally,
-    weight_resident: bool,
-    dense_input: bool,
-    tw_size: u32,
 ) -> LayerReport {
-    let arch = &inputs.arch;
-    let rows = u64::from(arch.array.rows());
-    let m = u64::from(shape.out_channels());
-    let row_tiles = m.div_ceil(rows);
-    let rf = shape.receptive_field() as u64;
-    let wbits = u64::from(arch.weight_bits);
-    let pbits = u64::from(arch.potential_bits);
-    let t = input.timesteps() as u64;
-    let e2 = u64::from(shape.ofmap_side()).pow(2);
+    let (m, e2, t) = (d.m, d.positions as u64, d.t as u64);
+    match policy {
+        Policy::Ptb { .. } | Policy::BaselineTemporal | Policy::TimeSerial => {
+            let ptb = matches!(policy, Policy::Ptb { .. });
+            sat!(tally.counts.compare_ops += m * e2 * t);
+            move_weights(inputs, shape, d, &mut tally, ptb);
+            // Input spikes from DRAM: silent neurons are never fetched
+            // under PTB (TB-tag-driven), while the dense baselines fetch
+            // everything.
+            let fetched = if ptb {
+                input.active_neurons()
+            } else {
+                input.neurons()
+            };
+            fetch_inputs(inputs, d, &mut tally, fetched as u64 * t);
+            // Output spikes: written back through the hierarchy once.
+            tally.write_out(m * e2 * t);
+            // Partial sums accumulate in the PE scratchpad and are
+            // drained once per (neuron, window) by Step B.
+            tally.psums(tally.counts.ac_ops, d.pbits);
+            let tw_size = if ptb { inputs.tw_size } else { 1 };
+            let windows = t.div_ceil(u64::from(tw_size));
+            tally.counts.read(
+                MemLevel::Scratchpad,
+                DataKind::Psum,
+                m * e2 * windows * d.pbits,
+            );
+            report(inputs, policy, tw_size, tally)
+        }
+        Policy::EventDriven => {
+            sat!(tally.counts.compare_ops += m * e2 * t);
+            // Input events from DRAM once (event streams are compact).
+            let events = input.total_spikes();
+            tally.counts.transfer(
+                MemLevel::Dram,
+                MemLevel::GlobalBuffer,
+                DataKind::InputSpike,
+                events * AER_EVENT_BITS,
+            );
+            tally.write_out(m * e2 * t);
+            tally.psums(tally.counts.ac_ops, d.pbits);
+            report(inputs, policy, 1, tally)
+        }
+        Policy::Ann => {
+            // One dense pass: every MAC of every tap is useful work.
+            let rf_total = tally.sum_entries_raw;
+            let entries = rf_total * d.row_tiles;
+            tally.useful_ops = rf_total * m;
+            tally.entries_before = entries;
+            tally.entries_after = entries;
+            tally.counts.mac_ops = rf_total * m;
+            // Activations: 8-bit like the weights, per tap per position,
+            // staged per row tile; psums held in-PE; outputs written
+            // once as 8-bit activations.
+            let abits = d.wbits;
+            tally.stage_l1(DataKind::InputSpike, rf_total * abits * d.row_tiles);
+            tally.write_out(m * e2 * abits);
+            tally.psums(tally.counts.mac_ops, d.pbits);
+            sat!(tally.counts.compare_ops += m * e2); // ReLU
+            move_weights(inputs, shape, d, &mut tally, true);
+            fetch_inputs(inputs, d, &mut tally, input.neurons() as u64 * abits);
+            report(inputs, policy, 1, tally)
+        }
+    }
+}
 
-    // --- Weight movement, per row tile (loop nest keeps a row tile's
-    // weights live across positions and column tiles).
-    for rt in 0..row_tiles {
-        let rows_rt = rows.min(m - rt * rows);
-        // Array-edge streaming: every raw entry delivers one weight per
-        // active row. The product folds an accumulated total, so it is
-        // checked: a clamp shows up in the saturation counter.
+/// Weight movement, per row tile (the loop nest keeps a row tile's
+/// weights live across positions and column tiles). Every raw entry
+/// delivers one weight per active row at the array edge; a `resident`
+/// row tile that fits L1 is fetched into it once, otherwise it streams
+/// through L1 per iteration, and the global buffer stages it once when
+/// it fits there.
+fn move_weights(inputs: &SimInputs, shape: ConvShape, d: &Dims, tally: &mut Tally, resident: bool) {
+    let rows = u64::from(inputs.arch.array.rows());
+    let rf = shape.receptive_field() as u64;
+    for rt in 0..d.row_tiles {
+        let rows_rt = rows.min(d.m - rt * rows);
+        // The product folds an accumulated total, so it is checked: a
+        // clamp shows up in the saturation counter.
         let edge = sat_mul(
             sat_mul(tally.sum_entries_raw, rows_rt, &mut tally.counts.saturated),
-            wbits,
+            d.wbits,
             &mut tally.counts.saturated,
         );
         tally.counts.read(MemLevel::L1, DataKind::Weight, edge);
-        let ws = rows_rt * rf * wbits;
-        let gb_to_l1 = if weight_resident && ws <= inputs.l1_weight_capacity_bits() {
-            ws // fetched once, stays resident for the whole row-tile pass
+        let ws = rows_rt * rf * d.wbits;
+        let gb_to_l1 = if resident && ws <= inputs.l1_weight_capacity_bits() {
+            ws
         } else {
-            edge // streamed through L1 per iteration
+            edge
         };
         tally.counts.transfer(
             MemLevel::GlobalBuffer,
@@ -601,7 +562,7 @@ fn finalize(
             gb_to_l1,
         );
         let dram = if ws <= inputs.gb_weight_capacity_bits() {
-            ws // global buffer stages the row tile once
+            ws
         } else {
             gb_to_l1
         };
@@ -612,56 +573,29 @@ fn finalize(
             dram,
         );
     }
+}
 
-    // --- Input spikes from DRAM: silent neurons are never fetched under
-    // PTB (TB-tag-driven), while the dense baselines fetch everything.
-    let fetched_neurons = if dense_input {
-        input.neurons() as u64
-    } else {
-        input.active_neurons() as u64
-    };
-    let in_bits = fetched_neurons * t;
-    let passes = if in_bits <= inputs.gb_input_capacity_bits() {
+/// Fetches `bits` of layer input from DRAM into the global buffer: once
+/// when they fit it, else once per row-tile pass.
+fn fetch_inputs(inputs: &SimInputs, d: &Dims, tally: &mut Tally, bits: u64) {
+    let passes = if bits <= inputs.gb_input_capacity_bits() {
         1
     } else {
-        row_tiles // refetched per row-tile pass
+        d.row_tiles
     };
     tally.counts.transfer(
         MemLevel::Dram,
         MemLevel::GlobalBuffer,
         DataKind::InputSpike,
-        in_bits * passes,
+        bits * passes,
     );
+}
 
-    // --- Output spikes: written back through the hierarchy once.
-    let out_bits = m * e2 * t;
-    tally
-        .counts
-        .write(MemLevel::GlobalBuffer, DataKind::OutputSpike, out_bits);
-    tally
-        .counts
-        .write(MemLevel::Dram, DataKind::OutputSpike, out_bits);
-
-    // --- Partial sums: accumulate in the PE scratchpad (read-modify-
-    // write per AC op) and are drained once per (neuron, window) by
-    // Step B.
-    let ac = tally.counts.ac_ops;
-    let psum_bits = sat_mul(ac, pbits, &mut tally.counts.saturated);
-    tally
-        .counts
-        .read(MemLevel::Scratchpad, DataKind::Psum, psum_bits);
-    tally
-        .counts
-        .write(MemLevel::Scratchpad, DataKind::Psum, psum_bits);
-    let windows = t.div_ceil(u64::from(tw_size));
-    tally.counts.read(
-        MemLevel::Scratchpad,
-        DataKind::Psum,
-        m * e2 * windows * pbits,
-    );
-
-    // --- Latency: compute vs. off-chip bandwidth (double buffering
-    // hides the smaller; Section V-B's stall-free assumption).
+/// Turns a closed tally into the report: latency is compute vs.
+/// off-chip bandwidth (double buffering hides the smaller; Section V-B's
+/// stall-free assumption), and energy evaluates the access counts.
+fn report(inputs: &SimInputs, policy: Policy, tw_size: u32, mut tally: Tally) -> LayerReport {
+    let arch = &inputs.arch;
     let dram_bytes = tally.counts.dram_traffic_bits() as f64 / 8.0;
     let dram_cycles = (dram_bytes / arch.dram_bytes_per_cycle()).ceil() as u64;
     let cycles = tally.compute_cycles.max(dram_cycles);
@@ -670,7 +604,6 @@ fn finalize(
         cycles,
         &mut tally.counts.saturated,
     );
-
     let energy = inputs.energy.evaluate(&tally.counts);
     LayerReport {
         policy,
@@ -688,16 +621,16 @@ fn finalize(
     }
 }
 
-/// Shared per-layer constants of the PTB position scan, plus the
-/// per-(position, column-tile) tally accounting both kernels emit.
+/// Per-layer constants of the PTB schedule (Section IV-C, StSAP IV-D),
+/// plus the per-(position, column-tile) accounting every PTB walk books.
 ///
-/// The word and scalar scans walk (output position × column tile) pairs
-/// in different orders (tile-major vs. position-major), which is safe:
-/// every tally is a saturating sum of nonnegative terms, and such sums
-/// are order-independent — the result is `min(true total, u64::MAX)`
-/// regardless of the order the same summands arrive in.
-struct PtbCtx<'a> {
-    tiles: &'a [(usize, usize)],
+/// The word scan and the oracle walk (output position × column tile)
+/// pairs in different orders (tile-major vs. position-major), which is
+/// safe: every tally is a saturating sum of nonnegative terms, and such
+/// sums are order-independent — the result is `min(true total,
+/// u64::MAX)` regardless of the order the same summands arrive in.
+struct PtbCtx {
+    tiles: Vec<(usize, usize)>,
     /// Nominal tile width (the array's column count): every tile except
     /// possibly the last spans exactly this many windows, starting at
     /// `ti * tile_width`.
@@ -705,15 +638,24 @@ struct PtbCtx<'a> {
     n_w: usize,
     tws: u32,
     min_beats: u64,
-    m: u64,
-    row_tiles: u64,
-    fill: u64,
-    pbits: u64,
+    d: Dims,
 }
 
-impl PtbCtx<'_> {
-    /// Books one (position, tile) array iteration into the tally —
-    /// identical arithmetic for both kernels.
+impl PtbCtx {
+    fn new(inputs: &SimInputs, d: Dims) -> Self {
+        let tws = inputs.tw_size;
+        let part = WindowPartition::new(d.t, tws as usize);
+        PtbCtx {
+            tiles: part.column_tiles(d.cols),
+            tile_width: d.cols,
+            n_w: part.num_windows(),
+            tws,
+            min_beats: u64::from(tws.div_ceil(inputs.arch.spike_link_bits)).max(1),
+            d,
+        }
+    }
+
+    /// Books one (position, tile) array iteration into the tally.
     fn account(
         &self,
         tally: &mut Tally,
@@ -723,40 +665,21 @@ impl PtbCtx<'_> {
         spikes_span: u64,
         active_windows: u64,
     ) {
-        let iter_cycles = stream_beats + self.fill;
-        sat!(tally.compute_cycles += iter_cycles * self.row_tiles);
-        sat!(tally.useful_ops += spikes_span * self.m);
-        sat!(tally.counts.ac_ops += spikes_span * self.m);
-        sat!(tally.entries_before += raw * self.row_tiles);
-        sat!(tally.entries_after += slots * self.row_tiles);
+        let d = &self.d;
+        sat!(tally.compute_cycles += (stream_beats + d.fill) * d.row_tiles);
+        sat!(tally.useful_ops += spikes_span * d.m);
+        sat!(tally.counts.ac_ops += spikes_span * d.m);
+        sat!(tally.entries_before += raw * d.row_tiles);
+        sat!(tally.entries_after += slots * d.row_tiles);
         sat!(tally.sum_entries_raw += raw);
-
         // Input spikes staged per row-tile pass at TB granularity:
         // only *tagged* time batches are fetched, TWS bits each —
         // wider windows therefore pay for the zero bits they pack
         // (Section VI-A1's input-movement growth).
-        let in_bits = active_windows * u64::from(self.tws) * self.row_tiles;
-        tally.counts.transfer(
-            MemLevel::GlobalBuffer,
-            MemLevel::L1,
-            DataKind::InputSpike,
-            in_bits,
-        );
-        tally
-            .counts
-            .read(MemLevel::L1, DataKind::InputSpike, in_bits);
-
+        let in_bits = active_windows * u64::from(self.tws) * d.row_tiles;
+        tally.stage_l1(DataKind::InputSpike, in_bits);
         // Membrane potentials cross column tiles once per tile.
-        tally.counts.read(
-            MemLevel::GlobalBuffer,
-            DataKind::Membrane,
-            self.m * self.pbits,
-        );
-        tally.counts.write(
-            MemLevel::GlobalBuffer,
-            DataKind::Membrane,
-            self.m * self.pbits,
-        );
+        tally.membrane(d.m * d.pbits);
     }
 }
 
@@ -793,7 +716,7 @@ struct WordRows<M> {
     /// Packed per-(neuron, tile) pair: low 16 bits the sum of the
     /// tile's window popcounts (the entry's `spikes_span` contribution
     /// — at most 128 windows × a ≤64-spike window, 8192), high 16 bits
-    /// the busiest window (a lone entry's [`slot_cost`]). Empty at
+    /// the busiest window (a lone entry's slot beats). Empty at
     /// `TWS = 1`, where the span is the mask's popcount, every busiest
     /// window is 1, and the scan never consults the table.
     span_busy: Vec<u32>,
@@ -947,7 +870,7 @@ fn build_word_rows<M: TileMask>(input: &SpikeTensor, ctx: &PtbCtx) -> WordRows<M
 /// Builder dispatch + box scan for one mask width, with StSAP class
 /// storage chosen by the widest tile.
 fn run_word_kernel<M: TileMask>(
-    inputs: &SimInputs,
+    threads: usize,
     stsap: bool,
     shape: ConvShape,
     ctx: &PtbCtx,
@@ -965,9 +888,9 @@ fn run_word_kernel<M: TileMask>(
     };
     let max_nw = ctx.tiles.iter().map(|&(w0, w1)| w1 - w0).max().unwrap_or(0);
     if max_nw <= 8 {
-        ptb_box_scan::<M, NarrowClasses>(inputs.threads, stsap, shape, ctx, &rows, max_nw)
+        ptb_box_scan::<M, NarrowClasses>(threads, stsap, shape, ctx, &rows, max_nw)
     } else {
-        ptb_box_scan::<M, SortedClasses>(inputs.threads, stsap, shape, ctx, &rows, max_nw)
+        ptb_box_scan::<M, SortedClasses>(threads, stsap, shape, ctx, &rows, max_nw)
     }
 }
 
@@ -985,14 +908,14 @@ fn run_word_kernel<M: TileMask>(
 /// pass 2 skips it, so it streams alone and the pair plan is the same
 /// without it. Under StSAP the beats plane sums the unpairable entries
 /// only, and each position gathers its pairable ones in receptive-field
-/// order (the scalar walk's entry order, which the plan's tail pops
+/// order (the oracle's entry order, which the plan's tail pops
 /// depend on) into class storage `S`, priced by [`stream_cost`]. A tile
 /// without pairable entries (every single-window tile) gathers nothing.
 /// At `TWS = 1` entries carry no value: every slot sits at the floor.
 ///
 /// Workers take whole column tiles and hold one tile's planes and
 /// pairable table at a time; `account` sees the same per-(position,
-/// tile) values as [`ptb_scalar_scan`] (see [`PtbCtx`]).
+/// tile) values as the oracle's walk (see [`PtbCtx`]).
 fn ptb_box_scan<M: TileMask, S: TagClasses>(
     threads: usize,
     stsap: bool,
@@ -1058,8 +981,8 @@ fn ptb_box_scan<M: TileMask, S: TagClasses>(
                     });
                     let packed = store.len() as u64;
                     let cost = stream_cost(&mut store, &mut plan, full_mask, ctx.min_beats);
-                    sat!(tally.exact_pairs += cost.exact_pairs * ctx.row_tiles);
-                    sat!(tally.near_pairs += cost.near_pairs * ctx.row_tiles);
+                    sat!(tally.exact_pairs += cost.exact_pairs * ctx.d.row_tiles);
+                    sat!(tally.near_pairs += cost.near_pairs * ctx.d.row_tiles);
                     slots = slots - packed + cost.slots;
                     beats += cost.beats;
                 }
@@ -1070,510 +993,95 @@ fn ptb_box_scan<M: TileMask, S: TagClasses>(
     })
 }
 
-/// The retired scalar PTB scan — the historical per-window walk, kept
-/// verbatim as the serial yardstick behind
-/// [`simulate_layer_reference`].
-fn ptb_scalar_scan(
-    threads: usize,
-    stsap: bool,
-    shape: ConvShape,
-    ctx: &PtbCtx,
-    win_pop: &[u16],
-) -> Tally {
-    let positions = (shape.ofmap_side() as usize).pow(2);
-    scan_chunks(threads, positions, |range| {
+/// Baseline \[14\]: columns tile groups of `cols` consecutive time
+/// points (limited temporal parallelism) with dense streaming, one
+/// array iteration per (position, column tile), booked by
+/// `Dims::book_dense_tile`. What varies per iteration is the field
+/// length and the tile's spike total: one box sum of per-neuron tile
+/// counts. Workers take whole column tiles, one plane at a time.
+fn baseline_scan(threads: usize, shape: ConvShape, input: &SpikeTensor, d: &Dims) -> Tally {
+    let tiles = WindowPartition::new(d.t, 1).column_tiles(d.cols);
+    scan_chunks(threads, tiles.len(), |range| {
         let mut tally = Tally::default();
-        let mut tile_tags: Vec<u128> = Vec::new();
-        let mut tile_pops: Vec<u16> = Vec::new(); // per entry × window popcounts
-        for p in range {
-            let rf = field_indices(shape, p);
-            for &(w0, w1) in ctx.tiles {
-                let nw = w1 - w0;
-                let full_mask = tile_full_mask(nw);
-                tile_tags.clear();
-                tile_pops.clear();
-                let mut spikes_span = 0u64;
-                let mut active_windows = 0u64;
-                for &n in &rf {
-                    let base = n * ctx.n_w;
-                    let mut mask = 0u128;
-                    for (i, w) in (w0..w1).enumerate() {
-                        let c = win_pop[base + w];
-                        if c > 0 {
-                            mask |= 1 << i;
-                            spikes_span += u64::from(c);
-                        }
-                    }
-                    if mask != 0 {
-                        active_windows += u64::from(mask.count_ones());
-                        tile_tags.push(mask);
-                        for w in w0..w1 {
-                            tile_pops.push(win_pop[base + w]);
-                        }
-                    }
-                }
-                let raw = tile_tags.len() as u64;
-                if raw == 0 {
-                    continue;
-                }
-                let pops_of = |i: usize| &tile_pops[i * nw..(i + 1) * nw];
-                let mut stream_beats = 0u64;
-                let slots;
-                if stsap {
-                    let packed = pack_tile(&tile_tags, full_mask);
-                    sat!(tally.exact_pairs += packed.exact_pairs as u64 * ctx.row_tiles);
-                    sat!(tally.near_pairs += packed.near_pairs as u64 * ctx.row_tiles);
-                    slots = packed.entries_after() as u64;
-                    for slot in &packed.slots {
-                        let second = slot.second.map(pops_of);
-                        stream_beats += slot_cost(pops_of(slot.first), second, ctx.min_beats);
-                    }
-                } else {
-                    slots = raw;
-                    for i in 0..raw as usize {
-                        stream_beats += slot_cost(pops_of(i), None, ctx.min_beats);
-                    }
-                }
-                ctx.account(
-                    &mut tally,
-                    raw,
-                    slots,
-                    stream_beats,
-                    spikes_span,
-                    active_windows,
-                );
+        let mut boxes = BoxScan::new(shape, 1);
+        let mut spikes = [0u64];
+        for &(w0, w1) in &tiles[range] {
+            boxes.fill(|n, cell| cell[0] += u64::from(input.popcount_range(n, w0, w1)));
+            boxes.integrate();
+            for p in 0..d.positions {
+                boxes.query(p, &mut spikes);
+                d.book_dense_tile(&mut tally, boxes.field_len(p), (w1 - w0) as u64, spikes[0]);
             }
         }
         tally
     })
 }
 
-/// PTB schedule (Section IV-C), optionally with StSAP (IV-D).
-fn simulate_ptb(
-    inputs: &SimInputs,
-    stsap: bool,
-    shape: ConvShape,
-    input: &SpikeTensor,
-    kernel: Kernel,
-) -> LayerReport {
-    let arch = &inputs.arch;
-    let rows = u64::from(arch.array.rows());
-    let cols = arch.array.cols() as usize;
-    let tws = inputs.tw_size;
-    let t = input.timesteps();
-    let part = WindowPartition::new(t, tws as usize);
-    let tiles = part.column_tiles(cols);
-    let m = u64::from(shape.out_channels());
-
-    let n_w = part.num_windows();
-    let ctx = PtbCtx {
-        tiles: &tiles,
-        tile_width: cols,
-        n_w,
-        tws,
-        min_beats: u64::from(tws.div_ceil(arch.spike_link_bits)).max(1),
-        m,
-        row_tiles: m.div_ceil(rows),
-        fill: arch.array.fill_cycles(),
-        pbits: u64::from(arch.potential_bits),
-    };
-    let mut tally = match kernel {
-        Kernel::Words => {
-            WORD_KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
-            // Narrow mask words keep a tile's whole lookup slice
-            // cache-resident; the wide fallback covers any array.
-            if cols <= 16 {
-                run_word_kernel::<u16>(inputs, stsap, shape, &ctx, input)
-            } else {
-                run_word_kernel::<u128>(inputs, stsap, shape, &ctx, input)
-            }
-        }
-        Kernel::Scalar => {
-            let win_pop = window_popcounts(input, &part);
-            ptb_scalar_scan(inputs.threads, stsap, shape, &ctx, &win_pop)
-        }
-    };
-    let positions = u64::from(shape.ofmap_side()).pow(2);
-    sat!(tally.counts.compare_ops += m * positions * t as u64);
-    finalize(
-        inputs,
-        Policy::Ptb { stsap },
-        shape,
-        input,
-        tally,
-        true,
-        false,
-        tws,
-    )
-}
-
-/// Dense temporal baselines: the paper's baseline \[14\]
-/// (`time_serial = false`; columns host `cols` consecutive time points,
-/// weights shared within the group only) and the conventional
-/// time-serial accelerator (`time_serial = true`; one time point at a
-/// time, columns host output positions, weights refetched every time
-/// point — Fig. 7a's alternating access).
+/// The conventional time-serial accelerator: one time point at a time,
+/// columns host output positions, weights refetched every time point
+/// (Fig. 7a's alternating access), booked per position tile by
+/// `Dims::book_position_tile`. Each field's spikes over the period come
+/// from the whole-period fire-count box.
 ///
-/// Every spike term either baseline books is a receptive-field sum, so
-/// the word kernel takes it from a [`BoxScan`] plane: whole-period fire
-/// counts for time-serial, per-column-tile spike counts for \[14\]. The
-/// scalar reference walks every tap.
-fn simulate_dense_temporal(
-    inputs: &SimInputs,
-    shape: ConvShape,
-    input: &SpikeTensor,
-    time_serial: bool,
-    kernel: Kernel,
-) -> LayerReport {
-    let arch = &inputs.arch;
-    let rows = u64::from(arch.array.rows());
-    let cols = arch.array.cols() as usize;
-    let fill = arch.array.fill_cycles();
-    let t = input.timesteps();
-    let m = u64::from(shape.out_channels());
-    let row_tiles = m.div_ceil(rows);
-    let pbits = u64::from(arch.potential_bits);
-    let positions = (shape.ofmap_side() as usize).pow(2);
-    if kernel == Kernel::Words {
-        WORD_KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    if time_serial {
-        // Columns tile output positions; every time point is a separate
-        // dense pass over the receptive field. RF length varies with
-        // padding, so the accounting is exact per position: every tap of
-        // every position is a streamed entry (the true tap count), and a
-        // position tile's wavefront is bound by its longest receptive
-        // field. Useful work is still gated by actual spikes.
-        //
-        // The scan is chunked at position-*tile* granularity (`cols`
-        // consecutive positions per tile) so a tile's max-RF bound never
-        // straddles two workers.
-        let pos_tiles = positions.div_ceil(cols);
-        let t_u = t as u64;
-        // Per position: (receptive-field length, spikes it gathers over
-        // the whole period).
-        let fields: Vec<(u64, u64)> = match kernel {
-            Kernel::Words => {
-                let boxes = fire_count_box(shape, input);
-                let mut spikes = [0u64];
-                (0..positions)
-                    .map(|p| {
-                        boxes.query(p, &mut spikes);
-                        (boxes.field_len(p), spikes[0])
-                    })
-                    .collect()
+/// The scan is chunked at position-*tile* granularity (`cols`
+/// consecutive positions per tile) so a tile's longest-field bound
+/// never straddles two workers.
+fn time_serial_scan(threads: usize, shape: ConvShape, input: &SpikeTensor, d: &Dims) -> Tally {
+    let boxes = fire_count_box(shape, input);
+    let mut spikes = [0u64];
+    // Per position: (receptive-field length, spikes it gathers).
+    let fields: Vec<(u64, u64)> = (0..d.positions)
+        .map(|p| {
+            boxes.query(p, &mut spikes);
+            (boxes.field_len(p), spikes[0])
+        })
+        .collect();
+    scan_chunks(threads, d.positions.div_ceil(d.cols), |range| {
+        let mut tally = Tally::default();
+        for tile in fields.chunks(d.cols).take(range.end).skip(range.start) {
+            let (mut rf_sum, mut rf_max, mut spikes) = (0u64, 0u64, 0u64);
+            for &(len, s) in tile {
+                rf_sum += len;
+                rf_max = rf_max.max(len);
+                spikes += s;
             }
-            Kernel::Scalar => {
-                let fires: Vec<u64> = (0..input.neurons())
-                    .map(|n| u64::from(input.popcount_range(n, 0, t)))
-                    .collect();
-                (0..positions)
-                    .map(|p| {
-                        let rf = field_indices(shape, p);
-                        (rf.len() as u64, rf.iter().map(|&n| fires[n]).sum())
-                    })
-                    .collect()
-            }
-        };
-        let mut tally = scan_chunks(inputs.threads, pos_tiles, |range| {
-            let mut tally = Tally::default();
-            for tile in range {
-                let (mut rf_sum, mut rf_max, mut spikes) = (0u64, 0u64, 0u64);
-                for &(len, s) in &fields[tile * cols..((tile + 1) * cols).min(positions)] {
-                    rf_sum += len;
-                    rf_max = rf_max.max(len);
-                    spikes += s;
-                }
-                sat!(tally.compute_cycles += (rf_max + fill) * t_u * row_tiles);
-                sat!(tally.useful_ops += spikes * m);
-                sat!(tally.counts.ac_ops += spikes * m);
-                sat!(tally.entries_before += rf_sum * t_u * row_tiles);
-                // Weight-fetch driver: a dense RF per (position, time point).
-                sat!(tally.sum_entries_raw += rf_sum * t_u);
-                // Input bits: one bit per tap per time point, per row tile.
-                let in_bits = rf_sum * t_u * row_tiles;
-                tally.counts.transfer(
-                    MemLevel::GlobalBuffer,
-                    MemLevel::L1,
-                    DataKind::InputSpike,
-                    in_bits,
-                );
-                tally
-                    .counts
-                    .read(MemLevel::L1, DataKind::InputSpike, in_bits);
-            }
-            tally
-        });
-        tally.entries_after = tally.entries_before;
-        // Membrane read+write per output neuron per time point — the
-        // multi-bit movement bottleneck PTB amortizes per window.
-        let mem = m * positions as u64 * t_u * pbits;
-        tally
-            .counts
-            .read(MemLevel::GlobalBuffer, DataKind::Membrane, mem);
-        tally
-            .counts
-            .write(MemLevel::GlobalBuffer, DataKind::Membrane, mem);
-        sat!(tally.counts.compare_ops += m * positions as u64 * t_u);
-        return finalize(
-            inputs,
-            Policy::TimeSerial,
-            shape,
-            input,
-            tally,
-            false,
-            true,
-            1,
-        );
-    }
-
-    // Baseline [14]: columns tile groups of `cols` consecutive time
-    // points (limited temporal parallelism), dense streaming. One array
-    // iteration per (position, column tile) of `beats` cycles plus the
-    // fill, bound by the dense stream or the busiest column's spikes.
-    let part = WindowPartition::new(t, 1);
-    let tiles = part.column_tiles(cols);
-    let book = |tally: &mut Tally, rf_len: u64, span_len: u64, beats: u64, spikes: u64| {
-        sat!(tally.compute_cycles += (beats + fill) * row_tiles);
-        sat!(tally.useful_ops += spikes * m);
-        sat!(tally.counts.ac_ops += spikes * m);
-        sat!(tally.entries_before += rf_len * row_tiles);
-        sat!(tally.entries_after += rf_len * row_tiles);
-        sat!(tally.sum_entries_raw += rf_len);
-        let in_bits = rf_len * span_len * row_tiles;
-        tally.counts.transfer(
-            MemLevel::GlobalBuffer,
-            MemLevel::L1,
-            DataKind::InputSpike,
-            in_bits,
-        );
-        tally
-            .counts
-            .read(MemLevel::L1, DataKind::InputSpike, in_bits);
-        tally
-            .counts
-            .read(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
-        tally
-            .counts
-            .write(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
-    };
-    let mut tally = match kernel {
-        // A column counts at most one spike per receptive-field neuron,
-        // so the busiest column never outlasts the dense stream and an
-        // iteration takes exactly `rf_len` beats. What remains is the
-        // tile's spike total: one box sum of per-neuron tile counts.
-        // Workers take whole column tiles, one plane at a time.
-        Kernel::Words => scan_chunks(inputs.threads, tiles.len(), |range| {
-            let mut tally = Tally::default();
-            let mut boxes = BoxScan::new(shape, 1);
-            let mut spikes = [0u64];
-            for &(w0, w1) in &tiles[range] {
-                boxes.fill(|n, cell| cell[0] += u64::from(input.popcount_range(n, w0, w1)));
-                boxes.integrate();
-                for p in 0..positions {
-                    boxes.query(p, &mut spikes);
-                    let rf_len = boxes.field_len(p);
-                    book(&mut tally, rf_len, (w1 - w0) as u64, rf_len, spikes[0]);
-                }
-            }
-            tally
-        }),
-        Kernel::Scalar => {
-            let bit_at = spike_bits(input);
-            scan_chunks(inputs.threads, positions, |range| {
-                let mut tally = Tally::default();
-                for p in range {
-                    let rf = field_indices(shape, p);
-                    for &(w0, w1) in &tiles {
-                        let mut spikes = 0u64;
-                        let mut busiest = 0u64;
-                        for tp in w0..w1 {
-                            let mut col_spikes = 0u64;
-                            for &n in &rf {
-                                col_spikes += u64::from(bit_at[n * t + tp]);
-                            }
-                            busiest = busiest.max(col_spikes);
-                            spikes += col_spikes;
-                        }
-                        let rf_len = rf.len() as u64;
-                        book(
-                            &mut tally,
-                            rf_len,
-                            (w1 - w0) as u64,
-                            rf_len.max(busiest),
-                            spikes,
-                        );
-                    }
-                }
-                tally
-            })
+            d.book_position_tile(&mut tally, tile.len() as u64, rf_sum, rf_max, spikes);
         }
-    };
-    sat!(tally.counts.compare_ops += m * positions as u64 * t as u64);
-    finalize(
-        inputs,
-        Policy::BaselineTemporal,
-        shape,
-        input,
-        tally,
-        false,
-        true,
-        1,
-    )
+        tally
+    })
 }
 
 /// The non-spiking ANN accelerator of the Fig. 12(b) comparison: one
 /// dense pass, 8-bit activations, MAC PEs, good weight reuse
-/// (SCALE-Sim-class output-stationary mapping on the same 128-PE array).
-fn simulate_ann(inputs: &SimInputs, shape: ConvShape, input: &SpikeTensor) -> LayerReport {
-    let arch = &inputs.arch;
-    let rows = u64::from(arch.array.rows());
-    let cols = arch.array.cols() as usize;
-    let fill = arch.array.fill_cycles();
-    let m = u64::from(shape.out_channels());
-    let row_tiles = m.div_ceil(rows);
-    let abits = u64::from(arch.weight_bits); // activations share the 8-bit width
-    let pbits = u64::from(arch.potential_bits);
-
+/// (SCALE-Sim-class output-stationary mapping on the same 128-PE
+/// array). Columns host positions: each position tile's wavefront is
+/// bound by its longest receptive field, and every tap of every
+/// position is a streamed entry (no integer-mean truncation at padded
+/// edges). The scan books the pass cycles and the tap total; `close`
+/// derives the rest from the taps.
+fn ann_scan(shape: ConvShape, d: &Dims) -> Tally {
     // No planes: the scan only needs each field's length.
     let boxes = BoxScan::new(shape, 0);
-    let positions = boxes.positions();
-    let rf_total: u64 = (0..positions).map(|p| boxes.field_len(p)).sum();
-
-    // Exact per position tile: the wavefront is bound by the tile's
-    // longest receptive field, and every tap of every position is a
-    // streamed entry (no integer-mean truncation at padded edges).
-    let mut pass_cycles = 0u64;
-    for p0 in (0..positions).step_by(cols) {
-        let p1 = (p0 + cols).min(positions);
-        pass_cycles += (p0..p1).map(|p| boxes.field_len(p)).max().unwrap_or(0) + fill;
+    let mut tally = Tally::default();
+    for p0 in (0..d.positions).step_by(d.cols) {
+        let lens = (p0..(p0 + d.cols).min(d.positions)).map(|p| boxes.field_len(p));
+        sat!(tally.compute_cycles += (lens.clone().max().unwrap_or(0) + d.fill) * d.row_tiles);
+        sat!(tally.sum_entries_raw += lens.sum());
     }
-
-    let entries_before = rf_total * row_tiles;
-    let mut tally = Tally {
-        compute_cycles: pass_cycles * row_tiles,
-        useful_ops: rf_total * m, // dense: every MAC is useful work
-        entries_before,
-        entries_after: entries_before,
-        sum_entries_raw: rf_total, // one dense pass over every position
-        ..Tally::default()
-    };
-    tally.counts.mac_ops = rf_total * m;
-
-    // Activations: 8-bit, per tap per position, staged per row tile.
-    let in_bits = rf_total * abits * row_tiles;
-    tally.counts.transfer(
-        MemLevel::GlobalBuffer,
-        MemLevel::L1,
-        DataKind::InputSpike,
-        in_bits,
-    );
     tally
-        .counts
-        .read(MemLevel::L1, DataKind::InputSpike, in_bits);
-    // Psums held in-PE; outputs written once as 8-bit activations.
-    let out_bits = m * positions as u64 * abits;
-    tally
-        .counts
-        .write(MemLevel::GlobalBuffer, DataKind::OutputSpike, out_bits);
-    tally
-        .counts
-        .write(MemLevel::Dram, DataKind::OutputSpike, out_bits);
-    let psum_bits = sat_mul(tally.counts.mac_ops, pbits, &mut tally.counts.saturated);
-    tally
-        .counts
-        .read(MemLevel::Scratchpad, DataKind::Psum, psum_bits);
-    tally
-        .counts
-        .write(MemLevel::Scratchpad, DataKind::Psum, psum_bits);
-    sat!(tally.counts.compare_ops += m * positions as u64); // ReLU
-
-    // Weight movement (resident rule), mirroring `finalize` but with the
-    // ANN's dense input already counted above; input DRAM traffic is
-    // 8-bit dense.
-    let rf = shape.receptive_field() as u64;
-    let wbits = u64::from(arch.weight_bits);
-    for rt in 0..row_tiles {
-        let rows_rt = rows.min(m - rt * rows);
-        let edge = sat_mul(
-            sat_mul(tally.sum_entries_raw, rows_rt, &mut tally.counts.saturated),
-            wbits,
-            &mut tally.counts.saturated,
-        );
-        tally.counts.read(MemLevel::L1, DataKind::Weight, edge);
-        let ws = rows_rt * rf * wbits;
-        let gb_to_l1 = if ws <= inputs.l1_weight_capacity_bits() {
-            ws
-        } else {
-            edge
-        };
-        tally.counts.transfer(
-            MemLevel::GlobalBuffer,
-            MemLevel::L1,
-            DataKind::Weight,
-            gb_to_l1,
-        );
-        let dram = if ws <= inputs.gb_weight_capacity_bits() {
-            ws
-        } else {
-            gb_to_l1
-        };
-        tally.counts.transfer(
-            MemLevel::Dram,
-            MemLevel::GlobalBuffer,
-            DataKind::Weight,
-            dram,
-        );
-    }
-    let in_dram = input.neurons() as u64 * abits;
-    let passes = if in_dram <= inputs.gb_input_capacity_bits() {
-        1
-    } else {
-        row_tiles
-    };
-    tally.counts.transfer(
-        MemLevel::Dram,
-        MemLevel::GlobalBuffer,
-        DataKind::InputSpike,
-        in_dram * passes,
-    );
-
-    let dram_bytes = tally.counts.dram_traffic_bits() as f64 / 8.0;
-    let dram_cycles = (dram_bytes / arch.dram_bytes_per_cycle()).ceil() as u64;
-    let cycles = tally.compute_cycles.max(dram_cycles);
-    let pe_cycles = sat_mul(
-        u64::from(arch.array.pe_count()),
-        cycles,
-        &mut tally.counts.saturated,
-    );
-    let energy = inputs.energy.evaluate(&tally.counts);
-    LayerReport {
-        policy: Policy::Ann,
-        tw_size: 1,
-        energy,
-        cycles,
-        seconds: arch.cycles_to_seconds(cycles),
-        useful_ops: tally.useful_ops,
-        pe_cycles,
-        entries_before: tally.entries_before,
-        entries_after: tally.entries_after,
-        exact_pairs: 0,
-        near_pairs: 0,
-        counts: tally.counts,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Policy;
+    use crate::geom::window_popcounts;
 
-    fn small_shape() -> ConvShape {
+    pub(super) fn small_shape() -> ConvShape {
         ConvShape::new(6, 3, 4, 8, 1).unwrap()
     }
 
-    fn sparse_input(shape: ConvShape, t: usize) -> SpikeTensor {
+    pub(super) fn sparse_input(shape: ConvShape, t: usize) -> SpikeTensor {
         SpikeTensor::from_fn(shape.ifmap_neurons(), t, |n, tp| {
             n % 3 != 2 && (n * 7 + tp * 11) % 17 == 0
         })
@@ -1584,7 +1092,7 @@ mod tests {
     /// (a straddling window whose first word is silent and whose last
     /// word fires), one bursts on both sides of every word boundary,
     /// one is the sparse pattern, one never fires.
-    fn straddle_input(shape: ConvShape, t: usize) -> SpikeTensor {
+    pub(super) fn straddle_input(shape: ConvShape, t: usize) -> SpikeTensor {
         SpikeTensor::from_fn(shape.ifmap_neurons(), t, |n, tp| match n % 4 {
             0 => tp >= 64 && (tp * 3 + n) % 7 == 0,
             1 => (n * 7 + tp * 11) % 17 == 0,
@@ -1624,27 +1132,6 @@ mod tests {
             packed.counts.ac_ops, plain.counts.ac_ops,
             "packing never changes the work"
         );
-    }
-
-    #[test]
-    fn ac_ops_equal_spikes_times_channels() {
-        // With no padding every input neuron appears in a known number of
-        // receptive fields; check against a brute-force count.
-        let shape = ConvShape::new(5, 3, 2, 4, 1).unwrap();
-        let input = SpikeTensor::from_fn(shape.ifmap_neurons(), 16, |n, t| (n + t) % 5 == 0);
-        let inputs = SimInputs::hpca22(4);
-        let r = simulate_layer(&inputs, Policy::ptb(), shape, &input);
-        let mut expected = 0u64;
-        for x in 0..shape.ofmap_side() {
-            for y in 0..shape.ofmap_side() {
-                for n in shape.receptive_field_indices(x, y) {
-                    expected += u64::from(input.popcount_range(n, 0, 16));
-                }
-            }
-        }
-        expected *= u64::from(shape.out_channels());
-        assert_eq!(r.counts.ac_ops, expected);
-        assert_eq!(r.useful_ops, expected);
     }
 
     #[test]
@@ -1701,26 +1188,6 @@ mod tests {
         let ptb = simulate_layer(&inputs, Policy::ptb(), shape, &input);
         let base = simulate_layer(&inputs, Policy::BaselineTemporal, shape, &input);
         assert!(ptb.utilization() > base.utilization());
-    }
-
-    #[test]
-    fn ann_runs_one_dense_pass() {
-        let shape = small_shape();
-        let input = sparse_input(shape, 64);
-        let inputs = SimInputs::hpca22(8);
-        let ann = simulate_layer(&inputs, Policy::Ann, shape, &input);
-        assert_eq!(ann.counts.ac_ops, 0);
-        assert!(ann.counts.mac_ops > 0);
-        let dense_macs: u64 = {
-            let mut rf_total = 0u64;
-            for x in 0..shape.ofmap_side() {
-                for y in 0..shape.ofmap_side() {
-                    rf_total += shape.receptive_field_indices(x, y).len() as u64;
-                }
-            }
-            rf_total * u64::from(shape.out_channels())
-        };
-        assert_eq!(ann.counts.mac_ops, dense_macs);
     }
 
     #[test]
@@ -1846,19 +1313,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_cost_is_exact_for_large_windows() {
-        // Regression: an StSAP pair of 200-spike windows sums to 400
-        // beats, which overflowed the old `u8 + u8` cost (debug panic,
-        // wraparound in release). The floor also still applies.
-        let a = [200u16, 3];
-        let b = [150u16, 7];
-        assert_eq!(slot_cost(&a, Some(&b), 1), 350);
-        assert_eq!(slot_cost(&a, None, 1), 200);
-        assert_eq!(slot_cost(&[0u16, 0], None, 5), 5);
-        assert_eq!(slot_cost(&[], None, 2), 2);
-    }
-
-    #[test]
     fn scan_chunks_cover_every_item_once_with_ranges_in_bounds() {
         for items in 0..12usize {
             for threads in 1..9 {
@@ -1916,51 +1370,6 @@ mod tests {
     }
 
     #[test]
-    fn word_kernel_matches_scalar_reference_for_every_policy() {
-        // The kernel equivalence pin: the bit-parallel word paths must
-        // reproduce the retired per-bit reference bit-for-bit — on a
-        // padded shape (uneven receptive fields) and a period that is
-        // not a multiple of 64 (live tail masking), across TW sizes
-        // that exercise the one-word, two-word, and tag-mask gathers.
-        // Sizes that do not divide 64 put windows across word
-        // boundaries, and `straddle_input` fires on exactly those.
-        let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
-        let periods = [40usize, 64, 70, 128, 130, 200];
-        let inputs_of = |t| [sparse_input(shape, t), straddle_input(shape, t)];
-        for input in periods.into_iter().flat_map(inputs_of) {
-            let t = input.timesteps();
-            for tw in [1u32, 3, 4, 5, 7, 8, 12, 24, 32, 48, 64] {
-                let inputs = SimInputs::hpca22(tw);
-                for policy in [
-                    Policy::ptb(),
-                    Policy::ptb_with_stsap(),
-                    Policy::BaselineTemporal,
-                    Policy::TimeSerial,
-                    Policy::Ann,
-                    Policy::EventDriven,
-                ] {
-                    let calls_before = word_kernel_calls();
-                    let word = simulate_layer(&inputs, policy, shape, &input);
-                    let scalar = simulate_layer_reference(&inputs, policy, shape, &input);
-                    assert_eq!(
-                        word, scalar,
-                        "{policy:?} t={t} tw={tw}: word kernel diverged from reference"
-                    );
-                    if matches!(
-                        policy,
-                        Policy::Ptb { .. } | Policy::BaselineTemporal | Policy::EventDriven
-                    ) {
-                        assert!(
-                            word_kernel_calls() > calls_before,
-                            "{policy:?}: word kernel path was not exercised"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn tw_invariant_policies_report_identically_at_every_tw() {
         // The invariance `PreparedLayer::simulate_memoized` relies on:
         // a TW-invariant policy's report must not depend on the TW size
@@ -2008,82 +1417,6 @@ mod tests {
     }
 
     #[test]
-    fn single_window_tiles_pair_nothing() {
-        // With one window per column tile (T <= TW) every active entry
-        // carries the tile's full tag, so StSAP has nothing to pair and
-        // its report is plain PTB's in every field but the policy —
-        // from the word kernel and the scalar reference alike, on wide
-        // arrays too.
-        use systolic_sim::{ArchConfig, ArrayDims};
-        let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
-        for (t, tw, cols) in [(8usize, 8u32, 8u32), (40, 64, 8), (64, 64, 8), (33, 48, 20)] {
-            let input = straddle_input(shape, t);
-            let inputs = SimInputs {
-                arch: ArchConfig::hpca22().with_array(ArrayDims::new(4, cols)),
-                ..SimInputs::hpca22(tw)
-            };
-            for run in [simulate_layer, simulate_layer_reference] {
-                let plain = run(&inputs, Policy::ptb(), shape, &input);
-                let packed = run(&inputs, Policy::ptb_with_stsap(), shape, &input);
-                assert_eq!((packed.exact_pairs, packed.near_pairs), (0, 0));
-                assert!(plain.entries_before > 0, "t={t} tw={tw}: no activity");
-                assert_eq!(
-                    LayerReport {
-                        policy: Policy::ptb(),
-                        ..packed
-                    },
-                    plain,
-                    "t={t} tw={tw} cols={cols}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn word_kernel_matches_scalar_reference_on_wide_arrays() {
-        // Column counts other than the default 8 pin the paths that
-        // setup never reaches: the StSAP scan's sorted-class storage
-        // (tiles too wide for 8-bit tags) over `u16` tile masks (12
-        // and 16 columns) and `u128` ones (cols > 16), valued and at
-        // the beats floor, and the funnel-shift TW=1 builder fallback
-        // (a tile width that does not divide a storage word: 12 and
-        // 20). 128 is the Fig. 9(b) extreme, one tile spanning two
-        // window words. The dense baselines' column and position tiles
-        // widen with the array.
-        use systolic_sim::{ArchConfig, ArrayDims};
-        let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
-        for (cols, t) in [8u32, 12, 16, 20, 32, 128]
-            .into_iter()
-            .flat_map(|cols| [64usize, 70, 130, 200].map(|t| (cols, t)))
-        {
-            let input = straddle_input(shape, t);
-            let inputs = SimInputs {
-                arch: ArchConfig::hpca22().with_array(ArrayDims::new(4, cols)),
-                ..SimInputs::hpca22(1)
-            };
-            for tw in [1u32, 3, 5, 7, 8, 12, 24, 32, 48] {
-                let inputs = SimInputs {
-                    tw_size: tw,
-                    ..inputs
-                };
-                inputs.assert_valid();
-                let dense = [Policy::BaselineTemporal, Policy::TimeSerial];
-                for policy in [Policy::ptb(), Policy::ptb_with_stsap()]
-                    .into_iter()
-                    .chain(dense.into_iter().filter(|_| tw == 1))
-                {
-                    let word = simulate_layer(&inputs, policy, shape, &input);
-                    let scalar = simulate_layer_reference(&inputs, policy, shape, &input);
-                    assert_eq!(
-                        word, scalar,
-                        "{policy:?} cols={cols} t={t} tw={tw}: wide-array kernel diverged"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn row_builder_matches_a_per_window_walk() {
         // The general builder against the dense per-(neuron, window)
         // count table, field by field — including window sizes past one
@@ -2099,15 +1432,12 @@ mod tests {
                 for cols in [8usize, 12, 16, 128] {
                     let tiles = part.column_tiles(cols);
                     let ctx = PtbCtx {
-                        tiles: &tiles,
+                        tiles: tiles.clone(),
                         tile_width: cols,
                         n_w,
                         tws: tw,
                         min_beats: 1,
-                        m: 1,
-                        row_tiles: 1,
-                        fill: 0,
-                        pbits: 1,
+                        d: Dims::new(&SimInputs::hpca22(1), shape, &input),
                     };
                     let rows = build_word_rows::<u128>(&input, &ctx);
                     for n in 0..input.neurons() {
@@ -2145,38 +1475,5 @@ mod tests {
         sat!(tally.counts.compare_ops += 7);
         assert_eq!(tally.counts.compare_ops, 7);
         assert_eq!(tally.counts.saturated, 0);
-    }
-
-    #[test]
-    fn dense_baselines_count_true_taps_under_padding() {
-        // Regression for the truncating integer mean: with padding the
-        // total tap count is not divisible by the position count, and
-        // `rf_total / positions` silently dropped the remainder. The
-        // exact accounting reports the true tap count.
-        let shape = ConvShape::with_padding(6, 3, 2, 4, 1, 1).unwrap();
-        let input = sparse_input(shape, 16);
-        let inputs = SimInputs::hpca22(1);
-        let positions = (shape.ofmap_side() as usize).pow(2);
-        let taps: u64 = (0..positions)
-            .map(|p| field_indices(shape, p).len() as u64)
-            .sum();
-        assert_ne!(
-            taps % positions as u64,
-            0,
-            "padding must make the per-position mean fractional"
-        );
-        let rows = u64::from(inputs.arch.array.rows());
-        let row_tiles = u64::from(shape.out_channels()).div_ceil(rows);
-        let t = input.timesteps() as u64;
-        // Time-serial: every tap of every position, at every time point.
-        let serial = simulate_layer(&inputs, Policy::TimeSerial, shape, &input);
-        assert_eq!(serial.entries_before, taps * t * row_tiles);
-        // ANN: every tap of every position, once.
-        let ann = simulate_layer(&inputs, Policy::Ann, shape, &input);
-        assert_eq!(ann.entries_before, taps * row_tiles);
-        // Baseline [14]: every tap, once per column tile of time points.
-        let cols = u64::from(inputs.arch.array.cols());
-        let base = simulate_layer(&inputs, Policy::BaselineTemporal, shape, &input);
-        assert_eq!(base.entries_before, taps * t.div_ceil(cols) * row_tiles);
     }
 }

@@ -1,23 +1,19 @@
 //! Records `simulate_layer` wall time over the Fig. 10 layer sweep —
-//! scalar reference vs. the bit-parallel word kernel, serial and
+//! the serial per-tap oracle vs. the production kernel, serial and
 //! threaded — and writes `BENCH_sim_parallel.json`.
 //!
 //! Every layer of every benchmark network is simulated under PTB+StSAP
-//! at each Fig. 10 TW size three ways: the retired per-bit scalar
-//! reference (`simulate_layer_reference`, always `threads = 1`), the
-//! word kernel with `threads = 1`, and the word kernel with one worker
-//! per available core. All three reports are asserted identical — the
-//! determinism and kernel-equivalence guarantees of `ptb_accel::sim` —
-//! before timing is recorded, so the file doubles as an end-to-end
-//! equivalence check. The before/after numbers of the bit-parallel
-//! kernel are therefore measured in one binary on one host:
-//! `kernel_speedup = reference_ms / serial_ms`. On a single-core host
-//! the *thread* speedup is honestly ~1×; the `host_cores` field records
-//! that context.
-//!
-//! The binary also asserts the word kernel's invocation counter
-//! advanced (`ptb_accel::word_kernel_calls`), so a CI smoke run proves
-//! the bit-parallel path is actually exercised, not silently bypassed.
+//! at each Fig. 10 TW size three ways: the oracle
+//! (`simulate_layer_reference`, which always runs on one thread), the
+//! production kernel with `threads = 1`, and the production kernel
+//! with one worker per available core (at least two). All three
+//! reports are asserted identical — the kernel-equivalence and
+//! determinism guarantees of `ptb_accel::sim` — before timing is
+//! recorded, so the file doubles as an end-to-end equivalence check.
+//! `kernel_speedup = reference_ms / serial_ms` is how much faster the
+//! production kernel is than the oracle on one thread, and `speedup =
+//! serial_ms / threaded_ms` is what the in-layer worker fan-out buys;
+//! `host_cores` records how many cores the host offered.
 //!
 //! Honors `PTB_QUICK=1` (cropped layers, shortened period),
 //! `PTB_THREADS=N` (overrides the worker count), and
@@ -27,7 +23,7 @@
 use std::time::Instant;
 
 use ptb_accel::config::{Policy, SimInputs};
-use ptb_accel::sim::{simulate_layer, simulate_layer_reference, word_kernel_calls};
+use ptb_accel::{simulate_layer, simulate_layer_reference};
 use ptb_bench::RunOptions;
 use serde::Serialize;
 
@@ -36,13 +32,13 @@ struct LayerTiming {
     network: String,
     layer: String,
     tw: u32,
-    /// Scalar per-bit reference, `threads = 1` (the pre-kernel "before").
+    /// The serial per-tap oracle.
     reference_ms: f64,
-    /// Word kernel, `threads = 1`.
+    /// Production kernel, `threads = 1`.
     serial_ms: f64,
-    /// Word kernel, one worker per core.
+    /// Production kernel, one worker per core.
     threaded_ms: f64,
-    /// reference_ms / serial_ms — the bit-parallel kernel's win.
+    /// reference_ms / serial_ms — the production kernel's lead over the oracle.
     kernel_speedup: f64,
     /// serial_ms / threaded_ms — the thread-scaling win.
     speedup: f64,
@@ -57,17 +53,14 @@ struct BenchReport {
     quick_mode: bool,
     tw_sizes: Vec<u64>,
     layers: Vec<LayerTiming>,
-    /// Total scalar-reference time (the "before" column).
+    /// Total oracle time.
     total_reference_ms: f64,
-    /// Total word-kernel serial time (the "after" column).
+    /// Total production-kernel serial time.
     total_serial_ms: f64,
     total_threaded_ms: f64,
     /// total_reference_ms / total_serial_ms at matched fidelity.
     kernel_speedup: f64,
     overall_speedup: f64,
-    /// Word-kernel gather invocations observed during the run — nonzero
-    /// proves the bit-parallel path ran (asserted before writing).
-    word_kernel_calls: u64,
 }
 
 fn time_ms(mut f: impl FnMut()) -> f64 {
@@ -99,7 +92,6 @@ fn main() {
         host_cores.max(2)
     };
     let tws = [1u32, 2, 4, 8, 16, 32, 64];
-    let calls_at_start = word_kernel_calls();
 
     let mut layers = Vec::new();
     let mut total_reference = 0.0;
@@ -156,17 +148,11 @@ fn main() {
         }
     }
 
-    let kernel_calls = word_kernel_calls() - calls_at_start;
-    assert!(
-        kernel_calls > 0,
-        "the bit-parallel word kernel was never exercised"
-    );
-
     let report = BenchReport {
         description: "simulate_layer wall time over the Fig. 10 layer sweep, PTB+StSAP: \
-                      scalar per-bit reference vs bit-parallel word kernel (threads=1) vs \
-                      threaded position scan; all three reports asserted bit-identical \
-                      before timing"
+                      serial per-tap oracle vs production kernel (threads=1) vs production \
+                      kernel (threaded); all three reports asserted bit-identical before \
+                      timing"
             .to_string(),
         host_cores,
         threads,
@@ -178,18 +164,16 @@ fn main() {
         total_threaded_ms: total_threaded,
         kernel_speedup: total_reference / total_serial.max(1e-9),
         overall_speedup: total_serial / total_threaded.max(1e-9),
-        word_kernel_calls: kernel_calls,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out_path, &json).expect("can write the bench report");
     println!(
         "wrote {out_path}: {} timings, {} host cores, {} threads, kernel speedup {:.2}x, \
-         thread speedup {:.2}x, {} word-kernel calls",
+         thread speedup {:.2}x",
         report.layers.len(),
         host_cores,
         threads,
         report.kernel_speedup,
-        report.overall_speedup,
-        kernel_calls
+        report.overall_speedup
     );
 }

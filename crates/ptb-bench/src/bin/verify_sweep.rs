@@ -12,8 +12,8 @@
 //! and event-driven) through
 //! [`ptb_bench::sweep_summary_verified`] at the chosen audit level (default: `PTB_VERIFY`, falling back to `full`) and
 //! prints a JSON summary of coverage counters and findings. At `full`
-//! every layer of every sweep is diffed against the serial per-bit
-//! reference, so each production kernel path is checked on the
+//! every layer of every sweep is diffed against the serial per-tap
+//! oracle, so each production kernel path is checked on the
 //! networks' real shapes. The exit
 //! code is the contract: `0` when every audit is clean, `1` when any
 //! finding survives — inverted under `--expect-findings`, which CI uses

@@ -174,9 +174,9 @@ pub enum AuditError {
         /// Pairs formed.
         pairs: u64,
     },
-    /// The production report disagreed with the serial per-bit
-    /// reference simulation of the same layer (`ptb_accel`'s
-    /// `simulate_layer_reference`): the bit-parallel kernel diverged.
+    /// The production report disagreed with the oracle's serial
+    /// per-tap simulation of the same layer (`ptb_accel`'s
+    /// `simulate_layer_reference`): the production kernel diverged.
     ReferenceDivergence {
         /// Layer name.
         layer: String,

@@ -47,10 +47,11 @@ FIG_TMP="$(mktemp -d)"
 diff -r --exclude=.cache "$FIG_TMP/results" results
 rm -rf "$FIG_TMP"
 
-echo "== bench smoke (bit-parallel kernel path must actually be exercised)"
-# The binary asserts word_kernel_calls() advanced and that the scalar
-# reference, word-serial, and word-threaded reports are bit-identical;
-# PTB_BENCH_OUT keeps the checked-in full-fidelity recording untouched.
+echo "== bench smoke (oracle, serial and threaded reports must be bit-identical)"
+# The binary asserts that the serial per-tap oracle, the production
+# kernel on one thread and the production kernel threaded produce one
+# report for every layer and TW before timing them; PTB_BENCH_OUT keeps
+# the checked-in full-fidelity recording untouched.
 BENCH_TMP="$(mktemp)"
 PTB_QUICK=1 PTB_BENCH_OUT="$BENCH_TMP" ./target/release/bench_sim_parallel
 rm -f "$BENCH_TMP"

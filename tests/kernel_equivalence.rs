@@ -1,9 +1,10 @@
-//! Property: the production word kernel reproduces the serial per-bit
-//! reference bit for bit on layer shapes the fixed-shape unit tests do
+//! Property: the production word kernel reproduces the serial per-tap
+//! oracle bit for bit on layer shapes the fixed-shape unit tests do
 //! not reach — stride above one, padding from none to half the filter
 //! (fields clipped on every side, some emptied), filters up to 11 × 11,
 //! and the FC layer as a 1 × 1 convolution — with periods that are not
-//! multiples of 64 and one or three scan workers.
+//! multiples of 64 and one or three scan workers. A second property pins
+//! baseline [14]'s latency to its dense stream.
 //!
 //! A failing case prints and persists its generator state; rerun with
 //! the printed `cc` line in `kernel_equivalence.proptest-regressions`
@@ -11,7 +12,7 @@
 
 use proptest::prelude::*;
 use ptb_snn::ptb_accel::config::{Policy, SimInputs};
-use ptb_snn::ptb_accel::sim::{simulate_layer, simulate_layer_reference};
+use ptb_snn::ptb_accel::{simulate_layer, simulate_layer_reference};
 use ptb_snn::snn_core::shape::ConvShape;
 use ptb_snn::snn_core::spike::SpikeTensor;
 
@@ -84,6 +85,32 @@ proptest! {
                     threads
                 );
             }
+        }
+    }
+
+    #[test]
+    fn baseline_cycles_are_the_dense_stream((shape, input) in layer_strategy()) {
+        // Baseline [14] runs one iteration per (position, column tile),
+        // and a column is one time point: it counts at most one spike
+        // per field neuron, so no column outlasts the dense stream and
+        // every iteration costs its field length plus the array fill,
+        // per row tile. Near-infinite DRAM bandwidth leaves the compute
+        // cycles as the report's latency.
+        let mut inputs = SimInputs::hpca22(1);
+        inputs.arch.dram_bandwidth_bytes_per_s = 1e18;
+        let array = inputs.arch.array;
+        let row_tiles = u64::from(shape.out_channels()).div_ceil(u64::from(array.rows()));
+        let col_tiles = (input.timesteps() as u64).div_ceil(u64::from(array.cols()));
+        let e = shape.ofmap_side();
+        let compute: u64 = (0..e * e)
+            .map(|p| shape.receptive_field_indices(p / e, p % e).len() as u64)
+            .map(|len| (len + array.fill_cycles()) * col_tiles * row_tiles)
+            .sum();
+        for report in [
+            simulate_layer_reference(&inputs, Policy::BaselineTemporal, shape, &input),
+            simulate_layer(&inputs, Policy::BaselineTemporal, shape, &input),
+        ] {
+            prop_assert_eq!(report.cycles, compute, "{:?} t={}", shape, input.timesteps());
         }
     }
 }
