@@ -95,6 +95,11 @@ impl BoxScan {
         }
     }
 
+    /// Words the planes take.
+    pub fn words(&self) -> usize {
+        self.sums.len()
+    }
+
     /// Number of output positions, `E²`.
     pub fn positions(&self) -> usize {
         self.spans.len() * self.spans.len()
@@ -117,6 +122,18 @@ impl BoxScan {
     pub fn field_len(&self, p: usize) -> u64 {
         let ((r0, r1), (s0, s1)) = self.field_box(p);
         (self.channels * (r1 - r0) * (s1 - s0)) as u64
+    }
+
+    /// Each input cell's `planes` values, row by row: cell `row · H +
+    /// col` is the one neuron `c · H² + row · H + col` of every channel
+    /// `c` adds into. The hook for scans that fill the planes
+    /// themselves.
+    pub fn cells_mut(&mut self) -> impl Iterator<Item = &mut [u64]> {
+        let (h, k) = (self.side, self.planes);
+        self.sums
+            .chunks_exact_mut((h + 1) * k)
+            .skip(1)
+            .flat_map(move |row| row[k..].chunks_exact_mut(k))
     }
 
     /// Resets every plane and adds `value(n, cell)` for every ifmap
@@ -162,11 +179,18 @@ impl BoxScan {
     /// (zeros when padding leaves the field empty).
     #[inline]
     pub fn query(&self, p: usize, out: &mut [u64]) {
+        self.query_from(p, 0, &mut out[..self.planes]);
+    }
+
+    /// Writes position `p`'s box sums of planes `first..first +
+    /// out.len()` into `out`.
+    #[inline]
+    pub fn query_from(&self, p: usize, first: usize, out: &mut [u64]) {
         let ((r0, r1), (s0, s1)) = self.field_box(p);
         let (w, k) = (self.side + 1, self.planes);
-        let (a, b) = ((r1 * w + s1) * k, (r0 * w + s0) * k);
-        let (c, d) = ((r0 * w + s1) * k, (r1 * w + s0) * k);
-        for (q, o) in out[..k].iter_mut().enumerate() {
+        let (a, b) = ((r1 * w + s1) * k + first, (r0 * w + s0) * k + first);
+        let (c, d) = ((r0 * w + s1) * k + first, (r1 * w + s0) * k + first);
+        for (q, o) in out.iter_mut().enumerate() {
             *o = (self.sums[a + q] + self.sums[b + q]) - (self.sums[c + q] + self.sums[d + q]);
         }
     }
@@ -274,44 +298,6 @@ pub fn window_popcounts(input: &SpikeTensor, part: &WindowPartition) -> Vec<u16>
         }
     }
     pops
-}
-
-/// Extracts windows `w0..w1` (at most 128) of neuron `n`'s
-/// window-activity bits from a neuron-major table with `tag_words`
-/// words per neuron (bit `w % 64` of word `w / 64` ⇔ window `w` is
-/// active), packed little-endian (bit `i` = window `w0 + i`). Reads at
-/// most three words; bits past the table read as zero. At `TWS = 1` the
-/// spike tensor's own words are such a table.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if the span exceeds 128 windows.
-#[inline]
-pub fn tag_mask(tags: &[u64], tag_words: usize, n: usize, w0: usize, w1: usize) -> u128 {
-    debug_assert!(
-        w0 < w1 && w1 - w0 <= 128,
-        "tag span must be 1..=128 windows"
-    );
-    let nw = w1 - w0;
-    let base = n * tag_words;
-    let word = |i: usize| -> u64 {
-        if i < tag_words {
-            tags[base + i]
-        } else {
-            0
-        }
-    };
-    let first = w0 / 64;
-    let shift = w0 % 64;
-    let lo = u128::from(word(first)) | (u128::from(word(first + 1)) << 64);
-    let mut out = lo >> shift;
-    if shift > 0 {
-        out |= u128::from(word(first + 2)) << (128 - shift);
-    }
-    if nw < 128 {
-        out &= (1u128 << nw) - 1;
-    }
-    out
 }
 
 /// Per-(neuron, time point) spike bits of `input`, row-major by neuron:
@@ -447,32 +433,6 @@ mod tests {
                     u32::from(pops[n * part.num_windows() + w]),
                     input.popcount_range(n, s, e)
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn tag_mask_matches_per_window_walk() {
-        // Every (start, span) alignment against a per-bit rebuild,
-        // including spans that straddle word boundaries and spans
-        // running past the last time point (must read as zero). The
-        // table is a 130-point tensor's own words: 3 words per neuron.
-        let t = 130;
-        let input = SpikeTensor::from_fn(4, t, |n, tp| (n * 31 + tp * 7) % 19 == 0);
-        let tag_words = input.words_per_neuron();
-        for n in 0..4 {
-            for w0 in (0..t).step_by(3) {
-                for span in [1usize, 7, 63, 64, 65, 127, 128] {
-                    let w1 = w0 + span;
-                    let got = tag_mask(input.words(), tag_words, n, w0, w1);
-                    let mut expect = 0u128;
-                    for (i, w) in (w0..w1).enumerate() {
-                        if w < t && input.get(n, w) {
-                            expect |= 1 << i;
-                        }
-                    }
-                    assert_eq!(got, expect, "neuron {n} windows {w0}..{w1}");
-                }
             }
         }
     }

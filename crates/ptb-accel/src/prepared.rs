@@ -11,8 +11,8 @@
 //! per layer however many TW points ask for it
 //! ([`PreparedLayer::simulate_memoized`]). It holds nothing else: every
 //! scan derives its receptive fields from the shape's box spans
-//! ([`crate::geom::BoxScan`]) and its per-(neuron, column tile) tables
-//! from the tensor's packed `u64` time words on every call.
+//! ([`crate::geom::BoxScan`]) and fills its planes from the tensor's
+//! packed `u64` time words on every call.
 //!
 //! ## Determinism
 //!

@@ -40,17 +40,16 @@
 //! chunk-index order. `threads = 1` is one chunk in the serial
 //! iteration order; any other count yields an [`assert_eq!`]-identical
 //! [`LayerReport`], because the floating-point energy/latency figures
-//! are derived only after the integer totals are final. The shared
-//! read-only inputs of the scan — word rows, fire-count planes and
-//! per-cell time words — are built once per call, before the workers
-//! start.
+//! are derived only after the integer totals are final. PTB's workers
+//! take whole chunks of column tiles and fill each chunk's planes
+//! themselves; the other scans' shared read-only inputs (fire-count
+//! planes and per-cell time words) are built once per call, before the
+//! workers start.
 //!
 //! ## Bit-parallel kernel
 //!
 //! The scans read the activity in whole 64-time-point blocks and never
-//! walk a per-(neuron, time-point) table. PTB first derives each
-//! (neuron, column tile)'s window mask, spike span and busiest window
-//! from the packed [`SpikeTensor`] words (the word rows). Then:
+//! walk a per-(neuron, time-point) table. Then:
 //!
 //! * **Box sums** serve every policy whose per-(position, tile) terms
 //!   are receptive-field sums: PTB (entries, active windows, spike span,
@@ -60,14 +59,27 @@
 //!   entirely, so a [`BoxScan`] integrates channel-summed per-(row, col)
 //!   planes once per column tile and answers each position with four
 //!   lookups per plane.
+//! * **PTB fills its planes straight from the spike words**, a chunk of
+//!   column tiles at a time, walking each neuron's words over the
+//!   chunk's span once. Two paths: when a tile is one `cols · TW`-bit
+//!   lane of a word (`cols · TW` divides 64: TW 1, 2, 4 and 8 on the
+//!   paper's 8-column array), every term of every lane is a SWAR sum —
+//!   popcounts, nonzero-window counts, and the floored busiest window
+//!   as a sum of per-lane threshold flags — gathered across channels in
+//!   lane accumulators that spill into the planes before a lane can
+//!   overflow. Any other tile is counted by a scalar walker that visits
+//!   each active window once. Plain PTB materializes no per-(neuron,
+//!   tile) table.
 //! * **Box walks** remain where the per-position work is not a sum.
 //!   PTB+StSAP takes PTB's box sums and gathers only the *pairable*
-//!   entries (tag not the tile's full mask), reading each field's rows a
-//!   word of a per-tile pairable bitset at a time; it prices them from
-//!   the StSAP pair plan ([`crate::stsap`]) and skips tiles with none,
-//!   such as every single-window tile. Event-driven counts the active
-//!   time points of each field's OR, taken over the field's `(row,
-//!   col)` box of per-cell time words already OR-ed across channels.
+//!   entries (tag not the tile's full mask), which the fill records per
+//!   tile as a bit per neuron plus the entry's tag and lone-slot beats,
+//!   reading each field's rows a word of that bitset at a time; it
+//!   prices them from the StSAP pair plan ([`crate::stsap`]) and skips
+//!   tiles with none, such as every single-window tile. Event-driven
+//!   counts the active time points of each field's OR, taken over the
+//!   field's `(row, col)` box of per-cell time words already OR-ed
+//!   across channels.
 //!
 //! No scan here lists a receptive field.
 //!
@@ -81,12 +93,14 @@
 //! windows add zero; per-point event totals aggregate to popcounts; a
 //! box sum *is* the field's sum), so the reports are bit-identical.
 
+use std::ops::Range;
+
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
 use systolic_sim::{sat_add, sat_mul, AccessCounts, DataKind, MemLevel};
 
 use crate::config::{Policy, SimInputs};
-use crate::geom::{tag_mask, BoxScan};
+use crate::geom::BoxScan;
 use crate::report::LayerReport;
 use crate::stsap::{
     stream_cost, tile_full_mask, NarrowClasses, PairPlan, SortedClasses, TagClasses,
@@ -135,12 +149,12 @@ pub fn simulate_layer(
     let tally = match policy {
         Policy::Ptb { stsap } => {
             let ctx = PtbCtx::new(inputs, d);
-            // Narrow mask words keep a tile's whole lookup slice
-            // cache-resident; the wide fallback covers any array.
+            // Narrow tag words keep StSAP's pairable tables small; the
+            // wide fallback covers any array.
             if d.cols <= 16 {
-                run_word_kernel::<u16>(threads, stsap, shape, &ctx, input)
+                ptb_scan::<u16>(threads, stsap, shape, &ctx, input)
             } else {
-                run_word_kernel::<u128>(threads, stsap, shape, &ctx, input)
+                ptb_scan::<u128>(threads, stsap, shape, &ctx, input)
             }
         }
         Policy::BaselineTemporal => baseline_scan(threads, shape, input, &d),
@@ -631,26 +645,33 @@ fn report(inputs: &SimInputs, policy: Policy, tw_size: u32, mut tally: Tally) ->
 /// u64::MAX)` regardless of the order the same summands arrive in.
 struct PtbCtx {
     tiles: Vec<(usize, usize)>,
-    /// Nominal tile width (the array's column count): every tile except
-    /// possibly the last spans exactly this many windows, starting at
-    /// `ti * tile_width`.
-    tile_width: usize,
     n_w: usize,
     tws: u32,
     min_beats: u64,
+    /// The lane path's geometry, when a column tile is one lane of a
+    /// spike word.
+    lanes: Option<Lanes>,
     d: Dims,
 }
 
 impl PtbCtx {
     fn new(inputs: &SimInputs, d: Dims) -> Self {
         let tws = inputs.tw_size;
+        let min_beats = u64::from(tws.div_ceil(inputs.arch.spike_link_bits)).max(1);
+        Self::with_floor(d, tws, min_beats)
+    }
+
+    /// The schedule of `d.cols`-window column tiles of `tws`-point
+    /// windows, slots floored at `min_beats` (at most `tws`).
+    fn with_floor(d: Dims, tws: u32, min_beats: u64) -> Self {
+        debug_assert!((1..=u64::from(tws)).contains(&min_beats));
         let part = WindowPartition::new(d.t, tws as usize);
         PtbCtx {
             tiles: part.column_tiles(d.cols),
-            tile_width: d.cols,
             n_w: part.num_windows(),
             tws,
-            min_beats: u64::from(tws.div_ceil(inputs.arch.spike_link_bits)).max(1),
+            min_beats,
+            lanes: Lanes::new(d.cols, tws as usize),
             d,
         }
     }
@@ -681,216 +702,499 @@ impl PtbCtx {
         // Membrane potentials cross column tiles once per tile.
         tally.membrane(d.m * d.pbits);
     }
+
+    /// Splits the column tiles into the chunks the scan fills and
+    /// prices one at a time, each chunk's planes and pairable tables
+    /// within [`CHUNK_WORDS`] (or one tile's, if that is more): the
+    /// fewest chunks of even size that fit, rounded up to a multiple of
+    /// `threads` so that workers get equal shares. A chunk may split a
+    /// word's lanes; the lane path masks each word to the chunk's tiles.
+    /// `entry_bytes` is the size of one pairable entry (tag and beats).
+    fn chunks(
+        &self,
+        shape: ConvShape,
+        stsap: bool,
+        threads: usize,
+        entry_bytes: usize,
+    ) -> Vec<Range<usize>> {
+        let n_tiles = self.tiles.len();
+        let neurons = shape.ifmap_neurons();
+        // Four planes, and a word for the tile's any-pairable flag.
+        let mut per_tile = 4 * (shape.ifmap_side() as usize + 1).pow(2) + 1;
+        if stsap {
+            per_tile += neurons.div_ceil(64) + (neurons * entry_bytes).div_ceil(8);
+        }
+        let budget = (CHUNK_WORDS / per_tile).max(1);
+        let chunks = n_tiles.div_ceil(budget).next_multiple_of(threads.max(1));
+        let size = n_tiles.div_ceil(chunks);
+        (0..n_tiles)
+            .step_by(size)
+            .map(|t0| t0..(t0 + size).min(n_tiles))
+            .collect()
+    }
 }
 
-/// Storage word for a hoisted per-(neuron, tile) window-activity mask.
+/// Words of memory one chunk of column tiles may take: PTB's four
+/// box-scan planes per tile plus, under StSAP, its pairable tables
+/// (8 MiB). At quick fidelity one chunk holds every tile of a layer.
+const CHUNK_WORDS: usize = 1 << 20;
+
+/// Storage word for a pairable entry's tag in StSAP's per-tile tables.
 ///
 /// A column tile spans at most 128 windows, so `u128` always works; the
 /// paper's architecture streams 8 columns, so the common case fits a
-/// `u16` and the per-tile mask table shrinks 8×. It only sizes the row
-/// tables: the StSAP scan reads masks as `u128` and picks its class
-/// storage by tile width.
+/// `u16` and the tag table shrinks 8×. It only sizes that table: the
+/// scan reads tags as `u128` and picks its class storage by tile width.
 trait TileMask: Copy + Default + Send + Sync + Into<u128> + TryFrom<u128> {
     fn from_u128(m: u128) -> Self {
-        Self::try_from(m).ok().expect("mask fits the row word")
+        Self::try_from(m).ok().expect("mask fits the tag word")
     }
 }
 
 impl TileMask for u16 {}
 impl TileMask for u128 {}
 
-/// The word kernel's hoisted per-(neuron, tile) tables, tile-major:
-/// entry `ti * neurons + n` describes neuron `n` in column tile `ti`,
-/// so the scan, which fills one tile's planes at a time, reads one
-/// contiguous slice per tile, and the builders, which walk one neuron
-/// at a time, write each tile's slice in order.
-///
-/// Everything the position scan reads per (neuron, tile) is a pure
-/// function of the activity and the partition, never of the output
-/// position — so one pass pays each neuron's window walk exactly once.
-struct WordRows<M> {
-    n_tiles: usize,
-    /// Window-activity mask of the tile (bit `i` ⇔ window `w0 + i` has
-    /// spikes) — the [`tag_mask`] funnel-shift result.
-    masks: Vec<M>,
-    /// Packed per-(neuron, tile) pair: low 16 bits the sum of the
-    /// tile's window popcounts (the entry's `spikes_span` contribution
-    /// — at most 128 windows × a ≤64-spike window, 8192), high 16 bits
-    /// the busiest window (a lone entry's slot beats). Empty at
-    /// `TWS = 1`, where the span is the mask's popcount, every busiest
-    /// window is 1, and the scan never consults the table.
-    span_busy: Vec<u32>,
-}
+/// `0x5555…`, `0x3333…`, `0x0f0f…`, …: the low half of every `2^i`-bit
+/// pair of fields.
+const HALVES: [u64; 6] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0f0f_0f0f_0f0f_0f0f,
+    0x00ff_00ff_00ff_00ff,
+    0x0000_ffff_0000_ffff,
+    0x0000_0000_ffff_ffff,
+];
 
-/// Builds [`WordRows`] at `TWS = 1`, straight from the spike tensor's
-/// packed time words: a per-point window holds at most one spike, so
-/// the tag words *are* the tensor words and a tile's mask is a bit
-/// field of the time word. When the tile width divides a storage word
-/// (the paper's 8-column array), each nonzero word splits into its
-/// tile fields in place — `O(nonzero words + active tiles)`, skipping
-/// silent words wholesale; otherwise each tile slices out with two
-/// funnel shifts ([`tag_mask`]). The spans and busiest tables stay
-/// empty: at `TWS = 1` a span is its mask's popcount and every busiest
-/// window is 1, so the scan never consults them.
-fn build_word_rows_tw1<M: TileMask>(
-    neurons: usize,
-    ctx: &PtbCtx,
-    tags: &[u64],
-    tag_words: usize,
-) -> WordRows<M> {
-    let tile_width = ctx.tile_width;
-    let n_tiles = ctx.tiles.len();
-    let mut rows = WordRows {
-        n_tiles,
-        masks: vec![M::default(); neurons * n_tiles],
-        span_busy: Vec::new(),
-    };
-    if tile_width <= 64 && 64 % tile_width == 0 {
-        // A tile never straddles a storage word: walk nonzero words,
-        // split each into its nonzero tile fields.
-        debug_assert!(ctx
-            .tiles
-            .iter()
-            .enumerate()
-            .all(|(ti, &(w0, _))| w0 == ti * tile_width));
-        let tpw = 64 / tile_width;
-        let field_mask = if tile_width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << tile_width) - 1
-        };
-        for n in 0..neurons {
-            for (wi, &word) in tags[n * tag_words..(n + 1) * tag_words].iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    let f = (word.trailing_zeros() as usize / tile_width) * tile_width;
-                    let sub = (word >> f) & field_mask;
-                    word &= !(field_mask << f);
-                    let ti = wi * tpw + f / tile_width;
-                    rows.masks[ti * neurons + n] = M::from_u128(u128::from(sub));
-                }
-            }
-        }
+/// The low `bits` bits set (`bits <= 64`).
+#[inline]
+fn low_bits(bits: usize) -> u64 {
+    if bits >= 64 {
+        u64::MAX
     } else {
-        for n in 0..neurons {
-            for (ti, &(w0, w1)) in ctx.tiles.iter().enumerate() {
-                let mask = tag_mask(tags, tag_words, n, w0, w1);
-                rows.masks[ti * neurons + n] = M::from_u128(mask);
-            }
-        }
+        (1 << bits) - 1
     }
-    rows
 }
 
-/// Builds [`WordRows`] for every `TWS > 1`, straight from the spike
-/// tensor's packed time words: each neuron's set bits are walked in time
-/// order, and the first spike of a window counts the whole window — from
-/// the loaded word when the window ends inside it, otherwise with
-/// [`SpikeTensor::popcount_range`] (a window reaching into the next
-/// word) — then the rest of the window is skipped. The cost is
-/// `O(nonzero words + active windows)` and no per-(neuron, window) table
-/// is ever materialized. Window indices grow monotonically within a
-/// neuron, so per-tile state (mask/span/busiest) accumulates in
-/// registers and flushes once per active tile.
-fn build_word_rows<M: TileMask>(input: &SpikeTensor, ctx: &PtbCtx) -> WordRows<M> {
-    let tile_width = ctx.tile_width;
-    let tws = ctx.tws as usize;
-    debug_assert!(tws > 1);
-    let t = input.timesteps();
-    let neurons = input.neurons();
-    let n_tiles = ctx.tiles.len();
-    debug_assert!(ctx
-        .tiles
-        .iter()
-        .enumerate()
-        .all(|(ti, &(w0, _))| w0 == ti * tile_width));
-    let mut rows = WordRows {
-        n_tiles,
-        masks: vec![M::default(); neurons * n_tiles],
-        span_busy: vec![0u32; neurons * n_tiles],
-    };
-    // The window of each time point and the tile of each window: table
-    // lookups keep integer divisions out of the per-spike loop.
-    let win_of: Vec<u32> = (0..t).map(|tp| (tp / tws) as u32).collect();
-    let tile_of: Vec<u32> = (0..ctx.n_w).map(|w| (w / tile_width) as u32).collect();
-    for n in 0..neurons {
-        let mut flush = |ti: usize, mask: u128, span: u32, busiest: u32| {
-            let idx = ti * neurons + n;
-            rows.masks[idx] = M::from_u128(mask);
-            rows.span_busy[idx] = span | (busiest << 16);
+/// Sums adjacent `from`-bit fields of `x` into `to`-bit fields (both
+/// powers of two): applied to spike bits, each `to`-bit field's
+/// popcount.
+#[inline]
+fn widen(mut x: u64, from: u32, to: u32) -> u64 {
+    let mut w = from;
+    while w < to {
+        let half = HALVES[w.trailing_zeros() as usize];
+        x = (x & half) + ((x >> w) & half);
+        w *= 2;
+    }
+    x
+}
+
+/// Bit 0 of each `w`-bit field of `x` (`ones` has those bits) set iff
+/// the field is nonzero.
+#[inline]
+fn any_in(x: u64, w: u32, ones: u64) -> u64 {
+    let high = ones << (w - 1);
+    let low = high - ones;
+    ((((x & low) + low) | x) & high) >> (w - 1)
+}
+
+/// Bit 0 of each `w`-bit field of `counts` set iff the field's value is
+/// at least `k` (every value at most `w`, `1 <= k <= w`, `w >= 2`): the
+/// offset pushes exactly those values into the field's top bit.
+#[inline]
+fn at_least(counts: u64, k: u64, w: u32, ones: u64) -> u64 {
+    ((counts + ones * ((1 << (w - 1)) - k)) >> (w - 1)) & ones
+}
+
+/// The lane path's word geometry: a column tile of `cols` windows of
+/// `TW` points is one `L = cols · TW`-bit lane of a spike word, each
+/// window one `TW`-bit field, when `L` divides 64 (both then powers of
+/// two).
+#[derive(Debug, Clone, Copy)]
+struct Lanes {
+    /// Lane width `L`, bits.
+    width: u32,
+    /// Field (window) width `TW`, bits.
+    field: u32,
+    /// Lanes (column tiles) per word.
+    per_word: usize,
+    /// Bit 0 of every lane.
+    lane_ones: u64,
+    /// Bit 0 of every field.
+    field_ones: u64,
+    /// Channels a lane accumulator takes before it must spill: a
+    /// neuron adds at most `L` to any lane (its span), so `L`-bit
+    /// lanes hold `(2^L − 1) / L` neurons (31 for 8-bit lanes).
+    spill: usize,
+    /// `(shift, mask)` steps that gather each lane's window-nonzero
+    /// bits (one per field) into its low `cols` bits: each step joins
+    /// neighbouring groups of bits, halving their number.
+    gather: [(u32, u64); 6],
+    steps: usize,
+}
+
+impl Lanes {
+    fn new(cols: usize, tws: usize) -> Option<Self> {
+        let l = cols * tws;
+        if l > 64 || 64 % l != 0 {
+            return None;
+        }
+        let repeat = |width: usize, period: usize| {
+            (0..64 / period).fold(0u64, |acc, i| acc | low_bits(width) << (i * period))
         };
-        let mut cur_ti = usize::MAX;
-        let (mut mask, mut span, mut busiest) = (0u128, 0u32, 0u32);
-        // Time points before `next` belong to windows already counted.
-        let mut next = 0usize;
-        for (wi, &raw) in input.neuron_words(n).iter().enumerate() {
-            let base = wi * 64;
-            if next >= base + 64 {
-                continue;
-            }
-            let mut word = raw & (u64::MAX << next.saturating_sub(base));
-            while word != 0 {
-                // The lowest live bit is the first spike of window `w`,
-                // so the window's count is the spikes from `tp` to its
-                // end `s1`.
-                let tp = base + word.trailing_zeros() as usize;
-                let w = win_of[tp] as usize;
-                let ti = tile_of[w] as usize;
-                let s1 = ((w + 1) * tws).min(t);
-                let end = s1 - base;
-                let c = if end <= 64 {
-                    (word & (u64::MAX >> (64 - end))).count_ones()
-                } else {
-                    input.popcount_range(n, tp, s1)
-                };
-                next = s1;
-                word = if end >= 64 {
-                    0
-                } else {
-                    word & (u64::MAX << end)
-                };
-                if ti != cur_ti {
-                    if cur_ti != usize::MAX {
-                        flush(cur_ti, mask, span, busiest);
-                    }
-                    (cur_ti, mask, span, busiest) = (ti, 0, 0, 0);
-                }
-                mask |= 1 << (w - ti * tile_width);
-                span += c;
-                busiest = busiest.max(c);
-            }
+        let mut gather = [(0, 0); 6];
+        let mut steps = 0;
+        let mut g = 1;
+        while g < cols && tws > 1 {
+            gather[steps] = ((g * (tws - 1)) as u32, repeat(2 * g, 2 * g * tws));
+            steps += 1;
+            g *= 2;
         }
-        if cur_ti != usize::MAX {
-            flush(cur_ti, mask, span, busiest);
+        Some(Lanes {
+            width: l as u32,
+            field: tws as u32,
+            per_word: 64 / l,
+            lane_ones: repeat(1, l),
+            field_ones: repeat(1, tws),
+            spill: if l == 64 {
+                usize::MAX
+            } else {
+                (low_bits(l) / l as u64).max(1) as usize
+            },
+            gather,
+            steps,
+        })
+    }
+
+    /// One spike word's terms, lane by lane: `x` holds only the
+    /// chunk's lanes, `valid` the field bits of windows inside the
+    /// period, `floor` is `min_beats`. Under `stsap` the beats count
+    /// only the unpairable entries.
+    #[inline]
+    fn terms(&self, x: u64, valid: u64, floor: u64, stsap: bool) -> LaneTerms {
+        let (f, l) = (self.field, self.width);
+        let counts = widen(x, 1, f);
+        let span = widen(counts, f, l);
+        let active = any_in(span, l, self.lane_ones);
+        let flags = any_in(counts, f, self.field_ones);
+        let windows = if f == 1 { span } else { widen(flags, 1, l) };
+        // max(busiest, floor) = floor + #{k > floor : busiest >= k};
+        // once no window reaches k, none reaches a larger one.
+        let mut beats = active * floor;
+        for k in floor + 1..=u64::from(f) {
+            let reach = at_least(counts, k, f, self.field_ones);
+            if reach == 0 {
+                break;
+            }
+            beats += any_in(reach, l, self.lane_ones);
+        }
+        let mut pairable = 0;
+        let mut unpaired = beats;
+        if stsap {
+            pairable = active & any_in(valid & !flags, l, self.lane_ones);
+            unpaired &= (active & !pairable).wrapping_mul(low_bits(l as usize));
+        }
+        LaneTerms {
+            active,
+            windows,
+            span,
+            unpaired,
+            pairable,
+            flags,
+            beats,
         }
     }
-    rows
+
+    /// Each lane's tile tag (bit `i` ⇔ its window `i` is active) in its
+    /// low `cols` bits, from the window-nonzero field bits.
+    #[inline]
+    fn tags(&self, mut flags: u64) -> u64 {
+        for &(shift, mask) in &self.gather[..self.steps] {
+            flags = (flags | flags >> shift) & mask;
+        }
+        flags
+    }
 }
 
-/// Builder dispatch + box scan for one mask width, with StSAP class
+/// One spike word's per-lane terms: counts sit in each lane, flags at
+/// each lane's bit 0 ([`Lanes::terms`]).
+struct LaneTerms {
+    /// The entry is active in the tile.
+    active: u64,
+    /// Active windows.
+    windows: u64,
+    /// Spikes.
+    span: u64,
+    /// Slot beats of the entries plain PTB streams alone: all of them,
+    /// or under StSAP the unpairable ones.
+    unpaired: u64,
+    /// Active, and some window of the tile is silent (StSAP only).
+    pairable: u64,
+    /// Window-nonzero bit of every field.
+    flags: u64,
+    /// Every active entry's slot beats: busiest window, floored.
+    beats: u64,
+}
+
+/// StSAP's pairable entries of one chunk's tiles — those whose tag is
+/// not the tile's full mask — as a bit per neuron per tile, with each
+/// flagged entry's tag and lone-slot beats (busiest window floored at
+/// `min_beats`). Empty for plain PTB.
+struct Pairable<M> {
+    /// Bitset words per tile.
+    words: usize,
+    neurons: usize,
+    bits: Vec<u64>,
+    /// Per (tile, neuron): the tag and the lone-slot beats.
+    entries: Vec<(M, u16)>,
+    any: Vec<bool>,
+}
+
+impl<M: TileMask> Pairable<M> {
+    fn new(neurons: usize, tiles: usize, stsap: bool) -> Self {
+        let neurons = if stsap { neurons } else { 0 };
+        let words = neurons.div_ceil(64);
+        Pairable {
+            words,
+            neurons,
+            bits: vec![0; words * tiles],
+            entries: vec![(M::default(), 0); neurons * tiles],
+            any: vec![false; tiles],
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, tile: usize, n: usize, tag: u128, beats: u64) {
+        self.bits[tile * self.words + n / 64] |= 1 << (n % 64);
+        self.entries[tile * self.neurons + n] = (M::from_u128(tag), beats as u16);
+        self.any[tile] = true;
+    }
+}
+
+/// One chunk of column tiles, filled: four [`BoxScan`] planes per tile
+/// (plane `4 · (ti − tiles.start) + q` holds term `q` of tile `ti`:
+/// entries, active windows, spike span, and the slot beats of the
+/// entries that stream alone) and, under StSAP, the pairable entries.
+struct ChunkFill<M> {
+    tiles: Range<usize>,
+    boxes: BoxScan,
+    pairable: Pairable<M>,
+}
+
+impl<M: TileMask> ChunkFill<M> {
+    /// Walks each neuron's spike words over the chunk's time span once
+    /// and adds every active tile's terms straight into that tile's
+    /// planes at the neuron's `(row, col)` cell — a lane at a time when
+    /// [`PtbCtx::lanes`] allows, else window by window.
+    fn new(
+        ctx: &PtbCtx,
+        shape: ConvShape,
+        input: &SpikeTensor,
+        tiles: Range<usize>,
+        stsap: bool,
+    ) -> Self {
+        let mut fill = ChunkFill {
+            boxes: BoxScan::new(shape, 4 * tiles.len()),
+            pairable: Pairable::new(input.neurons(), tiles.len(), stsap),
+            tiles,
+        };
+        let cells = (shape.ifmap_side() as usize).pow(2);
+        let channels = shape.in_channels() as usize;
+        match ctx.lanes {
+            Some(lanes) => fill.fill_lanes(ctx, lanes, input, cells, channels, stsap),
+            None => fill.walk_windows(ctx, input, cells, channels, stsap),
+        }
+        fill
+    }
+
+    /// Words the chunk's planes and pairable tables take.
+    fn words(&self) -> usize {
+        let p = &self.pairable;
+        let entry_bytes = p.entries.len() * std::mem::size_of::<(M, u16)>();
+        self.boxes.words() + p.bits.len() + entry_bytes.div_ceil(8) + p.any.len().div_ceil(8)
+    }
+
+    /// The lane path: every term is a SWAR sum over a word's lanes. A
+    /// word of the chunk at a time, per cell, lane accumulators gather
+    /// the terms across channels and spill into the planes before a
+    /// lane can overflow; pairable entries are recorded one at a time.
+    fn fill_lanes(
+        &mut self,
+        ctx: &PtbCtx,
+        lanes: Lanes,
+        input: &SpikeTensor,
+        cells: usize,
+        channels: usize,
+        stsap: bool,
+    ) {
+        let (t0, t1) = (self.tiles.start, self.tiles.end);
+        let (per, l) = (lanes.per_word, lanes.width as usize);
+        let (t, wpn) = (input.timesteps(), input.words_per_neuron());
+        let mut acc = vec![[0u64; 4]; cells];
+        let tag_bits = low_bits(ctx.d.cols);
+        for wi in t0 / per..t1.div_ceil(per) {
+            // The word's lanes inside the chunk, and the field bits of
+            // its windows inside the period.
+            let tile0 = wi * per;
+            let chunk_lanes = tile0.max(t0)..(tile0 + per).min(t1);
+            let inside = low_bits((chunk_lanes.end - tile0) * l)
+                & !low_bits((chunk_lanes.start - tile0) * l);
+            let valid = lanes.field_ones & low_bits(t - wi * 64);
+            let channel_words = input.words().chunks_exact(cells * wpn);
+            for (c, channel) in channel_words.take(channels).enumerate() {
+                let row_words = channel.iter().skip(wi).step_by(wpn);
+                for (cell, (&x, sums)) in row_words.zip(acc.iter_mut()).enumerate() {
+                    let x = x & inside;
+                    if x == 0 {
+                        continue;
+                    }
+                    let terms = lanes.terms(x, valid, ctx.min_beats, stsap);
+                    sums[0] += terms.active;
+                    sums[1] += terms.windows;
+                    sums[2] += terms.span;
+                    sums[3] += terms.unpaired;
+                    let mut each = terms.pairable;
+                    if each != 0 {
+                        let tags = lanes.tags(terms.flags);
+                        while each != 0 {
+                            let bit = each.trailing_zeros() as usize;
+                            let tag = (tags >> bit) & tag_bits;
+                            let beats = (terms.beats >> bit) & low_bits(l);
+                            let tile = tile0 + bit / l - t0;
+                            self.pairable
+                                .add(tile, c * cells + cell, u128::from(tag), beats);
+                            each &= each - 1;
+                        }
+                    }
+                }
+                if (c + 1) % lanes.spill != 0 && c + 1 != channels {
+                    continue;
+                }
+                for (planes, sums) in self.boxes.cells_mut().zip(acc.iter_mut()) {
+                    for j in chunk_lanes.clone() {
+                        let (shift, o) = ((j - tile0) * l, 4 * (j - t0));
+                        for (p, s) in planes[o..o + 4].iter_mut().zip(sums.iter()) {
+                            *p += (s >> shift) & low_bits(l);
+                        }
+                    }
+                    *sums = [0; 4];
+                }
+            }
+        }
+    }
+
+    /// The scalar walker, for every tile a lane cannot hold (wider
+    /// tiles, windows that straddle words): each neuron's set bits are
+    /// walked in time order, and the first spike of a window counts the
+    /// whole window — from the loaded word when the window ends inside
+    /// it, otherwise with [`SpikeTensor::popcount_range`] — then the
+    /// rest of the window is skipped. The cost is `O(nonzero words +
+    /// active windows)`; per-tile state accumulates in registers and
+    /// is added into the tile's planes once per active tile.
+    fn walk_windows(
+        &mut self,
+        ctx: &PtbCtx,
+        input: &SpikeTensor,
+        cells: usize,
+        channels: usize,
+        stsap: bool,
+    ) {
+        let (t0, t1) = (self.tiles.start, self.tiles.end);
+        let (tws, cols, t) = (ctx.tws as usize, ctx.d.cols, input.timesteps());
+        let (tp0, tp1) = (ctx.tiles[t0].0 * tws, (ctx.tiles[t1 - 1].1 * tws).min(t));
+        // The window of each time point and the tile of each window:
+        // table lookups keep integer divisions out of the per-spike
+        // loop.
+        let win_of: Vec<u32> = (tp0..tp1).map(|tp| (tp / tws) as u32).collect();
+        let w_start = ctx.tiles[t0].0;
+        let tile_of: Vec<u32> = (w_start..ctx.tiles[t1 - 1].1)
+            .map(|w| (w / cols) as u32)
+            .collect();
+        let wpn = input.words_per_neuron();
+        let span_words = tp0 / 64..tp1.div_ceil(64);
+        let pairable = &mut self.pairable;
+        for (cell, planes) in self.boxes.cells_mut().enumerate() {
+            for c in 0..channels {
+                let n = c * cells + cell;
+                let mut flush = |ti: usize, mask: u128, span: u32, busiest: u32| {
+                    let (w0, w1) = ctx.tiles[ti];
+                    let o = 4 * (ti - t0);
+                    let beats = u64::from(busiest).max(ctx.min_beats);
+                    planes[o] += 1;
+                    planes[o + 1] += u64::from(mask.count_ones());
+                    planes[o + 2] += u64::from(span);
+                    if stsap && mask != tile_full_mask(w1 - w0) {
+                        pairable.add(ti - t0, n, mask, beats);
+                    } else {
+                        planes[o + 3] += beats;
+                    }
+                };
+                let mut cur_ti = usize::MAX;
+                let (mut mask, mut span, mut busiest) = (0u128, 0u32, 0u32);
+                // Time points before `next` belong to windows already
+                // counted.
+                let mut next = tp0;
+                let row = &input.words()[n * wpn..(n + 1) * wpn];
+                for wi in span_words.clone() {
+                    let base = wi * 64;
+                    if next >= base + 64 {
+                        continue;
+                    }
+                    let mut word =
+                        row[wi] & (u64::MAX << next.saturating_sub(base)) & low_bits(tp1 - base);
+                    while word != 0 {
+                        // The lowest live bit is the first spike of
+                        // window `w`, so the window's count is the
+                        // spikes from `tp` to its end `s1`.
+                        let tp = base + word.trailing_zeros() as usize;
+                        let w = win_of[tp - tp0] as usize;
+                        let ti = tile_of[w - w_start] as usize;
+                        let s1 = ((w + 1) * tws).min(t);
+                        let end = s1 - base;
+                        let c = if end <= 64 {
+                            (word & low_bits(end)).count_ones()
+                        } else {
+                            input.popcount_range(n, tp, s1)
+                        };
+                        next = s1;
+                        word = if end >= 64 {
+                            0
+                        } else {
+                            word & (u64::MAX << end)
+                        };
+                        if ti != cur_ti {
+                            if cur_ti != usize::MAX {
+                                flush(cur_ti, mask, span, busiest);
+                            }
+                            (cur_ti, mask, span, busiest) = (ti, 0, 0, 0);
+                        }
+                        mask |= 1 << (w - ti * cols);
+                        span += c;
+                        busiest = busiest.max(c);
+                    }
+                }
+                if cur_ti != usize::MAX {
+                    flush(cur_ti, mask, span, busiest);
+                }
+            }
+        }
+    }
+}
+
+/// PTB with the tag storage `M` its tile width needs, and StSAP class
 /// storage chosen by the widest tile.
-fn run_word_kernel<M: TileMask>(
+fn ptb_scan<M: TileMask>(
     threads: usize,
     stsap: bool,
     shape: ConvShape,
     ctx: &PtbCtx,
     input: &SpikeTensor,
 ) -> Tally {
-    let rows = if ctx.tws == 1 {
-        build_word_rows_tw1::<M>(
-            input.neurons(),
-            ctx,
-            input.words(),
-            input.words_per_neuron(),
-        )
-    } else {
-        build_word_rows::<M>(input, ctx)
-    };
     let max_nw = ctx.tiles.iter().map(|&(w0, w1)| w1 - w0).max().unwrap_or(0);
     if max_nw <= 8 {
-        ptb_box_scan::<M, NarrowClasses>(threads, stsap, shape, ctx, &rows, max_nw)
+        ptb_box_scan::<M, NarrowClasses>(threads, stsap, shape, ctx, input, max_nw)
     } else {
-        ptb_box_scan::<M, SortedClasses>(threads, stsap, shape, ctx, &rows, max_nw)
+        ptb_box_scan::<M, SortedClasses>(threads, stsap, shape, ctx, input, max_nw)
     }
 }
 
@@ -900,8 +1204,9 @@ fn run_word_kernel<M: TileMask>(
 /// (position, column tile) is a receptive-field sum of a per-(neuron,
 /// tile) value: the entry count, the active windows, the spike span and
 /// the entry's slot beats (its busiest window floored at `min_beats`).
-/// So each tile fills four [`BoxScan`] planes and prices every position
-/// with four lookups per plane instead of gathering its field.
+/// So a chunk of tiles fills four [`BoxScan`] planes per tile in one
+/// pass over the spike words ([`ChunkFill`]), integrates them together,
+/// and prices every (position, tile) with four lookups per plane.
 ///
 /// StSAP changes slots and beats only through *pairable* entries, whose
 /// tag is not the tile's full mask: a full tag's complement is 0 and
@@ -913,80 +1218,58 @@ fn run_word_kernel<M: TileMask>(
 /// without pairable entries (every single-window tile) gathers nothing.
 /// At `TWS = 1` entries carry no value: every slot sits at the floor.
 ///
-/// Workers take whole column tiles and hold one tile's planes and
-/// pairable table at a time; `account` sees the same per-(position,
-/// tile) values as the oracle's walk (see [`PtbCtx`]).
+/// Workers take whole chunks ([`PtbCtx::chunks`]) and merge in chunk
+/// order; `account` sees the same per-(position, tile) values as the
+/// oracle's walk (see [`PtbCtx`]).
 fn ptb_box_scan<M: TileMask, S: TagClasses>(
     threads: usize,
     stsap: bool,
     shape: ConvShape,
     ctx: &PtbCtx,
-    rows: &WordRows<M>,
+    input: &SpikeTensor,
     max_nw: usize,
 ) -> Tally {
-    let n_tiles = rows.n_tiles;
-    let neurons = shape.ifmap_neurons();
-    scan_chunks(threads, n_tiles, |range| {
+    let chunks = ctx.chunks(shape, stsap, threads, std::mem::size_of::<(M, u16)>());
+    let valued = ctx.tws > 1;
+    scan_chunks(threads, chunks.len(), |range| {
         let mut tally = Tally::default();
-        let mut boxes = BoxScan::new(shape, 4);
-        let mut sums = [0u64; 4];
-        // This tile's pairable entries: a bit per neuron, and the
-        // neuron's tag and busiest window.
-        let table = if stsap { neurons } else { 0 };
-        let mut pairable = vec![0u64; table.div_ceil(64)];
-        let mut tags = vec![M::default(); table];
-        let mut busiest = vec![0u16; table];
-        let valued = !rows.span_busy.is_empty();
         let mut store = S::new(max_nw);
         let mut plan = PairPlan::default();
-        for ti in range {
-            let (w0, w1) = ctx.tiles[ti];
-            let full_mask = tile_full_mask(w1 - w0);
-            let mut any_pairable = false;
-            pairable.fill(0);
-            boxes.fill(|n, cell| {
-                let idx = ti * neurons + n;
-                let mask: u128 = rows.masks[idx].into();
-                if mask == 0 {
-                    return;
+        for tiles in &chunks[range] {
+            let mut fill = ChunkFill::<M>::new(ctx, shape, input, tiles.clone(), stsap);
+            debug_assert!(
+                tiles.len() == 1 || fill.words() <= CHUNK_WORDS,
+                "chunk {tiles:?} takes {} words",
+                fill.words()
+            );
+            fill.boxes.integrate();
+            let pairable = &fill.pairable;
+            let mut sums = [0u64; 4];
+            for (i, &(w0, w1)) in ctx.tiles[tiles.clone()].iter().enumerate() {
+                let full_mask = tile_full_mask(w1 - w0);
+                let bits = &pairable.bits[i * pairable.words..(i + 1) * pairable.words];
+                let at = i * pairable.neurons;
+                for p in 0..fill.boxes.positions() {
+                    fill.boxes.query_from(p, 4 * i, &mut sums);
+                    let [raw, windows, span, beats] = sums;
+                    if raw == 0 {
+                        continue;
+                    }
+                    let (mut slots, mut beats) = (raw, beats);
+                    if pairable.any[i] {
+                        fill.boxes.visit_field(p, bits, |n| {
+                            let (tag, beats) = pairable.entries[at + n];
+                            store.push(tag.into(), valued.then_some(beats));
+                        });
+                        let packed = store.len() as u64;
+                        let cost = stream_cost(&mut store, &mut plan, full_mask, ctx.min_beats);
+                        sat!(tally.exact_pairs += cost.exact_pairs * ctx.d.row_tiles);
+                        sat!(tally.near_pairs += cost.near_pairs * ctx.d.row_tiles);
+                        slots = slots - packed + cost.slots;
+                        beats += cost.beats;
+                    }
+                    ctx.account(&mut tally, raw, slots, beats, span, windows);
                 }
-                let windows = u64::from(mask.count_ones());
-                // At `TWS = 1` the table is empty: one spike per window.
-                let (span, busy) = match rows.span_busy.get(idx) {
-                    Some(&sb) => (u64::from(sb & 0xFFFF), sb >> 16),
-                    None => (windows, 1),
-                };
-                cell[0] += 1;
-                cell[1] += windows;
-                cell[2] += span;
-                if stsap && mask != full_mask {
-                    pairable[n / 64] |= 1 << (n % 64);
-                    (tags[n], busiest[n]) = (rows.masks[idx], busy as u16);
-                    any_pairable = true;
-                } else {
-                    cell[3] += u64::from(busy).max(ctx.min_beats);
-                }
-            });
-            boxes.integrate();
-            for p in 0..boxes.positions() {
-                boxes.query(p, &mut sums);
-                let [raw, windows, span, beats] = sums;
-                if raw == 0 {
-                    continue;
-                }
-                let (mut slots, mut beats) = (raw, beats);
-                if any_pairable {
-                    boxes.visit_field(p, &pairable, |n| {
-                        store.push(tags[n].into(), valued.then(|| busiest[n]));
-                    });
-                    let packed = store.len() as u64;
-                    let cost = stream_cost(&mut store, &mut plan, full_mask, ctx.min_beats);
-                    sat!(tally.exact_pairs += cost.exact_pairs * ctx.d.row_tiles);
-                    sat!(tally.near_pairs += cost.near_pairs * ctx.d.row_tiles);
-                    slots = slots - packed + cost.slots;
-                    beats += cost.beats;
-                }
-                ctx.account(&mut tally, raw, slots, beats, span, windows);
             }
         }
         tally
@@ -1417,43 +1700,171 @@ mod tests {
     }
 
     #[test]
-    fn row_builder_matches_a_per_window_walk() {
-        // The general builder against the dense per-(neuron, window)
-        // count table, field by field — including window sizes past one
+    fn fill_matches_a_per_window_walk() {
+        // Both fill paths against the dense per-(neuron, window) count
+        // table, cell by cell and term by term before integration, with
+        // and without StSAP, at both beat floors a spike link allows
+        // (`TW / 8` and `TW`), in one chunk and in one-tile chunks (which
+        // split a word's lanes) — including window sizes past one
         // storage word (65, 100), which `SimInputs` rejects and so no
-        // report-level test can reach.
+        // report-level test can reach. Lane path: 8 columns at TW 1, 2,
+        // 4, 8 and 16 columns at TW 1, 2, 4; the scalar walker the rest.
         let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
+        let cells = 36;
         for t in [64usize, 70, 130, 200] {
             let input = straddle_input(shape, t);
-            for tw in [2u32, 3, 5, 7, 12, 24, 48, 64, 65, 100] {
+            let neurons = input.neurons();
+            for tw in [1u32, 2, 3, 4, 5, 7, 8, 12, 24, 48, 64, 65, 100] {
                 let part = WindowPartition::new(t, tw as usize);
                 let pops = window_popcounts(&input, &part);
                 let n_w = part.num_windows();
                 for cols in [8usize, 12, 16, 128] {
-                    let tiles = part.column_tiles(cols);
-                    let ctx = PtbCtx {
-                        tiles: tiles.clone(),
-                        tile_width: cols,
-                        n_w,
-                        tws: tw,
-                        min_beats: 1,
-                        d: Dims::new(&SimInputs::hpca22(1), shape, &input),
-                    };
-                    let rows = build_word_rows::<u128>(&input, &ctx);
-                    for n in 0..input.neurons() {
-                        for (ti, &(w0, w1)) in tiles.iter().enumerate() {
-                            let (mut mask, mut span, mut busiest) = (0u128, 0u32, 0u32);
-                            for (i, &c) in pops[n * n_w + w0..n * n_w + w1].iter().enumerate() {
-                                if c > 0 {
-                                    mask |= 1 << i;
-                                    span += u32::from(c);
-                                    busiest = busiest.max(u32::from(c));
+                    for link in [8u32, 1] {
+                        let mut d = Dims::new(&SimInputs::hpca22(1), shape, &input);
+                        d.cols = cols;
+                        let ctx = PtbCtx::with_floor(d, tw, u64::from(tw.div_ceil(link)));
+                        let n_tiles = ctx.tiles.len();
+                        for stsap in [false, true] {
+                            // Expected terms per (tile, cell), and the
+                            // pairable entries' (tag, beats) per (tile,
+                            // neuron).
+                            let mut planes = vec![[0u64; 4]; n_tiles * cells];
+                            let mut pairs = vec![None; n_tiles * neurons];
+                            for n in 0..neurons {
+                                for (ti, &(w0, w1)) in ctx.tiles.iter().enumerate() {
+                                    let (mut mask, mut span, mut busiest) = (0u128, 0u64, 0u64);
+                                    let counts = &pops[n * n_w + w0..n * n_w + w1];
+                                    for (i, &c) in counts.iter().enumerate() {
+                                        if c > 0 {
+                                            mask |= 1 << i;
+                                            span += u64::from(c);
+                                            busiest = busiest.max(u64::from(c));
+                                        }
+                                    }
+                                    if mask == 0 {
+                                        continue;
+                                    }
+                                    let beats = busiest.max(ctx.min_beats);
+                                    let cell = &mut planes[ti * cells + n % cells];
+                                    cell[0] += 1;
+                                    cell[1] += u64::from(mask.count_ones());
+                                    cell[2] += span;
+                                    if stsap && mask != tile_full_mask(w1 - w0) {
+                                        pairs[ti * neurons + n] = Some((mask, beats as u16));
+                                    } else {
+                                        cell[3] += beats;
+                                    }
                                 }
                             }
-                            let idx = ti * input.neurons() + n;
-                            let at = format!("t={t} tw={tw} cols={cols} neuron {n} tile {ti}");
-                            assert_eq!(rows.masks[idx], mask, "{at}");
-                            assert_eq!(rows.span_busy[idx], span | (busiest << 16), "{at}");
+                            let whole = std::iter::once(0..n_tiles);
+                            for tiles in whole.chain((0..n_tiles).map(|ti| ti..ti + 1)) {
+                                let at = format!(
+                                    "t={t} tw={tw} cols={cols} link={link} stsap={stsap} tiles {tiles:?}"
+                                );
+                                let mut fill = ChunkFill::<u128>::new(
+                                    &ctx,
+                                    shape,
+                                    &input,
+                                    tiles.clone(),
+                                    stsap,
+                                );
+                                let pairable = &fill.pairable;
+                                for (i, ti) in tiles.clone().enumerate() {
+                                    for n in 0..neurons {
+                                        let at = format!("{at} tile {ti} neuron {n}");
+                                        let want = pairs[ti * neurons + n];
+                                        let flagged =
+                                            pairable.bits.get(i * pairable.words + n / 64);
+                                        let got = flagged
+                                            .is_some_and(|w| w >> (n % 64) & 1 == 1)
+                                            .then(|| pairable.entries[i * pairable.neurons + n]);
+                                        assert_eq!(got, want, "{at}");
+                                    }
+                                    let any = pairs[ti * neurons..(ti + 1) * neurons]
+                                        .iter()
+                                        .any(Option::is_some);
+                                    assert_eq!(pairable.any[i], any, "{at}");
+                                }
+                                for (cell, got) in fill.boxes.cells_mut().enumerate() {
+                                    for (i, ti) in tiles.clone().enumerate() {
+                                        let want = planes[ti * cells + cell];
+                                        assert_eq!(
+                                            got[4 * i..4 * i + 4],
+                                            want,
+                                            "{at} tile {ti} cell {cell}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_stay_within_their_memory_budget() {
+        // A wide array (u128 tags) whose StSAP pairable table outweighs
+        // the planes: every chunk but a lone tile fits in CHUNK_WORDS,
+        // and the chunks split evenly over the workers.
+        let shape = ConvShape::with_padding(32, 3, 16, 8, 1, 1).unwrap();
+        let input = SpikeTensor::new(shape.ifmap_neurons(), 128 * 30);
+        let mut d = Dims::new(&SimInputs::hpca22(1), shape, &input);
+        d.cols = 128;
+        let ctx = PtbCtx::with_floor(d, 1, 1);
+        for stsap in [false, true] {
+            for threads in [1, 2, 3] {
+                let chunks = ctx.chunks(shape, stsap, threads, std::mem::size_of::<(u128, u16)>());
+                assert_eq!(
+                    chunks.len() > 1,
+                    stsap || threads > 1,
+                    "stsap={stsap} threads={threads}"
+                );
+                assert_eq!(chunks.len() % threads, 0, "stsap={stsap} threads={threads}");
+                assert_eq!(
+                    chunks.iter().map(|c| c.len()).sum::<usize>(),
+                    ctx.tiles.len()
+                );
+                let widest = chunks.iter().max_by_key(|c| c.len()).unwrap().clone();
+                let fill = ChunkFill::<u128>::new(&ctx, shape, &input, widest.clone(), stsap);
+                assert!(
+                    fill.words() <= CHUNK_WORDS,
+                    "stsap={stsap} threads={threads} {widest:?}: {} words",
+                    fill.words()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_spill_before_they_overflow() {
+        // 256 channels of neurons firing at every time point: an 8-bit
+        // lane (TW 1 on 8 columns) gathers 8 spikes per channel and
+        // would wrap after 31 channels without its spill, and every
+        // entry is a full tag, so StSAP streams each alone.
+        for shape in [
+            ConvShape::new(3, 3, 256, 4, 1).unwrap(),
+            ConvShape::with_padding(4, 3, 300, 4, 1, 1).unwrap(),
+        ] {
+            for t in [64usize, 70] {
+                let input = SpikeTensor::full(shape.ifmap_neurons(), t);
+                for tw in [1u32, 2, 4] {
+                    let inputs = SimInputs::hpca22(tw);
+                    for policy in [Policy::ptb(), Policy::ptb_with_stsap()] {
+                        let reference =
+                            oracle::simulate_layer_reference(&inputs, policy, shape, &input);
+                        for threads in [1, 3] {
+                            let got = simulate_layer(
+                                &inputs.with_threads(threads),
+                                policy,
+                                shape,
+                                &input,
+                            );
+                            assert_eq!(
+                                got, reference,
+                                "{shape:?} t={t} tw={tw} {policy:?} threads={threads}"
+                            );
                         }
                     }
                 }

@@ -12,7 +12,7 @@
 //! a gather: the per-iteration booking, the layer-granular close, and
 //! the StSAP greedy (through [`pack_tile`], which [`crate::stsap`] pins
 //! against its own linear reference). So every production gather —
-//! the PTB row builders and box sums, the StSAP pairable gather, the
+//! PTB's fused plane fill and box sums, the StSAP pairable gather, the
 //! baselines' box sums, event-driven's box OR and ANN's field lengths —
 //! has an independent counterpart here. The equivalence tests and the
 //! full audit diff the two reports bit for bit.
@@ -312,9 +312,10 @@ mod tests {
         // setup never reaches: the StSAP scan's sorted-class storage
         // (tiles too wide for 8-bit tags) over `u16` tile masks (12
         // and 16 columns) and `u128` ones (cols > 16), valued and at
-        // the beats floor, and the funnel-shift TW=1 builder fallback
-        // (a tile width that does not divide a storage word: 12 and
-        // 20). 128 is the Fig. 9(b) extreme, one tile spanning two
+        // the beats floor; the fill's lane path on 16- and 32-column
+        // arrays (TW 1, 2, 4 and TW 1, 2) and its scalar walker at
+        // TW 1 (a tile width that does not divide a storage word: 12
+        // and 20). 128 is the Fig. 9(b) extreme, one tile spanning two
         // window words. The dense baselines' column and position tiles
         // widen with the array.
         use systolic_sim::{ArchConfig, ArrayDims};
@@ -328,7 +329,7 @@ mod tests {
                 arch: ArchConfig::hpca22().with_array(ArrayDims::new(4, cols)),
                 ..SimInputs::hpca22(1)
             };
-            for tw in [1u32, 3, 5, 7, 8, 12, 24, 32, 48] {
+            for tw in [1u32, 2, 3, 4, 5, 7, 8, 12, 24, 32, 48] {
                 let inputs = SimInputs {
                     tw_size: tw,
                     ..inputs

@@ -104,21 +104,41 @@ fn killed_worker_mid_sweep_is_reclaimed_and_rows_stay_bit_identical() {
     let ack: serde_json::Value = serde_json::from_str(&text).unwrap();
     let id = ack.get("job").and_then(|v| v.as_u64()).expect("job id");
 
-    // Kill whichever worker completes a shard first — at that point it
-    // is already deep into its next one (each shard dawdles 200 ms).
+    // Kill a worker while a shard is in flight on it: its own metrics
+    // count more shard requests accepted (the coordinator dispatches
+    // shards, and only shards, in the binary codec) than it answered
+    // and than the coordinator has completed for it. Only a shard
+    // accepted since the previous poll qualifies, so the kill lands
+    // early in its 200 ms dawdle, not as it finishes.
     let deadline = Instant::now() + Duration::from_secs(60);
-    let victim = loop {
-        let dispatched: Vec<u64> = coordinator
-            .metrics()
-            .per_worker
-            .iter()
-            .map(|w| w.dispatched.load(Ordering::Relaxed))
-            .collect();
-        if let Some(v) = dispatched.iter().position(|&d| d >= 1) {
-            break v;
+    let mut seen = [0u64; 2];
+    let victim = 'watch: loop {
+        for (w, worker) in workers.iter().enumerate() {
+            let (status, text) =
+                client::request_json(worker.addr(), "GET", "/metrics", "").expect("worker metrics");
+            assert_eq!(status, 200, "{text}");
+            let m: serde_json::Value = serde_json::from_str(&text).unwrap();
+            let count = |v: Option<&serde_json::Value>| v.and_then(|v| v.as_u64()).unwrap_or(0);
+            let accepted = count(m.get("codec_bin"));
+            let answered = count(
+                m.get("endpoints")
+                    .and_then(|e| e.get("sweep"))
+                    .and_then(|s| s.get("requests")),
+            );
+            let completed = coordinator.metrics().per_worker[w]
+                .dispatched
+                .load(Ordering::Relaxed);
+            let fresh = accepted > seen[w];
+            seen[w] = accepted;
+            if fresh && accepted > answered && accepted > completed {
+                break 'watch w;
+            }
         }
-        assert!(Instant::now() < deadline, "no shard ever completed");
-        std::thread::sleep(Duration::from_millis(10));
+        assert!(
+            Instant::now() < deadline,
+            "no shard was ever seen in flight"
+        );
+        std::thread::sleep(Duration::from_millis(5));
     };
     workers[victim].kill();
 
