@@ -55,9 +55,6 @@
 //!   bit for bit, for every policy including ANN: the production row
 //!   builders, box scans and StSAP coster against the slow, obvious
 //!   walk.
-//! * **Merge invariance** — re-simulating with a different worker count
-//!   reproduces the report bit-for-bit (the determinism contract of
-//!   `ptb_accel::sim`).
 //! * **Saturation** — checked accumulators clamped instead of wrapping;
 //!   a nonzero counter means totals are lower bounds.
 
@@ -72,7 +69,6 @@ use crate::prepared::PreparedLayer;
 use crate::reference::{batched_neuron_forward, serial_neuron_forward};
 use crate::report::LayerReport;
 use crate::sim::oracle::{simulate_layer_reference, tile_entries};
-use crate::sim::simulate_layer;
 use crate::stsap::{pack_tile, tile_full_mask, PackResult};
 use crate::window::WindowPartition;
 
@@ -358,7 +354,7 @@ pub fn verify_pack(
 /// Audits one simulated layer at `level`, recording findings and
 /// coverage counters into `summary`. `report` is the layer's production
 /// result (checked for saturation and, at [`AuditLevel::Full`], against
-/// the serial reference and for merge invariance). Never panics on
+/// the serial reference). Never panics on
 /// well-formed inputs; divergences are typed findings.
 pub fn audit_layer(
     inputs: &SimInputs,
@@ -510,22 +506,14 @@ pub fn audit_layer(
         }
     }
 
-    // --- Reference diff and merge invariance (full only: each costs one
-    // extra simulation). The serial per-tap oracle must reproduce the
-    // report bit-for-bit, and so must a different worker count.
+    // --- Reference diff (full only: it costs one extra, slow
+    // simulation). The serial per-tap oracle must reproduce the report
+    // bit-for-bit.
     if level == AuditLevel::Full {
         let oracle = simulate_layer_reference(inputs, policy, shape, spikes);
         if oracle != *report {
             summary.record(AuditError::ReferenceDivergence {
                 layer: layer_name.to_string(),
-            });
-        }
-        let alt_threads = if inputs.threads == 1 { 2 } else { 1 };
-        let alt = simulate_layer(&inputs.with_threads(alt_threads), policy, shape, spikes);
-        if alt != *report {
-            summary.record(AuditError::MergeDivergence {
-                layer: layer_name.to_string(),
-                threads: alt_threads,
             });
         }
     }
@@ -534,6 +522,7 @@ pub fn audit_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::simulate_layer;
     use crate::stsap::Slot;
     use snn_core::shape::ConvShape;
     use std::sync::Arc;
@@ -565,28 +554,26 @@ mod tests {
         let prep = prepared();
         for stsap in [false, true] {
             let policy = Policy::Ptb { stsap };
-            for threads in [1usize, 3] {
-                let inputs = SimInputs::hpca22(8).with_threads(threads);
-                let report = simulate_layer(&inputs, policy, prep.shape(), prep.spikes());
-                for level in [AuditLevel::Sample, AuditLevel::Full] {
-                    let mut summary = AuditSummary::new(level);
-                    audit_layer(
-                        &inputs,
-                        policy,
-                        &prep,
-                        "CONV1",
-                        &report,
-                        level,
-                        &mut summary,
-                    );
-                    assert!(
-                        summary.is_clean(),
-                        "stsap={stsap} threads={threads} {level:?}: {:?}",
-                        summary.first()
-                    );
-                    assert_eq!(summary.layers_checked, 1);
-                    assert!(summary.neurons_replayed > 0);
-                }
+            let inputs = SimInputs::hpca22(8);
+            let report = simulate_layer(&inputs, policy, prep.shape(), prep.spikes());
+            for level in [AuditLevel::Sample, AuditLevel::Full] {
+                let mut summary = AuditSummary::new(level);
+                audit_layer(
+                    &inputs,
+                    policy,
+                    &prep,
+                    "CONV1",
+                    &report,
+                    level,
+                    &mut summary,
+                );
+                assert!(
+                    summary.is_clean(),
+                    "stsap={stsap} {level:?}: {:?}",
+                    summary.first()
+                );
+                assert_eq!(summary.layers_checked, 1);
+                assert!(summary.neurons_replayed > 0);
             }
         }
     }
@@ -835,9 +822,8 @@ mod tests {
     fn summary_serializes_round_trip() {
         let mut s = AuditSummary::new(AuditLevel::Full);
         s.layers_checked = 3;
-        s.record(AuditError::MergeDivergence {
+        s.record(AuditError::ReferenceDivergence {
             layer: "FC1".to_string(),
-            threads: 2,
         });
         let json = serde_json::to_string(&s).expect("serialize");
         let back: AuditSummary = serde_json::from_str(&json).expect("deserialize");

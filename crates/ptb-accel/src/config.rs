@@ -110,11 +110,6 @@ pub struct SimInputs {
     pub energy: EnergyModel,
     /// Time-window size `TWS` (1 = per-time-point processing).
     pub tw_size: u32,
-    /// Worker threads for the simulator's position scan. `1` (the
-    /// default) is the serial walk; any value produces a bit-identical
-    /// [`crate::report::LayerReport`] because the scan only accumulates
-    /// integer tallies, merged in chunk order (see `sim` module docs).
-    pub threads: usize,
 }
 
 impl SimInputs {
@@ -130,22 +125,9 @@ impl SimInputs {
             arch: ArchConfig::hpca22(),
             energy: EnergyModel::cacti_32nm(),
             tw_size,
-            threads: 1,
         };
         inputs.assert_valid();
         inputs
-    }
-
-    /// Returns a copy that fans the simulator's position scan across
-    /// `threads` workers. Reports are identical for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "thread count must be nonzero");
-        self.threads = threads;
-        self
     }
 
     /// Checks the time-window size against the hardware limits: one
@@ -165,7 +147,6 @@ impl SimInputs {
             self.tw_size,
             self.arch.psum_slots()
         );
-        assert!(self.threads >= 1, "thread count must be nonzero");
         self.arch.validate().expect("architecture must be valid");
     }
 
@@ -205,21 +186,7 @@ mod tests {
         let s = SimInputs::hpca22(8);
         assert_eq!(s.tw_size, 8);
         assert_eq!(s.arch.array.pe_count(), 128);
-        assert_eq!(s.threads, 1, "default is the serial walk");
         s.assert_valid();
-    }
-
-    #[test]
-    fn with_threads_sets_worker_count() {
-        let s = SimInputs::hpca22(8).with_threads(4);
-        assert_eq!(s.threads, 4);
-        s.assert_valid();
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_threads_rejected() {
-        SimInputs::hpca22(8).with_threads(0);
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! * [`tag`] — TB-tags and neuron classification.
 //! * [`window`] — time-window partitioning of the operational period.
 //! * [`stsap`] — the greedy complement-packing algorithm (Fig. 8).
-//! * [`config`] — simulator inputs (Table III), including the
-//!   [`SimInputs::threads`] worker-count knob of the parallel scan.
+//! * [`config`] — simulator inputs (Table III).
 //! * [`geom`] — receptive fields as clipped boxes: the summed-area box
 //!   sums ([`geom::BoxScan`]) that price every production scan, and the
 //!   field lists and spike tables the oracle and the audit read.

@@ -91,7 +91,6 @@ pub fn search_joint(
                 arch,
                 energy: EnergyModel::cacti_32nm(),
                 tw_size: tw,
-                threads: 1,
             };
             let edp: f64 = layers
                 .iter()
@@ -132,7 +131,6 @@ pub fn per_layer_tw(
                         arch: ArchConfig::hpca22().with_array(shape),
                         energy: EnergyModel::cacti_32nm(),
                         tw_size: tw,
-                        threads: 1,
                     };
                     (tw, simulate_layer(&inputs, policy, s, a))
                 })

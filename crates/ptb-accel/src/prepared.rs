@@ -60,14 +60,12 @@ pub struct PreparedLayer {
 /// One report-memo entry: its key and the report cell.
 type ReportEntry = (Policy, SimInputs, Arc<OnceLock<LayerReport>>);
 
-/// The report-memo key of `inputs`: the TW size and worker count are
-/// normalized to 1, because neither changes a TW-invariant policy's
-/// report. The arch and energy model stay, so a run under a different
+/// The report-memo key of `inputs`: the TW size is normalized to 1,
+/// because it does not change a TW-invariant policy's report. The arch and energy model stay, so a run under a different
 /// model never hits an entry computed for another.
 fn report_key(inputs: &SimInputs) -> SimInputs {
     SimInputs {
         tw_size: 1,
-        threads: 1,
         ..*inputs
     }
 }
@@ -175,17 +173,15 @@ mod tests {
     fn memoized_reports_match_fresh_simulation_at_every_tw() {
         let p = prep();
         for tw in [1u32, 3, 8, 64] {
-            for threads in [1usize, 2] {
-                let inputs = SimInputs::hpca22(tw).with_threads(threads);
-                for policy in INVARIANT.into_iter().chain([Policy::ptb_with_stsap()]) {
-                    let fresh = crate::sim::simulate_layer(&inputs, policy, p.shape(), p.spikes());
-                    assert_eq!(
-                        p.simulate_memoized(&inputs, policy),
-                        fresh,
-                        "{} tw={tw} threads={threads}",
-                        policy.label()
-                    );
-                }
+            let inputs = SimInputs::hpca22(tw);
+            for policy in INVARIANT.into_iter().chain([Policy::ptb_with_stsap()]) {
+                let fresh = crate::sim::simulate_layer(&inputs, policy, p.shape(), p.spikes());
+                assert_eq!(
+                    p.simulate_memoized(&inputs, policy),
+                    fresh,
+                    "{} tw={tw}",
+                    policy.label()
+                );
             }
         }
         // One entry per invariant policy; PTB is never memoized.
@@ -236,8 +232,8 @@ mod tests {
 
     /// A memo entry that disagrees with the simulator (planted here,
     /// since a correct memo never does) shows which paths read it:
-    /// `simulate_memoized` serves it, while `simulate_layer`
-    /// and the Full audit's merge-invariance check recompute.
+    /// `simulate_memoized` serves it, while `simulate_layer` and the
+    /// Full audit's reference diff recompute.
     #[test]
     fn audits_and_prepared_simulation_never_read_the_memo() {
         use crate::audit::{audit_layer, AuditLevel, AuditSummary};
@@ -287,8 +283,8 @@ mod tests {
             caught
                 .findings
                 .iter()
-                .any(|f| matches!(f, AuditError::MergeDivergence { .. })),
-            "the merge check must compare against a recomputation: {:?}",
+                .any(|f| matches!(f, AuditError::ReferenceDivergence { .. })),
+            "the reference diff must compare against a recomputation: {:?}",
             caught.findings
         );
     }

@@ -28,23 +28,15 @@
 //! on each policy's booking; `systolic_sim::EnergyModel` turns them into
 //! joules. See DESIGN.md §4 for the model's assumptions.
 //!
-//! ## Parallelism and determinism
+//! ## Determinism and parallelism
 //!
 //! Every policy's scan only *accumulates* into a `Tally`, and every
-//! tally field is an integer sum — so accumulation is associative and
-//! commutative, and any partition of the scan merged in any order
-//! produces bit-identical totals. The simulator exploits this:
-//! [`SimInputs::threads`] fans contiguous chunks of the scan —
-//! positions, position tiles, or (for the box-sum scans) column tiles —
-//! across scoped worker threads and merges the per-chunk tallies in
-//! chunk-index order. `threads = 1` is one chunk in the serial
-//! iteration order; any other count yields an [`assert_eq!`]-identical
-//! [`LayerReport`], because the floating-point energy/latency figures
-//! are derived only after the integer totals are final. PTB's workers
-//! take whole chunks of column tiles and fill each chunk's planes
-//! themselves; the other scans' shared read-only inputs (fire-count
-//! planes and per-cell time words) are built once per call, before the
-//! workers start.
+//! tally field is an integer sum; the floating-point energy/latency
+//! figures are derived only after the integer totals are final. A layer
+//! is simulated on one thread. Parallelism lives one level up: a sweep
+//! is a work list of (TW point, layer) items that any number of threads
+//! drain (`ptb_bench::worklist`), which scales better than splitting a
+//! layer's scan (`BENCH_sim_parallel.json`).
 //!
 //! ## Bit-parallel kernel
 //!
@@ -97,7 +89,7 @@ use std::ops::Range;
 
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
-use systolic_sim::{sat_add, sat_mul, AccessCounts, DataKind, MemLevel};
+use systolic_sim::{sat_mul, AccessCounts, DataKind, MemLevel};
 
 use crate::config::{Policy, SimInputs};
 use crate::geom::BoxScan;
@@ -129,9 +121,7 @@ pub mod oracle;
 /// `input` holds the layer's pre-synaptic spike activity
 /// (`shape.ifmap_neurons()` neurons over the operational period).
 ///
-/// The scan honors [`SimInputs::threads`]; the report is identical for
-/// every thread count (see the module docs). Sweeps that ask for a
-/// TW-invariant policy on the same layer at many TW sizes can serve it
+/// Sweeps that ask for a TW-invariant policy on the same layer at many TW sizes can serve it
 /// from [`crate::prepared::PreparedLayer::simulate_memoized`].
 ///
 /// # Panics
@@ -145,22 +135,21 @@ pub fn simulate_layer(
     input: &SpikeTensor,
 ) -> LayerReport {
     let d = Dims::new(inputs, shape, input);
-    let threads = inputs.threads;
     let tally = match policy {
         Policy::Ptb { stsap } => {
             let ctx = PtbCtx::new(inputs, d);
             // Narrow tag words keep StSAP's pairable tables small; the
             // wide fallback covers any array.
             if d.cols <= 16 {
-                ptb_scan::<u16>(threads, stsap, shape, &ctx, input)
+                ptb_scan::<u16>(stsap, shape, &ctx, input)
             } else {
-                ptb_scan::<u128>(threads, stsap, shape, &ctx, input)
+                ptb_scan::<u128>(stsap, shape, &ctx, input)
             }
         }
-        Policy::BaselineTemporal => baseline_scan(threads, shape, input, &d),
-        Policy::TimeSerial => time_serial_scan(threads, shape, input, &d),
+        Policy::BaselineTemporal => baseline_scan(shape, input, &d),
+        Policy::TimeSerial => time_serial_scan(shape, input, &d),
         Policy::Ann => ann_scan(shape, &d),
-        Policy::EventDriven => event_scan(threads, shape, input, &d),
+        Policy::EventDriven => event_scan(shape, input, &d),
     };
     close(inputs, policy, shape, input, &d, tally)
 }
@@ -295,12 +284,8 @@ impl Dims {
     }
 }
 
-/// Shared accumulation state while walking a layer's iteration space.
-///
-/// Every field is an integer sum over disjoint slices of the iteration
-/// space, which makes tallies a commutative monoid under [`Tally::merge`]
-/// — the property the parallel position scan relies on for bit-exact
-/// determinism.
+/// Shared accumulation state while walking a layer's iteration space:
+/// every field is an integer sum over the iteration space.
 #[derive(Debug, Default)]
 struct Tally {
     counts: AccessCounts,
@@ -316,22 +301,6 @@ struct Tally {
 }
 
 impl Tally {
-    /// Folds another tally into `self`. All fields are integer sums, so
-    /// any merge order yields the same totals; the scan still merges in
-    /// chunk-index order for clarity. Additions are checked: a clamp is
-    /// counted in the trace's saturation counter instead of wrapping.
-    fn merge(&mut self, other: Tally) {
-        self.counts.merge(&other.counts);
-        let sat = &mut self.counts.saturated;
-        self.compute_cycles = sat_add(self.compute_cycles, other.compute_cycles, sat);
-        self.useful_ops = sat_add(self.useful_ops, other.useful_ops, sat);
-        self.entries_before = sat_add(self.entries_before, other.entries_before, sat);
-        self.entries_after = sat_add(self.entries_after, other.entries_after, sat);
-        self.exact_pairs = sat_add(self.exact_pairs, other.exact_pairs, sat);
-        self.near_pairs = sat_add(self.near_pairs, other.near_pairs, sat);
-        self.sum_entries_raw = sat_add(self.sum_entries_raw, other.sum_entries_raw, sat);
-    }
-
     /// Moves `bits` of `kind` from the global buffer into L1 and reads
     /// them there.
     fn stage_l1(&mut self, kind: DataKind, bits: u64) {
@@ -367,44 +336,6 @@ impl Tally {
     }
 }
 
-/// Fans the index scan `0..items` across up to `threads` scoped workers,
-/// each covering one contiguous chunk, and merges the per-chunk tallies
-/// in chunk-index order.
-///
-/// With `threads = 1` (or one item) the single chunk is the exact
-/// historical serial walk. Chunks never split below one item, so the
-/// worker count is `min(threads, items)`; when the items do not divide
-/// evenly the trailing chunks may be empty (6 items over 5 workers are
-/// chunks of 2, 2, 2, 0, 0), and every range stays within `0..items`,
-/// so a scan may slice by it.
-fn scan_chunks<F>(threads: usize, items: usize, scan: F) -> Tally
-where
-    F: Fn(std::ops::Range<usize>) -> Tally + Sync,
-{
-    let workers = threads.max(1).min(items.max(1));
-    if workers <= 1 {
-        return scan(0..items);
-    }
-    let chunk = items.div_ceil(workers);
-    let parts: Vec<Tally> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let scan = &scan;
-                s.spawn(move || scan((w * chunk).min(items)..((w + 1) * chunk).min(items)))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("simulation worker must not panic"))
-            .collect()
-    });
-    let mut total = Tally::default();
-    for part in parts {
-        total.merge(part);
-    }
-    total
-}
-
 /// Whole-period fire counts as one integrated [`BoxScan`] plane: a
 /// position's box sum is the spikes its receptive field gathers over
 /// the period (time-serial's useful work, event-driven's events).
@@ -432,7 +363,7 @@ fn fire_count_box(shape: ConvShape, input: &SpikeTensor) -> BoxScan {
 /// cells, each cell's time words already OR-ed across channels.
 /// Identical integer sums, `R² · T / 64` words per position instead of
 /// `|RF| · T` bits.
-fn event_scan(threads: usize, shape: ConvShape, input: &SpikeTensor, d: &Dims) -> Tally {
+fn event_scan(shape: ConvShape, input: &SpikeTensor, d: &Dims) -> Tally {
     let fires = fire_count_box(shape, input);
     let (h, wpn) = (shape.ifmap_side() as usize, input.words_per_neuron());
     // Each channel's words are one `H² · wpn` block, cell-major.
@@ -442,30 +373,28 @@ fn event_scan(threads: usize, shape: ConvShape, input: &SpikeTensor, d: &Dims) -
             *c |= w;
         }
     }
-    scan_chunks(threads, d.positions, |range| {
-        let mut tally = Tally::default();
-        let mut union = vec![0u64; wpn];
-        let mut fired = [0u64];
-        for p in range {
-            fires.query(p, &mut fired);
-            if fired[0] == 0 {
-                continue; // a fully silent receptive field
-            }
-            union.fill(0);
-            let ((r0, r1), (s0, s1)) = fires.field_box(p);
-            for r in r0..r1 {
-                let row = &cell_words[(r * h + s0) * wpn..(r * h + s1) * wpn];
-                for cell in row.chunks_exact(wpn) {
-                    for (u, &w) in union.iter_mut().zip(cell) {
-                        *u |= w;
-                    }
+    let mut tally = Tally::default();
+    let mut union = vec![0u64; wpn];
+    let mut fired = [0u64];
+    for p in 0..d.positions {
+        fires.query(p, &mut fired);
+        if fired[0] == 0 {
+            continue; // a fully silent receptive field
+        }
+        union.fill(0);
+        let ((r0, r1), (s0, s1)) = fires.field_box(p);
+        for r in r0..r1 {
+            let row = &cell_words[(r * h + s0) * wpn..(r * h + s1) * wpn];
+            for cell in row.chunks_exact(wpn) {
+                for (u, &w) in union.iter_mut().zip(cell) {
+                    *u |= w;
                 }
             }
-            let active_tps: u64 = union.iter().map(|w| u64::from(w.count_ones())).sum();
-            d.book_events(&mut tally, fired[0], active_tps);
         }
-        tally
-    })
+        let active_tps: u64 = union.iter().map(|w| u64::from(w.count_ones())).sum();
+        d.book_events(&mut tally, fired[0], active_tps);
+    }
+    tally
 }
 
 /// Closes a scan's tally into `policy`'s report: the movement and
@@ -706,17 +635,10 @@ impl PtbCtx {
     /// Splits the column tiles into the chunks the scan fills and
     /// prices one at a time, each chunk's planes and pairable tables
     /// within [`CHUNK_WORDS`] (or one tile's, if that is more): the
-    /// fewest chunks of even size that fit, rounded up to a multiple of
-    /// `threads` so that workers get equal shares. A chunk may split a
-    /// word's lanes; the lane path masks each word to the chunk's tiles.
+    /// fewest chunks of even size that fit. A chunk may split a word's
+    /// lanes; the lane path masks each word to the chunk's tiles.
     /// `entry_bytes` is the size of one pairable entry (tag and beats).
-    fn chunks(
-        &self,
-        shape: ConvShape,
-        stsap: bool,
-        threads: usize,
-        entry_bytes: usize,
-    ) -> Vec<Range<usize>> {
+    fn chunks(&self, shape: ConvShape, stsap: bool, entry_bytes: usize) -> Vec<Range<usize>> {
         let n_tiles = self.tiles.len();
         let neurons = shape.ifmap_neurons();
         // Four planes, and a word for the tile's any-pairable flag.
@@ -725,7 +647,7 @@ impl PtbCtx {
             per_tile += neurons.div_ceil(64) + (neurons * entry_bytes).div_ceil(8);
         }
         let budget = (CHUNK_WORDS / per_tile).max(1);
-        let chunks = n_tiles.div_ceil(budget).next_multiple_of(threads.max(1));
+        let chunks = n_tiles.div_ceil(budget);
         let size = n_tiles.div_ceil(chunks);
         (0..n_tiles)
             .step_by(size)
@@ -1184,7 +1106,6 @@ impl<M: TileMask> ChunkFill<M> {
 /// PTB with the tag storage `M` its tile width needs, and StSAP class
 /// storage chosen by the widest tile.
 fn ptb_scan<M: TileMask>(
-    threads: usize,
     stsap: bool,
     shape: ConvShape,
     ctx: &PtbCtx,
@@ -1192,9 +1113,9 @@ fn ptb_scan<M: TileMask>(
 ) -> Tally {
     let max_nw = ctx.tiles.iter().map(|&(w0, w1)| w1 - w0).max().unwrap_or(0);
     if max_nw <= 8 {
-        ptb_box_scan::<M, NarrowClasses>(threads, stsap, shape, ctx, input, max_nw)
+        ptb_box_scan::<M, NarrowClasses>(stsap, shape, ctx, input, max_nw)
     } else {
-        ptb_box_scan::<M, SortedClasses>(threads, stsap, shape, ctx, input, max_nw)
+        ptb_box_scan::<M, SortedClasses>(stsap, shape, ctx, input, max_nw)
     }
 }
 
@@ -1218,62 +1139,58 @@ fn ptb_scan<M: TileMask>(
 /// without pairable entries (every single-window tile) gathers nothing.
 /// At `TWS = 1` entries carry no value: every slot sits at the floor.
 ///
-/// Workers take whole chunks ([`PtbCtx::chunks`]) and merge in chunk
-/// order; `account` sees the same per-(position, tile) values as the
-/// oracle's walk (see [`PtbCtx`]).
+/// The chunks ([`PtbCtx::chunks`]) run in order; `account` sees the
+/// same per-(position, tile) values as the oracle's walk (see
+/// [`PtbCtx`]).
 fn ptb_box_scan<M: TileMask, S: TagClasses>(
-    threads: usize,
     stsap: bool,
     shape: ConvShape,
     ctx: &PtbCtx,
     input: &SpikeTensor,
     max_nw: usize,
 ) -> Tally {
-    let chunks = ctx.chunks(shape, stsap, threads, std::mem::size_of::<(M, u16)>());
     let valued = ctx.tws > 1;
-    scan_chunks(threads, chunks.len(), |range| {
-        let mut tally = Tally::default();
-        let mut store = S::new(max_nw);
-        let mut plan = PairPlan::default();
-        for tiles in &chunks[range] {
-            let mut fill = ChunkFill::<M>::new(ctx, shape, input, tiles.clone(), stsap);
-            debug_assert!(
-                tiles.len() == 1 || fill.words() <= CHUNK_WORDS,
-                "chunk {tiles:?} takes {} words",
-                fill.words()
-            );
-            fill.boxes.integrate();
-            let pairable = &fill.pairable;
-            let mut sums = [0u64; 4];
-            for (i, &(w0, w1)) in ctx.tiles[tiles.clone()].iter().enumerate() {
-                let full_mask = tile_full_mask(w1 - w0);
-                let bits = &pairable.bits[i * pairable.words..(i + 1) * pairable.words];
-                let at = i * pairable.neurons;
-                for p in 0..fill.boxes.positions() {
-                    fill.boxes.query_from(p, 4 * i, &mut sums);
-                    let [raw, windows, span, beats] = sums;
-                    if raw == 0 {
-                        continue;
-                    }
-                    let (mut slots, mut beats) = (raw, beats);
-                    if pairable.any[i] {
-                        fill.boxes.visit_field(p, bits, |n| {
-                            let (tag, beats) = pairable.entries[at + n];
-                            store.push(tag.into(), valued.then_some(beats));
-                        });
-                        let packed = store.len() as u64;
-                        let cost = stream_cost(&mut store, &mut plan, full_mask, ctx.min_beats);
-                        sat!(tally.exact_pairs += cost.exact_pairs * ctx.d.row_tiles);
-                        sat!(tally.near_pairs += cost.near_pairs * ctx.d.row_tiles);
-                        slots = slots - packed + cost.slots;
-                        beats += cost.beats;
-                    }
-                    ctx.account(&mut tally, raw, slots, beats, span, windows);
+    let mut tally = Tally::default();
+    let mut store = S::new(max_nw);
+    let mut plan = PairPlan::default();
+    for tiles in ctx.chunks(shape, stsap, std::mem::size_of::<(M, u16)>()) {
+        let mut fill = ChunkFill::<M>::new(ctx, shape, input, tiles.clone(), stsap);
+        debug_assert!(
+            tiles.len() == 1 || fill.words() <= CHUNK_WORDS,
+            "chunk {tiles:?} takes {} words",
+            fill.words()
+        );
+        fill.boxes.integrate();
+        let pairable = &fill.pairable;
+        let mut sums = [0u64; 4];
+        for (i, &(w0, w1)) in ctx.tiles[tiles.clone()].iter().enumerate() {
+            let full_mask = tile_full_mask(w1 - w0);
+            let bits = &pairable.bits[i * pairable.words..(i + 1) * pairable.words];
+            let at = i * pairable.neurons;
+            for p in 0..fill.boxes.positions() {
+                fill.boxes.query_from(p, 4 * i, &mut sums);
+                let [raw, windows, span, beats] = sums;
+                if raw == 0 {
+                    continue;
                 }
+                let (mut slots, mut beats) = (raw, beats);
+                if pairable.any[i] {
+                    fill.boxes.visit_field(p, bits, |n| {
+                        let (tag, beats) = pairable.entries[at + n];
+                        store.push(tag.into(), valued.then_some(beats));
+                    });
+                    let packed = store.len() as u64;
+                    let cost = stream_cost(&mut store, &mut plan, full_mask, ctx.min_beats);
+                    sat!(tally.exact_pairs += cost.exact_pairs * ctx.d.row_tiles);
+                    sat!(tally.near_pairs += cost.near_pairs * ctx.d.row_tiles);
+                    slots = slots - packed + cost.slots;
+                    beats += cost.beats;
+                }
+                ctx.account(&mut tally, raw, slots, beats, span, windows);
             }
         }
-        tally
-    })
+    }
+    tally
 }
 
 /// Baseline \[14\]: columns tile groups of `cols` consecutive time
@@ -1281,23 +1198,20 @@ fn ptb_box_scan<M: TileMask, S: TagClasses>(
 /// array iteration per (position, column tile), booked by
 /// `Dims::book_dense_tile`. What varies per iteration is the field
 /// length and the tile's spike total: one box sum of per-neuron tile
-/// counts. Workers take whole column tiles, one plane at a time.
-fn baseline_scan(threads: usize, shape: ConvShape, input: &SpikeTensor, d: &Dims) -> Tally {
-    let tiles = WindowPartition::new(d.t, 1).column_tiles(d.cols);
-    scan_chunks(threads, tiles.len(), |range| {
-        let mut tally = Tally::default();
-        let mut boxes = BoxScan::new(shape, 1);
-        let mut spikes = [0u64];
-        for &(w0, w1) in &tiles[range] {
-            boxes.fill(|n, cell| cell[0] += u64::from(input.popcount_range(n, w0, w1)));
-            boxes.integrate();
-            for p in 0..d.positions {
-                boxes.query(p, &mut spikes);
-                d.book_dense_tile(&mut tally, boxes.field_len(p), (w1 - w0) as u64, spikes[0]);
-            }
+/// counts, one plane per column tile.
+fn baseline_scan(shape: ConvShape, input: &SpikeTensor, d: &Dims) -> Tally {
+    let mut tally = Tally::default();
+    let mut boxes = BoxScan::new(shape, 1);
+    let mut spikes = [0u64];
+    for (w0, w1) in WindowPartition::new(d.t, 1).column_tiles(d.cols) {
+        boxes.fill(|n, cell| cell[0] += u64::from(input.popcount_range(n, w0, w1)));
+        boxes.integrate();
+        for p in 0..d.positions {
+            boxes.query(p, &mut spikes);
+            d.book_dense_tile(&mut tally, boxes.field_len(p), (w1 - w0) as u64, spikes[0]);
         }
-        tally
-    })
+    }
+    tally
 }
 
 /// The conventional time-serial accelerator: one time point at a time,
@@ -1305,11 +1219,7 @@ fn baseline_scan(threads: usize, shape: ConvShape, input: &SpikeTensor, d: &Dims
 /// (Fig. 7a's alternating access), booked per position tile by
 /// `Dims::book_position_tile`. Each field's spikes over the period come
 /// from the whole-period fire-count box.
-///
-/// The scan is chunked at position-*tile* granularity (`cols`
-/// consecutive positions per tile) so a tile's longest-field bound
-/// never straddles two workers.
-fn time_serial_scan(threads: usize, shape: ConvShape, input: &SpikeTensor, d: &Dims) -> Tally {
+fn time_serial_scan(shape: ConvShape, input: &SpikeTensor, d: &Dims) -> Tally {
     let boxes = fire_count_box(shape, input);
     let mut spikes = [0u64];
     // Per position: (receptive-field length, spikes it gathers).
@@ -1319,19 +1229,17 @@ fn time_serial_scan(threads: usize, shape: ConvShape, input: &SpikeTensor, d: &D
             (boxes.field_len(p), spikes[0])
         })
         .collect();
-    scan_chunks(threads, d.positions.div_ceil(d.cols), |range| {
-        let mut tally = Tally::default();
-        for tile in fields.chunks(d.cols).take(range.end).skip(range.start) {
-            let (mut rf_sum, mut rf_max, mut spikes) = (0u64, 0u64, 0u64);
-            for &(len, s) in tile {
-                rf_sum += len;
-                rf_max = rf_max.max(len);
-                spikes += s;
-            }
-            d.book_position_tile(&mut tally, tile.len() as u64, rf_sum, rf_max, spikes);
+    let mut tally = Tally::default();
+    for tile in fields.chunks(d.cols) {
+        let (mut rf_sum, mut rf_max, mut spikes) = (0u64, 0u64, 0u64);
+        for &(len, s) in tile {
+            rf_sum += len;
+            rf_max = rf_max.max(len);
+            spikes += s;
         }
-        tally
-    })
+        d.book_position_tile(&mut tally, tile.len() as u64, rf_sum, rf_max, spikes);
+    }
+    tally
 }
 
 /// The non-spiking ANN accelerator of the Fig. 12(b) comparison: one
@@ -1539,15 +1447,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_is_bit_identical_for_every_policy() {
-        // The determinism guarantee: thread count never changes a report,
-        // including on a padded shape where receptive fields are uneven
-        // and chunk boundaries cut through edge positions.
+    fn prepared_reports_match_fresh_for_every_policy() {
+        // The incremental re-simulation guarantee: serving a TW and
+        // policy sweep from a PreparedLayer (TW-invariant reports
+        // memoized) yields reports bit-identical to the fresh path, on
+        // a padded shape with uneven receptive fields.
         let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
         let input = sparse_input(shape, 40);
-        let serial = SimInputs::hpca22(8);
-        for threads in [2, 3, 7, 64] {
-            let parallel = serial.with_threads(threads);
+        let prep = crate::prepared::PreparedLayer::new(shape, std::sync::Arc::new(input.clone()));
+        for tw in [1u32, 8, 32] {
+            let inputs = SimInputs::hpca22(tw);
             for policy in [
                 Policy::ptb(),
                 Policy::ptb_with_stsap(),
@@ -1556,78 +1465,11 @@ mod tests {
                 Policy::Ann,
                 Policy::EventDriven,
             ] {
-                let a = simulate_layer(&serial, policy, shape, &input);
-                let b = simulate_layer(&parallel, policy, shape, &input);
-                assert_eq!(a, b, "policy {policy:?} with {threads} threads diverged");
+                let fresh = simulate_layer(&inputs, policy, shape, &input);
+                let prepared = prep.simulate_memoized(&inputs, policy);
+                assert_eq!(fresh, prepared, "{policy:?} tw={tw} diverged under reuse");
             }
         }
-    }
-
-    #[test]
-    fn prepared_reports_match_fresh_for_every_policy() {
-        // The incremental re-simulation guarantee: serving a TW and
-        // policy sweep from a PreparedLayer (TW-invariant reports
-        // memoized) yields reports bit-identical to the fresh path,
-        // serial and threaded, on a padded shape with uneven receptive
-        // fields.
-        let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
-        let input = sparse_input(shape, 40);
-        let prep = crate::prepared::PreparedLayer::new(shape, std::sync::Arc::new(input.clone()));
-        for tw in [1u32, 8, 32] {
-            for threads in [1usize, 3] {
-                let inputs = SimInputs::hpca22(tw).with_threads(threads);
-                for policy in [
-                    Policy::ptb(),
-                    Policy::ptb_with_stsap(),
-                    Policy::BaselineTemporal,
-                    Policy::TimeSerial,
-                    Policy::Ann,
-                    Policy::EventDriven,
-                ] {
-                    let fresh = simulate_layer(&inputs, policy, shape, &input);
-                    let prepared = prep.simulate_memoized(&inputs, policy);
-                    assert_eq!(
-                        fresh, prepared,
-                        "{policy:?} tw={tw} threads={threads} diverged under reuse"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scan_chunks_cover_every_item_once_with_ranges_in_bounds() {
-        for items in 0..12usize {
-            for threads in 1..9 {
-                let seen = scan_chunks(threads, items, |range| {
-                    assert!(range.start <= range.end && range.end <= items);
-                    Tally {
-                        useful_ops: range.map(|i| 1u64 << i).sum(),
-                        ..Tally::default()
-                    }
-                });
-                assert_eq!(
-                    seen.useful_ops,
-                    (1u64 << items) - 1,
-                    "{items} over {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tally_merge_saturates_instead_of_wrapping() {
-        let mut a = Tally {
-            compute_cycles: u64::MAX - 1,
-            ..Tally::default()
-        };
-        let b = Tally {
-            compute_cycles: 5,
-            ..Tally::default()
-        };
-        a.merge(b);
-        assert_eq!(a.compute_cycles, u64::MAX);
-        assert_eq!(a.counts.saturated, 1);
     }
 
     #[test]
@@ -1806,34 +1648,26 @@ mod tests {
     #[test]
     fn chunks_stay_within_their_memory_budget() {
         // A wide array (u128 tags) whose StSAP pairable table outweighs
-        // the planes: every chunk but a lone tile fits in CHUNK_WORDS,
-        // and the chunks split evenly over the workers.
+        // the planes: every chunk but a lone tile fits in CHUNK_WORDS.
         let shape = ConvShape::with_padding(32, 3, 16, 8, 1, 1).unwrap();
         let input = SpikeTensor::new(shape.ifmap_neurons(), 128 * 30);
         let mut d = Dims::new(&SimInputs::hpca22(1), shape, &input);
         d.cols = 128;
         let ctx = PtbCtx::with_floor(d, 1, 1);
         for stsap in [false, true] {
-            for threads in [1, 2, 3] {
-                let chunks = ctx.chunks(shape, stsap, threads, std::mem::size_of::<(u128, u16)>());
-                assert_eq!(
-                    chunks.len() > 1,
-                    stsap || threads > 1,
-                    "stsap={stsap} threads={threads}"
-                );
-                assert_eq!(chunks.len() % threads, 0, "stsap={stsap} threads={threads}");
-                assert_eq!(
-                    chunks.iter().map(|c| c.len()).sum::<usize>(),
-                    ctx.tiles.len()
-                );
-                let widest = chunks.iter().max_by_key(|c| c.len()).unwrap().clone();
-                let fill = ChunkFill::<u128>::new(&ctx, shape, &input, widest.clone(), stsap);
-                assert!(
-                    fill.words() <= CHUNK_WORDS,
-                    "stsap={stsap} threads={threads} {widest:?}: {} words",
-                    fill.words()
-                );
-            }
+            let chunks = ctx.chunks(shape, stsap, std::mem::size_of::<(u128, u16)>());
+            assert_eq!(chunks.len() > 1, stsap, "stsap={stsap}");
+            assert_eq!(
+                chunks.iter().map(|c| c.len()).sum::<usize>(),
+                ctx.tiles.len()
+            );
+            let widest = chunks.iter().max_by_key(|c| c.len()).unwrap().clone();
+            let fill = ChunkFill::<u128>::new(&ctx, shape, &input, widest.clone(), stsap);
+            assert!(
+                fill.words() <= CHUNK_WORDS,
+                "stsap={stsap} {widest:?}: {} words",
+                fill.words()
+            );
         }
     }
 
@@ -1854,18 +1688,8 @@ mod tests {
                     for policy in [Policy::ptb(), Policy::ptb_with_stsap()] {
                         let reference =
                             oracle::simulate_layer_reference(&inputs, policy, shape, &input);
-                        for threads in [1, 3] {
-                            let got = simulate_layer(
-                                &inputs.with_threads(threads),
-                                policy,
-                                shape,
-                                &input,
-                            );
-                            assert_eq!(
-                                got, reference,
-                                "{shape:?} t={t} tw={tw} {policy:?} threads={threads}"
-                            );
-                        }
+                        let got = simulate_layer(&inputs, policy, shape, &input);
+                        assert_eq!(got, reference, "{shape:?} t={t} tw={tw} {policy:?}");
                     }
                 }
             }

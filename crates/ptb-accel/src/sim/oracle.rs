@@ -4,9 +4,8 @@
 //! It walks the paper's iteration space the slow, obvious way, for all
 //! six policies: one output position at a time, listing its receptive
 //! field, and reading the activity tap by tap from per-(neuron, time
-//! point) spike bits or per-(neuron, window) spike counts. It runs on
-//! one thread whatever [`SimInputs::threads`] says, and builds its
-//! tables fresh on every call.
+//! point) spike bits or per-(neuron, window) spike counts. It builds
+//! its tables fresh on every call.
 //!
 //! What it shares with the production scans is everything that is not
 //! a gather: the per-iteration booking, the layer-granular close, and
@@ -32,8 +31,7 @@ use crate::window::WindowPartition;
 /// Simulates one layer under `policy` with the serial per-tap walk.
 ///
 /// The report is bit-identical to [`simulate_layer`](super::simulate_layer)
-/// for every policy, TW size and thread count; `inputs.threads` is
-/// ignored.
+/// for every policy and TW size.
 ///
 /// # Panics
 ///

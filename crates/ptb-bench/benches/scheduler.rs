@@ -82,30 +82,13 @@ fn bench_ptb_simulation(c: &mut Criterion) {
     });
 }
 
-fn bench_parallel_simulation(c: &mut Criterion) {
-    // Serial vs. fanned position scan on the same workload; results are
-    // bit-identical, only wall time differs (gains require free cores).
+fn bench_ptb_stsap_simulation(c: &mut Criterion) {
     let (shape, input) = bench_workload();
-    let serial = SimInputs::hpca22(8);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
-    let parallel = serial.with_threads(threads);
+    let inputs = SimInputs::hpca22(8);
     c.bench_function("simulate_layer_ptb_stsap_serial", |b| {
         b.iter(|| {
             simulate_layer(
-                &serial,
-                Policy::ptb_with_stsap(),
-                shape,
-                std::hint::black_box(&input),
-            )
-        })
-    });
-    c.bench_function("simulate_layer_ptb_stsap_threaded", |b| {
-        b.iter(|| {
-            simulate_layer(
-                &parallel,
+                &inputs,
                 Policy::ptb_with_stsap(),
                 shape,
                 std::hint::black_box(&input),
@@ -145,7 +128,7 @@ criterion_group!(
     bench_stsap_packing,
     bench_tag_extraction,
     bench_ptb_simulation,
-    bench_parallel_simulation,
+    bench_ptb_stsap_simulation,
     bench_functional_forward,
     bench_activity_generation
 );

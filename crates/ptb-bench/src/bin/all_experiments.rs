@@ -25,8 +25,8 @@ const EXPERIMENTS: &[&str] = &[
 
 fn main() {
     std::fs::create_dir_all("results").expect("can create results dir");
-    // Each sub-binary inherits the environment, so PTB_QUICK/PTB_THREADS/
-    // PTB_CACHE apply to every experiment. With PTB_CACHE=disk the
+    // Each sub-binary inherits the environment, so PTB_QUICK/PTB_CACHE
+    // apply to every experiment. With PTB_CACHE=disk the
     // binaries additionally share generated activity through
     // results/.cache/ instead of each regenerating it.
     println!(

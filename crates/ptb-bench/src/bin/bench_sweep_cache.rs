@@ -10,9 +10,9 @@
 //! before any timing is recorded, so the file doubles as an end-to-end
 //! determinism check of the cache.
 //!
-//! Honors `PTB_QUICK=1` (cropped layers, shortened period) and
-//! `PTB_THREADS=N` like every other experiment binary; `PTB_CACHE` is
-//! deliberately ignored — both modes are always measured.
+//! Honors `PTB_QUICK=1` (cropped layers, shortened period) like every
+//! other experiment binary; `PTB_CACHE` is deliberately ignored — both
+//! modes are always measured.
 
 use std::time::Instant;
 
@@ -36,7 +36,8 @@ struct NetworkTiming {
 struct BenchReport {
     description: String,
     host_cores: usize,
-    threads: usize,
+    /// Threads each network run drains its layers on.
+    drainers: usize,
     quick_mode: bool,
     tw_sizes: Vec<u64>,
     policies: Vec<String>,
@@ -135,7 +136,7 @@ fn main() {
                       asserted bit-identical before timing"
             .to_string(),
         host_cores,
-        threads: opts.threads,
+        drainers: ptb_bench::pool_size(),
         quick_mode: quick,
         tw_sizes: tws.iter().map(|&t| u64::from(t)).collect(),
         policies: vec![

@@ -70,7 +70,6 @@ fn main() {
             arch: ArchConfig::hpca22().with_array(dims),
             energy: EnergyModel::cacti_32nm(),
             tw_size: 8,
-            threads: 1,
         };
         let r = simulate_layer(&inputs, Policy::ptb(), shape, prep.spikes());
         println!(

@@ -126,7 +126,6 @@ fn main() {
             arch: ArchConfig::hpca22().with_array(ArrayDims::new(args.rows, args.cols)),
             energy: EnergyModel::cacti_32nm(),
             tw_size: args.tw,
-            threads: 1,
         };
         inputs.assert_valid();
         let layers = spec

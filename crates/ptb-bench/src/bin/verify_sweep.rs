@@ -27,8 +27,9 @@
 //! unverified harness — it takes the same code path — and the file
 //! records what sample/full cost on top).
 //!
-//! Honors `PTB_QUICK=1`, `PTB_THREADS=N`, and `PTB_CACHE` like every
-//! other experiment binary.
+//! Honors `PTB_QUICK=1` and `PTB_CACHE` like every other experiment
+//! binary. Each sweep drains its (TW point, layer) items on one thread
+//! per core; run under `taskset -c 0` to time it on one.
 
 use std::time::Instant;
 
@@ -61,7 +62,8 @@ struct NetworkAudit {
 struct VerifyReport {
     level: String,
     quick_mode: bool,
-    threads: usize,
+    /// Threads each sweep drains its (TW point, layer) items on.
+    drainers: usize,
     tw_sizes: Vec<u64>,
     policies: Vec<String>,
     networks: Vec<NetworkAudit>,
@@ -84,7 +86,8 @@ struct LevelTiming {
 struct BenchReport {
     description: String,
     quick_mode: bool,
-    threads: usize,
+    /// Threads each sweep drains its (TW point, layer) items on.
+    drainers: usize,
     tw_sizes: Vec<u64>,
     policy: String,
     networks: Vec<LevelTiming>,
@@ -168,7 +171,7 @@ fn run_levels(base: &RunOptions, quick: bool) -> ! {
                       asserted clean before timing, overheads relative to off"
             .to_string(),
         quick_mode: quick,
-        threads: base.threads,
+        drainers: ptb_bench::pool_size(),
         tw_sizes: TWS.iter().map(|&t| u64::from(t)).collect(),
         policy: policy.label().to_string(),
         networks,
@@ -243,7 +246,7 @@ fn main() {
     let report = VerifyReport {
         level: level.label().to_string(),
         quick_mode: quick,
-        threads: base.threads,
+        drainers: ptb_bench::pool_size(),
         tw_sizes: TWS.iter().map(|&t| u64::from(t)).collect(),
         policies: Policy::all().map(|p| p.label().to_string()).into(),
         networks,

@@ -1,13 +1,17 @@
 //! Shared experiment plumbing: generate a benchmark network's activity,
 //! run every layer through the accelerator model, and format results.
 
+use std::sync::{Mutex, PoisonError};
+
 use ptb_accel::audit::{self, AuditLevel, AuditSummary};
 use ptb_accel::config::{Policy, SimInputs};
-use ptb_accel::report::NetworkReport;
+use ptb_accel::report::{LayerReport, NetworkReport};
 use ptb_accel::sim::simulate_layer;
 use spikegen::NetworkSpec;
 
 use crate::cache::{ActivityCache, CacheMode};
+use crate::sync::lock_recover;
+use crate::worklist::WorkList;
 
 /// Options controlling an experiment run.
 #[derive(Debug, Clone, Copy)]
@@ -21,9 +25,6 @@ pub struct RunOptions {
     /// If set, truncate the operational period to at most this many time
     /// points (for quick runs; full runs use the spec's `T`).
     pub max_timesteps: Option<usize>,
-    /// Worker threads per layer simulation (`SimInputs::threads`).
-    /// Results are bit-identical for every value; only wall time changes.
-    pub threads: usize,
     /// Activity-cache mode for sweeps ([`crate::cache`]). Results are
     /// bit-identical for every mode; only wall time (and, for
     /// [`CacheMode::Disk`], the `results/.cache/` directory) changes.
@@ -42,7 +43,6 @@ impl Default for RunOptions {
             seed: 42,
             max_ofmap_side: None,
             max_timesteps: None,
-            threads: 1,
             cache: CacheMode::Mem,
             verify: AuditLevel::Off,
         }
@@ -67,8 +67,6 @@ impl RunOptions {
 
     /// Reads `PTB_QUICK=1` from the environment to let every experiment
     /// binary run in seconds instead of minutes when iterating,
-    /// `PTB_THREADS=N` to fan each layer's position scan across `N`
-    /// workers (results are identical; see `ptb_accel::sim`),
     /// `PTB_CACHE=off|mem|disk` to select the activity-cache mode
     /// (results are identical; see [`crate::cache`]), and
     /// `PTB_VERIFY=off|sample|full` to select the runtime audit level
@@ -82,12 +80,6 @@ impl RunOptions {
         } else {
             Self::full()
         };
-        if let Some(n) = std::env::var("PTB_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            opts.threads = n.max(1);
-        }
         opts.cache = CacheMode::from_env();
         opts.verify = AuditLevel::from_env();
         opts
@@ -166,17 +158,7 @@ pub fn run_network_cached(
     cache: &ActivityCache,
 ) -> NetworkReport {
     let (report, summary) = run_network_verified(spec, policy, tw, opts, cache);
-    if !summary.is_clean() {
-        for finding in &summary.findings {
-            eprintln!("audit: {finding}");
-        }
-        eprintln!(
-            "audit: {} finding(s) in {} at tw={tw} (level {})",
-            summary.mismatches,
-            spec.name,
-            summary.level.label()
-        );
-    }
+    log_findings(spec, tw, &summary);
     report
 }
 
@@ -207,6 +189,9 @@ pub fn layer_seed(run_seed: u64, index: usize) -> u64 {
 /// ([`ptb_accel::PreparedLayer::simulate_memoized`]). Audited runs
 /// neither read nor fill that memo: they simulate every layer afresh,
 /// so the audit never checks a memoized report against itself.
+///
+/// This is a one-point [`sweep_reports`]: the layers are the items of a
+/// [`WorkList`], drained on a pool of [`pool_size`] threads.
 pub fn run_network_verified(
     spec: &NetworkSpec,
     policy: Policy,
@@ -214,73 +199,149 @@ pub fn run_network_verified(
     opts: &RunOptions,
     cache: &ActivityCache,
 ) -> (NetworkReport, AuditSummary) {
-    let inputs = SimInputs::hpca22(tw).with_threads(opts.threads);
+    sweep_reports(spec, policy, &[tw], opts, cache, pool_size())
+        .pop()
+        .expect("a one-point sweep has one point")
+}
+
+/// What one (TW point, layer) item of a sweep produces: the layer's
+/// report and its audit outcome. [`assemble`] turns a point's runs into
+/// its [`NetworkReport`].
+#[derive(Debug)]
+pub struct LayerRun {
+    report: LayerReport,
+    audit: AuditSummary,
+}
+
+/// Simulates layer `index` of `spec` under `policy` at `tw` — the body
+/// of one [`WorkList`] item — and audits it at [`RunOptions::verify`]
+/// (see [`run_network_verified`]).
+pub fn run_layer(
+    spec: &NetworkSpec,
+    policy: Policy,
+    tw: u32,
+    index: usize,
+    opts: &RunOptions,
+    cache: &ActivityCache,
+) -> LayerRun {
+    let layer = &spec.layers[index];
+    let inputs = SimInputs::hpca22(tw);
     let level = opts.verify;
     let timesteps = opts
         .max_timesteps
         .map_or(spec.timesteps, |cap| spec.timesteps.min(cap));
-    // Layers are independent: simulate them in parallel. Distinct
-    // layers have distinct cache keys, so the cache never serializes
-    // them — its locks only guard map access, not generation.
-    let layers = std::thread::scope(|scope| {
-        let handles: Vec<_> = spec
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(i, layer)| {
-                scope.spawn(move || {
-                    let shape = opts.effective_shape(layer);
-                    let seed = layer_seed(opts.seed, i);
-                    let prep = cache.layer(layer, shape, timesteps, seed);
-                    // An audit must check a fresh report, never a memoized one.
-                    let report = if level.is_on() {
-                        simulate_layer(&inputs, policy, shape, prep.spikes())
-                    } else {
-                        prep.simulate_memoized(&inputs, policy)
-                    };
-                    let mut summary = AuditSummary::new(level);
-                    if level.is_on() {
-                        // Exhaustive activity diff against a fresh
-                        // regeneration — the check that catches cached
-                        // or recovered bit flips.
-                        let fresh =
-                            layer
-                                .input_profile
-                                .generate(shape.ifmap_neurons(), timesteps, seed);
-                        if let Some(finding) =
-                            audit::diff_activity(&layer.name, &fresh, prep.spikes())
-                        {
-                            summary.record(finding);
-                        }
-                        summary.activity_checked += 1;
-                        audit::audit_layer(
-                            &inputs,
-                            policy,
-                            &prep,
-                            &layer.name,
-                            &report,
-                            level,
-                            &mut summary,
-                        );
-                    }
-                    (layer.name.clone(), report, summary)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("layer simulation must not panic"))
-            .collect::<Vec<_>>()
-    });
+    let shape = opts.effective_shape(layer);
+    let seed = layer_seed(opts.seed, index);
+    let prep = cache.layer(layer, shape, timesteps, seed);
+    // An audit must check a fresh report, never a memoized one.
+    let report = if level.is_on() {
+        simulate_layer(&inputs, policy, shape, prep.spikes())
+    } else {
+        prep.simulate_memoized(&inputs, policy)
+    };
+    let mut audit = AuditSummary::new(level);
+    if level.is_on() {
+        // Exhaustive activity diff against a fresh regeneration — the
+        // check that catches cached or recovered bit flips.
+        let fresh = layer
+            .input_profile
+            .generate(shape.ifmap_neurons(), timesteps, seed);
+        if let Some(finding) = audit::diff_activity(&layer.name, &fresh, prep.spikes()) {
+            audit.record(finding);
+        }
+        audit.activity_checked += 1;
+        audit::audit_layer(
+            &inputs,
+            policy,
+            &prep,
+            &layer.name,
+            &report,
+            level,
+            &mut audit,
+        );
+    }
+    LayerRun { report, audit }
+}
+
+/// Assembles one sweep point from its layers' runs, given in spec
+/// order: the network report and the layers' audits merged in that
+/// order.
+pub fn assemble(
+    spec: &NetworkSpec,
+    level: AuditLevel,
+    runs: Vec<LayerRun>,
+) -> (NetworkReport, AuditSummary) {
     let mut summary = AuditSummary::new(level);
-    let layers = layers
-        .into_iter()
-        .map(|(name, report, layer_summary)| {
-            summary.merge(layer_summary);
-            (name, report)
+    let layers = spec
+        .layers
+        .iter()
+        .zip(runs)
+        .map(|(layer, run)| {
+            summary.merge(run.audit);
+            (layer.name.clone(), run.report)
         })
         .collect();
     (NetworkReport::new(spec.name.clone(), layers), summary)
+}
+
+/// Threads an offline sweep drains its [`WorkList`] on: one per core
+/// the host offers.
+pub fn pool_size() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Every point of a TW sweep as its [`NetworkReport`] and audit
+/// outcome, in `tws` order: one [`WorkList`] of (point, layer) items
+/// drained by `drainers` threads, the caller's included (no more
+/// threads than items). The results are bit-identical for every
+/// drainer count; one drainer is the plain serial loop.
+pub fn sweep_reports(
+    spec: &NetworkSpec,
+    policy: Policy,
+    tws: &[u32],
+    opts: &RunOptions,
+    cache: &ActivityCache,
+    drainers: usize,
+) -> Vec<(NetworkReport, AuditSummary)> {
+    let list = WorkList::new(spec.layers.len(), (0..tws.len()).collect());
+    let points = Mutex::new((0..tws.len()).map(|_| None).collect::<Vec<_>>());
+    let drain = || {
+        while let Some(item) = list.claim() {
+            let run = run_layer(spec, policy, tws[item.point], item.layer, opts, cache);
+            if let Some(runs) = list.complete(item, run) {
+                lock_recover(&points)[item.point] = Some(assemble(spec, opts.verify, runs));
+            }
+        }
+    };
+    let helpers = drainers.min(list.unclaimed()).saturating_sub(1);
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(drain);
+        }
+        drain();
+    });
+    points
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .map(|p| p.expect("a drained list finishes every point"))
+        .collect()
+}
+
+/// Prints an unclean audit's findings to stderr.
+fn log_findings(spec: &NetworkSpec, tw: u32, summary: &AuditSummary) {
+    if summary.is_clean() {
+        return;
+    }
+    for finding in &summary.findings {
+        eprintln!("audit: {finding}");
+    }
+    eprintln!(
+        "audit: {} finding(s) in {} at tw={tw} (level {})",
+        summary.mismatches,
+        spec.name,
+        summary.level.label()
+    );
 }
 
 /// One row of a TW sweep: per-TW normalized energy, latency, and EDP
@@ -300,6 +361,18 @@ pub struct SweepRow {
     pub seconds: f64,
     /// Total EDP (joule-seconds, per-layer products summed).
     pub edp: f64,
+}
+
+impl SweepRow {
+    /// The row of the sweep point at `tw` whose run produced `report`.
+    pub fn of(tw: u32, report: &NetworkReport) -> Self {
+        SweepRow {
+            tw,
+            energy_j: report.total_energy_joules(),
+            seconds: report.total_seconds(),
+            edp: report.total_edp(),
+        }
+    }
 }
 
 /// Runs a TW sweep of `policy` over `spec` and returns the rows.
@@ -332,16 +405,18 @@ pub fn sweep_summary_cached(
     opts: &RunOptions,
     cache: &ActivityCache,
 ) -> Vec<SweepRow> {
-    let shards = tws
+    sweep_reports(spec, policy, tws, opts, cache, pool_size())
         .iter()
-        .enumerate()
-        .map(|(i, &tw)| (i, sweep_point(spec, policy, tw, opts, cache)))
-        .collect();
-    merge_shards(shards)
+        .zip(tws)
+        .map(|((report, summary), &tw)| {
+            log_findings(spec, tw, summary);
+            SweepRow::of(tw, report)
+        })
+        .collect()
 }
 
-/// [`sweep_summary_cached`] plus the merged audit outcome across every
-/// sweep point (see [`run_network_verified`]).
+/// [`sweep_summary_cached`] plus the audit outcome merged across every
+/// sweep point in `tws` order (see [`run_network_verified`]).
 pub fn sweep_summary_verified(
     spec: &NetworkSpec,
     policy: Policy,
@@ -350,23 +425,21 @@ pub fn sweep_summary_verified(
     cache: &ActivityCache,
 ) -> (Vec<SweepRow>, AuditSummary) {
     let mut summary = AuditSummary::new(opts.verify);
-    let shards = tws
-        .iter()
-        .enumerate()
-        .map(|(i, &tw)| {
-            let (row, point_summary) = sweep_point_verified(spec, policy, tw, opts, cache);
+    let rows = sweep_reports(spec, policy, tws, opts, cache, pool_size())
+        .into_iter()
+        .zip(tws)
+        .map(|((report, point_summary), &tw)| {
             summary.merge(point_summary);
-            (i, row)
+            SweepRow::of(tw, &report)
         })
         .collect();
-    (merge_shards(shards), summary)
+    (rows, summary)
 }
 
 /// One sweep point: [`run_network_cached`] at `tw`, reduced to a
-/// [`SweepRow`]. This is the unit of work a sharded sweep distributes;
-/// [`sweep_summary_cached`] is exactly `tws` points merged in order, so
-/// any scheduling of the points over any number of workers reproduces
-/// it bit-for-bit.
+/// [`SweepRow`]. A row is a pure function of its TW, so
+/// [`sweep_summary_cached`] is exactly `tws` points in order, however
+/// a sharded sweep schedules them.
 pub fn sweep_point(
     spec: &NetworkSpec,
     policy: Policy,
@@ -374,13 +447,7 @@ pub fn sweep_point(
     opts: &RunOptions,
     cache: &ActivityCache,
 ) -> SweepRow {
-    let r = run_network_cached(spec, policy, tw, opts, cache);
-    SweepRow {
-        tw,
-        energy_j: r.total_energy_joules(),
-        seconds: r.total_seconds(),
-        edp: r.total_edp(),
-    }
+    SweepRow::of(tw, &run_network_cached(spec, policy, tw, opts, cache))
 }
 
 /// [`sweep_point`] plus the audit outcome of its underlying run (see
@@ -392,16 +459,8 @@ pub fn sweep_point_verified(
     opts: &RunOptions,
     cache: &ActivityCache,
 ) -> (SweepRow, AuditSummary) {
-    let (r, summary) = run_network_verified(spec, policy, tw, opts, cache);
-    (
-        SweepRow {
-            tw,
-            energy_j: r.total_energy_joules(),
-            seconds: r.total_seconds(),
-            edp: r.total_edp(),
-        },
-        summary,
-    )
+    let (report, summary) = run_network_verified(spec, policy, tw, opts, cache);
+    (SweepRow::of(tw, &report), summary)
 }
 
 /// Reassembles sharded sweep rows into the order of the original `tws`
@@ -506,20 +565,77 @@ mod tests {
         }
     }
 
+    /// The plain serial loop a drained work list must reproduce: every
+    /// point in order, every layer in spec order, freshly generated and
+    /// simulated on this thread, with no cache, memo or pool.
+    fn plain_loop(
+        spec: &NetworkSpec,
+        policy: Policy,
+        tws: &[u32],
+        opts: &RunOptions,
+    ) -> Vec<NetworkReport> {
+        let timesteps = opts
+            .max_timesteps
+            .map_or(spec.timesteps, |cap| spec.timesteps.min(cap));
+        tws.iter()
+            .map(|&tw| {
+                let layers = spec
+                    .layers
+                    .iter()
+                    .enumerate()
+                    .map(|(i, layer)| {
+                        let shape = opts.effective_shape(layer);
+                        let spikes = layer.input_profile.generate(
+                            shape.ifmap_neurons(),
+                            timesteps,
+                            layer_seed(opts.seed, i),
+                        );
+                        let report = simulate_layer(&SimInputs::hpca22(tw), policy, shape, &spikes);
+                        (layer.name.clone(), report)
+                    })
+                    .collect();
+                NetworkReport::new(spec.name.clone(), layers)
+            })
+            .collect()
+    }
+
     #[test]
-    fn threaded_run_matches_serial_run() {
+    fn drained_sweeps_match_a_plain_serial_loop_at_every_level() {
         let spec = spikegen::dvs_gesture();
-        let serial = run_network_with(&spec, Policy::ptb_with_stsap(), 8, &RunOptions::quick());
-        let threaded = run_network_with(
-            &spec,
-            Policy::ptb_with_stsap(),
-            8,
-            &RunOptions {
-                threads: 4,
+        // The oracle diff of a full audit is slow: it gets one point.
+        for (level, tws) in [
+            (AuditLevel::Off, &[1u32, 8, 64][..]),
+            (AuditLevel::Sample, &[1, 8][..]),
+            (AuditLevel::Full, &[8][..]),
+        ] {
+            let opts = RunOptions {
+                verify: level,
                 ..RunOptions::quick()
-            },
-        );
-        assert_eq!(serial, threaded, "thread count must never change results");
+            };
+            for policy in Policy::all() {
+                let plain = plain_loop(&spec, policy, tws, &opts);
+                let plain_rows: Vec<SweepRow> = plain
+                    .iter()
+                    .zip(tws)
+                    .map(|(r, &tw)| SweepRow::of(tw, r))
+                    .collect();
+                let mut audits = Vec::new();
+                for drainers in [1, 2, 3] {
+                    let (reports, summaries): (Vec<_>, Vec<_>) =
+                        sweep_reports(&spec, policy, tws, &opts, &opts.new_cache(), drainers)
+                            .into_iter()
+                            .unzip();
+                    let label = format!("{} {level:?} {drainers} drainers", policy.label());
+                    assert_eq!(reports, plain, "{label}");
+                    assert!(summaries.iter().all(AuditSummary::is_clean), "{label}");
+                    audits.push(summaries);
+                }
+                assert!(audits.windows(2).all(|w| w[0] == w[1]), "{level:?}");
+                let (rows, _) =
+                    sweep_summary_verified(&spec, policy, tws, &opts, &opts.new_cache());
+                assert_eq!(rows, plain_rows, "{} {level:?}", policy.label());
+            }
+        }
     }
 
     #[test]

@@ -30,12 +30,12 @@ const POLICIES: [Policy; 6] = [
     Policy::Ann,
 ];
 
-/// A quick-scale run with the given seed; threads > 1 so the layer
-/// threads genuinely race on the shared cache.
+/// A quick-scale run with the given seed. The harness drains a run's
+/// layers on one thread per core, so on a multi-core host they race on
+/// the shared cache.
 fn opts(seed: u64) -> RunOptions {
     RunOptions {
         seed,
-        threads: 2,
         ..RunOptions::quick()
     }
 }

@@ -18,7 +18,6 @@ use std::path::PathBuf;
 fn opts(seed: u64) -> RunOptions {
     RunOptions {
         seed,
-        threads: 2,
         ..RunOptions::quick()
     }
 }

@@ -15,10 +15,10 @@
 //! transport's own closures, exactly once.) A future cluster RPC
 //! becomes a third renderer over this same API, not a rewrite.
 //!
-//! Sweep-shard fan-out stays transport-side (the bounded work queue
-//! lives with the worker pool), so [`Engine::sweep`] takes an `offer`
-//! callback: the engine decides *that* shards should be offered, the
-//! transport decides *where* they go.
+//! Work-item fan-out stays transport-side (the bounded work queue lives
+//! with the worker pool), so [`Engine::simulate`] and [`Engine::sweep`]
+//! take an `offer` callback: the engine decides *that* a job's items
+//! should be offered, the transport decides *where* they go.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use ptb_accel::audit::AuditLevel;
 use ptb_accel::report::NetworkReport;
-use ptb_bench::{run_network_verified, ActivityCache, RunOptions, SweepRow};
+use ptb_bench::{ActivityCache, RunOptions, SweepRow};
 use serde::{Serialize, Value};
 
 use crate::api;
@@ -198,8 +198,14 @@ impl Engine {
     /// Executes a validated-on-entry `POST /simulate` request: resolve,
     /// validate, run (audited when requested), and either hand back the
     /// report or — on any audit finding — the findings instead of the
-    /// untrustworthy numbers.
-    pub fn simulate(&self, req: &api::SimulateRequest) -> Outcome {
+    /// untrustworthy numbers. The run is a one-point job
+    /// ([`SweepJob::simulate`]): `offer` hands it to the pool as for a
+    /// sweep, and this thread drains it too.
+    pub fn simulate(
+        &self,
+        req: &api::SimulateRequest,
+        offer: &dyn Fn(&Arc<SweepJob>) -> usize,
+    ) -> Outcome {
         let verify = match api::validate_verify(req.verify.as_deref(), self.verify) {
             Ok(v) => v,
             Err(e) => return Outcome::invalid(e),
@@ -251,24 +257,33 @@ impl Engine {
         if let Err(e) = api::validate_tw(req.tw) {
             return Outcome::invalid(e);
         }
-        let (report, audit) = run_network_verified(&spec, req.policy.0, req.tw, &opts, &self.cache);
-        self.metrics
-            .audit_mismatches
-            .fetch_add(audit.mismatches, Ordering::Relaxed);
-        self.metrics
-            .acc_saturated
-            .fetch_add(audit.saturated, Ordering::Relaxed);
-        if !audit.is_clean() {
-            // The report diverged from the reference model: serve the
-            // findings, never the untrustworthy numbers.
+        let job = Arc::new(SweepJob::simulate(spec, req.policy.0, req.tw, opts));
+        offer(&job);
+        job.drain_until(&self.cache, None, Some(&self.metrics));
+        job.wait();
+        if let Some(reason) = job.failed() {
+            let audit = job.audit();
+            // A report that diverged from the reference model is never
+            // served: the findings are, in its place.
+            let (detail, audit) = if audit.is_clean() {
+                (format!("simulation failed: {reason}"), None)
+            } else {
+                (
+                    format!("simulation failed audit at level {}", audit.level.label()),
+                    Some(audit.to_value()),
+                )
+            };
             return Outcome::Error {
                 status: 500,
-                detail: format!("simulation failed audit at level {}", audit.level.label()),
+                detail,
                 retry_after: None,
-                audit: Some(audit.to_value()),
+                audit,
             };
         }
-        let report = Arc::new(MemoReport::new(report));
+        let report = Arc::new(MemoReport::new(
+            job.report()
+                .expect("a finished simulate job keeps its report"),
+        ));
         if let Some(key) = memo_key {
             let mut memo = self
                 .report_memo
@@ -283,7 +298,7 @@ impl Engine {
     }
 
     /// Executes a `POST /sweep` request. `offer` hands a job with
-    /// unclaimed shards to the transport's worker pool and returns how
+    /// unclaimed items to the transport's worker pool and returns how
     /// many helpers were enqueued; the engine always guarantees progress
     /// itself when the pool can't help.
     pub fn sweep(
@@ -311,7 +326,7 @@ impl Engine {
         if req.background.unwrap_or(false) {
             // Durable path: reserve the id first so the journal file
             // name is final, register, then journal the submission
-            // *before* offering shards — a shard record must never
+            // *before* offering items — a shard record must never
             // precede its submit record.
             let id = self.jobs.reserve_id();
             let mut job = SweepJob::new(spec, req.policy.0, req.tws.clone(), opts);
@@ -326,11 +341,11 @@ impl Engine {
                 journal.log_submit(id, &job.spec, job.policy, &job.tws, quick, seed, verify);
             }
             let offered = offer(&job);
-            // Guarantee progress even if no shard item could be offered
-            // (full queue, or a single-worker pool): run the shards here
+            // Guarantee progress even if no helper could be offered
+            // (full queue, or a single-worker pool): run the items here
             // before answering, trading response latency for liveness.
             if offered == 0 {
-                job.run_shards_until(&self.cache, deadline, Some(&self.metrics));
+                job.drain_until(&self.cache, deadline, Some(&self.metrics));
             }
             return Outcome::Accepted {
                 id,
@@ -338,11 +353,11 @@ impl Engine {
             };
         }
 
-        // Synchronous: this handler claims shards alongside the pool,
-        // then waits out any shard still running on another worker.
+        // Synchronous: this handler claims items alongside the pool,
+        // then waits out any item still running on another worker.
         let job = Arc::new(SweepJob::new(spec, req.policy.0, req.tws.clone(), opts));
         offer(&job);
-        job.run_shards_until(&self.cache, deadline, Some(&self.metrics));
+        job.drain_until(&self.cache, deadline, Some(&self.metrics));
         let terminal = match deadline {
             Some(d) => job.wait_until(d),
             None => {
@@ -396,7 +411,7 @@ impl Engine {
 
     /// Rebuilds the job registry from the journal at boot: completed
     /// jobs reload their rows; unfinished ones resume with only the
-    /// unjournaled shards claimable. `offer` enqueues a resumed job on
+    /// unjournaled points claimable. `offer` enqueues a resumed job on
     /// the transport's pool and reports whether it fit.
     pub fn replay_journal(&self, mut offer: impl FnMut(Arc<SweepJob>) -> bool) {
         let Some(journal) = &self.journal else {
@@ -410,7 +425,7 @@ impl Engine {
             // Under a non-off verify level even a *finished* job goes
             // back to the pool: its replayed rows get recomputed and
             // diffed before it is served again (see
-            // `SweepJob::run_shards_until`).
+            // `SweepJob::resumed`).
             let needs_pool = unfinished || (replayed.verify.is_on() && !replayed.shards.is_empty());
             let job = Arc::new(
                 SweepJob::resumed(
@@ -494,8 +509,8 @@ impl Engine {
 }
 
 /// Builds the per-request run options: quick or full fidelity, caller's
-/// seed, the resolved audit level, serial position scan (parallelism
-/// comes from the pool, not from within a layer).
+/// seed, the resolved audit level. Parallelism comes from the pool
+/// draining the job's items, never from within a layer.
 pub fn run_options(quick: Option<bool>, seed: Option<u64>, verify: AuditLevel) -> RunOptions {
     let mut opts = if quick.unwrap_or(false) {
         RunOptions::quick()

@@ -1,51 +1,57 @@
-//! Sharded sweep jobs and the registry behind `GET /jobs/{id}`.
+//! Sweep jobs and the registry behind `GET /jobs/{id}`.
 //!
-//! A [`SweepJob`] splits a TW sweep into one shard per TW point.
-//! Shards are *claimed* with an atomic counter, not pre-assigned, so
-//! any number of workers — including the request's own handler thread —
-//! can pull the next unclaimed shard and run it. That makes the
-//! synchronous `/sweep` path deadlock-free by construction: even if
-//! every pool worker is busy, the handler claims and runs every shard
-//! itself, and extra workers only make it faster. Results are merged by
-//! original index ([`ptb_bench::merge_shards`]), so row order matches
-//! [`ptb_bench::sweep_summary_cached`] regardless of which worker ran
-//! what in which order.
+//! A [`SweepJob`] is a sweep's [`WorkList`]: one item per (TW point,
+//! layer). Items are *claimed* from an atomic counter, not
+//! pre-assigned, so any number of workers — including the request's
+//! own handler thread — can pull the next unclaimed item and run it.
+//! That makes the synchronous `/sweep` path deadlock-free by
+//! construction: even if every pool worker is busy, the handler claims
+//! and runs every item itself, and extra workers only make it faster.
+//! Whichever claimer finishes a point's last layer assembles the
+//! point's report from its layers in spec order and publishes its row;
+//! rows merge by original index ([`ptb_bench::merge_shards`]), so row
+//! order and bits match [`ptb_bench::sweep_summary_cached`] regardless
+//! of which worker ran what in which order. A `/simulate` is a
+//! one-point job ([`SweepJob::simulate`]) that keeps its report.
 //!
 //! ## Fault tolerance
 //!
-//! Each shard executes under `catch_unwind`: a panicking simulation
+//! Each item executes under `catch_unwind`: a panicking simulation
 //! moves the job to the terminal [`JobState::Failed`] (with the panic
 //! message as the reason) instead of unwinding through the worker pool,
 //! and wakes every waiter. Jobs constructed via [`SweepJob::resumed`]
 //! — replayed from the [`crate::journal::JobJournal`] after a restart —
-//! start with their journaled shards already complete and claim only
+//! start with their journaled points already complete and claim only
 //! the remainder. Deadline-aware callers pass a cutoff to
-//! [`SweepJob::run_shards_until`]; claiming stops at the deadline while
-//! already-running shards finish wherever they are.
+//! [`SweepJob::drain_until`]; claiming stops at the deadline while
+//! already-running items finish wherever they are.
 //!
 //! ## Verification
 //!
-//! When the job's [`RunOptions::verify`] level is on, every shard runs
-//! through [`ptb_bench::sweep_point_verified`] and its
+//! When the job's [`RunOptions::verify`] level is on, every item is
+//! audited ([`ptb_bench::run_layer`]) and each point's merged
 //! [`AuditSummary`] is folded into the job (served as the `audit`
-//! object of `GET /jobs/{id}`). A shard whose audit finds a divergence
-//! fails the job — a corrupted row must never be served — and, before
-//! any new shard is claimed, journal-*replayed* rows are recomputed
-//! and compared bit-for-bit: a journal that replayed a row the
-//! simulator no longer reproduces (bit rot, tampering, or the
-//! `journal_replay_flip` failpoint) surfaces as a typed
-//! [`AuditError::RowMismatch`] instead of silently serving stale data.
+//! object of `GET /jobs/{id}`). A point whose audit finds a divergence
+//! fails the job — a corrupted row must never be served. Journal-
+//! *replayed* points are claimed first and recomputed, and their rows
+//! compared bit-for-bit: a journal that replayed a row the simulator no
+//! longer reproduces (bit rot, tampering, or the `journal_replay_flip`
+//! failpoint) surfaces as a typed [`AuditError::RowMismatch`] instead
+//! of silently serving stale data.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ptb_accel::audit::AuditSummary;
 use ptb_accel::config::Policy;
+use ptb_accel::report::NetworkReport;
 use ptb_bench::sync::{lock_recover, wait_recover, wait_timeout_recover};
-use ptb_bench::{merge_shards, sweep_point_verified, ActivityCache, RunOptions, SweepRow};
+use ptb_bench::{
+    assemble, merge_shards, run_layer, ActivityCache, LayerRun, RunOptions, SweepRow, WorkList,
+};
 use snn_core::error::AuditError;
 use spikegen::NetworkSpec;
 
@@ -66,19 +72,21 @@ pub enum JobState {
     },
 }
 
-/// Completion state behind the job's condvar: completed shard rows plus
-/// the failure reason, if any. One mutex guards both so waiters can
-/// wake on either terminal condition.
+/// Completion state behind the job's condvar: completed point rows
+/// plus the failure reason, if any. One mutex guards both so waiters
+/// can wake on either terminal condition.
 #[derive(Debug, Default)]
 struct Progress {
     done: Vec<(usize, SweepRow)>,
     failed: Option<String>,
-    /// Merged audit outcome across every shard run (and every replayed
+    /// Merged audit outcome across every point run (and every replayed
     /// row recomputed) so far.
     audit: AuditSummary,
+    /// The finished point's report, for a [`SweepJob::simulate`] job.
+    report: Option<NetworkReport>,
 }
 
-/// One sweep request, sharded by TW point.
+/// One sweep request: a work list of (TW point, layer) items.
 #[derive(Debug)]
 pub struct SweepJob {
     /// Target network.
@@ -87,54 +95,44 @@ pub struct SweepJob {
     pub policy: Policy,
     /// TW points, in requested (output) order.
     pub tws: Vec<u32>,
-    /// Fidelity/seed options for every shard.
+    /// Fidelity/seed options for every point.
     pub opts: RunOptions,
-    /// Shard indices still claimable (everything for a fresh job; the
-    /// unjournaled remainder for a resumed one).
-    claimable: Vec<usize>,
-    /// Next unclaimed position in `claimable`.
-    next: AtomicUsize,
-    /// Completed shard rows + failure state.
+    /// The items still to run: every point for a fresh job; for a
+    /// resumed one, the replayed points to recompute (verify on) and
+    /// then the unjournaled remainder.
+    work: WorkList<LayerRun>,
+    /// Completed point rows + failure state.
     progress: Mutex<Progress>,
-    /// Signals completion of the final shard, or failure.
+    /// Signals completion of the final point, or failure.
     cv: Condvar,
-    /// When set, shard completions are journaled under this id.
+    /// When set, point completions are journaled under this id.
     journal: Option<(Arc<JobJournal>, u64)>,
-    /// Journal-replayed rows pending recomputation when the job's
-    /// verify level is on (empty for fresh jobs).
+    /// Journal-replayed rows the work list recomputes (empty unless
+    /// the job was resumed with its verify level on).
     resumed: Vec<(usize, SweepRow)>,
-    /// Ensures the resumed rows are recomputed by exactly one claimer.
-    resumed_claimed: AtomicBool,
+    /// Whether finished points keep their report ([`Self::report`]).
+    keep_report: bool,
 }
 
 impl SweepJob {
-    /// Creates the job. No work happens until shards are claimed.
+    /// Creates the job. No work happens until items are claimed.
     pub fn new(spec: NetworkSpec, policy: Policy, tws: Vec<u32>, opts: RunOptions) -> Self {
-        let claimable = (0..tws.len()).collect();
-        let audit = AuditSummary::new(opts.verify);
+        Self::resumed(spec, policy, tws, opts, Vec::new())
+    }
+
+    /// A one-point job whose finished report is kept: how the daemon
+    /// runs a `POST /simulate` on its pool.
+    pub fn simulate(spec: NetworkSpec, policy: Policy, tw: u32, opts: RunOptions) -> Self {
         SweepJob {
-            spec,
-            policy,
-            tws,
-            opts,
-            claimable,
-            next: AtomicUsize::new(0),
-            progress: Mutex::new(Progress {
-                audit,
-                ..Progress::default()
-            }),
-            cv: Condvar::new(),
-            journal: None,
-            resumed: Vec::new(),
-            resumed_claimed: AtomicBool::new(false),
+            keep_report: true,
+            ..Self::new(spec, policy, vec![tw], opts)
         }
     }
 
-    /// A job replayed from the journal: `completed` shards are already
-    /// done (their rows load verbatim) and only the remaining indices
+    /// A job replayed from the journal: `completed` points are already
+    /// done (their rows load verbatim) and only the remaining points
     /// are claimable. When the job's verify level is on, the loaded
-    /// rows are additionally recomputed and compared the first time
-    /// shards are claimed (see the module docs).
+    /// points are claimed first and recomputed (see the module docs).
     pub fn resumed(
         spec: NetworkSpec,
         policy: Policy,
@@ -142,123 +140,171 @@ impl SweepJob {
         opts: RunOptions,
         completed: Vec<(usize, SweepRow)>,
     ) -> Self {
-        let claimable = (0..tws.len())
-            .filter(|i| !completed.iter().any(|(j, _)| j == i))
+        let resumed = if opts.verify.is_on() {
+            completed.clone()
+        } else {
+            Vec::new()
+        };
+        let points = resumed
+            .iter()
+            .map(|&(i, _)| i)
+            .chain((0..tws.len()).filter(|i| !completed.iter().any(|(j, _)| j == i)))
             .collect();
         let audit = AuditSummary::new(opts.verify);
         SweepJob {
+            work: WorkList::new(spec.layers.len(), points),
             spec,
             policy,
             tws,
             opts,
-            claimable,
-            next: AtomicUsize::new(0),
             progress: Mutex::new(Progress {
-                done: completed.clone(),
-                failed: None,
+                done: completed,
                 audit,
+                ..Progress::default()
             }),
             cv: Condvar::new(),
             journal: None,
-            resumed: completed,
-            resumed_claimed: AtomicBool::new(false),
+            resumed,
+            keep_report: false,
         }
     }
 
-    /// Attaches a journal: subsequent shard completions append
+    /// Attaches a journal: subsequent point completions append
     /// `shard` records under `id`, and the final one appends `done`.
     pub fn with_journal(mut self, journal: Arc<JobJournal>, id: u64) -> Self {
         self.journal = Some((journal, id));
         self
     }
 
-    /// Claims and runs unclaimed shards until none remain, the job
-    /// fails, or `deadline` passes. Returns the number of shards this
-    /// call ran. Safe to call from any number of threads; each shard
-    /// runs exactly once.
+    /// Items no claimer has taken yet: how many helpers could usefully
+    /// join.
+    pub fn unclaimed(&self) -> usize {
+        self.work.unclaimed()
+    }
+
+    /// Claims and runs unclaimed items until none remain, the job
+    /// fails, or `deadline` passes. Returns the number of points whose
+    /// last layer this call ran. Safe to call from any number of
+    /// threads; each item runs exactly once.
     ///
-    /// A panicking shard is contained here: `metrics` (when given) gets
+    /// A panicking item is contained here: `metrics` (when given) gets
     /// its `panics_contained` counter incremented, the job transitions
     /// to [`JobState::Failed`], and the panic does not propagate.
-    /// Failpoint `shard_exec` injects faults at the execution site.
-    /// Under a non-off verify level each shard's audit summary is
-    /// folded into the job (and into `metrics`' audit counters), and
-    /// journal-replayed rows are recomputed before new shards run.
-    pub fn run_shards_until(
+    /// Failpoint `shard_exec` injects faults when a point's first layer
+    /// is claimed, once per point. Under a non-off verify level each
+    /// point's audit summary is folded into the job (and into
+    /// `metrics`' audit counters).
+    pub fn drain_until(
         &self,
         cache: &ActivityCache,
         deadline: Option<Instant>,
         metrics: Option<&Metrics>,
     ) -> usize {
-        if self.opts.verify.is_on() {
-            self.verify_resumed(cache, metrics);
-        }
-        let mut ran = 0;
+        let mut finished = 0;
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) || self.failed().is_some() {
-                return ran;
+                return finished;
             }
-            let slot = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(&index) = self.claimable.get(slot) else {
-                return ran;
+            let Some(item) = self.work.claim() else {
+                return finished;
             };
-            let tw = self.tws[index];
+            let (index, tw) = (item.point, self.tws[item.point]);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                ptb_bench::failpoint!("shard_exec").map_err(|_| ())?;
-                Ok::<(SweepRow, AuditSummary), ()>(sweep_point_verified(
+                if item.layer == 0 {
+                    ptb_bench::failpoint!("shard_exec").map_err(|_| ())?;
+                }
+                Ok::<LayerRun, ()>(run_layer(
                     &self.spec,
                     self.policy,
                     tw,
+                    item.layer,
                     &self.opts,
                     cache,
                 ))
             }));
-            match outcome {
-                Ok(Ok((row, audit))) => {
-                    let first = self.absorb_audit(audit, metrics);
-                    if let Some(finding) = first {
-                        // The row failed its own audit: never journal or
-                        // serve it; the findings stay on the job.
-                        self.fail(format!("shard {index} (tw={tw}) failed audit: {finding}"));
-                        return ran;
-                    }
-                    if let Some((journal, id)) = &self.journal {
-                        journal.log_shard(*id, index, &row);
-                    }
-                    let mut progress = lock_recover(&self.progress);
-                    progress.done.push((index, row));
-                    let complete = progress.done.len() == self.tws.len();
-                    drop(progress);
-                    if complete {
-                        if let Some((journal, id)) = &self.journal {
-                            journal.log_done(*id);
-                        }
-                        self.cv.notify_all();
-                    }
-                    ran += 1;
-                }
+            let run = match outcome {
+                Ok(Ok(run)) => run,
                 Ok(Err(())) => {
                     self.fail(format!(
                         "shard {index} (tw={tw}): injected fault (shard_exec)"
                     ));
-                    return ran;
+                    return finished;
                 }
                 Err(payload) => {
                     if let Some(m) = metrics {
                         m.panics_contained.fetch_add(1, Ordering::Relaxed);
                     }
                     self.fail(format!(
-                        "shard {index} (tw={tw}) panicked: {}",
+                        "shard {index} (tw={tw}) layer {} panicked: {}",
+                        self.spec.layers[item.layer].name,
                         panic_message(&payload)
                     ));
-                    return ran;
+                    return finished;
                 }
+            };
+            let Some(runs) = self.work.complete(item, run) else {
+                continue;
+            };
+            let (report, audit) = assemble(&self.spec, self.opts.verify, runs);
+            if !self.finish_point(index, report, audit, metrics) {
+                return finished;
             }
+            finished += 1;
         }
     }
 
-    /// Folds one shard's audit into the job and the service counters.
-    /// Returns the first *new* finding, if the shard was not clean.
+    /// Publishes a point whose last layer just ran: folds its audit
+    /// into the job, then journals and records its row — or, for a
+    /// journal-replayed point, diffs the recomputed row against the
+    /// loaded one. Returns `false` when the point failed the job.
+    fn finish_point(
+        &self,
+        index: usize,
+        report: NetworkReport,
+        mut audit: AuditSummary,
+        metrics: Option<&Metrics>,
+    ) -> bool {
+        let tw = self.tws[index];
+        let row = SweepRow::of(tw, &report);
+        if let Some((_, loaded)) = self.resumed.iter().find(|(j, _)| *j == index) {
+            if row != *loaded {
+                audit.record(AuditError::RowMismatch { index, tw });
+            }
+            if let Some(finding) = self.absorb_audit(audit, metrics) {
+                self.fail_replayed(format!(
+                    "replayed shard {index} (tw={tw}) failed audit: {finding}"
+                ));
+                return false;
+            }
+            return true;
+        }
+        if let Some(finding) = self.absorb_audit(audit, metrics) {
+            // The row failed its own audit: never journal or serve it;
+            // the findings stay on the job.
+            self.fail(format!("shard {index} (tw={tw}) failed audit: {finding}"));
+            return false;
+        }
+        if let Some((journal, id)) = &self.journal {
+            journal.log_shard(*id, index, &row);
+        }
+        let mut progress = lock_recover(&self.progress);
+        progress.done.push((index, row));
+        if self.keep_report {
+            progress.report = Some(report);
+        }
+        let complete = progress.done.len() == self.tws.len();
+        drop(progress);
+        if complete {
+            if let Some((journal, id)) = &self.journal {
+                journal.log_done(*id);
+            }
+            self.cv.notify_all();
+        }
+        true
+    }
+
+    /// Folds one point's audit into the job and the service counters.
+    /// Returns the first *new* finding, if the point was not clean.
     fn absorb_audit(&self, audit: AuditSummary, metrics: Option<&Metrics>) -> Option<AuditError> {
         if let Some(m) = metrics {
             m.audit_mismatches
@@ -278,37 +324,9 @@ impl SweepJob {
         }
     }
 
-    /// Recomputes journal-replayed rows and diffs them bit-for-bit
-    /// against what the journal loaded; a divergent row is a
-    /// [`AuditError::RowMismatch`] and fails the job. Runs at most once
-    /// per job (first claimer wins) and only under a non-off verify
-    /// level.
-    fn verify_resumed(&self, cache: &ActivityCache, metrics: Option<&Metrics>) {
-        if self.resumed.is_empty() || self.resumed_claimed.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        for (index, loaded) in &self.resumed {
-            if self.failed().is_some() {
-                return;
-            }
-            let tw = self.tws[*index];
-            let (fresh, mut audit) =
-                sweep_point_verified(&self.spec, self.policy, tw, &self.opts, cache);
-            if fresh != *loaded {
-                audit.record(AuditError::RowMismatch { index: *index, tw });
-            }
-            if let Some(finding) = self.absorb_audit(audit, metrics) {
-                self.fail_replayed(format!(
-                    "replayed shard {index} (tw={tw}) failed audit: {finding}"
-                ));
-                return;
-            }
-        }
-    }
-
-    /// [`Self::run_shards_until`] with no deadline and no metrics.
-    pub fn run_shards(&self, cache: &ActivityCache) -> usize {
-        self.run_shards_until(cache, None, None)
+    /// [`Self::drain_until`] with no deadline and no metrics.
+    pub fn drain(&self, cache: &ActivityCache) -> usize {
+        self.drain_until(cache, None, None)
     }
 
     /// Publishes a row computed *outside* this process — the cluster
@@ -317,7 +335,7 @@ impl SweepJob {
     /// death may produce the same row twice, and since every row is a
     /// pure function of `(spec, policy, tw, opts)` dropping the
     /// duplicate is lossless. Journals the row (mirroring
-    /// [`Self::run_shards_until`]) and wakes waiters on completion.
+    /// [`Self::drain_until`]) and wakes waiters on completion.
     /// Returns `false` when the shard already had a row.
     pub fn complete_shard(&self, index: usize, row: SweepRow) -> bool {
         assert!(index < self.tws.len(), "shard index out of range");
@@ -460,6 +478,12 @@ impl SweepJob {
             return None;
         }
         Some(merge_shards(progress.done.clone()))
+    }
+
+    /// The finished point's report of a [`Self::simulate`] job; `None`
+    /// until it completes, and for every other job.
+    pub fn report(&self) -> Option<NetworkReport> {
+        lock_recover(&self.progress).report.clone()
     }
 
     /// The audit outcome folded across every shard run so far (all
@@ -631,7 +655,7 @@ impl JobRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptb_bench::sweep_summary_cached;
+    use ptb_bench::{sweep_point_verified, sweep_summary_cached};
 
     fn quick_job(tws: &[u32]) -> SweepJob {
         SweepJob::new(
@@ -649,7 +673,7 @@ mod tests {
         let job = quick_job(&[1, 4, 8]);
         assert!(!job.is_complete());
         assert_eq!(job.state(), JobState::Running);
-        assert_eq!(job.run_shards(&cache), 3);
+        assert_eq!(job.drain(&cache), 3);
         assert!(job.is_complete());
         assert_eq!(job.state(), JobState::Done);
         let expected =
@@ -666,7 +690,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         let cache = opts.new_cache();
-                        job.run_shards(&cache)
+                        job.drain(&cache)
                     })
                 })
                 .collect();
@@ -697,7 +721,7 @@ mod tests {
         };
         let job = SweepJob::resumed(spec, Policy::ptb(), tws, opts, vec![(1, sentinel.clone())]);
         assert_eq!(job.completed(), 1);
-        assert_eq!(job.run_shards(&cache), 2, "only two shards left to run");
+        assert_eq!(job.drain(&cache), 2, "only two shards left to run");
         let rows = job.rows().unwrap();
         assert_eq!(rows[1], sentinel, "journaled row used verbatim");
         assert_eq!(rows[0], expected[0]);
@@ -717,7 +741,7 @@ mod tests {
             RunOptions::quick(),
         );
         let metrics = Metrics::default();
-        job.run_shards_until(&cache, None, Some(&metrics));
+        job.drain_until(&cache, None, Some(&metrics));
         let state = job.state();
         let JobState::Failed { reason } = state else {
             panic!("job must fail, got {state:?}");
@@ -735,7 +759,7 @@ mod tests {
         let cache = opts.new_cache();
         let job = quick_job(&[1, 4]);
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        assert_eq!(job.run_shards_until(&cache, Some(past), None), 0);
+        assert_eq!(job.drain_until(&cache, Some(past), None), 0);
         assert_eq!(job.completed(), 0);
         assert!(!job.wait_until(past), "deadline passed, job not terminal");
     }
@@ -749,7 +773,7 @@ mod tests {
         let cache = opts.new_cache();
         let job = SweepJob::new(spikegen::dvs_gesture(), Policy::ptb(), vec![1, 4], opts);
         let metrics = Metrics::default();
-        assert_eq!(job.run_shards_until(&cache, None, Some(&metrics)), 2);
+        assert_eq!(job.drain_until(&cache, None, Some(&metrics)), 2);
         assert_eq!(job.state(), JobState::Done);
         let audit = job.audit();
         assert!(audit.is_clean(), "clean run: {:?}", audit.first());
@@ -781,7 +805,7 @@ mod tests {
         };
         let job = SweepJob::resumed(spec, Policy::ptb(), vec![1, 4], opts, vec![(1, bogus)]);
         let metrics = Metrics::default();
-        job.run_shards_until(&cache, None, Some(&metrics));
+        job.drain_until(&cache, None, Some(&metrics));
         let state = job.state();
         let JobState::Failed { reason } = state else {
             panic!("corrupt replayed row must fail the job, got {state:?}");
@@ -844,7 +868,7 @@ mod tests {
             opts,
             loaded.clone(),
         );
-        job.run_shards_until(&cache, None, None);
+        job.drain_until(&cache, None, None);
         let state = job.state();
         let JobState::Failed { reason } = state else {
             panic!("flipped row must fail the resumed job, got {state:?}");
@@ -916,7 +940,7 @@ mod tests {
         let opts = RunOptions::quick();
         let reg = JobRegistry::default();
         let done = Arc::new(quick_job(&[1]));
-        done.run_shards(&opts.new_cache());
+        done.drain(&opts.new_cache());
         assert_eq!(done.state(), JobState::Done);
         let done_id = reg.register(done).unwrap();
         let running_id = reg.register(Arc::new(quick_job(&[2]))).unwrap();
@@ -950,7 +974,7 @@ mod tests {
         let opts = RunOptions::quick();
         let reg = JobRegistry::default();
         let done = Arc::new(quick_job(&[1]));
-        done.run_shards(&opts.new_cache());
+        done.drain(&opts.new_cache());
         let id = reg.register(done).unwrap();
         for _ in 0..3 {
             assert!(reg

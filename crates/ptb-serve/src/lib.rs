@@ -4,9 +4,11 @@
 //! HTTP/1.1 daemon (plain `std::net`, no external dependencies) that
 //! keeps one [`ptb_bench::ActivityCache`] warm across requests and
 //! shares it over a fixed worker pool, so interactive exploration of
-//! the design space — one policy/TW point per request, or a sharded TW
+//! the design space — one policy/TW point per request, or a whole TW
 //! sweep — pays for activity generation once instead of once per
-//! invocation.
+//! invocation. Each request is a list of (TW point, layer) items that
+//! the pool's workers drain together; the pool's threads are the
+//! daemon's only simulation threads.
 //!
 //! ## API
 //!

@@ -31,19 +31,27 @@
 //! `Connection: close`) after an error response, after
 //! [`MAX_REQUESTS_PER_CONN`] requests, at shutdown, and — the
 //! starvation guard — whenever the connection has no pipelined bytes
-//! buffered while other work sits queued. An idle reused connection is
-//! dropped after [`KEEPALIVE_IDLE`].
+//! buffered while other connections sit queued (`docs/PROTOCOL.md`).
+//! An idle reused connection is dropped after [`KEEPALIVE_IDLE`].
 //!
-//! ## Sharded sweeps without deadlock
+//! ## One level of parallelism, without deadlock
 //!
-//! `POST /sweep` fans its TW points out as `Work::Shard` items that
-//! *other* workers can pick up, but the handling worker always claims
-//! and runs shards itself too ([`SweepJob::run_shards_until`]). Shards
-//! are claimed atomically, so the split adapts to whoever is free: on a
-//! fully busy pool the handler simply runs the whole sweep alone, which
-//! means a synchronous sweep can never deadlock waiting for workers
-//! that are themselves waiting. Results merge by original index,
-//! matching `ptb_bench::sweep_summary_cached` exactly.
+//! A `POST /sweep` or `POST /simulate` becomes a [`SweepJob`]: a
+//! claim-until-dry list of (TW point, layer) items
+//! ([`ptb_bench::WorkList`]). The handling worker offers the job to
+//! `min(workers − 1, unclaimed items)` other workers as `Work::Job`
+//! queue items, then claims and runs items itself
+//! ([`SweepJob::drain_until`]). Items are claimed atomically, so the
+//! split adapts to whoever is free: on a fully busy pool the handler
+//! simply runs the whole job alone, which means a synchronous request
+//! can never deadlock waiting for workers that are themselves waiting.
+//! Because a job offers helpers per unclaimed item, not per point, a
+//! coordinator's one-point shard still spreads its layers over the
+//! pool. The pool's threads are the daemon's only simulation threads:
+//! no request spawns one, and a `PTB_WORKERS=1` daemon is strictly
+//! serial. Each point is assembled from its layers in spec order and
+//! rows merge by original index, matching
+//! `ptb_bench::sweep_summary_cached` exactly.
 //!
 //! ## Fault tolerance
 //!
@@ -51,10 +59,11 @@
 //! a job directory is configured, and [`Server::start`] replays the
 //! journal so a crashed daemon resumes unfinished jobs (see
 //! [`Engine::replay_journal`]). Workers run every dequeued item under
-//! `catch_unwind`: a panicking handler answers `500`, a panicking shard
+//! `catch_unwind`: a panicking handler answers `500`, a panicking item
 //! fails its job, and either way the worker survives
 //! (`panics_contained` in `/metrics`). Deadlines are checked at dequeue
-//! and between sweep shards; expiry answers `503` + `Retry-After`.
+//! and before every item is claimed; expiry answers `503` +
+//! `Retry-After`.
 //! `POST /shutdown` drains gracefully: queued work completes, new
 //! pushes fail.
 
@@ -90,7 +99,7 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7878`; port 0 binds an ephemeral
     /// port (read it back from [`Server::addr`]).
     pub addr: String,
-    /// Worker threads handling requests and sweep shards.
+    /// Worker threads handling requests and the items of their jobs.
     pub workers: usize,
     /// Maximum queued work items before new connections get `503`.
     pub queue_cap: usize,
@@ -221,8 +230,21 @@ enum Work {
     /// An accepted connection with requests to read, stamped with its
     /// enqueue time so deadlines cover queue wait.
     Conn(TcpStream, Instant),
-    /// A sweep with unclaimed shards; the worker claims until dry.
-    Shard(Arc<SweepJob>),
+    /// A job with unclaimed items; the worker claims until dry.
+    Job(Arc<SweepJob>),
+}
+
+impl Work {
+    /// Whether the item still has work in it. A connection always does;
+    /// a helper offer goes stale once the job's other claimers have
+    /// taken every item, and then neither holds a queue slot nor counts
+    /// as queued work.
+    fn is_live(&self) -> bool {
+        match self {
+            Work::Conn(..) => true,
+            Work::Job(job) => job.unclaimed() > 0,
+        }
+    }
 }
 
 /// The bounded MPMC work queue.
@@ -241,10 +263,14 @@ impl Queue {
         }
     }
 
-    /// Enqueues unless full or closed; on rejection the item is handed
-    /// back so the caller can respond to (or drop) it.
+    /// Enqueues unless full or closed (stale helper offers make room);
+    /// on rejection the item is handed back so the caller can respond
+    /// to (or drop) it.
     fn push(&self, work: Work) -> Result<(), Work> {
         let mut guard = lock_recover(&self.items);
+        if guard.0.len() >= self.cap {
+            guard.0.retain(Work::is_live);
+        }
         if guard.1 || guard.0.len() >= self.cap {
             return Err(work);
         }
@@ -275,8 +301,24 @@ impl Queue {
         self.cv.notify_all();
     }
 
+    /// Queued items with work in them (stale helper offers excluded).
     fn len(&self) -> usize {
-        lock_recover(&self.items).0.len()
+        lock_recover(&self.items)
+            .0
+            .iter()
+            .filter(|w| w.is_live())
+            .count()
+    }
+
+    /// Queued connections: the only work a kept-alive connection can
+    /// starve, since every helper offer's job is also drained by the
+    /// handler that made it.
+    fn conns(&self) -> usize {
+        lock_recover(&self.items)
+            .0
+            .iter()
+            .filter(|w| matches!(w, Work::Conn(..)))
+            .count()
     }
 }
 
@@ -301,27 +343,13 @@ struct Shared {
     epoch_seen: AtomicU64,
 }
 
-/// A running server; dropping it does *not* stop the threads — call
-/// [`Server::join`] after a shutdown request, or send `POST /shutdown`.
-pub struct Server {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Server {
-    /// Binds, replays the job journal (when configured), and starts the
-    /// acceptor and worker threads. Unfinished journaled jobs are
-    /// re-registered under their original ids and their remaining
-    /// shards offered to the pool.
-    pub fn start(cfg: &ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
+impl Shared {
+    fn new(cfg: &ServerConfig) -> Self {
         let journal = cfg
             .job_dir
             .as_deref()
             .map(|dir| Arc::new(JobJournal::new(dir)));
-        let shared = Arc::new(Shared {
+        Shared {
             engine: Engine {
                 cache: ActivityCache::with_budget(cfg.cache, &cfg.cache_dir, cfg.cache_budget),
                 metrics: Metrics::default(),
@@ -339,13 +367,33 @@ impl Server {
             shutdown: AtomicBool::new(false),
             generation: start_generation(),
             epoch_seen: AtomicU64::new(0),
-        });
+        }
+    }
+}
+
+/// A running server; dropping it does *not* stop the threads — call
+/// [`Server::join`] after a shutdown request, or send `POST /shutdown`.
+pub struct Server {
+    addr: SocketAddr,
+    shared: Arc<Shared>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Server {
+    /// Binds, replays the job journal (when configured), and starts the
+    /// acceptor and worker threads. Unfinished journaled jobs are
+    /// re-registered under their original ids and their remaining
+    /// shards offered to the pool.
+    pub fn start(cfg: &ServerConfig) -> std::io::Result<Server> {
+        let listener = TcpListener::bind(&cfg.addr)?;
+        let addr = listener.local_addr()?;
+        let shared = Arc::new(Shared::new(cfg));
 
         // Replay before any thread starts: the queue absorbs resumed
-        // shards, and the workers pick them up the moment they spawn.
+        // jobs, and the workers pick them up the moment they spawn.
         shared
             .engine
-            .replay_journal(|job| shared.queue.push(Work::Shard(job)).is_ok());
+            .replay_journal(|job| shared.queue.push(Work::Job(job)).is_ok());
 
         let mut threads = Vec::with_capacity(cfg.workers + 2);
         let accept_shared = Arc::clone(&shared);
@@ -497,16 +545,16 @@ fn gc_loop(shared: &Shared) {
 
 fn worker_loop(shared: &Shared) {
     while let Some(work) = shared.queue.pop() {
-        // Containment boundary: nothing a request or shard does may
-        // take the worker (and with it the daemon) down. Shard panics
-        // are already absorbed inside `run_shards_until`; this guards
-        // the handlers and the `worker_dequeue` failpoint itself.
+        // Containment boundary: nothing a request or item does may
+        // take the worker (and with it the daemon) down. Item panics
+        // are already absorbed inside `drain_until`; this guards the
+        // handlers and the `worker_dequeue` failpoint itself.
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let _ = ptb_bench::failpoint!("worker_dequeue");
             match work {
                 Work::Conn(stream, enqueued) => handle_conn(shared, &stream, enqueued),
-                Work::Shard(job) => {
-                    job.run_shards_until(&shared.engine.cache, None, Some(&shared.engine.metrics));
+                Work::Job(job) => {
+                    job.drain_until(&shared.engine.cache, None, Some(&shared.engine.metrics));
                 }
             }
         }));
@@ -608,12 +656,12 @@ fn handle_conn(shared: &Shared, stream: &TcpStream, enqueued: Instant) {
         // responses often follow framing damage, so resynchronize); or
         // the per-connection cap or shutdown hit; or — the starvation
         // guard — this connection has nothing more buffered while other
-        // work waits for a worker.
+        // connections wait for a worker.
         let close = !request.keep_alive
             || response.status >= 400
             || served >= MAX_REQUESTS_PER_CONN
             || shared.shutdown.load(Ordering::SeqCst)
-            || (reader.buffered() == 0 && shared.queue.len() > 0);
+            || (reader.buffered() == 0 && shared.queue.conns() > 0);
         response.close = close;
         let endpoint_metrics = match endpoint {
             Endpoint::Simulate => &metrics.simulate,
@@ -665,7 +713,9 @@ fn route(shared: &Shared, req: &Request, enqueued: Instant) -> (Endpoint, Respon
             let outcome = match admit() {
                 Err(shed) => shed,
                 Ok(()) => match decode_request::<api::SimulateRequest>(req, wire::KIND_SIMULATE) {
-                    Ok(r) => shared.engine.simulate(&r),
+                    Ok(r) => shared
+                        .engine
+                        .simulate(&r, &|job| offer_helpers(shared, job)),
                     Err(bad) => bad,
                 },
             };
@@ -679,7 +729,7 @@ fn route(shared: &Shared, req: &Request, enqueued: Instant) -> (Endpoint, Respon
                         Err(fenced) => fenced,
                         Ok(()) => shared
                             .engine
-                            .sweep(&r, enqueued, &|job| offer_shards(shared, job)),
+                            .sweep(&r, enqueued, &|job| offer_helpers(shared, job)),
                     },
                     Err(bad) => bad,
                 },
@@ -870,15 +920,16 @@ fn render_bin(outcome: &Outcome) -> Response {
     }
 }
 
-/// Offers a job's shards to idle workers: one queue item per extra
-/// worker that could plausibly help. Items that don't fit (queue full)
-/// are simply not offered — claiming keeps correctness independent of
-/// who shows up. Returns how many items were enqueued.
-fn offer_shards(shared: &Shared, job: &Arc<SweepJob>) -> usize {
-    let helpers = shared.workers.saturating_sub(1).min(job.tws.len());
+/// Offers a job to idle workers: one queue item per extra worker that
+/// could plausibly help, at most one per unclaimed item. Items that
+/// don't fit (queue full) are simply not offered — claiming keeps
+/// correctness independent of who shows up. Returns how many were
+/// enqueued.
+fn offer_helpers(shared: &Shared, job: &Arc<SweepJob>) -> usize {
+    let helpers = shared.workers.saturating_sub(1).min(job.unclaimed());
     let mut offered = 0;
     for _ in 0..helpers {
-        if shared.queue.push(Work::Shard(Arc::clone(job))).is_err() {
+        if shared.queue.push(Work::Job(Arc::clone(job))).is_err() {
             break;
         }
         offered += 1;
@@ -1011,4 +1062,121 @@ fn handle_metrics(shared: &Shared) -> Response {
         m.jobs.to_json(),
         m.admin.to_json(),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptb_accel::config::Policy;
+    use ptb_bench::RunOptions;
+
+    /// A one-point sweep still has one item per layer to share: a
+    /// coordinator's one-point shard must get a helper on a two-worker
+    /// pool, a one-worker pool must stay strictly serial, and a pool
+    /// wider than the job offers one helper per item at most.
+    #[test]
+    fn a_one_point_sweep_is_offered_one_helper_per_spare_worker() {
+        let layers = spikegen::dvs_gesture().layers.len();
+        assert!(layers < 7, "the widest pool below outnumbers the items");
+        for (workers, helpers) in [(1, 0), (2, 1), (4, 3), (8, layers)] {
+            let shared = Shared::new(&ServerConfig {
+                workers,
+                ..ServerConfig::default()
+            });
+            let job = Arc::new(SweepJob::new(
+                spikegen::dvs_gesture(),
+                Policy::ptb(),
+                vec![8],
+                RunOptions::quick(),
+            ));
+            assert_eq!(offer_helpers(&shared, &job), helpers, "{workers} workers");
+            assert_eq!(shared.queue.len(), helpers, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_fails_the_job_and_the_worker_survives() {
+        let shared = Arc::new(Shared::new(&ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        }));
+        let metrics = &shared.engine.metrics;
+        // An invalid TW makes every layer's `SimInputs::hpca22` assert.
+        let doomed = Arc::new(SweepJob::new(
+            spikegen::dvs_gesture(),
+            Policy::ptb(),
+            vec![0],
+            RunOptions::quick(),
+        ));
+        assert_eq!(offer_helpers(&shared, &doomed), 1);
+        // A second job queued behind it shows the worker lives on.
+        let after = Arc::new(SweepJob::new(
+            spikegen::dvs_gesture(),
+            Policy::ptb(),
+            vec![8],
+            RunOptions::quick(),
+        ));
+        assert_eq!(offer_helpers(&shared, &after), 1);
+        shared.queue.close();
+        // The helper drains the queue before the handler claims
+        // anything, so the panic lands on the helper's thread.
+        let worker = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(&shared))
+        };
+        worker
+            .join()
+            .expect("the worker thread must survive the panic");
+        let state = doomed.state();
+        let JobState::Failed { reason } = state else {
+            panic!("the helper's panic must fail the job, got {state:?}");
+        };
+        assert!(
+            reason.contains("tw=0") && reason.contains("panicked"),
+            "{reason}"
+        );
+        assert_eq!(metrics.panics_contained.load(Ordering::Relaxed), 1);
+        // The handler's own drain sees the failure and claims nothing.
+        assert_eq!(
+            doomed.drain_until(&shared.engine.cache, None, Some(metrics)),
+            0
+        );
+        doomed.wait();
+        assert_eq!(
+            after.state(),
+            JobState::Done,
+            "the same worker ran the next job"
+        );
+    }
+
+    #[test]
+    fn stale_helper_offers_neither_count_nor_hold_slots() {
+        let shared = Shared::new(&ServerConfig {
+            workers: 2,
+            queue_cap: 1,
+            ..ServerConfig::default()
+        });
+        let job = Arc::new(SweepJob::new(
+            spikegen::dvs_gesture(),
+            Policy::ptb(),
+            vec![8],
+            RunOptions::quick(),
+        ));
+        assert_eq!(offer_helpers(&shared, &job), 1);
+        assert_eq!(shared.queue.len(), 1, "a live offer is queued work");
+        assert_eq!(shared.queue.conns(), 0, "but not a waiting connection");
+        // The handler drains the job alone before the helper dequeues.
+        job.drain(&shared.engine.cache);
+        assert_eq!(shared.queue.len(), 0, "a stale offer is not queued work");
+        // ...so it neither counts toward admission control nor keeps a
+        // full queue from taking the next job's offer.
+        let next = Arc::new(SweepJob::new(
+            spikegen::dvs_gesture(),
+            Policy::ptb(),
+            vec![4],
+            RunOptions::quick(),
+        ));
+        assert_eq!(offer_helpers(&shared, &next), 1);
+        assert_eq!(shared.queue.len(), 1);
+    }
 }

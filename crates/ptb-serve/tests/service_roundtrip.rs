@@ -113,6 +113,37 @@ fn sharded_sweep_matches_sweep_summary_cached_exactly() {
 }
 
 #[test]
+fn one_and_two_worker_daemons_answer_identical_bytes() {
+    // A one-worker daemon drains every (TW point, layer) item on its
+    // handler thread; a two-worker one shares them with a helper. The
+    // bytes must not tell them apart, for any policy or audit level.
+    let serial = test_server(1);
+    let pooled = test_server(2);
+    for policy in Policy::all() {
+        let label = policy.label();
+        for verify in ["off", "sample"] {
+            let body = format!(
+                "{{\"network\": \"DVS-Gesture\", \"policy\": \"{label}\", \
+                 \"tws\": [1, 8, 64], \"quick\": true, \"verify\": \"{verify}\"}}"
+            );
+            let one = client::request_json(serial.addr(), "POST", "/sweep", &body).unwrap();
+            let two = client::request_json(pooled.addr(), "POST", "/sweep", &body).unwrap();
+            assert_eq!(one.0, 200, "{label} {verify}: {}", one.1);
+            assert_eq!(one, two, "{label} verify={verify}: sweep bytes differ");
+        }
+        let body = simulate_body("CIFAR10-DVS", label, 4, 42);
+        let one = client::request_json(serial.addr(), "POST", "/simulate", &body).unwrap();
+        let two = client::request_json(pooled.addr(), "POST", "/simulate", &body).unwrap();
+        assert_eq!(one.0, 200, "{label}: {}", one.1);
+        assert_eq!(one, two, "{label}: simulate bytes differ");
+    }
+    for server in [serial, pooled] {
+        server.shutdown();
+        server.join();
+    }
+}
+
+#[test]
 fn background_sweeps_poll_to_the_same_rows() {
     let server = test_server(2);
     let addr = server.addr();

@@ -181,14 +181,6 @@ pub enum AuditError {
         /// Layer name.
         layer: String,
     },
-    /// Re-simulating with a different worker count changed the report:
-    /// the tally merge is not permutation-invariant.
-    MergeDivergence {
-        /// Layer name.
-        layer: String,
-        /// The worker count whose report diverged from the serial one.
-        threads: usize,
-    },
     /// An energy/latency/tally accumulator saturated instead of
     /// wrapping: totals are a lower bound, not exact.
     AccumulatorSaturation {
@@ -289,11 +281,6 @@ impl fmt::Display for AuditError {
                 f,
                 "reference divergence in layer {layer}: report differs from the \
                  serial reference simulation"
-            ),
-            AuditError::MergeDivergence { layer, threads } => write!(
-                f,
-                "merge divergence in layer {layer}: {threads}-worker report differs \
-                 from serial"
             ),
             AuditError::AccumulatorSaturation { layer, saturated } => write!(
                 f,

@@ -218,40 +218,10 @@ impl AccessCounts {
         })
     }
 
-    /// Adds every counter of `other` into `self`.
-    ///
-    /// Counters are plain integer sums, so merging is associative and
-    /// commutative: folding any partition of a trace in any order
-    /// produces identical totals. `ptb_accel::sim` relies on this to
-    /// fan its position scan across worker threads while staying
-    /// bit-identical to the serial walk.
-    pub fn merge(&mut self, other: &AccessCounts) {
-        let mut sat = 0u64;
-        for l in 0..4 {
-            for k in 0..5 {
-                self.reads[l][k] = sat_add(self.reads[l][k], other.reads[l][k], &mut sat);
-                self.writes[l][k] = sat_add(self.writes[l][k], other.writes[l][k], &mut sat);
-            }
-        }
-        self.ac_ops = sat_add(self.ac_ops, other.ac_ops, &mut sat);
-        self.mac_ops = sat_add(self.mac_ops, other.mac_ops, &mut sat);
-        self.compare_ops = sat_add(self.compare_ops, other.compare_ops, &mut sat);
-        self.saturated = self
-            .saturated
-            .saturating_add(other.saturated)
-            .saturating_add(sat);
-    }
-
     /// Off-chip traffic in bits (DRAM reads + writes); the quantity the
     /// latency model compares against DRAM bandwidth.
     pub fn dram_traffic_bits(&self) -> u64 {
         self.level_bits(MemLevel::Dram)
-    }
-}
-
-impl std::ops::AddAssign<&AccessCounts> for AccessCounts {
-    fn add_assign(&mut self, rhs: &AccessCounts) {
-        self.merge(rhs);
     }
 }
 
@@ -294,64 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_everything() {
-        let mut a = AccessCounts::new();
-        a.read(MemLevel::Dram, DataKind::Weight, 10);
-        a.ac_ops = 5;
-        let mut b = AccessCounts::new();
-        b.read(MemLevel::Dram, DataKind::Weight, 7);
-        b.write(MemLevel::Scratchpad, DataKind::Membrane, 3);
-        b.ac_ops = 2;
-        b.mac_ops = 9;
-        b.compare_ops = 1;
-        a += &b;
-        assert_eq!(a.read_bits(MemLevel::Dram, DataKind::Weight), 17);
-        assert_eq!(a.write_bits(MemLevel::Scratchpad, DataKind::Membrane), 3);
-        assert_eq!(a.ac_ops, 7);
-        assert_eq!(a.mac_ops, 9);
-        assert_eq!(a.compare_ops, 1);
-    }
-
-    #[test]
-    fn merge_is_order_invariant() {
-        // The property the parallel tally reduction depends on: any
-        // merge order of disjoint trace shards yields the same totals.
-        let shard = |seed: u64| {
-            let mut c = AccessCounts::new();
-            c.read(MemLevel::Dram, DataKind::Weight, seed * 3 + 1);
-            c.write(MemLevel::L1, DataKind::InputSpike, seed * 7 + 2);
-            c.transfer(
-                MemLevel::Dram,
-                MemLevel::GlobalBuffer,
-                DataKind::Membrane,
-                seed,
-            );
-            c.ac_ops = seed * 11;
-            c.compare_ops = seed + 5;
-            c
-        };
-        let shards: Vec<AccessCounts> = (0..6).map(shard).collect();
-        let mut fwd = AccessCounts::new();
-        for s in &shards {
-            fwd.merge(s);
-        }
-        let mut rev = AccessCounts::new();
-        for s in shards.iter().rev() {
-            rev.merge(s);
-        }
-        assert_eq!(fwd, rev);
-        // Pairwise tree fold agrees with the linear fold too.
-        let mut left = shards[0].clone();
-        left.merge(&shards[1]);
-        left.merge(&shards[2]);
-        let mut right = shards[3].clone();
-        right.merge(&shards[4]);
-        right.merge(&shards[5]);
-        left.merge(&right);
-        assert_eq!(fwd, left);
-    }
-
-    #[test]
     fn default_is_all_zero() {
         let c = AccessCounts::new();
         for l in MemLevel::ALL {
@@ -386,17 +298,5 @@ mod tests {
         // Aggregations over a clamped trace must not wrap either.
         assert_eq!(c.level_bits(MemLevel::Dram), u64::MAX);
         assert_eq!(c.dram_traffic_bits(), u64::MAX);
-    }
-
-    #[test]
-    fn merge_propagates_and_detects_saturation() {
-        let mut a = AccessCounts::new();
-        a.read(MemLevel::L1, DataKind::Psum, u64::MAX - 1);
-        let mut b = AccessCounts::new();
-        b.read(MemLevel::L1, DataKind::Psum, 2);
-        b.saturated = 3; // pre-existing findings travel with the shard
-        a.merge(&b);
-        assert_eq!(a.read_bits(MemLevel::L1, DataKind::Psum), u64::MAX);
-        assert_eq!(a.saturated, 4, "3 inherited + 1 from the merge clamp");
     }
 }

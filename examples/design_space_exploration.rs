@@ -39,7 +39,6 @@ fn main() {
                 arch: ArchConfig::hpca22().with_array(dims),
                 energy: EnergyModel::cacti_32nm(),
                 tw_size: tw,
-                threads: 1,
             };
             let r = simulate_layer(&inputs, Policy::ptb_with_stsap(), layer.shape, &activity);
             print!(" {:>11.3e}", r.edp());

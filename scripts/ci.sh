@@ -47,11 +47,12 @@ FIG_TMP="$(mktemp -d)"
 diff -r --exclude=.cache "$FIG_TMP/results" results
 rm -rf "$FIG_TMP"
 
-echo "== bench smoke (oracle, serial and threaded reports must be bit-identical)"
-# The binary asserts that the serial per-tap oracle, the production
-# kernel on one thread and the production kernel threaded produce one
-# report for every layer and TW before timing them; PTB_BENCH_OUT keeps
-# the checked-in full-fidelity recording untouched.
+echo "== bench smoke (oracle = production; a sweep drained by 1 and 2 threads is bit-identical)"
+# The binary asserts that the serial per-tap oracle and the production
+# kernel produce one report for every layer and TW, and that each
+# network's sweep drained by one thread and by at least two produces
+# the same reports, before timing them; PTB_BENCH_OUT keeps the
+# checked-in full-fidelity recording untouched.
 BENCH_TMP="$(mktemp)"
 PTB_QUICK=1 PTB_BENCH_OUT="$BENCH_TMP" ./target/release/bench_sim_parallel
 rm -f "$BENCH_TMP"

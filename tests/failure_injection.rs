@@ -83,7 +83,6 @@ fn degenerate_single_pe_array_still_simulates() {
         arch: ArchConfig::hpca22().with_array(ArrayDims::new(1, 1)),
         energy: EnergyModel::cacti_32nm(),
         tw_size: 8,
-        threads: 1,
     };
     let one = simulate_layer(&inputs, Policy::ptb(), shape, &input);
     let full = simulate_layer(&SimInputs::hpca22(8), Policy::ptb(), shape, &input);

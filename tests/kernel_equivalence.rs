@@ -102,20 +102,17 @@ proptest! {
         for (policy, tw) in runs {
             let inputs = inputs_on(cols, tw);
             let reference = simulate_layer_reference(&inputs, policy, shape, &input);
-            for threads in [1usize, 3] {
-                let word = simulate_layer(&inputs.with_threads(threads), policy, shape, &input);
-                prop_assert_eq!(
-                    &word,
-                    &reference,
-                    "{:?} {:?} t={} tw={} cols={} threads={}",
-                    policy,
-                    shape,
-                    input.timesteps(),
-                    tw,
-                    cols,
-                    threads
-                );
-            }
+            let word = simulate_layer(&inputs, policy, shape, &input);
+            prop_assert_eq!(
+                &word,
+                &reference,
+                "{:?} {:?} t={} tw={} cols={}",
+                policy,
+                shape,
+                input.timesteps(),
+                tw,
+                cols
+            );
         }
     }
 

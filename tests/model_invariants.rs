@@ -134,31 +134,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_scan_matches_serial_for_every_policy(
-        (shape, input) in small_layer_strategy(),
-        tw in 1u32..=16,
-        threads in 2usize..=9,
-    ) {
-        // The tentpole determinism guarantee: fanning the position scan
-        // across N workers produces a LayerReport assert_eq!-identical
-        // to the serial walk, for every policy.
-        let serial = SimInputs::hpca22(tw);
-        let parallel = serial.with_threads(threads);
-        for p in [
-            Policy::ptb(),
-            Policy::ptb_with_stsap(),
-            Policy::BaselineTemporal,
-            Policy::TimeSerial,
-            Policy::Ann,
-            Policy::EventDriven,
-        ] {
-            let a = simulate_layer(&serial, p, shape, &input);
-            let b = simulate_layer(&parallel, p, shape, &input);
-            prop_assert_eq!(a, b, "{:?} diverged at {} threads", p, threads);
-        }
-    }
-
-    #[test]
     fn pack_tile_partitions_entries(seed in any::<u64>(), n in 1usize..120, width in 1u32..=16) {
         let full: u128 = if width == 128 { u128::MAX } else { (1u128 << width) - 1 };
         let tags: Vec<u128> = (0..n)

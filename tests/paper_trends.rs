@@ -82,7 +82,6 @@ fn fig9b_balanced_arrays_beat_extreme_shapes() {
             arch: ArchConfig::hpca22().with_array(dims),
             energy: EnergyModel::cacti_32nm(),
             tw_size: 8,
-            threads: 1,
         };
         simulate_layer(&inputs, Policy::ptb(), shape, &input).edp()
     };
