@@ -19,9 +19,9 @@
 //!   sampled popcount re-derivation.
 //! * [`AuditLevel::Full`] — exhaustive structural checks (every
 //!   position's tiles, every neuron's window popcounts), a diff of the
-//!   report against the oracle's serial per-tap simulation, a merge
-//!   permutation-invariance re-simulation, and a replay sample widened
-//!   to [`FULL_REPLAY_BUDGET`] stratified neurons per layer.
+//!   report against the oracle's serial per-tap simulation, and a
+//!   replay sample widened to [`FULL_REPLAY_BUDGET`] stratified neurons
+//!   per layer.
 //!
 //! Replay at `full` is *capped*, not literally exhaustive: replaying
 //! every post-synaptic neuron of a production CONV layer would cost
@@ -52,9 +52,8 @@
 //!   layer activity.
 //! * **Reference diff** (full only) — the report matches
 //!   [`simulate_layer_reference`], the oracle's serial per-tap walk,
-//!   bit for bit, for every policy including ANN: the production row
-//!   builders, box scans and StSAP coster against the slow, obvious
-//!   walk.
+//!   bit for bit, for every policy including ANN: the production plane
+//!   fill, box scans and StSAP coster against the slow, obvious walk.
 //! * **Saturation** — checked accumulators clamped instead of wrapping;
 //!   a nonzero counter means totals are lower bounds.
 

@@ -4,9 +4,9 @@
 //! The paper fixes the PE count (128) and jointly explores array shape
 //! and TW size against a workload, settling on 16×8 and TW ≈ 8. This
 //! module provides that search as a library API: give it layers with
-//! activity and a candidate space, get the EDP-optimal configuration
-//! (globally, or per layer for the fine-grained variant Section VII
-//! suggests).
+//! activity and a candidate space, get the EDP-optimal configuration.
+//! The per-layer TW choice Section VII suggests is read off a network's
+//! TW sweep by `ptb-bench`'s `ablation_layerwise_tw`.
 
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
@@ -14,7 +14,6 @@ use systolic_sim::array::ArrayDims;
 use systolic_sim::{ArchConfig, EnergyModel};
 
 use crate::config::{Policy, SimInputs};
-use crate::report::LayerReport;
 use crate::sim::simulate_layer;
 
 /// The search space: candidate array shapes and TW sizes.
@@ -107,39 +106,6 @@ pub fn search_joint(
     SearchResult { best, evaluated }
 }
 
-/// Per-layer fine-grained TW selection at a fixed array shape
-/// (Section VII's "layerwise fine-grained optimization"): returns each
-/// layer's best TW and report.
-///
-/// # Panics
-///
-/// Panics if `tw_sizes` is empty.
-pub fn per_layer_tw(
-    layers: &[(ConvShape, &SpikeTensor)],
-    policy: Policy,
-    shape: ArrayDims,
-    tw_sizes: &[u32],
-) -> Vec<(u32, LayerReport)> {
-    assert!(!tw_sizes.is_empty(), "need TW candidates");
-    layers
-        .iter()
-        .map(|&(s, a)| {
-            tw_sizes
-                .iter()
-                .map(|&tw| {
-                    let inputs = SimInputs {
-                        arch: ArchConfig::hpca22().with_array(shape),
-                        energy: EnergyModel::cacti_32nm(),
-                        tw_size: tw,
-                    };
-                    (tw, simulate_layer(&inputs, policy, s, a))
-                })
-                .min_by(|a, b| a.1.edp().total_cmp(&b.1.edp()))
-                .expect("candidates are non-empty")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,27 +149,6 @@ mod tests {
         let tws = space.feasible_tws(&arch);
         assert!(tws.contains(&32));
         assert!(!tws.contains(&64));
-    }
-
-    #[test]
-    fn per_layer_tw_never_worse_than_any_single_tw() {
-        let (shape, input) = workload();
-        let shape2 = ConvShape::new(1, 1, 128, 64, 1).unwrap();
-        let input2 = SpikeTensor::from_fn(128, 64, |n, t| (n + t) % 13 == 0);
-        let layers = [(shape, &input), (shape2, &input2)];
-        let tws = [1u32, 8, 64];
-        let per_layer = per_layer_tw(&layers, Policy::ptb(), ArrayDims::new(16, 8), &tws);
-        let per_layer_edp: f64 = per_layer.iter().map(|(_, r)| r.edp()).sum();
-        for &tw in &tws {
-            let global: f64 = layers
-                .iter()
-                .map(|&(s, a)| simulate_layer(&SimInputs::hpca22(tw), Policy::ptb(), s, a).edp())
-                .sum();
-            assert!(
-                per_layer_edp <= global + 1e-18,
-                "per-layer {per_layer_edp} worse than global tw={tw} ({global})"
-            );
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! choosing each layer's TW independently, per network.
 
 use ptb_accel::config::Policy;
-use ptb_bench::{run_network_cached, RunOptions};
+use ptb_bench::{network_reports, RunOptions};
 
 fn main() {
     let opts = RunOptions::from_env();
@@ -16,19 +16,12 @@ fn main() {
     println!("=== Ablation: global vs per-layer TW choice (PTB+StSAP) ===\n");
     for net in spikegen::datasets::all_benchmarks() {
         // One sweep, reused for both aggregations.
-        let runs: Vec<_> = tws
-            .iter()
-            .map(|&tw| {
-                (
-                    tw,
-                    run_network_cached(&net, Policy::ptb_with_stsap(), tw, &opts, &cache),
-                )
-            })
-            .collect();
+        let reports = network_reports(&net, Policy::ptb_with_stsap(), &tws, &opts, &cache);
+        let runs: Vec<_> = tws.iter().zip(&reports).collect();
 
         let (best_tw, best_global) = runs
             .iter()
-            .map(|(tw, r)| (*tw, r.total_edp()))
+            .map(|&(&tw, r)| (tw, r.total_edp()))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("sweep non-empty");
 
@@ -39,7 +32,7 @@ fn main() {
         for li in 0..n_layers {
             let (tw, edp) = runs
                 .iter()
-                .map(|(tw, r)| (*tw, r.layers[li].1.edp()))
+                .map(|&(&tw, r)| (tw, r.layers[li].1.edp()))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("sweep non-empty");
             per_layer_edp += edp;

@@ -15,9 +15,7 @@ fn main() {
     let opts = RunOptions::from_env();
     let net = spikegen::dvs_gesture();
     let layer = &net.layers[1];
-    let timesteps = opts
-        .max_timesteps
-        .map_or(net.timesteps, |cap| net.timesteps.min(cap));
+    let timesteps = opts.timesteps(&net);
     let neurons = layer.shape.receptive_field();
     // Same tensor identity as fig06_stsap_density samples — with
     // PTB_CACHE=disk the two binaries share one generation.

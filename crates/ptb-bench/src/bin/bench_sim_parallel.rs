@@ -108,16 +108,11 @@ fn main() {
     let mut total_one = 0.0;
     let mut total_pool = 0.0;
     for net in spikegen::datasets::all_benchmarks() {
-        let timesteps = opts
-            .max_timesteps
-            .map_or(net.timesteps, |cap| net.timesteps.min(cap));
         for (i, layer) in net.layers.iter().enumerate() {
-            let shape = opts.effective_shape(layer);
-            let activity = layer.input_profile.generate(
-                shape.ifmap_neurons(),
-                timesteps,
-                ptb_bench::layer_seed(opts.seed, i),
-            );
+            let (shape, timesteps, seed) = opts.layer_inputs(&net, i);
+            let activity = layer
+                .input_profile
+                .generate(shape.ifmap_neurons(), timesteps, seed);
             for tw in tws {
                 let inputs = SimInputs::hpca22(tw);
                 let a = simulate_layer(&inputs, policy, shape, &activity);

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use ptb_accel::config::Policy;
-use ptb_bench::{run_network_cached, ActivityCache, CacheMode, RunOptions};
+use ptb_bench::{network_reports, ActivityCache, CacheMode, RunOptions};
 use serde::Serialize;
 use spikegen::NetworkSpec;
 
@@ -56,19 +56,13 @@ fn sweep(
     opts: &RunOptions,
     cache: &ActivityCache,
 ) -> Vec<ptb_accel::NetworkReport> {
-    let mut reports = vec![run_network_cached(
-        net,
-        Policy::BaselineTemporal,
-        1,
-        opts,
-        cache,
-    )];
+    let mut reports = network_reports(net, Policy::BaselineTemporal, &[1], opts, cache);
     for &tw in tws {
-        reports.push(run_network_cached(net, Policy::ptb(), tw, opts, cache));
-        reports.push(run_network_cached(
+        reports.extend(network_reports(net, Policy::ptb(), &[tw], opts, cache));
+        reports.extend(network_reports(
             net,
             Policy::ptb_with_stsap(),
-            tw,
+            &[tw],
             opts,
             cache,
         ));

@@ -14,9 +14,7 @@ fn main() {
     let cache = opts.new_cache();
     for net in [spikegen::dvs_gesture(), spikegen::cifar10_dvs()] {
         println!("=== Fig. 4: firing-rate distribution, {} ===", net.name);
-        let timesteps = opts
-            .max_timesteps
-            .map_or(net.timesteps, |cap| net.timesteps.min(cap));
+        let timesteps = opts.timesteps(&net);
         for (i, layer) in net.layers.iter().enumerate() {
             // Sample a bounded neuron population per layer for speed.
             let neurons = layer.shape.ifmap_neurons().min(20_000);

@@ -15,9 +15,7 @@ fn main() {
     let opts = RunOptions::from_env();
     let net = spikegen::dvs_gesture();
     let layer = &net.layers[1]; // CONV2
-    let timesteps = opts
-        .max_timesteps
-        .map_or(net.timesteps, |cap| net.timesteps.min(cap));
+    let timesteps = opts.timesteps(&net);
     let cols = 8usize;
     // The sampled population is TW-invariant: generate (or fetch) it
     // once and re-tag per TW instead of regenerating per sweep point.

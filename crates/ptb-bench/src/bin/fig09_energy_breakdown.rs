@@ -15,27 +15,8 @@ fn main() {
     let opts = RunOptions::from_env();
     let net = spikegen::dvs_gesture();
     let layer = &net.layers[1]; // CONV2, the paper's representative layer
-    let timesteps = opts
-        .max_timesteps
-        .map_or(net.timesteps, |cap| net.timesteps.min(cap));
-    let shape = if let Some(cap) = opts.max_ofmap_side {
-        if layer.shape.ofmap_side() > cap {
-            let h = (cap - 1) * layer.shape.stride() + layer.shape.filter_side();
-            snn_core::shape::ConvShape::with_padding(
-                h.saturating_sub(2 * layer.shape.padding()),
-                layer.shape.filter_side(),
-                layer.shape.in_channels(),
-                layer.shape.out_channels(),
-                layer.shape.stride(),
-                layer.shape.padding(),
-            )
-            .unwrap()
-        } else {
-            layer.shape
-        }
-    } else {
-        layer.shape
-    };
+    let timesteps = opts.timesteps(&net);
+    let shape = opts.effective_shape(layer);
     // The (a) TW sweep and the (b) shape sweep reuse one prepared
     // layer: its activity carries across sweep points.
     let prep = opts.new_cache().layer(layer, shape, timesteps, 42);

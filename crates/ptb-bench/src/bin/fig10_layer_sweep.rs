@@ -6,7 +6,7 @@
 //! total energy dissipation and latency by ... over the baseline").
 
 use ptb_accel::config::Policy;
-use ptb_bench::{run_network_cached, RunOptions};
+use ptb_bench::{network_reports, RunOptions};
 
 fn main() {
     let opts = RunOptions::from_env();
@@ -17,7 +17,7 @@ fn main() {
     let cache = opts.new_cache();
     for net in spikegen::datasets::all_benchmarks() {
         println!("=== Fig. 10: {} ===", net.name);
-        let base = run_network_cached(&net, Policy::BaselineTemporal, 1, &opts, &cache);
+        let base = network_reports(&net, Policy::BaselineTemporal, &[1], &opts, &cache).remove(0);
         println!(
             "baseline [14]: total energy {:.3} mJ, latency {:.3} ms",
             base.total_energy_joules() * 1e3,
@@ -31,18 +31,8 @@ fn main() {
             print!(" {:>8}", format!("TW={tw}"));
         }
         println!();
-        // Interleave the two policies per TW so each window size's
-        // activity is scanned while still cache-warm. Output order and
-        // values are unchanged.
-        let (runs, runs_stsap): (Vec<_>, Vec<_>) = tws
-            .iter()
-            .map(|&tw| {
-                (
-                    run_network_cached(&net, Policy::ptb(), tw, &opts, &cache),
-                    run_network_cached(&net, Policy::ptb_with_stsap(), tw, &opts, &cache),
-                )
-            })
-            .unzip();
+        let runs = network_reports(&net, Policy::ptb(), &tws, &opts, &cache);
+        let runs_stsap = network_reports(&net, Policy::ptb_with_stsap(), &tws, &opts, &cache);
         for (li, (lname, lbase)) in base.layers.iter().enumerate() {
             print!("{:<8}", lname);
             for r in &runs {

@@ -7,7 +7,7 @@
 //! AlexNet.
 
 use ptb_accel::config::Policy;
-use ptb_bench::{run_network_cached, RunOptions};
+use ptb_bench::{network_reports, RunOptions};
 
 fn main() {
     let opts = RunOptions::from_env();
@@ -17,7 +17,7 @@ fn main() {
     let cache = opts.new_cache();
     let mut improvements = Vec::new();
     for net in spikegen::datasets::all_benchmarks() {
-        let base = run_network_cached(&net, Policy::BaselineTemporal, 1, &opts, &cache);
+        let base = network_reports(&net, Policy::BaselineTemporal, &[1], &opts, &cache).remove(0);
         println!(
             "=== Fig. 11: {} (baseline EDP {:.3e} J·s) ===",
             net.name,
@@ -27,10 +27,10 @@ fn main() {
             "{:>4} {:>14} {:>14} {:>12}",
             "TW", "EDP (PTB)", "EDP(+StSAP)", "norm(+StSAP)"
         );
+        let ptb_runs = network_reports(&net, Policy::ptb(), &tws, &opts, &cache);
+        let stsap_runs = network_reports(&net, Policy::ptb_with_stsap(), &tws, &opts, &cache);
         let mut best: Option<(u32, f64)> = None;
-        for &tw in &tws {
-            let ptb = run_network_cached(&net, Policy::ptb(), tw, &opts, &cache);
-            let st = run_network_cached(&net, Policy::ptb_with_stsap(), tw, &opts, &cache);
+        for ((&tw, ptb), st) in tws.iter().zip(&ptb_runs).zip(&stsap_runs) {
             let norm = st.total_edp() / base.total_edp();
             println!(
                 "{:>4} {:>14.3e} {:>14.3e} {:>12.5}",

@@ -9,7 +9,7 @@
 use ptb_accel::config::{Policy, SimInputs};
 use ptb_accel::reference::{batched_neuron_forward, serial_neuron_forward};
 use ptb_accel::sim::simulate_layer;
-use ptb_bench::{run_network_cached, RunOptions};
+use ptb_bench::{network_reports, RunOptions};
 use snn_core::neuron::NeuronConfig;
 use snn_core::spike::SpikeTensor;
 
@@ -56,8 +56,8 @@ fn main() {
         for l in &mut net.layers {
             l.input_profile = l.input_profile.with_mean_rate(rate);
         }
-        let snn = run_network_cached(&net, Policy::ptb_with_stsap(), 8, &opts, &cache);
-        let ev = run_network_cached(&net, Policy::EventDriven, 1, &opts, &cache);
+        let snn = network_reports(&net, Policy::ptb_with_stsap(), &[8], &opts, &cache).remove(0);
+        let ev = network_reports(&net, Policy::EventDriven, &[1], &opts, &cache).remove(0);
         println!(
             "{:>9.0}% {:>15.1}x {:>15.1}x {:>15.1}x",
             rate * 100.0,
@@ -73,8 +73,8 @@ fn main() {
     // (few-time-step inference, T = 8).
     println!("\n--- SNN (PTB) vs ANN accelerator, CIFAR10 CNN [47]/[20] ---");
     let cnn = spikegen::datasets::cifar10_cnn();
-    let ann = run_network_cached(&cnn, Policy::Ann, 1, &opts, &cache);
-    let snn = run_network_cached(&cnn, Policy::ptb_with_stsap(), 8, &opts, &cache);
+    let ann = network_reports(&cnn, Policy::Ann, &[1], &opts, &cache).remove(0);
+    let snn = network_reports(&cnn, Policy::ptb_with_stsap(), &[8], &opts, &cache).remove(0);
     println!(
         "ANN: {:.3} mJ, {:.3} ms | SNN+PTB: {:.3} mJ, {:.3} ms",
         ann.total_energy_joules() * 1e3,

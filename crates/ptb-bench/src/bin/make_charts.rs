@@ -10,7 +10,7 @@
 use ptb_accel::config::{Policy, SimInputs};
 use ptb_accel::sim::simulate_layer;
 use ptb_bench::plot::LineChart;
-use ptb_bench::{run_network_cached, RunOptions};
+use ptb_bench::{network_reports, RunOptions};
 use systolic_sim::DataKind;
 
 fn tw_ticks(tws: &[u32]) -> Vec<(f64, String)> {
@@ -30,9 +30,7 @@ fn main() {
     // ------------------------------------------------ Fig. 9(a)
     let net = spikegen::dvs_gesture();
     let conv2 = &net.layers[1];
-    let timesteps = opts
-        .max_timesteps
-        .map_or(net.timesteps, |cap| net.timesteps.min(cap));
+    let timesteps = opts.timesteps(&net);
     // Use a cropped shape consistent with the sampled activity; the
     // prepared layer reuses its activity across the TW sweep.
     let shape =
@@ -70,15 +68,14 @@ fn main() {
     .log_y()
     .x_ticks(tw_ticks(&tws));
     for net in spikegen::datasets::all_benchmarks() {
-        let base = run_network_cached(&net, Policy::BaselineTemporal, 1, &opts, &cache).total_edp();
-        let pts: Vec<(f64, f64)> = tws
-            .iter()
-            .map(|&tw| {
-                let edp = run_network_cached(&net, Policy::ptb_with_stsap(), tw, &opts, &cache)
-                    .total_edp();
-                (f64::from(tw).log2(), edp / base)
-            })
-            .collect();
+        let base =
+            network_reports(&net, Policy::BaselineTemporal, &[1], &opts, &cache)[0].total_edp();
+        let pts: Vec<(f64, f64)> =
+            network_reports(&net, Policy::ptb_with_stsap(), &tws, &opts, &cache)
+                .iter()
+                .zip(&tws)
+                .map(|(r, &tw)| (f64::from(tw).log2(), r.total_edp() / base))
+                .collect();
         chart = chart.series(net.name.clone(), pts);
     }
     chart
@@ -95,8 +92,8 @@ fn main() {
         for l in &mut net.layers {
             l.input_profile = l.input_profile.with_mean_rate(rate);
         }
-        let snn = run_network_cached(&net, Policy::ptb_with_stsap(), 8, &opts, &cache);
-        let ev = run_network_cached(&net, Policy::EventDriven, 1, &opts, &cache);
+        let snn = network_reports(&net, Policy::ptb_with_stsap(), &[8], &opts, &cache).remove(0);
+        let ev = network_reports(&net, Policy::EventDriven, &[1], &opts, &cache).remove(0);
         energy_pts.push((
             rate * 100.0,
             ev.total_energy_joules() / snn.total_energy_joules(),

@@ -10,7 +10,7 @@
 //! schedule and prints a per-layer report (or JSON with `--json`).
 
 use ptb_accel::config::{Policy, SimInputs};
-use ptb_bench::{run_network_with, RunOptions};
+use ptb_bench::{network_reports, RunOptions};
 use systolic_sim::array::ArrayDims;
 use systolic_sim::{ArchConfig, EnergyModel};
 
@@ -116,11 +116,12 @@ fn main() {
     };
     opts.seed = args.seed;
     opts.cache = ptb_bench::CacheMode::from_env();
+    let cache = opts.new_cache();
 
     // Custom array geometry flows through a bespoke SimInputs; reuse the
     // harness when it is the default 16x8.
     let report = if (args.rows, args.cols) == (16, 8) {
-        run_network_with(&spec, args.policy, args.tw, &opts)
+        network_reports(&spec, args.policy, &[args.tw], &opts, &cache).remove(0)
     } else {
         let inputs = SimInputs {
             arch: ArchConfig::hpca22().with_array(ArrayDims::new(args.rows, args.cols)),
@@ -133,18 +134,10 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, l)| {
-                let timesteps = opts
-                    .max_timesteps
-                    .map_or(spec.timesteps, |cap| spec.timesteps.min(cap));
-                let shape = opts.effective_shape(l);
                 // Same key the harness uses, so a disk-cache entry
                 // written by a default-array run is reused here.
-                let prep = opts.new_cache().layer(
-                    l,
-                    shape,
-                    timesteps,
-                    ptb_bench::layer_seed(args.seed, i),
-                );
+                let (shape, timesteps, seed) = opts.layer_inputs(&spec, i);
+                let prep = cache.layer(l, shape, timesteps, seed);
                 (
                     l.name.clone(),
                     ptb_accel::sim::simulate_layer(&inputs, args.policy, shape, prep.spikes()),

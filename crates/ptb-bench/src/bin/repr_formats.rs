@@ -10,9 +10,7 @@ fn main() {
     let opts = RunOptions::from_env();
     println!("=== Spike storage formats (bits, lower is better) ===\n");
     for net in spikegen::datasets::all_benchmarks() {
-        let timesteps = opts
-            .max_timesteps
-            .map_or(net.timesteps, |cap| net.timesteps.min(cap));
+        let timesteps = opts.timesteps(&net);
         println!("{} (T = {timesteps}):", net.name);
         println!(
             "  {:<8} {:>8} {:>12} {:>12} {:>12} {:>12}",

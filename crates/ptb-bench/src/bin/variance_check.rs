@@ -5,7 +5,7 @@
 //! reports mean, spread, and the min/max improvement.
 
 use ptb_accel::config::Policy;
-use ptb_bench::{run_network_cached, RunOptions};
+use ptb_bench::{network_reports, RunOptions};
 
 fn main() {
     let base_opts = RunOptions::from_env();
@@ -22,8 +22,8 @@ fn main() {
     let mut improvements = Vec::new();
     for &seed in seeds {
         let opts = RunOptions { seed, ..base_opts };
-        let base = run_network_cached(&net, Policy::BaselineTemporal, 1, &opts, &cache);
-        let ptb = run_network_cached(&net, Policy::ptb_with_stsap(), 8, &opts, &cache);
+        let base = network_reports(&net, Policy::BaselineTemporal, &[1], &opts, &cache).remove(0);
+        let ptb = network_reports(&net, Policy::ptb_with_stsap(), &[8], &opts, &cache).remove(0);
         let imp = base.total_edp() / ptb.total_edp();
         println!(
             "{:>8} {:>16.3e} {:>16.3e} {:>11.1}x",

@@ -10,7 +10,7 @@
 //! (whose `T = 8` makes TW 16 and 64 single-window) under every policy
 //! ([`Policy::all`]: PTB, PTB+StSAP, baseline \[14\], time-serial, ANN
 //! and event-driven) through
-//! [`ptb_bench::sweep_summary_verified`] at the chosen audit level (default: `PTB_VERIFY`, falling back to `full`) and
+//! [`ptb_bench::sweep_reports`] at the chosen audit level (default: `PTB_VERIFY`, falling back to `full`) and
 //! prints a JSON summary of coverage counters and findings. At `full`
 //! every layer of every sweep is diffed against the serial per-tap
 //! oracle, so each production kernel path is checked on the
@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use ptb_accel::audit::{AuditLevel, AuditSummary};
 use ptb_accel::config::Policy;
-use ptb_bench::{sweep_summary_verified, RunOptions};
+use ptb_bench::{sweep_reports, RunOptions};
 use serde::Serialize;
 use spikegen::NetworkSpec;
 
@@ -125,7 +125,10 @@ fn audited_sweep(
     };
     let cache = opts.new_cache();
     let t0 = Instant::now();
-    let (_rows, summary) = sweep_summary_verified(net, policy, &TWS, &opts, &cache);
+    let mut summary = AuditSummary::new(level);
+    for (_, point) in sweep_reports(net, policy, &TWS, &opts, &cache, ptb_bench::pool_size()) {
+        summary.merge(point);
+    }
     (t0.elapsed().as_secs_f64() * 1e3, summary)
 }
 
@@ -167,7 +170,7 @@ fn run_levels(base: &RunOptions, quick: bool) -> ! {
     }
     let report = BenchReport {
         description: "PTB+StSAP TW sweep (tws 1/4/16/64) per paper workload through \
-                      sweep_summary_verified at PTB_VERIFY=off/sample/full; audits \
+                      sweep_reports at PTB_VERIFY=off/sample/full; audits \
                       asserted clean before timing, overheads relative to off"
             .to_string(),
         quick_mode: quick,

@@ -1,5 +1,9 @@
 //! Shared experiment plumbing: generate a benchmark network's activity,
 //! run every layer through the accelerator model, and format results.
+//!
+//! Three drivers run a network's TW sweep as one [`WorkList`]:
+//! [`sweep_reports`] (reports and audits), [`network_reports`] (reports)
+//! and [`sweep_rows`] (rows). A one-point run passes `&[tw]`.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -7,6 +11,7 @@ use ptb_accel::audit::{self, AuditLevel, AuditSummary};
 use ptb_accel::config::{Policy, SimInputs};
 use ptb_accel::report::{LayerReport, NetworkReport};
 use ptb_accel::sim::simulate_layer;
+use snn_core::shape::ConvShape;
 use spikegen::NetworkSpec;
 
 use crate::cache::{ActivityCache, CacheMode};
@@ -30,10 +35,9 @@ pub struct RunOptions {
     /// [`CacheMode::Disk`], the `results/.cache/` directory) changes.
     pub cache: CacheMode,
     /// Runtime audit level (`ptb_accel::audit`). [`AuditLevel::Off`]
-    /// (the default) adds no work; the verified entry points
-    /// ([`run_network_verified`], [`sweep_summary_verified`]) honor it
-    /// and report findings, and [`run_network_cached`] logs any
-    /// findings to stderr without changing its return type.
+    /// (the default) adds no work; [`sweep_reports`] returns the
+    /// findings, and [`network_reports`] and [`sweep_rows`] log them to
+    /// stderr.
     pub verify: AuditLevel,
 }
 
@@ -72,14 +76,8 @@ impl RunOptions {
     /// `PTB_VERIFY=off|sample|full` to select the runtime audit level
     /// (results are identical; see `ptb_accel::audit`).
     pub fn from_env() -> Self {
-        let mut opts = if std::env::var("PTB_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
-            Self::quick()
-        } else {
-            Self::full()
-        };
+        let quick = std::env::var("PTB_QUICK").is_ok_and(|v| v == "1");
+        let mut opts = if quick { Self::quick() } else { Self::full() };
         opts.cache = CacheMode::from_env();
         opts.verify = AuditLevel::from_env();
         opts
@@ -87,15 +85,22 @@ impl RunOptions {
 
     /// An [`ActivityCache`] in this run's [`RunOptions::cache`] mode,
     /// for callers that sweep many configurations and want to share
-    /// generated activity across [`run_network_cached`] calls.
+    /// generated activity across driver calls.
     pub fn new_cache(&self) -> ActivityCache {
         ActivityCache::new(self.cache)
+    }
+
+    /// The operational period to simulate `spec` over: its `T`, capped
+    /// at [`RunOptions::max_timesteps`].
+    pub fn timesteps(&self, spec: &NetworkSpec) -> usize {
+        self.max_timesteps
+            .map_or(spec.timesteps, |cap| spec.timesteps.min(cap))
     }
 
     /// The shape to simulate for `spec` under these options: the spec's
     /// own shape, spatially cropped (channels, filter, stride, padding
     /// preserved; ifmap shrunk so the ofmap side fits `max_ofmap_side`).
-    pub fn effective_shape(&self, spec: &spikegen::LayerSpec) -> snn_core::shape::ConvShape {
+    pub fn effective_shape(&self, spec: &spikegen::LayerSpec) -> ConvShape {
         let s = spec.shape;
         let Some(cap) = self.max_ofmap_side else {
             return s;
@@ -107,7 +112,7 @@ impl RunOptions {
         // H' = (cap-1)·U + R − 2·pad.
         let h = (cap - 1) * s.stride() + s.filter_side();
         let h = h.saturating_sub(2 * s.padding()).max(s.filter_side());
-        snn_core::shape::ConvShape::with_padding(
+        ConvShape::with_padding(
             h,
             s.filter_side(),
             s.in_channels(),
@@ -117,91 +122,21 @@ impl RunOptions {
         )
         .expect("cropped shape remains valid")
     }
-}
 
-/// Runs every layer of `spec` under `policy` at time-window size `tw`,
-/// with full-fidelity options.
-pub fn run_network(spec: &NetworkSpec, policy: Policy, tw: u32) -> NetworkReport {
-    run_network_with(spec, policy, tw, &RunOptions::full())
-}
-
-/// Runs every layer of `spec` under `policy` at `tw`, honoring `opts`.
-///
-/// Convenience wrapper over [`run_network_cached`] with a private,
-/// call-local cache: a single run sees no cross-run reuse, but layers
-/// sharing one `(profile, shape, seed)` identity within the run still
-/// share one generated tensor. Sweep callers should hold an
-/// [`ActivityCache`] (see [`RunOptions::new_cache`]) and call
-/// [`run_network_cached`] so generation is shared across sweep points.
-pub fn run_network_with(
-    spec: &NetworkSpec,
-    policy: Policy,
-    tw: u32,
-    opts: &RunOptions,
-) -> NetworkReport {
-    run_network_cached(spec, policy, tw, opts, &opts.new_cache())
-}
-
-/// Runs every layer of `spec` under `policy` at `tw`, honoring `opts`
-/// and sharing generated activity through `cache`.
-///
-/// The report is bit-identical to [`run_network_with`] (and to the
-/// pre-cache harness) for every cache mode: the per-layer seed
-/// derivation below is part of the cache key, and everything the cache
-/// memoizes is a pure function of that key
-/// (`ptb-bench/tests/cache_equivalence.rs` pins this).
-pub fn run_network_cached(
-    spec: &NetworkSpec,
-    policy: Policy,
-    tw: u32,
-    opts: &RunOptions,
-    cache: &ActivityCache,
-) -> NetworkReport {
-    let (report, summary) = run_network_verified(spec, policy, tw, opts, cache);
-    log_findings(spec, tw, &summary);
-    report
-}
-
-/// The activity seed of layer `index` in a run seeded `run_seed`: each
-/// layer draws its own stream, and the derivation is part of the
-/// activity-cache key.
-pub fn layer_seed(run_seed: u64, index: usize) -> u64 {
-    run_seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(index as u64)
-}
-
-/// [`run_network_cached`] plus the audit outcome: every layer is
-/// simulated and then audited at [`RunOptions::verify`]
-/// (`ptb_accel::audit`), and — when auditing is on — the layer's
-/// cached activity tensor is diffed, exhaustively, against a fresh
-/// regeneration, so a bit flipped anywhere between generation and
-/// consumption (e.g. a corrupted disk-cache entry) surfaces as a
-/// [`snn_core::error::AuditError::CorruptActivity`] finding.
-///
-/// The report is bit-identical to [`run_network_cached`] at every
-/// level; at [`AuditLevel::Off`] the summary is empty and no audit
-/// work runs.
-///
-/// At [`AuditLevel::Off`] a TW-invariant policy
-/// ([`Policy::tw_invariant`]) is simulated once per cached layer and
-/// its report reused by later TW points
-/// ([`ptb_accel::PreparedLayer::simulate_memoized`]). Audited runs
-/// neither read nor fill that memo: they simulate every layer afresh,
-/// so the audit never checks a memoized report against itself.
-///
-/// This is a one-point [`sweep_reports`]: the layers are the items of a
-/// [`WorkList`], drained on a pool of [`pool_size`] threads.
-pub fn run_network_verified(
-    spec: &NetworkSpec,
-    policy: Policy,
-    tw: u32,
-    opts: &RunOptions,
-    cache: &ActivityCache,
-) -> (NetworkReport, AuditSummary) {
-    sweep_reports(spec, policy, &[tw], opts, cache, pool_size())
-        .pop()
-        .expect("a one-point sweep has one point")
+    /// What layer `index` of `spec` is simulated on in this run: its
+    /// [effective shape](RunOptions::effective_shape), the
+    /// [period](RunOptions::timesteps) and its activity seed — the
+    /// activity-cache key's ingredients, so every caller that builds
+    /// a layer's activity from them meets the same cache entry.
+    pub fn layer_inputs(&self, spec: &NetworkSpec, index: usize) -> (ConvShape, usize, u64) {
+        // Each layer draws its own activity stream.
+        let seed = self
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(index as u64);
+        let shape = self.effective_shape(&spec.layers[index]);
+        (shape, self.timesteps(spec), seed)
+    }
 }
 
 /// What one (TW point, layer) item of a sweep produces: the layer's
@@ -214,8 +149,16 @@ pub struct LayerRun {
 }
 
 /// Simulates layer `index` of `spec` under `policy` at `tw` — the body
-/// of one [`WorkList`] item — and audits it at [`RunOptions::verify`]
-/// (see [`run_network_verified`]).
+/// of one [`WorkList`] item — and audits it at [`RunOptions::verify`].
+///
+/// Unaudited, a TW-invariant policy ([`Policy::tw_invariant`]) is
+/// simulated once per cached layer and reused by later TW points
+/// ([`ptb_accel::PreparedLayer::simulate_memoized`]). An audited run
+/// simulates afresh, so no memoized report is checked against itself,
+/// and diffs the cached activity against a fresh regeneration, so a bit
+/// flipped between generation and use (e.g. in a disk-cache entry)
+/// surfaces as a [`snn_core::error::AuditError::CorruptActivity`]
+/// finding. The report is bit-identical at every level.
 pub fn run_layer(
     spec: &NetworkSpec,
     policy: Policy,
@@ -227,11 +170,7 @@ pub fn run_layer(
     let layer = &spec.layers[index];
     let inputs = SimInputs::hpca22(tw);
     let level = opts.verify;
-    let timesteps = opts
-        .max_timesteps
-        .map_or(spec.timesteps, |cap| spec.timesteps.min(cap));
-    let shape = opts.effective_shape(layer);
-    let seed = layer_seed(opts.seed, index);
+    let (shape, timesteps, seed) = opts.layer_inputs(spec, index);
     let prep = cache.layer(layer, shape, timesteps, seed);
     // An audit must check a fresh report, never a memoized one.
     let report = if level.is_on() {
@@ -295,6 +234,10 @@ pub fn pool_size() -> usize {
 /// drained by `drainers` threads, the caller's included (no more
 /// threads than items). The results are bit-identical for every
 /// drainer count; one drainer is the plain serial loop.
+///
+/// All points share `cache`: activity is generated once per layer, and
+/// the reports are bit-identical for every cache mode
+/// (`ptb-bench/tests/cache_equivalence.rs` pins this).
 pub fn sweep_reports(
     spec: &NetworkSpec,
     policy: Policy,
@@ -328,6 +271,26 @@ pub fn sweep_reports(
         .collect()
 }
 
+/// [`sweep_reports`] on a pool of [`pool_size`] drainers, each point's
+/// audit findings (if any) logged to stderr: the reports of `policy`
+/// over `spec` at every TW of `tws`, in order.
+pub fn network_reports(
+    spec: &NetworkSpec,
+    policy: Policy,
+    tws: &[u32],
+    opts: &RunOptions,
+    cache: &ActivityCache,
+) -> Vec<NetworkReport> {
+    sweep_reports(spec, policy, tws, opts, cache, pool_size())
+        .into_iter()
+        .zip(tws)
+        .map(|((report, summary), &tw)| {
+            log_findings(spec, tw, &summary);
+            report
+        })
+        .collect()
+}
+
 /// Prints an unclean audit's findings to stderr.
 fn log_findings(spec: &NetworkSpec, tw: u32, summary: &AuditSummary) {
     if summary.is_clean() {
@@ -350,7 +313,7 @@ fn log_findings(spec: &NetworkSpec, tw: u32, summary: &AuditSummary) {
 /// Serializable (and comparable with exact float equality) so sharded
 /// sweeps — e.g. `ptb-serve` fanning TW points across workers — can
 /// ship rows over the wire and assert bit-identity with an in-process
-/// [`sweep_summary_cached`] run.
+/// [`sweep_rows`] run.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SweepRow {
     /// Time-window size.
@@ -375,99 +338,29 @@ impl SweepRow {
     }
 }
 
-/// Runs a TW sweep of `policy` over `spec` and returns the rows.
-///
-/// All sweep points share one [`ActivityCache`] in the mode selected by
-/// [`RunOptions::cache`], so activity is generated once per layer and
-/// each subsequent TW point re-simulates incrementally: PTB re-derives
-/// only its TW-dependent window rows and schedule from the cached spike
-/// words, and a
-/// TW-invariant policy ([`Policy::tw_invariant`]) is simulated once per
-/// layer and reused at every other TW point (unless
-/// [`RunOptions::verify`] audits the run, which always recomputes). Use
-/// [`sweep_summary_cached`] to share the cache across *several* sweeps
-/// (e.g. one per policy).
-pub fn sweep_summary(
-    spec: &NetworkSpec,
-    policy: Policy,
-    tws: &[u32],
-    opts: &RunOptions,
-) -> Vec<SweepRow> {
-    sweep_summary_cached(spec, policy, tws, opts, &opts.new_cache())
-}
-
-/// [`sweep_summary`] with a caller-held cache, so several sweeps (e.g.
-/// PTB and PTB+StSAP over the same network) share generated activity.
-pub fn sweep_summary_cached(
+/// [`network_reports`] reduced to one [`SweepRow`] per point, in `tws`
+/// order. A row is a pure function of its TW, so a sharded sweep that
+/// runs its points anywhere and merges them ([`merge_shards`]) matches
+/// this exactly.
+pub fn sweep_rows(
     spec: &NetworkSpec,
     policy: Policy,
     tws: &[u32],
     opts: &RunOptions,
     cache: &ActivityCache,
 ) -> Vec<SweepRow> {
-    sweep_reports(spec, policy, tws, opts, cache, pool_size())
+    network_reports(spec, policy, tws, opts, cache)
         .iter()
         .zip(tws)
-        .map(|((report, summary), &tw)| {
-            log_findings(spec, tw, summary);
-            SweepRow::of(tw, report)
-        })
+        .map(|(report, &tw)| SweepRow::of(tw, report))
         .collect()
-}
-
-/// [`sweep_summary_cached`] plus the audit outcome merged across every
-/// sweep point in `tws` order (see [`run_network_verified`]).
-pub fn sweep_summary_verified(
-    spec: &NetworkSpec,
-    policy: Policy,
-    tws: &[u32],
-    opts: &RunOptions,
-    cache: &ActivityCache,
-) -> (Vec<SweepRow>, AuditSummary) {
-    let mut summary = AuditSummary::new(opts.verify);
-    let rows = sweep_reports(spec, policy, tws, opts, cache, pool_size())
-        .into_iter()
-        .zip(tws)
-        .map(|((report, point_summary), &tw)| {
-            summary.merge(point_summary);
-            SweepRow::of(tw, &report)
-        })
-        .collect();
-    (rows, summary)
-}
-
-/// One sweep point: [`run_network_cached`] at `tw`, reduced to a
-/// [`SweepRow`]. A row is a pure function of its TW, so
-/// [`sweep_summary_cached`] is exactly `tws` points in order, however
-/// a sharded sweep schedules them.
-pub fn sweep_point(
-    spec: &NetworkSpec,
-    policy: Policy,
-    tw: u32,
-    opts: &RunOptions,
-    cache: &ActivityCache,
-) -> SweepRow {
-    SweepRow::of(tw, &run_network_cached(spec, policy, tw, opts, cache))
-}
-
-/// [`sweep_point`] plus the audit outcome of its underlying run (see
-/// [`run_network_verified`]).
-pub fn sweep_point_verified(
-    spec: &NetworkSpec,
-    policy: Policy,
-    tw: u32,
-    opts: &RunOptions,
-    cache: &ActivityCache,
-) -> (SweepRow, AuditSummary) {
-    let (report, summary) = run_network_verified(spec, policy, tw, opts, cache);
-    (SweepRow::of(tw, &report), summary)
 }
 
 /// Reassembles sharded sweep rows into the order of the original `tws`
 /// slice, given each row's original index. The merge is deterministic
 /// regardless of completion order, so a sharded sweep matches
-/// [`sweep_summary_cached`] exactly (each row is a pure function of its
-/// TW; only ordering is at stake).
+/// [`sweep_rows`] exactly (each row is a pure function of its TW; only
+/// ordering is at stake).
 pub fn merge_shards(mut shards: Vec<(usize, SweepRow)>) -> Vec<SweepRow> {
     shards.sort_by_key(|&(i, _)| i);
     shards.into_iter().map(|(_, row)| row).collect()
@@ -511,7 +404,8 @@ mod tests {
     #[test]
     fn quick_run_produces_reports_for_every_layer() {
         let spec = spikegen::dvs_gesture();
-        let r = run_network_with(&spec, Policy::ptb(), 8, &RunOptions::quick());
+        let opts = RunOptions::quick();
+        let r = network_reports(&spec, Policy::ptb(), &[8], &opts, &opts.new_cache()).remove(0);
         assert_eq!(r.layers.len(), spec.layers.len());
         assert!(r.total_energy_joules() > 0.0);
         assert!(r.total_edp() > 0.0);
@@ -520,7 +414,8 @@ mod tests {
     #[test]
     fn cropping_reduces_cost_but_keeps_fc_layers() {
         let spec = spikegen::dvs_gesture();
-        let quick = run_network_with(&spec, Policy::ptb(), 8, &RunOptions::quick());
+        let opts = RunOptions::quick();
+        let quick = network_reports(&spec, Policy::ptb(), &[8], &opts, &opts.new_cache()).remove(0);
         // FC2 (1x1) is unaffected by cropping; CONV totals must shrink.
         let full_shape = spec.layers[4].shape;
         assert_eq!(full_shape.ofmap_side(), 1);
@@ -531,8 +426,9 @@ mod tests {
     fn ptb_beats_baseline_at_network_scale_quick() {
         let spec = spikegen::dvs_gesture();
         let opts = RunOptions::quick();
-        let ptb = run_network_with(&spec, Policy::ptb_with_stsap(), 8, &opts);
-        let base = run_network_with(&spec, Policy::BaselineTemporal, 1, &opts);
+        let cache = opts.new_cache();
+        let ptb = network_reports(&spec, Policy::ptb_with_stsap(), &[8], &opts, &cache).remove(0);
+        let base = network_reports(&spec, Policy::BaselineTemporal, &[1], &opts, &cache).remove(0);
         assert!(
             ptb.total_edp() < base.total_edp() / 5.0,
             "expected a large EDP win, got {} vs {}",
@@ -540,7 +436,6 @@ mod tests {
             base.total_edp()
         );
     }
-
     #[test]
     fn effective_shape_crops_to_cap_preserving_structure() {
         let spec = spikegen::alexnet();
@@ -565,6 +460,26 @@ mod tests {
         }
     }
 
+    #[test]
+    fn layer_inputs_follow_the_options() {
+        let spec = spikegen::alexnet();
+        let quick = RunOptions::quick();
+        assert_eq!(quick.timesteps(&spec), spec.timesteps.min(64));
+        assert_eq!(RunOptions::full().timesteps(&spec), spec.timesteps);
+        for (i, l) in spec.layers.iter().enumerate() {
+            let (shape, timesteps, seed) = quick.layer_inputs(&spec, i);
+            assert_eq!(shape, quick.effective_shape(l));
+            assert_eq!(timesteps, quick.timesteps(&spec));
+            // Every layer draws its own stream, and the stream moves
+            // with the run's seed.
+            let other = RunOptions { seed: 43, ..quick };
+            assert_ne!(seed, other.layer_inputs(&spec, i).2, "{}", l.name);
+            for j in 0..i {
+                assert_ne!(seed, quick.layer_inputs(&spec, j).2, "{}", l.name);
+            }
+        }
+    }
+
     /// The plain serial loop a drained work list must reproduce: every
     /// point in order, every layer in spec order, freshly generated and
     /// simulated on this thread, with no cache, memo or pool.
@@ -574,9 +489,6 @@ mod tests {
         tws: &[u32],
         opts: &RunOptions,
     ) -> Vec<NetworkReport> {
-        let timesteps = opts
-            .max_timesteps
-            .map_or(spec.timesteps, |cap| spec.timesteps.min(cap));
         tws.iter()
             .map(|&tw| {
                 let layers = spec
@@ -584,12 +496,11 @@ mod tests {
                     .iter()
                     .enumerate()
                     .map(|(i, layer)| {
-                        let shape = opts.effective_shape(layer);
-                        let spikes = layer.input_profile.generate(
-                            shape.ifmap_neurons(),
-                            timesteps,
-                            layer_seed(opts.seed, i),
-                        );
+                        let (shape, timesteps, seed) = opts.layer_inputs(spec, i);
+                        let spikes =
+                            layer
+                                .input_profile
+                                .generate(shape.ifmap_neurons(), timesteps, seed);
                         let report = simulate_layer(&SimInputs::hpca22(tw), policy, shape, &spikes);
                         (layer.name.clone(), report)
                     })
@@ -631,8 +542,7 @@ mod tests {
                     audits.push(summaries);
                 }
                 assert!(audits.windows(2).all(|w| w[0] == w[1]), "{level:?}");
-                let (rows, _) =
-                    sweep_summary_verified(&spec, policy, tws, &opts, &opts.new_cache());
+                let rows = sweep_rows(&spec, policy, tws, &opts, &opts.new_cache());
                 assert_eq!(rows, plain_rows, "{} {level:?}", policy.label());
             }
         }
@@ -641,7 +551,8 @@ mod tests {
     #[test]
     fn sweep_rows_cover_requested_tws() {
         let spec = spikegen::dvs_gesture();
-        let rows = sweep_summary(&spec, Policy::ptb(), &[1, 8], &RunOptions::quick());
+        let opts = RunOptions::quick();
+        let rows = sweep_rows(&spec, Policy::ptb(), &[1, 8], &opts, &opts.new_cache());
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].tw, 1);
         assert_eq!(rows[1].tw, 8);
@@ -656,14 +567,28 @@ mod tests {
             ..RunOptions::quick()
         };
         let cache = opts.new_cache();
-        let (report, summary) =
-            run_network_verified(&spec, Policy::ptb_with_stsap(), 8, &opts, &cache);
+        let (report, summary) = sweep_reports(
+            &spec,
+            Policy::ptb_with_stsap(),
+            &[8],
+            &opts,
+            &cache,
+            pool_size(),
+        )
+        .remove(0);
         assert!(summary.is_clean(), "clean run: {:?}", summary.first());
         assert_eq!(summary.layers_checked, spec.layers.len() as u64);
         assert_eq!(summary.activity_checked, spec.layers.len() as u64);
         assert!(summary.neurons_replayed > 0);
-        let plain = run_network_with(&spec, Policy::ptb_with_stsap(), 8, &RunOptions::quick());
-        assert_eq!(report, plain, "auditing must never change results");
+        let quick = RunOptions::quick();
+        let plain = network_reports(
+            &spec,
+            Policy::ptb_with_stsap(),
+            &[8],
+            &quick,
+            &quick.new_cache(),
+        );
+        assert_eq!(report, plain[0], "auditing must never change results");
     }
 
     #[test]
@@ -671,7 +596,8 @@ mod tests {
         let spec = spikegen::dvs_gesture();
         let opts = RunOptions::quick();
         let cache = opts.new_cache();
-        let (_, summary) = run_network_verified(&spec, Policy::ptb(), 8, &opts, &cache);
+        let (_, summary) =
+            sweep_reports(&spec, Policy::ptb(), &[8], &opts, &cache, pool_size()).remove(0);
         assert_eq!(summary.level, AuditLevel::Off);
         assert_eq!(summary.layers_checked, 0);
         assert_eq!(summary.neurons_replayed, 0);
@@ -686,12 +612,24 @@ mod tests {
             ..RunOptions::quick()
         };
         let cache = opts.new_cache();
-        let (rows, summary) = sweep_summary_verified(&spec, Policy::ptb(), &[1, 8], &opts, &cache);
-        assert_eq!(rows.len(), 2);
+        let (reports, summaries): (Vec<_>, Vec<_>) =
+            sweep_reports(&spec, Policy::ptb(), &[1, 8], &opts, &cache, pool_size())
+                .into_iter()
+                .unzip();
+        assert_eq!(reports.len(), 2);
+        let mut summary = AuditSummary::new(opts.verify);
+        for point in summaries {
+            summary.merge(point);
+        }
         assert!(summary.is_clean(), "{:?}", summary.first());
         assert_eq!(summary.layers_checked, 2 * spec.layers.len() as u64);
         // Rows must match the unverified sweep bit-for-bit.
-        let plain = sweep_summary_cached(&spec, Policy::ptb(), &[1, 8], &opts, &opts.new_cache());
+        let rows: Vec<SweepRow> = reports
+            .iter()
+            .zip([1, 8])
+            .map(|(r, tw)| SweepRow::of(tw, r))
+            .collect();
+        let plain = sweep_rows(&spec, Policy::ptb(), &[1, 8], &opts, &opts.new_cache());
         assert_eq!(rows, plain);
     }
 
@@ -710,13 +648,14 @@ mod tests {
         };
         // Warm the disk store with good entries.
         let warm = ActivityCache::with_dir(CacheMode::Disk, &dir);
-        let truth = run_network_cached(&spec, Policy::ptb(), 8, &opts, &warm);
+        let truth = network_reports(&spec, Policy::ptb(), &[8], &opts, &warm).remove(0);
 
         // Cold cache + armed flip: every disk load delivers one
         // inverted bit. The audit's activity diff must name it.
         crate::failpoint::set("cache_load_flip", "err").unwrap();
         let cold = ActivityCache::with_dir(CacheMode::Disk, &dir);
-        let (report, summary) = run_network_verified(&spec, Policy::ptb(), 8, &opts, &cold);
+        let (report, summary) =
+            sweep_reports(&spec, Policy::ptb(), &[8], &opts, &cold, pool_size()).remove(0);
         crate::failpoint::clear("cache_load_flip");
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -739,12 +678,15 @@ mod tests {
         let opts = RunOptions::quick();
         let tws = [1, 4, 8, 16];
         let cache = opts.new_cache();
-        let sequential = sweep_summary_cached(&spec, Policy::ptb(), &tws, &opts, &cache);
+        let sequential = sweep_rows(&spec, Policy::ptb(), &tws, &opts, &cache);
         // Compute the points out of order (as a worker pool might) and
         // merge: the result must be bit-identical.
         let shards: Vec<(usize, SweepRow)> = [2usize, 0, 3, 1]
             .into_iter()
-            .map(|i| (i, sweep_point(&spec, Policy::ptb(), tws[i], &opts, &cache)))
+            .map(|i| {
+                let row = sweep_rows(&spec, Policy::ptb(), &tws[i..=i], &opts, &cache).remove(0);
+                (i, row)
+            })
             .collect();
         assert_eq!(merge_shards(shards), sequential);
     }

@@ -17,9 +17,7 @@ pub mod worklist;
 
 pub use cache::{ActivityCache, ActivityKey, CacheBudget, CacheMode, CacheStats};
 pub use harness::{
-    assemble, layer_seed, merge_shards, pool_size, run_layer, run_network, run_network_cached,
-    run_network_verified, run_network_with, shard_identity_bytes, shard_key, sweep_point,
-    sweep_point_verified, sweep_reports, sweep_summary, sweep_summary_cached,
-    sweep_summary_verified, LayerRun, RunOptions, SweepRow,
+    assemble, merge_shards, network_reports, pool_size, run_layer, shard_identity_bytes, shard_key,
+    sweep_reports, sweep_rows, LayerRun, RunOptions, SweepRow,
 };
 pub use worklist::{Item, WorkList};

@@ -13,8 +13,7 @@ use ptb_accel::audit::AuditLevel;
 use ptb_accel::config::Policy;
 use ptb_accel::PreparedLayer;
 use ptb_bench::{
-    layer_seed, run_network_cached, run_network_verified, sweep_summary, sweep_summary_cached,
-    ActivityCache, CacheMode, RunOptions,
+    network_reports, pool_size, sweep_reports, sweep_rows, ActivityCache, CacheMode, RunOptions,
 };
 use spikegen::NetworkSpec;
 use std::path::PathBuf;
@@ -66,13 +65,13 @@ proptest! {
         let disk_cold = ActivityCache::with_dir(CacheMode::Disk, &dir);
         let disk_warm = ActivityCache::with_dir(CacheMode::Disk, &dir);
         for tw in [1u32, 4, 16] {
-            let reference = run_network_cached(&spec, policy, tw, &opts, &off);
-            let from_mem = run_network_cached(&spec, policy, tw, &opts, &mem);
+            let reference = network_reports(&spec, policy, &[tw], &opts, &off).remove(0);
+            let from_mem = network_reports(&spec, policy, &[tw], &opts, &mem).remove(0);
             prop_assert_eq!(&reference, &from_mem, "mem != off at tw={}", tw);
             // Cold disk populates the store; the warm cache then reads
             // entries it never generated itself.
-            let from_cold = run_network_cached(&spec, policy, tw, &opts, &disk_cold);
-            let from_warm = run_network_cached(&spec, policy, tw, &opts, &disk_warm);
+            let from_cold = network_reports(&spec, policy, &[tw], &opts, &disk_cold).remove(0);
+            let from_warm = network_reports(&spec, policy, &[tw], &opts, &disk_warm).remove(0);
             prop_assert_eq!(&reference, &from_cold, "disk(cold) != off at tw={}", tw);
             prop_assert_eq!(&reference, &from_warm, "disk(warm) != off at tw={}", tw);
         }
@@ -85,27 +84,35 @@ proptest! {
 /// identical rows in every mode (the cache-off rows being the pre-cache
 /// harness behavior).
 #[test]
-fn sweep_summary_rows_identical_across_modes() {
+fn sweep_rows_identical_across_modes() {
     let spec = spikegen::dvs_gesture();
     let tws = [1u32, 2, 8, 32];
     let dir = disk_dir("sweep");
     let _ = std::fs::remove_dir_all(&dir);
     let base = opts(42);
-    let off = sweep_summary(&spec, Policy::ptb_with_stsap(), &tws, &base);
+    let off = sweep_rows(
+        &spec,
+        Policy::ptb_with_stsap(),
+        &tws,
+        &base,
+        &ActivityCache::new(CacheMode::Off),
+    );
     for mode in [CacheMode::Mem, CacheMode::Disk] {
         let rows = if mode == CacheMode::Disk {
-            // Route the disk store to a temp dir via the cached variant.
+            // Route the disk store to a temp dir.
             let cache = ActivityCache::with_dir(mode, &dir);
-            sweep_summary_cached(&spec, Policy::ptb_with_stsap(), &tws, &base, &cache)
+            sweep_rows(&spec, Policy::ptb_with_stsap(), &tws, &base, &cache)
         } else {
-            sweep_summary(
+            let opts = RunOptions {
+                cache: mode,
+                ..base
+            };
+            sweep_rows(
                 &spec,
                 Policy::ptb_with_stsap(),
                 &tws,
-                &RunOptions {
-                    cache: mode,
-                    ..base
-                },
+                &opts,
+                &opts.new_cache(),
             )
         };
         for (a, b) in off.iter().zip(&rows) {
@@ -130,11 +137,11 @@ fn tw_change_reuses_cached_activity() {
     let base = opts(7);
     let cache = ActivityCache::new(CacheMode::Mem);
     let n_layers = spec.layers.len() as u64;
-    let _ = run_network_cached(&spec, Policy::ptb(), 1, &base, &cache);
+    let _ = network_reports(&spec, Policy::ptb(), &[1], &base, &cache);
     let cold = cache.stats();
     assert_eq!(cold.misses, n_layers, "first run generates each layer once");
     for tw in [2u32, 8, 64] {
-        let _ = run_network_cached(&spec, Policy::ptb(), tw, &base, &cache);
+        let _ = network_reports(&spec, Policy::ptb(), &[tw], &base, &cache);
     }
     let warm = cache.stats();
     assert_eq!(warm.misses, cold.misses, "TW changes must not regenerate");
@@ -147,18 +154,18 @@ fn tw_change_reuses_cached_activity() {
 fn different_seeds_do_not_alias() {
     let spec = spikegen::dvs_gesture();
     let cache = ActivityCache::new(CacheMode::Mem);
-    let a = run_network_cached(&spec, Policy::ptb(), 8, &opts(1), &cache);
-    let b = run_network_cached(&spec, Policy::ptb(), 8, &opts(2), &cache);
+    let a = network_reports(&spec, Policy::ptb(), &[8], &opts(1), &cache).remove(0);
+    let b = network_reports(&spec, Policy::ptb(), &[8], &opts(2), &cache).remove(0);
     assert_ne!(a, b, "distinct seeds must produce distinct reports");
     assert_eq!(
         b,
-        run_network_cached(
+        network_reports(
             &spec,
             Policy::ptb(),
-            8,
+            &[8],
             &opts(2),
             &ActivityCache::new(CacheMode::Off)
-        ),
+        )[0],
         "seed-2 report must match its own uncached run, not seed-1 state"
     );
 }
@@ -179,21 +186,14 @@ fn resident_layers(
     opts: &RunOptions,
     cache: &ActivityCache,
 ) -> Vec<Arc<PreparedLayer>> {
-    let timesteps = opts
-        .max_timesteps
-        .map_or(spec.timesteps, |cap| spec.timesteps.min(cap));
     let misses = cache.stats().misses;
     let layers = spec
         .layers
         .iter()
         .enumerate()
         .map(|(i, l)| {
-            cache.layer(
-                l,
-                opts.effective_shape(l),
-                timesteps,
-                layer_seed(opts.seed, i),
-            )
+            let (shape, timesteps, seed) = opts.layer_inputs(spec, i);
+            cache.layer(l, shape, timesteps, seed)
         })
         .collect();
     assert_eq!(cache.stats().misses, misses, "layers must be resident");
@@ -209,15 +209,15 @@ fn memo_warm_invariant_sweeps_match_uncached_runs() {
     for spec in spikegen::datasets::all_benchmarks() {
         let cache = ActivityCache::new(CacheMode::Mem);
         for policy in invariant_policies() {
-            let off = sweep_summary_cached(
+            let off = sweep_rows(
                 &spec,
                 policy,
                 &ALL_TWS,
                 &opts,
                 &ActivityCache::new(CacheMode::Off),
             );
-            let filling = sweep_summary_cached(&spec, policy, &ALL_TWS, &opts, &cache);
-            let warm = sweep_summary_cached(&spec, policy, &ALL_TWS, &opts, &cache);
+            let filling = sweep_rows(&spec, policy, &ALL_TWS, &opts, &cache);
+            let warm = sweep_rows(&spec, policy, &ALL_TWS, &opts, &cache);
             assert_eq!(
                 filling,
                 off,
@@ -253,7 +253,8 @@ fn audited_runs_neither_read_nor_fill_the_report_memo() {
             ..opts(5)
         };
         let cache = ActivityCache::new(CacheMode::Mem);
-        let (report, summary) = run_network_verified(&spec, policy, 4, &audited, &cache);
+        let (report, summary) =
+            sweep_reports(&spec, policy, &[4], &audited, &cache, pool_size()).remove(0);
         assert!(summary.is_clean(), "{level:?}: {:?}", summary.first());
         let layers = resident_layers(&spec, &audited, &cache);
         assert!(
@@ -261,10 +262,11 @@ fn audited_runs_neither_read_nor_fill_the_report_memo() {
             "{level:?}: an audited run filled the memo"
         );
 
-        let plain = run_network_cached(&spec, policy, 8, &opts(5), &cache);
+        let plain = network_reports(&spec, policy, &[8], &opts(5), &cache).remove(0);
         assert_eq!(plain, report, "TW-invariant policy: same report at tw 8");
         assert!(layers.iter().all(|l| l.memoized_reports() == 1));
-        let (again, summary) = run_network_verified(&spec, policy, 16, &audited, &cache);
+        let (again, summary) =
+            sweep_reports(&spec, policy, &[16], &audited, &cache, pool_size()).remove(0);
         assert!(summary.is_clean(), "{level:?}: {:?}", summary.first());
         assert_eq!(summary.layers_checked, spec.layers.len() as u64);
         assert_eq!(again, report);
@@ -281,10 +283,10 @@ fn flushed_layers_recompute_identical_memoized_rows() {
     let opts = opts(23);
     let cache = ActivityCache::new(CacheMode::Mem);
     let policy = Policy::EventDriven;
-    let before = sweep_summary_cached(&spec, policy, &ALL_TWS, &opts, &cache);
+    let before = sweep_rows(&spec, policy, &ALL_TWS, &opts, &cache);
     let old = resident_layers(&spec, &opts, &cache);
     cache.flush_resident();
-    let after = sweep_summary_cached(&spec, policy, &ALL_TWS, &opts, &cache);
+    let after = sweep_rows(&spec, policy, &ALL_TWS, &opts, &cache);
     assert_eq!(after, before);
     let new = resident_layers(&spec, &opts, &cache);
     for (old, new) in old.iter().zip(&new) {

@@ -10,9 +10,7 @@
 
 use proptest::prelude::*;
 use ptb_accel::config::Policy;
-use ptb_bench::{
-    failpoint, sweep_summary_cached, ActivityCache, CacheBudget, CacheMode, RunOptions,
-};
+use ptb_bench::{failpoint, sweep_rows, ActivityCache, CacheBudget, CacheMode, RunOptions};
 use std::path::PathBuf;
 
 fn opts(seed: u64) -> RunOptions {
@@ -55,7 +53,7 @@ proptest! {
 
         let reference = {
             let cache = ActivityCache::new(CacheMode::Mem);
-            sweep_summary_cached(&spec, policy, &tws, &base, &cache)
+            sweep_rows(&spec, policy, &tws, &base, &cache)
         };
 
         let budget = if flip >= 1 {
@@ -68,7 +66,7 @@ proptest! {
         }
         let dir = disk_dir(&format!("prop-{seed}-{flip}"));
         let cache = ActivityCache::with_budget(CacheMode::Mem, &dir, budget);
-        let rows = sweep_summary_cached(&spec, policy, &tws, &base, &cache);
+        let rows = sweep_rows(&spec, policy, &tws, &base, &cache);
         failpoint::clear("cache_evict");
 
         assert_accounting(&cache);
@@ -95,7 +93,7 @@ fn disk_mode_evictions_stay_bit_identical_and_bounded() {
     let base = opts(99);
     let reference = {
         let cache = ActivityCache::new(CacheMode::Mem);
-        sweep_summary_cached(&spec, Policy::ptb(), &tws, &base, &cache)
+        sweep_rows(&spec, Policy::ptb(), &tws, &base, &cache)
     };
 
     let dir = disk_dir("disk");
@@ -107,7 +105,7 @@ fn disk_mode_evictions_stay_bit_identical_and_bounded() {
     };
     failpoint::set("cache_evict", "err:0.5").unwrap();
     let cache = ActivityCache::with_budget(CacheMode::Disk, &dir, budget);
-    let rows = sweep_summary_cached(&spec, Policy::ptb(), &tws, &base, &cache);
+    let rows = sweep_rows(&spec, Policy::ptb(), &tws, &base, &cache);
     failpoint::clear("cache_evict");
 
     assert_accounting(&cache);
@@ -141,7 +139,7 @@ fn evicted_report_memos_recompute_bit_identically() {
     let tws = [1u32, 2, 4, 8, 16, 32, 64];
     let base = opts(314);
     for policy in [Policy::BaselineTemporal, Policy::TimeSerial] {
-        let reference = sweep_summary_cached(
+        let reference = sweep_rows(
             &spec,
             policy,
             &tws,
@@ -150,8 +148,8 @@ fn evicted_report_memos_recompute_bit_identically() {
         );
         failpoint::set("cache_evict", "err:0.5").unwrap();
         let cache = ActivityCache::new(CacheMode::Mem);
-        let first = sweep_summary_cached(&spec, policy, &tws, &base, &cache);
-        let second = sweep_summary_cached(&spec, policy, &tws, &base, &cache);
+        let first = sweep_rows(&spec, policy, &tws, &base, &cache);
+        let second = sweep_rows(&spec, policy, &tws, &base, &cache);
         failpoint::clear("cache_evict");
         assert_accounting(&cache);
         assert_eq!(first, reference, "{}", policy.label());

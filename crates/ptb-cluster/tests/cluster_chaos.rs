@@ -18,7 +18,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ptb_accel::config::Policy;
-use ptb_bench::{failpoint, sweep_summary_cached, RunOptions, SweepRow};
+use ptb_bench::{failpoint, sweep_rows, RunOptions, SweepRow};
 use ptb_cluster::{ClusterConfig, Coordinator};
 use ptb_serve::client;
 use ptb_serve::launch::Daemon;
@@ -155,7 +155,7 @@ fn killed_worker_mid_sweep_is_reclaimed_and_rows_stay_bit_identical() {
 
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("DVS-Gesture").unwrap();
-    let expected = sweep_summary_cached(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
+    let expected = sweep_rows(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
     assert_eq!(
         rows, expected,
         "rows after a mid-sweep kill must be bit-identical to a no-failure run"
@@ -225,7 +225,7 @@ fn garbage_worker_responses_are_retried_without_liveness_penalty() {
     let rows: Vec<SweepRow> = serde_json::from_str(&text).unwrap();
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("DVS-Gesture").unwrap();
-    let expected = sweep_summary_cached(
+    let expected = sweep_rows(
         &spec,
         Policy::ptb_with_stsap(),
         &tws,
@@ -312,7 +312,7 @@ fn coordinator_restart_resumes_a_journaled_sweep_from_its_dispatch_journal() {
 
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("DVS-Gesture").unwrap();
-    let expected = sweep_summary_cached(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
+    let expected = sweep_rows(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
     assert_eq!(
         rows, expected,
         "a resumed sweep must be bit-identical to an uninterrupted one"

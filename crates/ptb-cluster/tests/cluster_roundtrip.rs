@@ -6,7 +6,7 @@
 //! dispatches to them over real sockets.
 
 use ptb_accel::config::Policy;
-use ptb_bench::{sweep_summary_cached, RunOptions, SweepRow};
+use ptb_bench::{sweep_rows, RunOptions, SweepRow};
 use ptb_cluster::{ClusterConfig, Coordinator};
 use ptb_serve::client::{self, Connection};
 use ptb_serve::wire;
@@ -87,7 +87,7 @@ fn cluster_sweeps_answer_byte_identically_to_a_single_node_in_both_codecs() {
     let rows: Vec<SweepRow> = serde_json::from_str(&via_cluster).unwrap();
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("DVS-Gesture").unwrap();
-    let expected = sweep_summary_cached(
+    let expected = sweep_rows(
         &spec,
         Policy::ptb_with_stsap(),
         &tws,
@@ -200,7 +200,7 @@ fn background_cluster_sweeps_poll_to_the_harness_rows() {
         serde_json::from_value(poll.get("rows").expect("rows present")).unwrap();
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("DVS-Gesture").unwrap();
-    let expected = sweep_summary_cached(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
+    let expected = sweep_rows(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
     assert_eq!(rows, expected);
 
     // Bad job ids answer the worker's exact strings.

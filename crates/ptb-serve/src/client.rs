@@ -2,7 +2,7 @@
 //! enough for the `ptb-load` generator, the CI smoke stage, and the
 //! integration tests.
 //!
-//! Two shapes: the one-shot helpers ([`request`], [`request_full`])
+//! Two shapes: the one-shot helpers ([`request_typed`], [`request_json`])
 //! open a fresh connection per request and ask the server to close it
 //! (`Connection: close`), and [`Connection`] keeps one connection
 //! alive across requests — with separate [`Connection::write_request`]
@@ -33,30 +33,6 @@ pub struct ClientResponse {
     pub location: Option<String>,
     /// Response body bytes.
     pub body: Vec<u8>,
-}
-
-/// Sends one request and returns `(status, body)`.
-///
-/// The body is sent verbatim with a `Content-Length`; the response is
-/// read to EOF (the server closes after each response) and its head is
-/// parsed just enough to split status from body.
-pub fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> std::io::Result<(u16, Vec<u8>)> {
-    request_full(addr, method, path, body).map(|r| (r.status, r.body))
-}
-
-/// [`request`], keeping the `Retry-After` header for backoff decisions.
-pub fn request_full(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> std::io::Result<ClientResponse> {
-    request_typed(addr, method, path, None, body)
 }
 
 /// One-shot request with an explicit `Content-Type` — the way to send
@@ -368,22 +344,10 @@ impl RetryPolicy {
     }
 }
 
-/// [`request_full`] wrapped in the retry loop: connection errors and
+/// [`request_typed`] wrapped in the retry loop: connection errors and
 /// `503` responses are retried per `policy` (honoring `Retry-After`);
 /// any other response returns immediately. Exhausting the budget
 /// returns the last outcome, whatever it was.
-pub fn request_with_retry(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &[u8],
-    policy: &RetryPolicy,
-) -> std::io::Result<ClientResponse> {
-    request_with_retry_typed(addr, method, path, None, body, policy)
-}
-
-/// [`request_with_retry`] with an explicit `Content-Type`, for retrying
-/// binary-codec requests.
 pub fn request_with_retry_typed(
     addr: SocketAddr,
     method: &str,
@@ -412,20 +376,23 @@ pub fn request_with_retry_typed(
     last
 }
 
-/// `request` with a JSON string body, returning the body as a string.
+/// A one-shot request with a JSON string body, returning the status and
+/// the body as a string.
 pub fn request_json(
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: &str,
 ) -> std::io::Result<(u16, String)> {
-    let (status, bytes) = request(addr, method, path, body.as_bytes())?;
-    String::from_utf8(bytes).map(|s| (status, s)).map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "response body is not UTF-8",
-        )
-    })
+    let resp = request_typed(addr, method, path, None, body.as_bytes())?;
+    String::from_utf8(resp.body)
+        .map(|s| (resp.status, s))
+        .map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "response body is not UTF-8",
+            )
+        })
 }
 
 /// Polls `GET /jobs/{id}` until the job is done or failed and returns

@@ -10,7 +10,7 @@
 //! Whichever claimer finishes a point's last layer assembles the
 //! point's report from its layers in spec order and publishes its row;
 //! rows merge by original index ([`ptb_bench::merge_shards`]), so row
-//! order and bits match [`ptb_bench::sweep_summary_cached`] regardless
+//! order and bits match [`ptb_bench::sweep_rows`] regardless
 //! of which worker ran what in which order. A `/simulate` is a
 //! one-point job ([`SweepJob::simulate`]) that keeps its report.
 //!
@@ -655,7 +655,7 @@ impl JobRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptb_bench::{sweep_point_verified, sweep_summary_cached};
+    use ptb_bench::{pool_size, sweep_reports, sweep_rows};
 
     fn quick_job(tws: &[u32]) -> SweepJob {
         SweepJob::new(
@@ -676,8 +676,7 @@ mod tests {
         assert_eq!(job.drain(&cache), 3);
         assert!(job.is_complete());
         assert_eq!(job.state(), JobState::Done);
-        let expected =
-            sweep_summary_cached(&job.spec, job.policy, &job.tws, &opts, &opts.new_cache());
+        let expected = sweep_rows(&job.spec, job.policy, &job.tws, &opts, &opts.new_cache());
         assert_eq!(job.rows().unwrap(), expected);
     }
 
@@ -697,8 +696,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(total, 5, "each shard ran on exactly one thread");
-        let expected =
-            sweep_summary_cached(&job.spec, job.policy, &job.tws, &opts, &opts.new_cache());
+        let expected = sweep_rows(&job.spec, job.policy, &job.tws, &opts, &opts.new_cache());
         assert_eq!(job.rows().unwrap(), expected);
         job.wait(); // returns immediately once complete
     }
@@ -709,7 +707,7 @@ mod tests {
         let cache = opts.new_cache();
         let spec = spikegen::dvs_gesture();
         let tws = vec![1u32, 4, 8];
-        let expected = sweep_summary_cached(&spec, Policy::ptb(), &tws, &opts, &cache);
+        let expected = sweep_rows(&spec, Policy::ptb(), &tws, &opts, &cache);
 
         // Pretend shard 1 was journaled with a sentinel row: resumption
         // must keep it verbatim and run only shards 0 and 2.
@@ -781,8 +779,7 @@ mod tests {
         assert!(audit.layers_checked > 0, "both shards were audited");
         assert_eq!(metrics.audit_mismatches.load(Ordering::Relaxed), 0);
         // Rows still match the unverified sweep bit-for-bit.
-        let expected =
-            sweep_summary_cached(&job.spec, job.policy, &job.tws, &opts, &opts.new_cache());
+        let expected = sweep_rows(&job.spec, job.policy, &job.tws, &opts, &opts.new_cache());
         assert_eq!(job.rows().unwrap(), expected);
     }
 
@@ -831,7 +828,9 @@ mod tests {
         };
         let cache = opts.new_cache();
         let spec = spikegen::dvs_gesture();
-        let (real, audit) = sweep_point_verified(&spec, Policy::ptb(), 4, &opts, &cache);
+        let (report, audit) =
+            sweep_reports(&spec, Policy::ptb(), &[4], &opts, &cache, pool_size()).remove(0);
+        let real = SweepRow::of(4, &report);
         assert!(audit.is_clean());
 
         let dir = std::env::temp_dir().join(format!("ptb-jobs-replay-flip-{}", std::process::id()));

@@ -25,8 +25,8 @@
 //! `AlexNet`, `CIFAR10`) or a full inline `NetworkSpec`; `policy` is a
 //! label (`PTB+StSAP`) or serde form (`{"Ptb": {"stsap": true}}`).
 //! Responses are bit-identical to the in-process harness:
-//! `/simulate` to `ptb_bench::run_network_cached`, `/sweep` to
-//! `ptb_bench::sweep_summary_cached` (pinned by
+//! `/simulate` to `ptb_bench::network_reports`, `/sweep` to
+//! `ptb_bench::sweep_rows` (pinned by
 //! `tests/service_roundtrip.rs`).
 //!
 //! ## Wire codecs and connections

@@ -51,7 +51,7 @@
 //! no request spawns one, and a `PTB_WORKERS=1` daemon is strictly
 //! serial. Each point is assembled from its layers in spec order and
 //! rows merge by original index, matching
-//! `ptb_bench::sweep_summary_cached` exactly.
+//! `ptb_bench::sweep_rows` exactly.
 //!
 //! ## Fault tolerance
 //!

@@ -13,7 +13,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ptb_accel::config::Policy;
-use ptb_bench::{failpoint, sweep_summary_cached, RunOptions, SweepRow};
+use ptb_bench::{failpoint, sweep_rows, RunOptions, SweepRow};
 use ptb_serve::client;
 use ptb_serve::journal::JobJournal;
 use ptb_serve::{Server, ServerConfig};
@@ -77,7 +77,7 @@ fn restart_resumes_jobs_without_recomputing_journaled_shards() {
     let spec = spikegen::dvs_gesture();
     let tws = vec![1u32, 4, 8];
     let opts = RunOptions::quick();
-    let expected = sweep_summary_cached(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
+    let expected = sweep_rows(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
 
     // Handcraft the journal a crashed daemon would have left behind:
     // the submission, shard 0's true row, and shard 1 journaled with a
@@ -222,7 +222,7 @@ fn worker_panic_fails_the_job_and_the_daemon_survives_to_recover_it() {
         serde_json::from_value(poll.get("rows").expect("rows")).expect("rows parse");
     let opts = RunOptions::quick();
     let spec = spikegen::dvs_gesture();
-    let expected = sweep_summary_cached(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
+    let expected = sweep_rows(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
     assert_eq!(
         rows, expected,
         "recovered rows bit-identical to the harness"
@@ -255,7 +255,7 @@ fn sync_sweep_deadline_expiry_answers_503_with_retry_after() {
     failpoint::set("shard_exec", "sleep:300").unwrap();
     let body = "{\"network\": \"DVS-Gesture\", \"policy\": \"PTB\", \
                 \"tws\": [1, 2, 4, 8], \"quick\": true, \"deadline_ms\": 50}";
-    let resp = client::request_full(addr, "POST", "/sweep", body.as_bytes()).unwrap();
+    let resp = client::request_typed(addr, "POST", "/sweep", None, body.as_bytes()).unwrap();
     failpoint::clear("shard_exec");
     assert_eq!(resp.status, 503, "{}", String::from_utf8_lossy(&resp.body));
     assert!(

@@ -1,11 +1,11 @@
 //! End-to-end bit-identity of the service against the in-process
 //! harness: whatever arrives over the wire must deserialize to exactly
-//! what `run_network_cached` / `sweep_summary_cached` produce — same
+//! what `network_reports` / `sweep_rows` produce — same
 //! floats, same order — with N clients hammering one shared cache.
 
 use ptb_accel::config::Policy;
 use ptb_accel::report::NetworkReport;
-use ptb_bench::{run_network_cached, sweep_summary_cached, RunOptions, SweepRow};
+use ptb_bench::{network_reports, sweep_rows, RunOptions, SweepRow};
 use ptb_serve::client;
 use ptb_serve::{Server, ServerConfig};
 
@@ -72,7 +72,7 @@ fn parallel_simulates_match_in_process_runs_bit_identically() {
             ..RunOptions::quick()
         };
         let spec = spikegen::network_by_name(net).unwrap();
-        let expected = run_network_cached(&spec, *policy, *tw, &opts, &ref_cache);
+        let expected = network_reports(&spec, *policy, &[*tw], &opts, &ref_cache).remove(0);
         assert_eq!(
             *report,
             expected,
@@ -86,7 +86,7 @@ fn parallel_simulates_match_in_process_runs_bit_identically() {
 }
 
 #[test]
-fn sharded_sweep_matches_sweep_summary_cached_exactly() {
+fn sharded_sweep_matches_sweep_rows_exactly() {
     let server = test_server(3);
     let addr = server.addr();
     let tws = [1u32, 2, 4, 8, 16, 32];
@@ -102,7 +102,7 @@ fn sharded_sweep_matches_sweep_summary_cached_exactly() {
 
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("CIFAR10").unwrap();
-    let expected = sweep_summary_cached(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
+    let expected = sweep_rows(&spec, Policy::ptb(), &tws, &opts, &opts.new_cache());
     assert_eq!(
         rows, expected,
         "sharded sweep must match the sequential harness"
@@ -172,7 +172,7 @@ fn background_sweeps_poll_to_the_same_rows() {
 
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("DVS-Gesture").unwrap();
-    let expected = sweep_summary_cached(
+    let expected = sweep_rows(
         &spec,
         Policy::ptb_with_stsap(),
         &tws,
@@ -207,7 +207,14 @@ fn verified_requests_round_trip_clean_and_bad_levels_are_rejected() {
     let report: NetworkReport = serde_json::from_str(&text).unwrap();
     let opts = RunOptions::quick();
     let spec = spikegen::network_by_name("DVS-Gesture").unwrap();
-    let expected = run_network_cached(&spec, Policy::ptb_with_stsap(), 8, &opts, &opts.new_cache());
+    let expected = network_reports(
+        &spec,
+        Policy::ptb_with_stsap(),
+        &[8],
+        &opts,
+        &opts.new_cache(),
+    )
+    .remove(0);
     assert_eq!(report, expected, "verification must not perturb results");
 
     let bad = "{\"network\": \"DVS-Gesture\", \"policy\": \"PTB\", \"tw\": 8, \

@@ -1,16 +1,16 @@
 //! Design-space exploration: array shape × time-window size, the two
 //! key architectural parameters of Section VI-A, on a CIFAR10-DVS layer.
 //!
-//! Sweeps every 128-PE factorization against the TW sizes and prints an
-//! EDP heat map plus the best configuration — the workflow an architect
-//! would use to provision the accelerator for a new network.
+//! Sweeps every 128-PE factorization against the TW sizes with
+//! `ptb_accel::optimize::search_joint` and prints an EDP heat map plus
+//! the best configuration — the workflow an architect would use to
+//! provision the accelerator for a new network.
 //!
 //! Run with: `cargo run --release --example design_space_exploration`
 
-use ptb_snn::ptb_accel::config::{Policy, SimInputs};
-use ptb_snn::ptb_accel::sim::simulate_layer;
+use ptb_snn::ptb_accel::config::Policy;
+use ptb_snn::ptb_accel::optimize::{search_joint, SearchSpace};
 use ptb_snn::systolic_sim::array::ArrayDims;
-use ptb_snn::systolic_sim::{ArchConfig, EnergyModel};
 
 fn main() {
     let spec = ptb_snn::spikegen::cifar10_dvs();
@@ -24,32 +24,32 @@ fn main() {
         activity.density() * 100.0
     );
 
-    let tws = [1u32, 4, 8, 16, 32];
+    let space = SearchSpace {
+        shapes: ArrayDims::factorizations(128),
+        tw_sizes: vec![1, 4, 8, 16, 32],
+    };
+    let result = search_joint(
+        &[(layer.shape, &activity)],
+        Policy::ptb_with_stsap(),
+        &space,
+    );
     print!("{:>8}", "shape");
-    for tw in tws {
+    for tw in &space.tw_sizes {
         print!(" {:>11}", format!("TW={tw}"));
     }
     println!("   (EDP in J*s; lower is better)");
-
-    let mut best: Option<(ArrayDims, u32, f64)> = None;
-    for dims in ArrayDims::factorizations(128) {
-        print!("{:>8}", dims.to_string());
-        for tw in tws {
-            let inputs = SimInputs {
-                arch: ArchConfig::hpca22().with_array(dims),
-                energy: EnergyModel::cacti_32nm(),
-                tw_size: tw,
-            };
-            let r = simulate_layer(&inputs, Policy::ptb_with_stsap(), layer.shape, &activity);
-            print!(" {:>11.3e}", r.edp());
-            if best.is_none_or(|(_, _, b)| r.edp() < b) {
-                best = Some((dims, tw, r.edp()));
-            }
+    for row in result.evaluated.chunk_by(|a, b| a.shape == b.shape) {
+        print!("{:>8}", row[0].shape.to_string());
+        for c in row {
+            print!(" {:>11.3e}", c.edp);
         }
         println!();
     }
-    let (dims, tw, edp) = best.expect("sweep is non-empty");
-    println!("\nbest configuration: {dims} array, TW = {tw} (EDP {edp:.3e} J*s)");
+    let best = &result.best;
+    println!(
+        "\nbest configuration: {} array, TW = {} (EDP {:.3e} J*s)",
+        best.shape, best.tw, best.edp
+    );
     println!("the paper's finding holds: balanced-to-tall arrays with a");
     println!("moderate TW dominate; extreme shapes overpay on one data type.");
 }

@@ -24,6 +24,15 @@ echo "== release binaries of every workspace crate (the stages below run them)"
 # does not rebuild ptb-bench, ptb-serve or ptb-cluster binaries.
 cargo build --release --workspace
 
+echo "== examples (each release example runs to a zero exit)"
+# clippy --all-targets only builds them; this stage runs them.
+cargo build --release --examples
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "-- $name"
+    "./target/release/examples/$name" >/dev/null
+done
+
 echo "== full workspace test suite"
 cargo test --workspace -q
 

@@ -10,7 +10,7 @@
 
 use ptb_accel::config::Policy;
 use ptb_bench::cache::fnv1a;
-use ptb_bench::{run_network_cached, RunOptions};
+use ptb_bench::{network_reports, RunOptions};
 
 const TWS: [u32; 4] = [1, 3, 8, 64];
 
@@ -30,8 +30,7 @@ fn quick_mix_reports_match_the_golden_hash() {
     let mut bytes = Vec::new();
     for spec in &networks {
         for policy in Policy::all() {
-            for tw in TWS {
-                let report = run_network_cached(spec, policy, tw, &opts, &cache);
+            for report in network_reports(spec, policy, &TWS, &opts, &cache) {
                 bytes.extend(serde_json::to_string(&report).unwrap().bytes());
                 bytes.push(b'\n');
             }

@@ -13,7 +13,7 @@
 //! commit and says why.
 
 use ptb_bench::cache::fnv1a;
-use ptb_bench::{layer_seed, RunOptions};
+use ptb_bench::RunOptions;
 use snn_core::neuron::NeuronConfig;
 use systolic_sim::array::{ArrayDims, PairData, StreamEntry, SystolicEngine};
 
@@ -35,16 +35,10 @@ fn first_layer_spike_words_match_the_golden_hash() {
     let opts = RunOptions::quick();
     let mut bytes = Vec::new();
     for net in spikegen::datasets::all_benchmarks() {
-        let layer = &net.layers[0];
-        let shape = opts.effective_shape(layer);
-        let timesteps = opts
-            .max_timesteps
-            .map_or(net.timesteps, |cap| net.timesteps.min(cap));
-        let spikes = layer.input_profile.generate(
-            shape.ifmap_neurons(),
-            timesteps,
-            layer_seed(opts.seed, 0),
-        );
+        let (shape, timesteps, seed) = opts.layer_inputs(&net, 0);
+        let spikes = net.layers[0]
+            .input_profile
+            .generate(shape.ifmap_neurons(), timesteps, seed);
         bytes.extend((spikes.neurons() as u64).to_le_bytes());
         bytes.extend((spikes.timesteps() as u64).to_le_bytes());
         for word in spikes.words() {
