@@ -6,7 +6,8 @@
 //! module provides that search as a library API: give it layers with
 //! activity and a candidate space, get the EDP-optimal configuration.
 //! The per-layer TW choice Section VII suggests is read off a network's
-//! TW sweep by `ptb-bench`'s `ablation_layerwise_tw`.
+//! TW sweep by `ptb-bench`'s `fig10_fig11_tw_sweep` (its ablation
+//! section).
 
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;

@@ -1,10 +1,13 @@
 //! Runs every table/figure experiment in sequence, writing each one's
-//! stdout to `results/<name>.txt`. This is the one-command regeneration
-//! entry point referenced by EXPERIMENTS.md.
+//! stdout to `results/<name>.txt`; the chart binaries also write their
+//! `results/*.svg`. Each experiment's stderr (audit findings included)
+//! passes straight through. This is the one-command regeneration entry
+//! point referenced by EXPERIMENTS.md.
 //!
 //! Honors `PTB_QUICK=1` for a fast smoke run.
 
-use std::process::Command;
+use std::io::Write as _;
+use std::process::{Command, Stdio};
 
 const EXPERIMENTS: &[&str] = &[
     "tableII_features",
@@ -13,22 +16,21 @@ const EXPERIMENTS: &[&str] = &[
     "fig04_firing_rates",
     "fig06_stsap_density",
     "fig09_energy_breakdown",
-    "fig10_layer_sweep",
-    "fig11_edp",
+    "fig10_fig11_tw_sweep",
     "fig12_discussion",
     "ablation_stsap_limit",
-    "ablation_layerwise_tw",
     "repr_formats",
     "variance_check",
-    "make_charts",
 ];
 
 fn main() {
     std::fs::create_dir_all("results").expect("can create results dir");
     // Each sub-binary inherits the environment, so PTB_QUICK/PTB_CACHE
-    // apply to every experiment. With PTB_CACHE=disk the
-    // binaries additionally share generated activity through
-    // results/.cache/ instead of each regenerating it.
+    // apply to every experiment. Every figure's numbers come from the
+    // one binary that prints them; with PTB_CACHE=disk, binaries that
+    // simulate the same layers (DVS-Gesture's, in several of them)
+    // additionally share generated activity through results/.cache/
+    // instead of each regenerating it.
     println!(
         "activity cache: {} (set PTB_CACHE=off|mem|disk to change)",
         ptb_bench::CacheMode::from_env().label()
@@ -41,8 +43,11 @@ fn main() {
     let mut failures = 0usize;
     for name in EXPERIMENTS {
         print!("running {name:<24} ... ");
+        // The name shows before anything the experiment logs to stderr.
+        std::io::stdout().flush().expect("can flush stdout");
         let started = std::time::Instant::now();
         let out = Command::new(exe_dir.join(name))
+            .stderr(Stdio::inherit())
             .output()
             .unwrap_or_else(|e| panic!("failed to launch {name}: {e}"));
         let path = format!("results/{name}.txt");
@@ -51,7 +56,7 @@ fn main() {
             println!("ok ({:.1}s) -> {path}", started.elapsed().as_secs_f64());
         } else {
             failures += 1;
-            println!("FAILED: {}", String::from_utf8_lossy(&out.stderr));
+            println!("FAILED ({})", out.status);
         }
     }
     if failures > 0 {

@@ -262,6 +262,14 @@ impl LineChart {
     }
 }
 
+/// X ticks for a TW sweep plotted on a log2 axis: each TW at
+/// `log2(tw)`, labelled with the TW itself.
+pub fn tw_ticks(tws: &[u32]) -> Vec<(f64, String)> {
+    tws.iter()
+        .map(|&tw| (f64::from(tw).log2(), tw.to_string()))
+        .collect()
+}
+
 fn format_tick(v: f64) -> String {
     if v == 0.0 {
         return "0".to_string();

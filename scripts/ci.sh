@@ -52,7 +52,9 @@ echo "== paper figures regenerate byte-identically (full fidelity, diffed agains
 # meant to move the model regenerates results/ in the same commit.
 ROOT="$(pwd)"
 FIG_TMP="$(mktemp -d)"
-(cd "$FIG_TMP" && env -u PTB_QUICK -u PTB_CACHE "$ROOT/target/release/all_experiments" >/dev/null)
+# Its stdout is one progress line per experiment (timing, or FAILED
+# and the exit status); each experiment's own stderr passes through.
+(cd "$FIG_TMP" && env -u PTB_QUICK -u PTB_CACHE "$ROOT/target/release/all_experiments")
 diff -r --exclude=.cache "$FIG_TMP/results" results
 rm -rf "$FIG_TMP"
 
