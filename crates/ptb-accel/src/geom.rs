@@ -6,7 +6,8 @@
 //! a clipped `(row, col)` box across every channel, so the production
 //! scans never list one: [`BoxScan`] answers each field's sums from 2D
 //! prefix planes, its length from the box, its box itself for per-cell
-//! tables, and visits its flagged neurons a word at a time.
+//! tables, and scatters a band of fields' flagged neurons, each once, to
+//! every position whose field covers it.
 //!
 //! The rest of this module serves the slow paths — the oracle
 //! ([`crate::sim::oracle`]) and the audit ([`crate::audit`]): a field's
@@ -21,6 +22,8 @@
 //! isolation). `u16` entries keep counts exact up to 65 535 time points
 //! per window, where the previous `u8` table silently truncated beyond
 //! 255.
+
+use std::ops::Range;
 
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
@@ -79,6 +82,9 @@ pub struct BoxScan {
     /// Clipped input range `lo..hi` of each output row (and, the map
     /// being square, of each output column).
     spans: Vec<(usize, usize)>,
+    /// Output rows (and columns) whose field covers each input row (or
+    /// column): see [`BoxScan::covering`].
+    covers: Vec<Range<usize>>,
     sums: Vec<u64>,
 }
 
@@ -86,11 +92,19 @@ impl BoxScan {
     /// Zeroed planes for `shape`, `planes` values per cell.
     pub fn new(shape: ConvShape, planes: usize) -> Self {
         let side = shape.ifmap_side() as usize;
+        let spans = field_spans(shape);
+        let covers = (0..side)
+            .map(|r| {
+                let x0 = spans.partition_point(|&(_, hi)| hi <= r);
+                x0..spans.partition_point(|&(lo, _)| lo <= r).max(x0)
+            })
+            .collect();
         BoxScan {
             side,
             channels: shape.in_channels() as usize,
             planes,
-            spans: field_spans(shape),
+            spans,
+            covers,
             sums: vec![0; (side + 1) * (side + 1) * planes],
         }
     }
@@ -195,50 +209,86 @@ impl BoxScan {
         }
     }
 
-    /// Calls `visit(n)` for every neuron `n` of position `p`'s receptive
-    /// field whose bit is set in `bits` (bit `n % 64` of word `n / 64`),
-    /// in ascending index order — the order
-    /// [`ConvShape::receptive_field_indices`] lists them in. A channel's
-    /// box rows lie `H` bits apart, so one 64-bit read masked by the
-    /// box's column pattern covers as many rows as fit in it, and silent
-    /// taps cost nothing per tap.
-    pub fn visit_field(&self, p: usize, bits: &[u64], mut visit: impl FnMut(usize)) {
-        let ((mut r0, mut r1), (s0, s1)) = self.field_box(p);
-        let (h, mut run, mut channels) = (self.side, s1 - s0, self.channels);
-        if run == 0 {
+    /// The output rows whose field covers input row `r` (and, the map
+    /// being square, the output columns whose field covers input column
+    /// `r`): the inverse of [`BoxScan::field_box`]. Both ends of a
+    /// field's span grow with its output row, so the rows are one range
+    /// (empty when no field reaches `r`).
+    #[inline]
+    pub fn covering(&self, r: usize) -> Range<usize> {
+        self.covers[r].clone()
+    }
+
+    /// Hands every neuron of the output rows `rows`' receptive fields
+    /// whose bit is set in `bits` (bit `n % 64` of word `n / 64`) to
+    /// `visit(n, xs, ys)`, with the positions whose field holds it:
+    /// output rows `xs` (within `rows`) times output columns `ys`. It
+    /// walks the band's input rows once, channel by channel, a word of
+    /// `bits` at a time, in ascending index order, so each position is
+    /// handed its field's flagged neurons in the order
+    /// [`ConvShape::receptive_field_indices`] lists them. A band whose
+    /// fields reach every input row is one run over all channels, and a
+    /// lone whole-map field (an FC layer) takes every flagged neuron.
+    pub fn scatter(
+        &self,
+        rows: Range<usize>,
+        bits: &[u64],
+        mut visit: impl FnMut(usize, Range<usize>, Range<usize>),
+    ) {
+        let (h, lo, hi) = (
+            self.side,
+            self.spans[rows.start].0,
+            self.spans[rows.end - 1].1,
+        );
+        if lo >= hi {
             return;
         }
-        if run == h && r1 - r0 == h {
-            // The field is the whole map (an FC layer): each channel's
-            // box continues the last one, so all of them are one run.
-            (channels, r0, r1, run) = (1, 0, 1, self.channels * h * h);
-        }
-        // Rows per read, and their column pattern. A run longer than a
-        // word takes one row per read, in word-sized pieces.
-        let g = if run > 64 { 1 } else { (64 - run) / h + 1 };
-        let row = u64::MAX >> (64 - run.min(64));
-        let pattern = (0..g).fold(0u64, |acc, i| acc | row << (i * h));
-        let read = |i: usize| {
-            let (w, sh) = (i / 64, i % 64);
-            let hi = bits.get(w + 1).map_or(0, |&x| x << 1 << (63 - sh));
-            bits[w] >> sh | hi
-        };
-        for c in 0..channels {
-            let mut r = r0;
-            while r < r1 {
-                let rows = g.min(r1 - r);
-                let (base, span) = ((c * h + r) * h + s0, (rows - 1) * h + run);
-                let mut off = 0;
-                while off < span {
-                    let len = (span - off).min(64);
-                    let mut word = read(base + off) & pattern & u64::MAX >> (64 - len);
-                    while word != 0 {
-                        visit(base + off + word.trailing_zeros() as usize);
-                        word &= word - 1;
-                    }
-                    off += len;
+        if self.spans.len() == 1 && lo == 0 && hi == h {
+            // One position whose field is the whole map (an FC layer):
+            // every flagged neuron is its own.
+            for (w, &word) in bits.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    visit(w * 64 + word.trailing_zeros() as usize, 0..1, 0..1);
+                    word &= word - 1;
                 }
-                r += rows;
+            }
+            return;
+        }
+        // Each channel's rows `lo..hi` are one run of bits; full rows
+        // run on into the next channel.
+        let (runs, len) = if lo == 0 && hi == h {
+            (1, self.channels * h * h)
+        } else {
+            (self.channels, (hi - lo) * h)
+        };
+        for c in 0..runs {
+            let start = (c * h + lo) * h;
+            let end = start + len;
+            // Input row `r` of the current bit ends at `row_end`.
+            let (mut r, mut row_end) = (lo, start + h);
+            let words = bits[..end.div_ceil(64)].iter().enumerate();
+            for (w, &word) in words.skip(start / 64) {
+                let mut word = word;
+                if w == start / 64 {
+                    word &= u64::MAX << (start % 64);
+                }
+                if w == (end - 1) / 64 {
+                    word &= u64::MAX >> (63 - (end - 1) % 64);
+                }
+                while word != 0 {
+                    let n = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    while n >= row_end {
+                        row_end += h;
+                        r = if r + 1 == h { 0 } else { r + 1 };
+                    }
+                    let xs = &self.covers[r];
+                    let xs = xs.start.max(rows.start)..xs.end.min(rows.end);
+                    if !xs.is_empty() {
+                        visit(n, xs, self.covering(n + h - row_end));
+                    }
+                }
             }
         }
     }
@@ -375,11 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn visit_field_lists_the_flagged_receptive_field_in_order() {
-        // Rows that straddle storage words (side 71 and 227), several
-        // rows per word (sides 6 and 13), one row per word, a run longer
-        // than a word (a 70-wide filter), the FC case and padding past
-        // the filter's reach.
+    fn scatter_hands_each_position_its_flagged_field_in_order() {
+        // Rows that straddle storage words (sides 71 and 227), several
+        // rows per word (sides 6 and 13), a run longer than a word (a
+        // 70-wide filter), stride 4 (AlexNet CONV1), padding 1 and 2
+        // (side 7 with a 1-wide filter leaves the first position's field
+        // empty), the FC case (one whole-map field), each in bands of
+        // 1, 2 and 3 output rows as well as in one band.
         let shapes = [
             ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap(),
             ConvShape::with_padding(13, 3, 3, 4, 1, 1).unwrap(),
@@ -391,19 +443,48 @@ mod tests {
         ];
         for shape in shapes {
             let boxes = BoxScan::new(shape, 1);
+            let e = shape.ofmap_side() as usize;
+            for r in 0..shape.ifmap_side() as usize {
+                let covering: Vec<usize> = (0..e)
+                    .filter(|&x| {
+                        let ((r0, r1), _) = boxes.field_box(x * e);
+                        (r0..r1).contains(&r)
+                    })
+                    .collect();
+                let got: Vec<usize> = boxes.covering(r).collect();
+                assert_eq!(got, covering, "{shape:?} input row {r}");
+            }
+            if shape.padding() == 2 && shape.filter_side() == 1 {
+                assert_eq!(boxes.field_len(0), 0, "{shape:?} has an empty field");
+            }
             for density in [1usize, 3, 7] {
                 let flagged = |n: usize| (n * 2_654_435_761) % 7 < density;
                 let mut bits = vec![0u64; shape.ifmap_neurons().div_ceil(64)];
                 for n in (0..shape.ifmap_neurons()).filter(|&n| flagged(n)) {
                     bits[n / 64] |= 1 << (n % 64);
                 }
-                let e = shape.ofmap_side();
-                for p in 0..boxes.positions() {
-                    let mut got = Vec::new();
-                    boxes.visit_field(p, &bits, |n| got.push(n));
-                    let field = shape.receptive_field_indices(p as u32 / e, p as u32 % e);
-                    let expect: Vec<usize> = field.into_iter().filter(|&n| flagged(n)).collect();
-                    assert_eq!(got, expect, "{shape:?} density {density} position {p}");
+                for band in [1, 2, 3, e] {
+                    let mut got = vec![Vec::new(); e * e];
+                    for x0 in (0..e).step_by(band) {
+                        let rows = x0..(x0 + band).min(e);
+                        boxes.scatter(rows.clone(), &bits, |n, xs, ys| {
+                            assert!(rows.start <= xs.start && xs.end <= rows.end);
+                            for x in xs {
+                                for y in ys.clone() {
+                                    got[x * e + y].push(n);
+                                }
+                            }
+                        });
+                    }
+                    for (p, got) in got.iter().enumerate() {
+                        let field = field_indices(shape, p);
+                        let expect: Vec<usize> =
+                            field.into_iter().filter(|&n| flagged(n)).collect();
+                        assert_eq!(
+                            got, &expect,
+                            "{shape:?} density {density} band {band} position {p}"
+                        );
+                    }
                 }
             }
         }

@@ -62,16 +62,18 @@
 //!   overflow. Any other tile is counted by a scalar walker that visits
 //!   each active window once. Plain PTB materializes no per-(neuron,
 //!   tile) table.
-//! * **Box walks** remain where the per-position work is not a sum.
-//!   PTB+StSAP takes PTB's box sums and gathers only the *pairable*
-//!   entries (tag not the tile's full mask), which the fill records per
-//!   tile as a bit per neuron plus the entry's tag and lone-slot beats,
-//!   reading each field's rows a word of that bitset at a time; it
-//!   prices them from the StSAP pair plan ([`crate::stsap`]) and skips
-//!   tiles with none, such as every single-window tile. Event-driven
-//!   counts the active time points of each field's OR, taken over the
-//!   field's `(row, col)` box of per-cell time words already OR-ed
-//!   across channels.
+//! * **Scatter and box walks** remain where the per-position work is
+//!   not a sum. PTB+StSAP takes PTB's box sums and prices only the
+//!   *pairable* entries (tag not the tile's full mask), which the fill
+//!   records per tile as a bit per neuron plus the entry's tag and
+//!   lone-slot beats. One pass over that bitset per band of output rows
+//!   pushes each entry, in ascending neuron order, into the class store
+//!   of every position whose field covers its cell; each store is then
+//!   priced from the StSAP pair plan ([`crate::stsap`]). Tiles with no
+//!   pairable entry, such as every single-window tile, are skipped.
+//!   Event-driven counts the active time points of each field's OR,
+//!   taken over the field's `(row, col)` box of per-cell time words
+//!   already OR-ed across channels.
 //!
 //! No scan here lists a receptive field.
 //!
@@ -634,32 +636,49 @@ impl PtbCtx {
 
     /// Splits the column tiles into the chunks the scan fills and
     /// prices one at a time, each chunk's planes and pairable tables
-    /// within [`CHUNK_WORDS`] (or one tile's, if that is more): the
-    /// fewest chunks of even size that fit. A chunk may split a word's
-    /// lanes; the lane path masks each word to the chunk's tiles.
-    /// `entry_bytes` is the size of one pairable entry (tag and beats).
-    fn chunks(&self, shape: ConvShape, stsap: bool, entry_bytes: usize) -> Vec<Range<usize>> {
-        let n_tiles = self.tiles.len();
+    /// within what [`CHUNK_WORDS`] leaves beside the `reserved` words of
+    /// StSAP's class stores (or one tile's, if that is more): the fewest
+    /// chunks of even size that fit. A chunk may split a word's lanes;
+    /// the lane path masks each word to the chunk's tiles. `entry_bytes`
+    /// is the size of one pairable entry (tag and beats).
+    fn chunks(
+        &self,
+        shape: ConvShape,
+        stsap: bool,
+        entry_bytes: usize,
+        reserved: usize,
+    ) -> Vec<Range<usize>> {
         let neurons = shape.ifmap_neurons();
         // Four planes, and a word for the tile's any-pairable flag.
         let mut per_tile = 4 * (shape.ifmap_side() as usize + 1).pow(2) + 1;
         if stsap {
             per_tile += neurons.div_ceil(64) + (neurons * entry_bytes).div_ceil(8);
         }
-        let budget = (CHUNK_WORDS / per_tile).max(1);
-        let chunks = n_tiles.div_ceil(budget);
-        let size = n_tiles.div_ceil(chunks);
-        (0..n_tiles)
-            .step_by(size)
-            .map(|t0| t0..(t0 + size).min(n_tiles))
-            .collect()
+        even_ranges(
+            self.tiles.len(),
+            CHUNK_WORDS.saturating_sub(reserved) / per_tile,
+        )
     }
 }
 
+/// `0..n` (`n > 0`) as the fewest ranges of even size that hold at most
+/// `most` each (at least one).
+fn even_ranges(n: usize, most: usize) -> Vec<Range<usize>> {
+    let size = n.div_ceil(n.div_ceil(most.max(1)));
+    (0..n).step_by(size).map(|a| a..(a + size).min(n)).collect()
+}
+
 /// Words of memory one chunk of column tiles may take: PTB's four
-/// box-scan planes per tile plus, under StSAP, its pairable tables
-/// (8 MiB). At quick fidelity one chunk holds every tile of a layer.
+/// box-scan planes per tile plus, under StSAP, its pairable tables and
+/// the class stores of one band of output rows (8 MiB). At quick
+/// fidelity one chunk holds every tile of a layer.
 const CHUNK_WORDS: usize = 1 << 20;
+
+/// Words of memory the class stores of one band of output rows may take
+/// under StSAP (512 KiB), so that the stores a scatter pushes into stay
+/// in a core's L2 cache; a band holds at least one row, however large
+/// its stores.
+const BAND_WORDS: usize = 1 << 16;
 
 /// Storage word for a pairable entry's tag in StSAP's per-tile tables.
 ///
@@ -1133,11 +1152,16 @@ fn ptb_scan<M: TileMask>(
 /// tag is not the tile's full mask: a full tag's complement is 0 and
 /// pass 2 skips it, so it streams alone and the pair plan is the same
 /// without it. Under StSAP the beats plane sums the unpairable entries
-/// only, and each position gathers its pairable ones in receptive-field
-/// order (the oracle's entry order, which the plan's tail pops
-/// depend on) into class storage `S`, priced by [`stream_cost`]. A tile
-/// without pairable entries (every single-window tile) gathers nothing.
-/// At `TWS = 1` entries carry no value: every slot sits at the floor.
+/// only, and each position's pairable ones go into its own class store
+/// `S`, priced by [`stream_cost`]. They are scattered, not gathered: a
+/// band of output rows at a time ([`BAND_WORDS`]), one pass over the
+/// tile's pairable bitset in ascending neuron order
+/// ([`BoxScan::scatter`]) pushes each entry once into the store of
+/// every position of the band whose field covers it. So each store
+/// receives its field's entries in receptive-field order, the oracle's
+/// entry order, which the plan's tail pops depend on. A tile without
+/// pairable entries (every single-window tile) scatters nothing. At
+/// `TWS = 1` entries carry no value: every slot sits at the floor.
 ///
 /// The chunks ([`PtbCtx::chunks`]) run in order; `account` sees the
 /// same per-(position, tile) values as the oracle's walk (see
@@ -1150,47 +1174,83 @@ fn ptb_box_scan<M: TileMask, S: TagClasses>(
     max_nw: usize,
 ) -> Tally {
     let valued = ctx.tws > 1;
+    let e = shape.ofmap_side() as usize;
+    let (bands, mut stores) = band_stores::<S>(shape, stsap, max_nw);
+    let store_words: usize = stores.iter().map(S::words).sum();
     let mut tally = Tally::default();
-    let mut store = S::new(max_nw);
     let mut plan = PairPlan::default();
-    for tiles in ctx.chunks(shape, stsap, std::mem::size_of::<(M, u16)>()) {
+    let mut sums = [0u64; 4];
+    let entry_bytes = std::mem::size_of::<(M, u16)>();
+    for tiles in ctx.chunks(shape, stsap, entry_bytes, store_words) {
         let mut fill = ChunkFill::<M>::new(ctx, shape, input, tiles.clone(), stsap);
         debug_assert!(
-            tiles.len() == 1 || fill.words() <= CHUNK_WORDS,
-            "chunk {tiles:?} takes {} words",
+            tiles.len() == 1
+                || fill.words() + stores.iter().map(S::words).sum::<usize>() <= CHUNK_WORDS,
+            "chunk {tiles:?} takes {} words beside {store_words} in class stores",
             fill.words()
         );
         fill.boxes.integrate();
         let pairable = &fill.pairable;
-        let mut sums = [0u64; 4];
         for (i, &(w0, w1)) in ctx.tiles[tiles.clone()].iter().enumerate() {
             let full_mask = tile_full_mask(w1 - w0);
             let bits = &pairable.bits[i * pairable.words..(i + 1) * pairable.words];
-            let at = i * pairable.neurons;
-            for p in 0..fill.boxes.positions() {
-                fill.boxes.query_from(p, 4 * i, &mut sums);
-                let [raw, windows, span, beats] = sums;
-                if raw == 0 {
-                    continue;
-                }
-                let (mut slots, mut beats) = (raw, beats);
+            let entries = &pairable.entries[i * pairable.neurons..(i + 1) * pairable.neurons];
+            for rows in &bands {
+                let first = rows.start * e;
                 if pairable.any[i] {
-                    fill.boxes.visit_field(p, bits, |n| {
-                        let (tag, beats) = pairable.entries[at + n];
-                        store.push(tag.into(), valued.then_some(beats));
+                    fill.boxes.scatter(rows.clone(), bits, |n, xs, ys| {
+                        let (tag, beats) = entries[n];
+                        let (tag, value) = (tag.into(), valued.then_some(beats));
+                        for x in xs {
+                            let row = &mut stores[x * e - first..][..e];
+                            for store in &mut row[ys.clone()] {
+                                store.push(tag, value);
+                            }
+                        }
                     });
-                    let packed = store.len() as u64;
-                    let cost = stream_cost(&mut store, &mut plan, full_mask, ctx.min_beats);
-                    sat!(tally.exact_pairs += cost.exact_pairs * ctx.d.row_tiles);
-                    sat!(tally.near_pairs += cost.near_pairs * ctx.d.row_tiles);
-                    slots = slots - packed + cost.slots;
-                    beats += cost.beats;
                 }
-                ctx.account(&mut tally, raw, slots, beats, span, windows);
+                for p in first..rows.end * e {
+                    fill.boxes.query_from(p, 4 * i, &mut sums);
+                    let [raw, windows, span, beats] = sums;
+                    if raw == 0 {
+                        continue;
+                    }
+                    let (mut slots, mut beats) = (raw, beats);
+                    if pairable.any[i] {
+                        let store = &mut stores[p - first];
+                        let packed = store.len() as u64;
+                        let cost = stream_cost(store, &mut plan, full_mask, ctx.min_beats);
+                        sat!(tally.exact_pairs += cost.exact_pairs * ctx.d.row_tiles);
+                        sat!(tally.near_pairs += cost.near_pairs * ctx.d.row_tiles);
+                        slots = slots - packed + cost.slots;
+                        beats += cost.beats;
+                    }
+                    ctx.account(&mut tally, raw, slots, beats, span, windows);
+                }
             }
         }
     }
     tally
+}
+
+/// The bands of output rows StSAP scatters and prices one at a time,
+/// and one band's class stores, one per position: as many whole rows as
+/// fit [`BAND_WORDS`] (at least one), each store with room for one
+/// field's entries, so that it never grows. Plain PTB keeps no stores
+/// and prices every row in one band.
+fn band_stores<S: TagClasses>(
+    shape: ConvShape,
+    stsap: bool,
+    max_nw: usize,
+) -> (Vec<Range<usize>>, Vec<S>) {
+    let e = shape.ofmap_side() as usize;
+    let new_store = || S::new(max_nw, shape.receptive_field());
+    if !stsap {
+        return (even_ranges(e, e), Vec::new());
+    }
+    let bands = even_ranges(e, BAND_WORDS / (e * new_store().words()));
+    let stores = (0..bands[0].len() * e).map(|_| new_store()).collect();
+    (bands, stores)
 }
 
 /// Baseline \[14\]: columns tile groups of `cols` consecutive time
@@ -1648,14 +1708,24 @@ mod tests {
     #[test]
     fn chunks_stay_within_their_memory_budget() {
         // A wide array (u128 tags) whose StSAP pairable table outweighs
-        // the planes: every chunk but a lone tile fits in CHUNK_WORDS.
+        // the planes: every chunk but a lone tile fits in CHUNK_WORDS
+        // beside one band's class stores, and the band's stores fit in
+        // BAND_WORDS unless the band is one row.
         let shape = ConvShape::with_padding(32, 3, 16, 8, 1, 1).unwrap();
         let input = SpikeTensor::new(shape.ifmap_neurons(), 128 * 30);
         let mut d = Dims::new(&SimInputs::hpca22(1), shape, &input);
         d.cols = 128;
         let ctx = PtbCtx::with_floor(d, 1, 1);
         for stsap in [false, true] {
-            let chunks = ctx.chunks(shape, stsap, std::mem::size_of::<(u128, u16)>());
+            let (bands, stores) = band_stores::<SortedClasses>(shape, stsap, 128);
+            let reserved: usize = stores.iter().map(SortedClasses::words).sum();
+            assert_eq!(bands.iter().map(|b| b.len()).sum::<usize>(), 32);
+            assert_eq!(reserved > 0, stsap, "stsap={stsap}");
+            assert!(
+                bands[0].len() == 1 || reserved <= BAND_WORDS,
+                "stsap={stsap}"
+            );
+            let chunks = ctx.chunks(shape, stsap, std::mem::size_of::<(u128, u16)>(), reserved);
             assert_eq!(chunks.len() > 1, stsap, "stsap={stsap}");
             assert_eq!(
                 chunks.iter().map(|c| c.len()).sum::<usize>(),
@@ -1664,9 +1734,37 @@ mod tests {
             let widest = chunks.iter().max_by_key(|c| c.len()).unwrap().clone();
             let fill = ChunkFill::<u128>::new(&ctx, shape, &input, widest.clone(), stsap);
             assert!(
-                fill.words() <= CHUNK_WORDS,
-                "stsap={stsap} {widest:?}: {} words",
+                fill.words() + reserved <= CHUNK_WORDS,
+                "stsap={stsap} {widest:?}: {} words beside {reserved}",
                 fill.words()
+            );
+        }
+    }
+
+    #[test]
+    fn banded_scatter_matches_the_oracle() {
+        // Class stores that take several bands of output rows, so each
+        // band's scatter walks every channel's rows as a run of its own:
+        // every store must still receive its field's entries in the
+        // oracle's order, at TW 1 (count only) and where entries carry values.
+        let shape = ConvShape::with_padding(20, 5, 64, 8, 1, 1).unwrap();
+        let (bands, _) = band_stores::<NarrowClasses>(shape, true, 8);
+        assert!(bands.len() > 1, "{bands:?}");
+        // Hashed spikes at a rate that varies by neuron, so that the
+        // members of a tag class differ in their busiest windows and the
+        // order they reach a store changes the beats.
+        let hashed = SpikeTensor::from_fn(shape.ifmap_neurons(), 64, |n, tp| {
+            let h = (n as u64 * 64 + tp as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (h >> 40) % 100 < (n % 7) as u64 * 6
+        });
+        for tw in [1u32, 2, 4] {
+            let inputs = SimInputs::hpca22(tw);
+            let policy = Policy::ptb_with_stsap();
+            let reference = oracle::simulate_layer_reference(&inputs, policy, shape, &hashed);
+            assert_eq!(
+                simulate_layer(&inputs, policy, shape, &hashed),
+                reference,
+                "tw={tw}"
             );
         }
     }

@@ -22,7 +22,12 @@
 //! * [`pack_tile`] pops entry indices along the plan into the slot list;
 //! * the simulator's coster adds up slots and pairs from the plan, and
 //!   prices beats by popping busiest-window values along it — a pass it
-//!   skips when every value sits at the delivery floor.
+//!   skips when every value sits at the delivery floor. It keeps one
+//!   store per output position of a band of rows, and a scatter over
+//!   the tile's pairable entries in ascending neuron order
+//!   ([`crate::geom::BoxScan::scatter`]) pushes each entry into every
+//!   store whose field covers it, so each store holds its field's
+//!   entries in receptive-field order, the order the oracle lists.
 //!
 //! Tiles of at most 8 windows count their classes by tag (a complement
 //! is a direct lookup), plan along a fixed pass-2 order over all 8-bit
@@ -232,8 +237,12 @@ impl PairPlan {
 /// A tile's entries grouped into tag classes: the storage the pair plan
 /// runs on and [`stream_cost`] prices.
 pub(crate) trait TagClasses {
-    /// Empty storage for tiles of up to `width` windows.
-    fn new(width: usize) -> Self;
+    /// Empty storage for tiles of up to `width` windows, with room for
+    /// `capacity` entries: it takes no more memory while it never holds
+    /// more.
+    fn new(width: usize, capacity: usize) -> Self;
+    /// Words (8 bytes each) the storage takes, inline and on the heap.
+    fn words(&self) -> usize;
     /// Adds one entry: its tile tag and, when slots are valued, its
     /// busiest window (at least 1: the entry is active in the tile).
     /// Either every entry of a tile carries a value or none does.
@@ -309,16 +318,22 @@ pub(crate) struct NarrowClasses {
 }
 
 impl TagClasses for NarrowClasses {
-    fn new(width: usize) -> Self {
+    fn new(width: usize, capacity: usize) -> Self {
         assert!(width <= 8, "narrow class tiles span at most 8 windows");
         NarrowClasses {
             counts: [0; 256],
             present: [0; 4],
             len: 0,
-            valued: Vec::new(),
-            sorted: Vec::new(),
+            valued: Vec::with_capacity(capacity),
+            sorted: Vec::with_capacity(capacity),
             max: 0,
         }
+    }
+
+    fn words(&self) -> usize {
+        let heap = self.valued.capacity() * size_of::<(u8, u16)>()
+            + self.sorted.capacity() * size_of::<u16>();
+        (size_of::<Self>() + heap).div_ceil(8)
     }
 
     fn push(&mut self, tag: u128, value: Option<u16>) {
@@ -427,8 +442,22 @@ fn pop_pairs(
 }
 
 impl TagClasses for SortedClasses {
-    fn new(_width: usize) -> Self {
-        SortedClasses::default()
+    fn new(_width: usize, capacity: usize) -> Self {
+        SortedClasses {
+            entries: Vec::with_capacity(capacity),
+            values: Vec::with_capacity(capacity),
+            classes: Vec::with_capacity(capacity),
+            counts: Vec::with_capacity(capacity),
+            max: 0,
+        }
+    }
+
+    fn words(&self) -> usize {
+        let heap = self.entries.capacity() * size_of::<(u128, u32)>()
+            + self.values.capacity() * size_of::<u16>()
+            + self.classes.capacity() * size_of::<(u128, u32, u32)>()
+            + self.counts.capacity() * size_of::<u32>();
+        (size_of::<Self>() + heap).div_ceil(8)
     }
 
     fn push(&mut self, tag: u128, value: Option<u16>) {
@@ -1125,7 +1154,7 @@ mod tests {
                 second: impl Fn(u16) -> Option<u16>,
                 (full, min_beats): (u128, u64),
             ) -> [StreamCost; 2] {
-                let mut store = S::new(width as usize);
+                let mut store = S::new(width as usize, 0);
                 let mut plan = PairPlan::default();
                 [0, 1].map(|call| {
                     for (&t, &b) in tags.iter().zip(busiest) {
@@ -1221,7 +1250,7 @@ mod tests {
                 })
                 .collect();
             fn cost<S: TagClasses>(entries: &[(u128, Option<u16>)], full: u128, floor: u64) -> StreamCost {
-                let mut store = S::new(8);
+                let mut store = S::new(8, 0);
                 for &(tag, value) in entries {
                     store.push(tag, value);
                 }

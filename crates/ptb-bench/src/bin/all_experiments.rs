@@ -1,8 +1,11 @@
-//! Runs every table/figure experiment in sequence, writing each one's
-//! stdout to `results/<name>.txt`; the chart binaries also write their
-//! `results/*.svg`. Each experiment's stderr (audit findings included)
-//! passes straight through. This is the one-command regeneration entry
-//! point referenced by EXPERIMENTS.md.
+//! Runs every table/figure experiment in sequence, writing each
+//! successful one's stdout to `results/<name>.txt`; the chart binaries
+//! also write their `results/*.svg`. Each experiment's stderr (audit
+//! findings included) passes straight through. An experiment that exits
+//! nonzero, as every experiment does on an audit finding, is reported
+//! `FAILED` and its `results/<name>.txt` is left as it was; the run then
+//! exits nonzero. This is the one-command regeneration entry point
+//! referenced by EXPERIMENTS.md.
 //!
 //! Honors `PTB_QUICK=1` for a fast smoke run.
 
@@ -50,9 +53,9 @@ fn main() {
             .stderr(Stdio::inherit())
             .output()
             .unwrap_or_else(|e| panic!("failed to launch {name}: {e}"));
-        let path = format!("results/{name}.txt");
-        std::fs::write(&path, &out.stdout).expect("can write result file");
         if out.status.success() {
+            let path = format!("results/{name}.txt");
+            std::fs::write(&path, &out.stdout).expect("can write result file");
             println!("ok ({:.1}s) -> {path}", started.elapsed().as_secs_f64());
         } else {
             failures += 1;

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use ptb_accel::config::Policy;
-use ptb_bench::{network_reports, ActivityCache, CacheMode, RunOptions};
+use ptb_bench::{exit_on_findings, network_reports, ActivityCache, CacheMode, RunOptions};
 use serde::Serialize;
 use spikegen::NetworkSpec;
 
@@ -49,23 +49,23 @@ struct BenchReport {
 
 /// The fig10/fig11 sweep shape: baseline once, then PTB and PTB+StSAP
 /// at every TW size, all through `cache`. Returns every report in a
-/// fixed order so cold and warm passes compare element-wise.
+/// fixed order so cold and warm passes compare element-wise; exits
+/// nonzero on any audit finding.
 fn sweep(
     net: &NetworkSpec,
     tws: &[u32],
     opts: &RunOptions,
     cache: &ActivityCache,
 ) -> Vec<ptb_accel::NetworkReport> {
-    let mut reports = network_reports(net, Policy::BaselineTemporal, &[1], opts, cache);
+    let run = |policy, tws: &[u32]| {
+        let (reports, audit) = network_reports(net, policy, tws, opts, cache);
+        exit_on_findings(&audit);
+        reports
+    };
+    let mut reports = run(Policy::BaselineTemporal, &[1]);
     for &tw in tws {
-        reports.extend(network_reports(net, Policy::ptb(), &[tw], opts, cache));
-        reports.extend(network_reports(
-            net,
-            Policy::ptb_with_stsap(),
-            &[tw],
-            opts,
-            cache,
-        ));
+        reports.extend(run(Policy::ptb(), &[tw]));
+        reports.extend(run(Policy::ptb_with_stsap(), &[tw]));
     }
     reports
 }

@@ -19,10 +19,11 @@
 //!   the EDP of the best single global TW versus choosing each layer's
 //!   TW independently.
 
+use ptb_accel::audit::AuditSummary;
 use ptb_accel::config::{Policy, SimInputs};
 use ptb_accel::report::NetworkReport;
 use ptb_bench::plot::{tw_ticks, LineChart};
-use ptb_bench::{network_reports, RunOptions};
+use ptb_bench::{exit_on_findings, network_reports, RunOptions};
 use spikegen::datasets::NetworkSpec;
 
 /// One network's sweep: the baseline at TW = 1 and, per TW of the
@@ -41,15 +42,23 @@ fn main() {
     // activity is generated once per layer. Results are bit-identical
     // to cache=off.
     let cache = opts.new_cache();
+    let mut audit = AuditSummary::new(opts.verify);
+    let mut run = |net: &NetworkSpec, policy, tws: &[u32]| {
+        let (reports, summary) = network_reports(net, policy, tws, &opts, &cache);
+        audit.merge(summary);
+        reports
+    };
     let sweeps: Vec<Sweep> = spikegen::datasets::all_benchmarks()
         .into_iter()
         .map(|net| Sweep {
-            base: network_reports(&net, Policy::BaselineTemporal, &[1], &opts, &cache).remove(0),
-            ptb: network_reports(&net, Policy::ptb(), &tws, &opts, &cache),
-            stsap: network_reports(&net, Policy::ptb_with_stsap(), &tws, &opts, &cache),
+            base: run(&net, Policy::BaselineTemporal, &[1]).remove(0),
+            ptb: run(&net, Policy::ptb(), &tws),
+            stsap: run(&net, Policy::ptb_with_stsap(), &tws),
             net,
         })
         .collect();
+    // Nothing is printed or drawn from a sweep the audit flagged.
+    exit_on_findings(&audit);
     fig10(&sweeps, &tws);
     fig11(&sweeps, &tws);
     ablation(&sweeps, &tws);

@@ -7,11 +7,12 @@
 //! (c) PTB generality across neuron models and layer types (validated
 //!     bit-exactly against the serial reference dynamics).
 
+use ptb_accel::audit::AuditSummary;
 use ptb_accel::config::{Policy, SimInputs};
 use ptb_accel::reference::{batched_neuron_forward, serial_neuron_forward};
 use ptb_accel::sim::simulate_layer;
 use ptb_bench::plot::LineChart;
-use ptb_bench::{network_reports, RunOptions};
+use ptb_bench::{exit_on_findings, network_reports, RunOptions};
 use snn_core::neuron::NeuronConfig;
 use snn_core::spike::SpikeTensor;
 
@@ -20,6 +21,12 @@ fn main() {
     // Each sparsity level rewrites the profiles (fresh cache keys), but
     // the SNN and event-driven runs at one level share generation.
     let cache = opts.new_cache();
+    let mut audit = AuditSummary::new(opts.verify);
+    let mut run = |net: &spikegen::NetworkSpec, policy, tw| {
+        let (mut reports, summary) = network_reports(net, policy, &[tw], &opts, &cache);
+        audit.merge(summary);
+        reports.remove(0)
+    };
 
     // ---------------------------------------------------------- (a)
     println!("=== Fig. 12(a): firing rates of well-trained networks ===");
@@ -60,8 +67,8 @@ fn main() {
         for l in &mut net.layers {
             l.input_profile = l.input_profile.with_mean_rate(rate);
         }
-        let snn = network_reports(&net, Policy::ptb_with_stsap(), &[8], &opts, &cache).remove(0);
-        let ev = network_reports(&net, Policy::EventDriven, &[1], &opts, &cache).remove(0);
+        let snn = run(&net, Policy::ptb_with_stsap(), 8);
+        let ev = run(&net, Policy::EventDriven, 1);
         let energy = ev.total_energy_joules() / snn.total_energy_joules();
         let edp = ev.total_edp() / snn.total_edp();
         println!(
@@ -97,8 +104,8 @@ fn main() {
     // (few-time-step inference, T = 8).
     println!("\n--- SNN (PTB) vs ANN accelerator, CIFAR10 CNN [47]/[20] ---");
     let cnn = spikegen::datasets::cifar10_cnn();
-    let ann = network_reports(&cnn, Policy::Ann, &[1], &opts, &cache).remove(0);
-    let snn = network_reports(&cnn, Policy::ptb_with_stsap(), &[8], &opts, &cache).remove(0);
+    let ann = run(&cnn, Policy::Ann, 1);
+    let snn = run(&cnn, Policy::ptb_with_stsap(), 8);
     println!(
         "ANN: {:.3} mJ, {:.3} ms | SNN+PTB: {:.3} mJ, {:.3} ms",
         ann.total_energy_joules() * 1e3,
@@ -143,4 +150,5 @@ fn main() {
     println!("\npaper's claim reproduced: Step A needs no post-synaptic state,");
     println!("so batching never violates causality — PTB applies to LIF and IF");
     println!("neurons and to FC and CONV layers alike.");
+    exit_on_findings(&audit);
 }

@@ -121,7 +121,9 @@ fn main() {
     // Custom array geometry flows through a bespoke SimInputs; reuse the
     // harness when it is the default 16x8.
     let report = if (args.rows, args.cols) == (16, 8) {
-        network_reports(&spec, args.policy, &[args.tw], &opts, &cache).remove(0)
+        network_reports(&spec, args.policy, &[args.tw], &opts, &cache)
+            .0
+            .remove(0)
     } else {
         let inputs = SimInputs {
             arch: ArchConfig::hpca22().with_array(ArrayDims::new(args.rows, args.cols)),

@@ -4,8 +4,9 @@
 //! DVS-Gesture PTB-vs-baseline comparison across several seeds and
 //! reports mean, spread, and the min/max improvement.
 
+use ptb_accel::audit::AuditSummary;
 use ptb_accel::config::Policy;
-use ptb_bench::{network_reports, RunOptions};
+use ptb_bench::{exit_on_findings, network_reports, RunOptions};
 
 fn main() {
     let base_opts = RunOptions::from_env();
@@ -20,10 +21,16 @@ fn main() {
     );
     let net = spikegen::dvs_gesture();
     let mut improvements = Vec::new();
+    let mut audit = AuditSummary::new(base_opts.verify);
     for &seed in seeds {
         let opts = RunOptions { seed, ..base_opts };
-        let base = network_reports(&net, Policy::BaselineTemporal, &[1], &opts, &cache).remove(0);
-        let ptb = network_reports(&net, Policy::ptb_with_stsap(), &[8], &opts, &cache).remove(0);
+        let mut run = |policy, tw| {
+            let (mut reports, summary) = network_reports(&net, policy, &[tw], &opts, &cache);
+            audit.merge(summary);
+            reports.remove(0)
+        };
+        let base = run(Policy::BaselineTemporal, 1);
+        let ptb = run(Policy::ptb_with_stsap(), 8);
         let imp = base.total_edp() / ptb.total_edp();
         println!(
             "{:>8} {:>16.3e} {:>16.3e} {:>11.1}x",
@@ -62,4 +69,5 @@ fn main() {
             "seed-SENSITIVE (investigate)"
         }
     );
+    exit_on_findings(&audit);
 }

@@ -86,6 +86,8 @@ struct LevelTiming {
 struct BenchReport {
     description: String,
     quick_mode: bool,
+    /// Cores the host offered.
+    host_cores: usize,
     /// Threads each sweep drains its (TW point, layer) items on.
     drainers: usize,
     tw_sizes: Vec<u64>,
@@ -174,6 +176,7 @@ fn run_levels(base: &RunOptions, quick: bool) -> ! {
                       asserted clean before timing, overheads relative to off"
             .to_string(),
         quick_mode: quick,
+        host_cores: ptb_bench::pool_size(),
         drainers: ptb_bench::pool_size(),
         tw_sizes: TWS.iter().map(|&t| u64::from(t)).collect(),
         policy: policy.label().to_string(),

@@ -36,8 +36,8 @@ pub struct RunOptions {
     pub cache: CacheMode,
     /// Runtime audit level (`ptb_accel::audit`). [`AuditLevel::Off`]
     /// (the default) adds no work; [`sweep_reports`] returns the
-    /// findings, and [`network_reports`] and [`sweep_rows`] log them to
-    /// stderr.
+    /// findings, [`network_reports`] returns them merged and logs them to
+    /// stderr, and [`sweep_rows`] logs them.
     pub verify: AuditLevel,
 }
 
@@ -271,24 +271,43 @@ pub fn sweep_reports(
         .collect()
 }
 
-/// [`sweep_reports`] on a pool of [`pool_size`] drainers, each point's
-/// audit findings (if any) logged to stderr: the reports of `policy`
-/// over `spec` at every TW of `tws`, in order.
+/// [`sweep_reports`] on a pool of [`pool_size`] drainers: the reports
+/// of `policy` over `spec` at every TW of `tws`, in order, and every
+/// point's audit merged in that order. Each point's findings (if any)
+/// are also logged to stderr as they are merged.
 pub fn network_reports(
     spec: &NetworkSpec,
     policy: Policy,
     tws: &[u32],
     opts: &RunOptions,
     cache: &ActivityCache,
-) -> Vec<NetworkReport> {
-    sweep_reports(spec, policy, tws, opts, cache, pool_size())
+) -> (Vec<NetworkReport>, AuditSummary) {
+    let mut merged = AuditSummary::new(opts.verify);
+    let reports = sweep_reports(spec, policy, tws, opts, cache, pool_size())
         .into_iter()
         .zip(tws)
         .map(|((report, summary), &tw)| {
             log_findings(spec, tw, &summary);
+            merged.merge(summary);
             report
         })
-        .collect()
+        .collect();
+    (reports, merged)
+}
+
+/// Ends an experiment run whose audit found anything: prints the count
+/// to stderr and exits with status 1, so that no caller records the
+/// numbers of a run the audit flagged. A clean `summary` returns.
+pub fn exit_on_findings(summary: &AuditSummary) {
+    if summary.is_clean() {
+        return;
+    }
+    eprintln!(
+        "audit: {} finding(s) at level {}; this run's numbers are not to be recorded",
+        summary.mismatches,
+        summary.level.label()
+    );
+    std::process::exit(1);
 }
 
 /// Prints an unclean audit's findings to stderr.
@@ -350,6 +369,7 @@ pub fn sweep_rows(
     cache: &ActivityCache,
 ) -> Vec<SweepRow> {
     network_reports(spec, policy, tws, opts, cache)
+        .0
         .iter()
         .zip(tws)
         .map(|(report, &tw)| SweepRow::of(tw, report))
@@ -405,7 +425,9 @@ mod tests {
     fn quick_run_produces_reports_for_every_layer() {
         let spec = spikegen::dvs_gesture();
         let opts = RunOptions::quick();
-        let r = network_reports(&spec, Policy::ptb(), &[8], &opts, &opts.new_cache()).remove(0);
+        let r = network_reports(&spec, Policy::ptb(), &[8], &opts, &opts.new_cache())
+            .0
+            .remove(0);
         assert_eq!(r.layers.len(), spec.layers.len());
         assert!(r.total_energy_joules() > 0.0);
         assert!(r.total_edp() > 0.0);
@@ -415,7 +437,9 @@ mod tests {
     fn cropping_reduces_cost_but_keeps_fc_layers() {
         let spec = spikegen::dvs_gesture();
         let opts = RunOptions::quick();
-        let quick = network_reports(&spec, Policy::ptb(), &[8], &opts, &opts.new_cache()).remove(0);
+        let quick = network_reports(&spec, Policy::ptb(), &[8], &opts, &opts.new_cache())
+            .0
+            .remove(0);
         // FC2 (1x1) is unaffected by cropping; CONV totals must shrink.
         let full_shape = spec.layers[4].shape;
         assert_eq!(full_shape.ofmap_side(), 1);
@@ -427,8 +451,12 @@ mod tests {
         let spec = spikegen::dvs_gesture();
         let opts = RunOptions::quick();
         let cache = opts.new_cache();
-        let ptb = network_reports(&spec, Policy::ptb_with_stsap(), &[8], &opts, &cache).remove(0);
-        let base = network_reports(&spec, Policy::BaselineTemporal, &[1], &opts, &cache).remove(0);
+        let ptb = network_reports(&spec, Policy::ptb_with_stsap(), &[8], &opts, &cache)
+            .0
+            .remove(0);
+        let base = network_reports(&spec, Policy::BaselineTemporal, &[1], &opts, &cache)
+            .0
+            .remove(0);
         assert!(
             ptb.total_edp() < base.total_edp() / 5.0,
             "expected a large EDP win, got {} vs {}",
@@ -587,7 +615,8 @@ mod tests {
             &[8],
             &quick,
             &quick.new_cache(),
-        );
+        )
+        .0;
         assert_eq!(report, plain[0], "auditing must never change results");
     }
 
@@ -648,7 +677,9 @@ mod tests {
         };
         // Warm the disk store with good entries.
         let warm = ActivityCache::with_dir(CacheMode::Disk, &dir);
-        let truth = network_reports(&spec, Policy::ptb(), &[8], &opts, &warm).remove(0);
+        let truth = network_reports(&spec, Policy::ptb(), &[8], &opts, &warm)
+            .0
+            .remove(0);
 
         // Cold cache + armed flip: every disk load delivers one
         // inverted bit. The audit's activity diff must name it.

@@ -17,7 +17,7 @@ pub mod worklist;
 
 pub use cache::{ActivityCache, ActivityKey, CacheBudget, CacheMode, CacheStats};
 pub use harness::{
-    assemble, merge_shards, network_reports, pool_size, run_layer, shard_identity_bytes, shard_key,
-    sweep_reports, sweep_rows, LayerRun, RunOptions, SweepRow,
+    assemble, exit_on_findings, merge_shards, network_reports, pool_size, run_layer,
+    shard_identity_bytes, shard_key, sweep_reports, sweep_rows, LayerRun, RunOptions, SweepRow,
 };
 pub use worklist::{Item, WorkList};

@@ -65,13 +65,13 @@ proptest! {
         let disk_cold = ActivityCache::with_dir(CacheMode::Disk, &dir);
         let disk_warm = ActivityCache::with_dir(CacheMode::Disk, &dir);
         for tw in [1u32, 4, 16] {
-            let reference = network_reports(&spec, policy, &[tw], &opts, &off).remove(0);
-            let from_mem = network_reports(&spec, policy, &[tw], &opts, &mem).remove(0);
+            let reference = network_reports(&spec, policy, &[tw], &opts, &off).0.remove(0);
+            let from_mem = network_reports(&spec, policy, &[tw], &opts, &mem).0.remove(0);
             prop_assert_eq!(&reference, &from_mem, "mem != off at tw={}", tw);
             // Cold disk populates the store; the warm cache then reads
             // entries it never generated itself.
-            let from_cold = network_reports(&spec, policy, &[tw], &opts, &disk_cold).remove(0);
-            let from_warm = network_reports(&spec, policy, &[tw], &opts, &disk_warm).remove(0);
+            let from_cold = network_reports(&spec, policy, &[tw], &opts, &disk_cold).0.remove(0);
+            let from_warm = network_reports(&spec, policy, &[tw], &opts, &disk_warm).0.remove(0);
             prop_assert_eq!(&reference, &from_cold, "disk(cold) != off at tw={}", tw);
             prop_assert_eq!(&reference, &from_warm, "disk(warm) != off at tw={}", tw);
         }
@@ -154,8 +154,12 @@ fn tw_change_reuses_cached_activity() {
 fn different_seeds_do_not_alias() {
     let spec = spikegen::dvs_gesture();
     let cache = ActivityCache::new(CacheMode::Mem);
-    let a = network_reports(&spec, Policy::ptb(), &[8], &opts(1), &cache).remove(0);
-    let b = network_reports(&spec, Policy::ptb(), &[8], &opts(2), &cache).remove(0);
+    let a = network_reports(&spec, Policy::ptb(), &[8], &opts(1), &cache)
+        .0
+        .remove(0);
+    let b = network_reports(&spec, Policy::ptb(), &[8], &opts(2), &cache)
+        .0
+        .remove(0);
     assert_ne!(a, b, "distinct seeds must produce distinct reports");
     assert_eq!(
         b,
@@ -165,7 +169,8 @@ fn different_seeds_do_not_alias() {
             &[8],
             &opts(2),
             &ActivityCache::new(CacheMode::Off)
-        )[0],
+        )
+        .0[0],
         "seed-2 report must match its own uncached run, not seed-1 state"
     );
 }
@@ -262,7 +267,9 @@ fn audited_runs_neither_read_nor_fill_the_report_memo() {
             "{level:?}: an audited run filled the memo"
         );
 
-        let plain = network_reports(&spec, policy, &[8], &opts(5), &cache).remove(0);
+        let plain = network_reports(&spec, policy, &[8], &opts(5), &cache)
+            .0
+            .remove(0);
         assert_eq!(plain, report, "TW-invariant policy: same report at tw 8");
         assert!(layers.iter().all(|l| l.memoized_reports() == 1));
         let (again, summary) =

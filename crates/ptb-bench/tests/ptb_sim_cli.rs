@@ -40,7 +40,7 @@ fn default_array_json_is_the_harness_report() {
         ..RunOptions::quick()
     };
     let spec = spikegen::dvs_gesture();
-    let expected = network_reports(&spec, Policy::ptb(), &[4], &opts, &opts.new_cache());
+    let (expected, _) = network_reports(&spec, Policy::ptb(), &[4], &opts, &opts.new_cache());
     let json = ptb_sim_json(&["--policy", "ptb", "--tw", "4", "--seed", "7"]);
     assert_eq!(json, printed(&expected[0]));
 }

@@ -72,7 +72,9 @@ fn parallel_simulates_match_in_process_runs_bit_identically() {
             ..RunOptions::quick()
         };
         let spec = spikegen::network_by_name(net).unwrap();
-        let expected = network_reports(&spec, *policy, &[*tw], &opts, &ref_cache).remove(0);
+        let expected = network_reports(&spec, *policy, &[*tw], &opts, &ref_cache)
+            .0
+            .remove(0);
         assert_eq!(
             *report,
             expected,
@@ -214,6 +216,7 @@ fn verified_requests_round_trip_clean_and_bad_levels_are_rejected() {
         &opts,
         &opts.new_cache(),
     )
+    .0
     .remove(0);
     assert_eq!(report, expected, "verification must not perturb results");
 

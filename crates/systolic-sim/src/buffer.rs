@@ -91,9 +91,12 @@ pub fn play(demands: &[IterationDemand], bytes_per_cycle: f64) -> BufferTimeline
     }
 }
 
-/// The analytic bound used by the layer simulator:
-/// `max(Σ compute, Σ fill)` plus the cold-start fill of the first
-/// iteration.
+/// The aggregate bound `max(Σ compute, Σ fill)` over `demands`, each
+/// fill rounded up to whole cycles at `bytes_per_cycle`: a lower bound
+/// on [`play`]'s makespan, which a two-buffer pipeline cannot beat
+/// because it cannot borrow slack across iterations
+/// (`analytic_bound_brackets_the_played_timeline`). It adds no
+/// cold-start fill.
 pub fn analytic_bound(demands: &[IterationDemand], bytes_per_cycle: f64) -> u64 {
     let compute: u64 = demands.iter().map(|d| d.compute_cycles).sum();
     let fill: u64 = demands

@@ -68,7 +68,7 @@ BENCH_TMP="$(mktemp)"
 PTB_QUICK=1 PTB_BENCH_OUT="$BENCH_TMP" ./target/release/bench_sim_parallel
 rm -f "$BENCH_TMP"
 
-echo "== injected corruption must be caught (cache_load_flip + --expect-findings)"
+echo "== injected corruption must be caught (cache_load_flip: verify_sweep --expect-findings, a figure binary exits nonzero)"
 CACHE_TMP="$(mktemp -d)"
 # Warm a disk cache, then replay the same sweep with every disk load
 # delivering one flipped bit: the audit must report findings (the flag
@@ -77,6 +77,17 @@ CACHE_TMP="$(mktemp -d)"
     "$ROOT/target/release/verify_sweep" --level off >/dev/null)
 (cd "$CACHE_TMP" && PTB_QUICK=1 PTB_CACHE=disk PTB_FAILPOINTS="cache_load_flip=err" \
     "$ROOT/target/release/verify_sweep" --level sample --expect-findings >/dev/null)
+# A figure binary whose audit finds the same corruption must exit
+# nonzero, so a run with findings is never recorded. Its own sweep warms
+# the cache first.
+(cd "$CACHE_TMP" && PTB_QUICK=1 PTB_CACHE=disk \
+    "$ROOT/target/release/fig10_fig11_tw_sweep" >/dev/null)
+if (cd "$CACHE_TMP" && PTB_QUICK=1 PTB_CACHE=disk PTB_VERIFY=sample \
+    PTB_FAILPOINTS="cache_load_flip=err" \
+    "$ROOT/target/release/fig10_fig11_tw_sweep" >/dev/null 2>&1); then
+    echo "fig10_fig11_tw_sweep exited 0 on a run with audit findings"
+    exit 1
+fi
 rm -rf "$CACHE_TMP"
 
 # Every stage below that needs a live daemon or fleet is one ptb-load

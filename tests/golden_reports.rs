@@ -30,7 +30,7 @@ fn quick_mix_reports_match_the_golden_hash() {
     let mut bytes = Vec::new();
     for spec in &networks {
         for policy in Policy::all() {
-            for report in network_reports(spec, policy, &TWS, &opts, &cache) {
+            for report in network_reports(spec, policy, &TWS, &opts, &cache).0 {
                 bytes.extend(serde_json::to_string(&report).unwrap().bytes());
                 bytes.push(b'\n');
             }
