@@ -7,7 +7,9 @@
 //! scans never list one: [`BoxScan`] answers each field's sums from 2D
 //! prefix planes, its length from the box, its box itself for per-cell
 //! tables, and scatters a band of fields' flagged neurons, each once, to
-//! every position whose field covers it.
+//! every position whose field covers it. A [`FiringIndex`] lists the
+//! neurons that fire at all, channel by channel, so that PTB's plane
+//! fill never visits a silent one.
 //!
 //! The rest of this module serves the slow paths — the oracle
 //! ([`crate::sim::oracle`]) and the audit ([`crate::audit`]): a field's
@@ -148,6 +150,15 @@ impl BoxScan {
             .chunks_exact_mut((h + 1) * k)
             .skip(1)
             .flat_map(move |row| row[k..].chunks_exact_mut(k))
+    }
+
+    /// Input cell `cell`'s `planes` values: the item
+    /// [`BoxScan::cells_mut`] yields at that index.
+    #[inline]
+    pub fn cell_mut(&mut self, cell: usize) -> &mut [u64] {
+        let (h, k) = (self.side, self.planes);
+        let at = (cell / h + 1) * (h + 1) + cell % h + 1;
+        &mut self.sums[at * k..(at + 1) * k]
     }
 
     /// Resets every plane and adds `value(n, cell)` for every ifmap
@@ -350,6 +361,87 @@ pub fn window_popcounts(input: &SpikeTensor, part: &WindowPartition) -> Vec<u16>
     pops
 }
 
+/// The neurons of a layer's input that fire at least once, in ascending
+/// index order: channel by channel, each channel's firing `(row, col)`
+/// cells (`row · H + col`, so neuron `c · H² + cell`). Silent neurons
+/// are never fetched under PTB (their TB-tags are zero), so PTB's plane
+/// fill walks this index instead of every neuron, and its input fetch
+/// is the index's length.
+///
+/// It is a function of the tensor alone, the same at every TW size:
+/// [`crate::PreparedLayer`] builds it once per activity and hands it to
+/// each PTB simulation of the layer, and [`crate::simulate_layer`]
+/// builds a fresh one per PTB call. Storage is 4 bytes per firing
+/// neuron plus 4 per channel.
+#[derive(Debug)]
+pub struct FiringIndex {
+    /// End of each channel's run in `cells`; a run starts where the
+    /// previous channel's ends.
+    ends: Vec<u32>,
+    /// The firing cells, channel by channel, ascending within each.
+    cells: Vec<u32>,
+}
+
+impl FiringIndex {
+    /// Indexes the firing neurons of `input`, the ifmap of `shape`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor's neuron count does not match the shape's
+    /// ifmap, or does not fit a `u32`.
+    pub fn new(shape: ConvShape, input: &SpikeTensor) -> Self {
+        assert_eq!(
+            input.neurons(),
+            shape.ifmap_neurons(),
+            "activity tensor must match the layer's ifmap"
+        );
+        assert!(
+            u32::try_from(input.neurons()).is_ok(),
+            "neuron ids fit a u32"
+        );
+        let per_channel = (shape.ifmap_side() as usize).pow(2);
+        let (words, wpn) = (input.words(), input.words_per_neuron());
+        let mut cells = Vec::new();
+        let ends = (0..shape.in_channels() as usize)
+            .map(|c| {
+                for cell in 0..per_channel {
+                    let n = c * per_channel + cell;
+                    if words[n * wpn..(n + 1) * wpn].iter().any(|&w| w != 0) {
+                        cells.push(cell as u32);
+                    }
+                }
+                cells.len() as u32
+            })
+            .collect();
+        FiringIndex { ends, cells }
+    }
+
+    /// Number of firing neurons.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// True if no neuron fires.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Each channel's firing cells, channel by channel (an empty slice
+    /// for a silent channel).
+    pub fn channels(&self) -> impl ExactSizeIterator<Item = &[u32]> {
+        (0..self.ends.len()).map(|c| {
+            let start = if c == 0 { 0 } else { self.ends[c - 1] };
+            &self.cells[start as usize..self.ends[c] as usize]
+        })
+    }
+
+    /// Heap bytes the index takes: 4 per firing neuron and 4 per
+    /// channel.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of::<u32>() * (self.ends.len() + self.cells.len())
+    }
+}
+
 /// Per-(neuron, time point) spike bits of `input`, row-major by neuron:
 /// entry `n · T + t` is 1 iff neuron `n` fires at time `t` — the table
 /// the oracle's non-PTB walks read tap by tap.
@@ -487,6 +579,31 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn firing_index_lists_the_firing_neurons_in_order() {
+        // Silent channels (2 and 4), scattered silent neurons, neurons
+        // that fire only in their last word, and an all-silent layer.
+        let shape = ConvShape::with_padding(5, 3, 6, 4, 1, 1).unwrap();
+        let fires = |n: usize| n / 25 != 2 && n / 25 != 4 && n % 7 != 3;
+        for t in [1usize, 64, 130] {
+            let input =
+                SpikeTensor::from_fn(shape.ifmap_neurons(), t, |n, tp| fires(n) && tp == t - 1);
+            let index = FiringIndex::new(shape, &input);
+            let listed: Vec<usize> = index
+                .channels()
+                .enumerate()
+                .flat_map(|(c, cells)| cells.iter().map(move |&cell| c * 25 + cell as usize))
+                .collect();
+            let expect: Vec<usize> = (0..shape.ifmap_neurons()).filter(|&n| fires(n)).collect();
+            assert_eq!(listed, expect, "t={t}");
+            assert_eq!(index.len(), input.active_neurons(), "t={t}");
+            assert_eq!(index.channels().len(), 6);
+            assert_eq!(index.bytes(), 4 * (6 + index.len()));
+            let silent = FiringIndex::new(shape, &SpikeTensor::new(shape.ifmap_neurons(), t));
+            assert!(silent.is_empty() && silent.channels().all(<[u32]>::is_empty));
         }
     }
 

@@ -9,8 +9,12 @@
 //! A [`PreparedLayer`] owns the shape and the activity tensor and
 //! memoizes those reports, so a TW-invariant policy is simulated once
 //! per layer however many TW points ask for it
-//! ([`PreparedLayer::simulate_memoized`]). It holds nothing else: every
-//! scan derives its receptive fields from the shape's box spans
+//! ([`PreparedLayer::simulate_memoized`]). It holds one more thing, the
+//! tensor's [`FiringIndex`]: the neurons that fire at all, built once
+//! here and walked by every PTB simulation of the layer instead of
+//! every neuron. The index is activity metadata, the same at every TW
+//! size like the tensor it is built from; it memoizes no result. Every
+//! scan still derives its receptive fields from the shape's box spans
 //! ([`crate::geom::BoxScan`]) and fills its planes from the tensor's
 //! packed `u64` time words on every call.
 //!
@@ -26,8 +30,9 @@
 //! TW-invariance tests pin this.
 //!
 //! [`crate::sim::simulate_layer`] itself never reads or fills the report
-//! memo: it stays a real computation, which is what audits (and the
-//! merge-invariance check in [`crate::audit`]) rely on.
+//! memo, nor the cached index (it builds a fresh one for PTB): it stays
+//! a real computation, which is what audits (and the merge-invariance
+//! check in [`crate::audit`]) rely on.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -35,17 +40,21 @@ use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
 
 use crate::config::{Policy, SimInputs};
+use crate::geom::FiringIndex;
 use crate::report::LayerReport;
-use crate::sim::simulate_layer;
+use crate::sim::{simulate_indexed, simulate_layer};
 
-/// One layer's simulation-ready state: the input activity plus the
-/// memoized reports of TW-invariant policies. Cheap to share across
+/// One layer's simulation-ready state: the input activity, its firing
+/// index, and the memoized reports of TW-invariant policies. Cheap to
+/// share across
 /// threads and sweep points via [`Arc`]; all interior mutability is
 /// memoization only.
 #[derive(Debug)]
 pub struct PreparedLayer {
     shape: ConvShape,
     spikes: Arc<SpikeTensor>,
+    /// The neurons of `spikes` that fire, for PTB's fill and close.
+    firing: FiringIndex,
     /// Reports of TW-invariant policies, keyed by the policy and the
     /// normalized [`SimInputs`] ([`report_key`]). Holds entries for one
     /// arch/energy model at a time — a key with a different model
@@ -87,6 +96,7 @@ impl PreparedLayer {
         assert!(spikes.timesteps() > 0, "operational period must be nonzero");
         PreparedLayer {
             shape,
+            firing: FiringIndex::new(shape, &spikes),
             spikes,
             reports: Mutex::new(Vec::new()),
         }
@@ -102,14 +112,20 @@ impl PreparedLayer {
         &self.spikes
     }
 
+    /// The firing index of [`PreparedLayer::spikes`].
+    pub fn firing(&self) -> &FiringIndex {
+        &self.firing
+    }
+
     /// The report of `policy` under `inputs`, bit-identical to
     /// [`simulate_layer`]`(inputs, policy, self.shape(), self.spikes())`.
     ///
     /// A TW-invariant policy ([`Policy::tw_invariant`]) is simulated
     /// once per (policy, arch, energy model) and its report reused for
     /// every later TW size and thread count; PTB policies are simulated
-    /// on every call. Two threads asking for the same missing entry
-    /// simulate it once: the second waits for the first's result.
+    /// on every call, on the cached [`FiringIndex`]. Two threads asking
+    /// for the same missing entry simulate it once: the second waits
+    /// for the first's result.
     ///
     /// Audited runs must call [`simulate_layer`] instead, so an
     /// audit always checks a fresh computation, never a memoized one.
@@ -119,7 +135,7 @@ impl PreparedLayer {
     /// Panics if `inputs` is invalid.
     pub fn simulate_memoized(&self, inputs: &SimInputs, policy: Policy) -> LayerReport {
         if !policy.tw_invariant() {
-            return simulate_layer(inputs, policy, self.shape, &self.spikes);
+            return simulate_indexed(inputs, policy, self.shape, &self.spikes, Some(&self.firing));
         }
         inputs.assert_valid();
         let key = report_key(inputs);

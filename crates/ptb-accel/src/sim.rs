@@ -51,9 +51,15 @@
 //!   entirely, so a [`BoxScan`] integrates channel-summed per-(row, col)
 //!   planes once per column tile and answers each position with four
 //!   lookups per plane.
-//! * **PTB fills its planes straight from the spike words**, a chunk of
-//!   column tiles at a time, walking each neuron's words over the
-//!   chunk's span once. Two paths: when a tile is one `cols · TW`-bit
+//! * **PTB fills its planes straight from the spike words of the
+//!   neurons that fire**, a chunk of column tiles at a time. A layer's
+//!   [`FiringIndex`] lists the neurons that fire at least once, channel
+//!   by channel; the fill walks only those neurons' words over the
+//!   chunk's span, once each, and never visits a silent neuron (PTB's
+//!   TB-tags never fetch one, and `close` books the index's length as
+//!   PTB's fetched inputs). A prepared layer builds the index once per
+//!   activity and every TW point reuses it; [`simulate_layer`] builds a
+//!   fresh one. Two paths: when a tile is one `cols · TW`-bit
 //!   lane of a word (`cols · TW` divides 64: TW 1, 2, 4 and 8 on the
 //!   paper's 8-column array), every term of every lane is a SWAR sum —
 //!   popcounts, nonzero-window counts, and the floored busiest window
@@ -94,7 +100,7 @@ use snn_core::spike::SpikeTensor;
 use systolic_sim::{sat_mul, AccessCounts, DataKind, MemLevel};
 
 use crate::config::{Policy, SimInputs};
-use crate::geom::BoxScan;
+use crate::geom::{BoxScan, FiringIndex};
 use crate::report::LayerReport;
 use crate::stsap::{
     stream_cost, tile_full_mask, NarrowClasses, PairPlan, SortedClasses, TagClasses,
@@ -136,24 +142,41 @@ pub fn simulate_layer(
     shape: ConvShape,
     input: &SpikeTensor,
 ) -> LayerReport {
+    let firing = matches!(policy, Policy::Ptb { .. }).then(|| FiringIndex::new(shape, input));
+    simulate_indexed(inputs, policy, shape, input, firing.as_ref())
+}
+
+/// [`simulate_layer`] on a given [`FiringIndex`] of `input`, which PTB
+/// walks (and needs); the other policies ignore it. A prepared layer
+/// passes its cached index.
+pub(crate) fn simulate_indexed(
+    inputs: &SimInputs,
+    policy: Policy,
+    shape: ConvShape,
+    input: &SpikeTensor,
+    firing: Option<&FiringIndex>,
+) -> LayerReport {
     let d = Dims::new(inputs, shape, input);
-    let tally = match policy {
+    let (tally, fetched) = match policy {
         Policy::Ptb { stsap } => {
+            let firing = firing.expect("PTB walks the firing index");
+            debug_assert_eq!(firing.channels().len(), shape.in_channels() as usize);
             let ctx = PtbCtx::new(inputs, d);
             // Narrow tag words keep StSAP's pairable tables small; the
             // wide fallback covers any array.
-            if d.cols <= 16 {
-                ptb_scan::<u16>(stsap, shape, &ctx, input)
+            let tally = if d.cols <= 16 {
+                ptb_scan::<u16>(stsap, shape, &ctx, input, firing)
             } else {
-                ptb_scan::<u128>(stsap, shape, &ctx, input)
-            }
+                ptb_scan::<u128>(stsap, shape, &ctx, input, firing)
+            };
+            (tally, firing.len())
         }
-        Policy::BaselineTemporal => baseline_scan(shape, input, &d),
-        Policy::TimeSerial => time_serial_scan(shape, input, &d),
-        Policy::Ann => ann_scan(shape, &d),
-        Policy::EventDriven => event_scan(shape, input, &d),
+        Policy::BaselineTemporal => (baseline_scan(shape, input, &d), input.neurons()),
+        Policy::TimeSerial => (time_serial_scan(shape, input, &d), input.neurons()),
+        Policy::Ann => (ann_scan(shape, &d), input.neurons()),
+        Policy::EventDriven => (event_scan(shape, input, &d), input.neurons()),
     };
-    close(inputs, policy, shape, input, &d, tally)
+    close(inputs, policy, shape, input, &d, tally, fetched)
 }
 
 /// Bits per address-event in the event-driven baseline's AER-style input
@@ -401,6 +424,12 @@ fn event_scan(shape: ConvShape, input: &SpikeTensor, d: &Dims) -> Tally {
 
 /// Closes a scan's tally into `policy`'s report: the movement and
 /// compare work booked at layer granularity, then [`report`].
+///
+/// `fetched` is the number of input neurons whose spike trains the
+/// policy fetches from DRAM. PTB's TB-tags never fetch a silent neuron,
+/// so for PTB it is the length of the [`FiringIndex`] its fill walked
+/// (the oracle counts its own); the dense baselines and ANN fetch every
+/// neuron. Event-driven fetches its events instead and ignores it.
 fn close(
     inputs: &SimInputs,
     policy: Policy,
@@ -408,6 +437,7 @@ fn close(
     input: &SpikeTensor,
     d: &Dims,
     mut tally: Tally,
+    fetched: usize,
 ) -> LayerReport {
     let (m, e2, t) = (d.m, d.positions as u64, d.t as u64);
     match policy {
@@ -415,14 +445,8 @@ fn close(
             let ptb = matches!(policy, Policy::Ptb { .. });
             sat!(tally.counts.compare_ops += m * e2 * t);
             move_weights(inputs, shape, d, &mut tally, ptb);
-            // Input spikes from DRAM: silent neurons are never fetched
-            // under PTB (TB-tag-driven), while the dense baselines fetch
-            // everything.
-            let fetched = if ptb {
-                input.active_neurons()
-            } else {
-                input.neurons()
-            };
+            // Input spikes from DRAM: the whole period of every fetched
+            // neuron.
             fetch_inputs(inputs, d, &mut tally, fetched as u64 * t);
             // Output spikes: written back through the hierarchy once.
             tally.write_out(m * e2 * t);
@@ -469,7 +493,7 @@ fn close(
             tally.psums(tally.counts.mac_ops, d.pbits);
             sat!(tally.counts.compare_ops += m * e2); // ReLU
             move_weights(inputs, shape, d, &mut tally, true);
-            fetch_inputs(inputs, d, &mut tally, input.neurons() as u64 * abits);
+            fetch_inputs(inputs, d, &mut tally, fetched as u64 * abits);
             report(inputs, policy, 1, tally)
         }
     }
@@ -916,6 +940,10 @@ impl<M: TileMask> Pairable<M> {
 /// (plane `4 · (ti − tiles.start) + q` holds term `q` of tile `ti`:
 /// entries, active windows, spike span, and the slot beats of the
 /// entries that stream alone) and, under StSAP, the pairable entries.
+/// Both fill paths walk the layer's [`FiringIndex`], channel by channel
+/// in ascending neuron order, so a silent neuron costs nothing. Every
+/// plane term is an integer sum and the pairable tables are indexed by
+/// (tile, neuron), so the order of the walk changes no value.
 struct ChunkFill<M> {
     tiles: Range<usize>,
     boxes: BoxScan,
@@ -923,14 +951,15 @@ struct ChunkFill<M> {
 }
 
 impl<M: TileMask> ChunkFill<M> {
-    /// Walks each neuron's spike words over the chunk's time span once
-    /// and adds every active tile's terms straight into that tile's
-    /// planes at the neuron's `(row, col)` cell — a lane at a time when
-    /// [`PtbCtx::lanes`] allows, else window by window.
+    /// Walks each firing neuron's spike words over the chunk's time
+    /// span once and adds every active tile's terms straight into that
+    /// tile's planes at the neuron's `(row, col)` cell — a lane at a
+    /// time when [`PtbCtx::lanes`] allows, else window by window.
     fn new(
         ctx: &PtbCtx,
         shape: ConvShape,
         input: &SpikeTensor,
+        firing: &FiringIndex,
         tiles: Range<usize>,
         stsap: bool,
     ) -> Self {
@@ -940,10 +969,9 @@ impl<M: TileMask> ChunkFill<M> {
             tiles,
         };
         let cells = (shape.ifmap_side() as usize).pow(2);
-        let channels = shape.in_channels() as usize;
         match ctx.lanes {
-            Some(lanes) => fill.fill_lanes(ctx, lanes, input, cells, channels, stsap),
-            None => fill.walk_windows(ctx, input, cells, channels, stsap),
+            Some(lanes) => fill.fill_lanes(ctx, lanes, input, firing, cells, stsap),
+            None => fill.walk_windows(ctx, input, firing, cells, stsap),
         }
         fill
     }
@@ -957,22 +985,25 @@ impl<M: TileMask> ChunkFill<M> {
 
     /// The lane path: every term is a SWAR sum over a word's lanes. A
     /// word of the chunk at a time, per cell, lane accumulators gather
-    /// the terms across channels and spill into the planes before a
-    /// lane can overflow; pairable entries are recorded one at a time.
+    /// the terms of the firing neurons across channels and spill into
+    /// the planes every [`Lanes::spill`] channels, before a lane can
+    /// overflow; a firing neuron's silent words (at `T > 64`) add
+    /// nothing. Pairable entries are recorded one at a time.
     fn fill_lanes(
         &mut self,
         ctx: &PtbCtx,
         lanes: Lanes,
         input: &SpikeTensor,
+        firing: &FiringIndex,
         cells: usize,
-        channels: usize,
         stsap: bool,
     ) {
         let (t0, t1) = (self.tiles.start, self.tiles.end);
         let (per, l) = (lanes.per_word, lanes.width as usize);
-        let (t, wpn) = (input.timesteps(), input.words_per_neuron());
+        let (t, wpn, words) = (input.timesteps(), input.words_per_neuron(), input.words());
         let mut acc = vec![[0u64; 4]; cells];
         let tag_bits = low_bits(ctx.d.cols);
+        let channels = firing.channels().len();
         for wi in t0 / per..t1.div_ceil(per) {
             // The word's lanes inside the chunk, and the field bits of
             // its windows inside the period.
@@ -981,14 +1012,15 @@ impl<M: TileMask> ChunkFill<M> {
             let inside = low_bits((chunk_lanes.end - tile0) * l)
                 & !low_bits((chunk_lanes.start - tile0) * l);
             let valid = lanes.field_ones & low_bits(t - wi * 64);
-            let channel_words = input.words().chunks_exact(cells * wpn);
-            for (c, channel) in channel_words.take(channels).enumerate() {
-                let row_words = channel.iter().skip(wi).step_by(wpn);
-                for (cell, (&x, sums)) in row_words.zip(acc.iter_mut()).enumerate() {
-                    let x = x & inside;
+            for (c, fires) in firing.channels().enumerate() {
+                for &cell in fires {
+                    let (cell, n) = (cell as usize, c * cells + cell as usize);
+                    // A firing neuron may be silent in this word.
+                    let x = words[n * wpn + wi] & inside;
                     if x == 0 {
                         continue;
                     }
+                    let sums = &mut acc[cell];
                     let terms = lanes.terms(x, valid, ctx.min_beats, stsap);
                     sums[0] += terms.active;
                     sums[1] += terms.windows;
@@ -1002,8 +1034,7 @@ impl<M: TileMask> ChunkFill<M> {
                             let tag = (tags >> bit) & tag_bits;
                             let beats = (terms.beats >> bit) & low_bits(l);
                             let tile = tile0 + bit / l - t0;
-                            self.pairable
-                                .add(tile, c * cells + cell, u128::from(tag), beats);
+                            self.pairable.add(tile, n, u128::from(tag), beats);
                             each &= each - 1;
                         }
                     }
@@ -1012,6 +1043,11 @@ impl<M: TileMask> ChunkFill<M> {
                     continue;
                 }
                 for (planes, sums) in self.boxes.cells_mut().zip(acc.iter_mut()) {
+                    // Each word a cell takes sets an active flag, so
+                    // an empty accumulator took none since the spill.
+                    if sums[0] == 0 {
+                        continue;
+                    }
                     for j in chunk_lanes.clone() {
                         let (shift, o) = ((j - tile0) * l, 4 * (j - t0));
                         for (p, s) in planes[o..o + 4].iter_mut().zip(sums.iter()) {
@@ -1025,19 +1061,20 @@ impl<M: TileMask> ChunkFill<M> {
     }
 
     /// The scalar walker, for every tile a lane cannot hold (wider
-    /// tiles, windows that straddle words): each neuron's set bits are
-    /// walked in time order, and the first spike of a window counts the
-    /// whole window — from the loaded word when the window ends inside
-    /// it, otherwise with [`SpikeTensor::popcount_range`] — then the
-    /// rest of the window is skipped. The cost is `O(nonzero words +
-    /// active windows)`; per-tile state accumulates in registers and
-    /// is added into the tile's planes once per active tile.
+    /// tiles, windows that straddle words): each firing neuron's set
+    /// bits are walked in time order, and the first spike of a window
+    /// counts the whole window — from the loaded word when the window
+    /// ends inside it, otherwise with [`SpikeTensor::popcount_range`] —
+    /// then the rest of the window is skipped. The cost is `O(firing
+    /// neurons' words + active windows)`; per-tile state accumulates in
+    /// registers and is added into the tile's planes once per active
+    /// tile.
     fn walk_windows(
         &mut self,
         ctx: &PtbCtx,
         input: &SpikeTensor,
+        firing: &FiringIndex,
         cells: usize,
-        channels: usize,
         stsap: bool,
     ) {
         let (t0, t1) = (self.tiles.start, self.tiles.end);
@@ -1054,9 +1091,10 @@ impl<M: TileMask> ChunkFill<M> {
         let wpn = input.words_per_neuron();
         let span_words = tp0 / 64..tp1.div_ceil(64);
         let pairable = &mut self.pairable;
-        for (cell, planes) in self.boxes.cells_mut().enumerate() {
-            for c in 0..channels {
-                let n = c * cells + cell;
+        for (c, fires) in firing.channels().enumerate() {
+            for &cell in fires {
+                let n = c * cells + cell as usize;
+                let planes = self.boxes.cell_mut(cell as usize);
                 let mut flush = |ti: usize, mask: u128, span: u32, busiest: u32| {
                     let (w0, w1) = ctx.tiles[ti];
                     let o = 4 * (ti - t0);
@@ -1129,12 +1167,13 @@ fn ptb_scan<M: TileMask>(
     shape: ConvShape,
     ctx: &PtbCtx,
     input: &SpikeTensor,
+    firing: &FiringIndex,
 ) -> Tally {
     let max_nw = ctx.tiles.iter().map(|&(w0, w1)| w1 - w0).max().unwrap_or(0);
     if max_nw <= 8 {
-        ptb_box_scan::<M, NarrowClasses>(stsap, shape, ctx, input, max_nw)
+        ptb_box_scan::<M, NarrowClasses>(stsap, shape, ctx, input, firing, max_nw)
     } else {
-        ptb_box_scan::<M, SortedClasses>(stsap, shape, ctx, input, max_nw)
+        ptb_box_scan::<M, SortedClasses>(stsap, shape, ctx, input, firing, max_nw)
     }
 }
 
@@ -1171,6 +1210,7 @@ fn ptb_box_scan<M: TileMask, S: TagClasses>(
     shape: ConvShape,
     ctx: &PtbCtx,
     input: &SpikeTensor,
+    firing: &FiringIndex,
     max_nw: usize,
 ) -> Tally {
     let valued = ctx.tws > 1;
@@ -1182,7 +1222,7 @@ fn ptb_box_scan<M: TileMask, S: TagClasses>(
     let mut sums = [0u64; 4];
     let entry_bytes = std::mem::size_of::<(M, u16)>();
     for tiles in ctx.chunks(shape, stsap, entry_bytes, store_words) {
-        let mut fill = ChunkFill::<M>::new(ctx, shape, input, tiles.clone(), stsap);
+        let mut fill = ChunkFill::<M>::new(ctx, shape, input, firing, tiles.clone(), stsap);
         debug_assert!(
             tiles.len() == 1
                 || fill.words() + stores.iter().map(S::words).sum::<usize>() <= CHUNK_WORDS,
@@ -1615,6 +1655,7 @@ mod tests {
         let cells = 36;
         for t in [64usize, 70, 130, 200] {
             let input = straddle_input(shape, t);
+            let firing = FiringIndex::new(shape, &input);
             let neurons = input.neurons();
             for tw in [1u32, 2, 3, 4, 5, 7, 8, 12, 24, 48, 64, 65, 100] {
                 let part = WindowPartition::new(t, tw as usize);
@@ -1667,6 +1708,7 @@ mod tests {
                                     &ctx,
                                     shape,
                                     &input,
+                                    &firing,
                                     tiles.clone(),
                                     stsap,
                                 );
@@ -1732,7 +1774,8 @@ mod tests {
                 ctx.tiles.len()
             );
             let widest = chunks.iter().max_by_key(|c| c.len()).unwrap().clone();
-            let fill = ChunkFill::<u128>::new(&ctx, shape, &input, widest.clone(), stsap);
+            let firing = FiringIndex::new(shape, &input);
+            let fill = ChunkFill::<u128>::new(&ctx, shape, &input, &firing, widest.clone(), stsap);
             assert!(
                 fill.words() + reserved <= CHUNK_WORDS,
                 "stsap={stsap} {widest:?}: {} words beside {reserved}",

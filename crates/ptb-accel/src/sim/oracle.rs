@@ -44,14 +44,14 @@ pub fn simulate_layer_reference(
     input: &SpikeTensor,
 ) -> LayerReport {
     let d = Dims::new(inputs, shape, input);
-    let tally = match policy {
+    let (tally, fetched) = match policy {
         Policy::Ptb { stsap } => ptb(stsap, shape, input, &PtbCtx::new(inputs, d)),
-        Policy::BaselineTemporal => baseline(shape, &d, &spike_bits(input)),
-        Policy::TimeSerial => time_serial(shape, &d, &spike_bits(input)),
-        Policy::Ann => ann(shape, &d),
-        Policy::EventDriven => event_driven(shape, &d, &spike_bits(input)),
+        Policy::BaselineTemporal => (baseline(shape, &d, &spike_bits(input)), input.neurons()),
+        Policy::TimeSerial => (time_serial(shape, &d, &spike_bits(input)), input.neurons()),
+        Policy::Ann => (ann(shape, &d), input.neurons()),
+        Policy::EventDriven => (event_driven(shape, &d, &spike_bits(input)), input.neurons()),
     };
-    close(inputs, policy, shape, input, &d, tally)
+    close(inputs, policy, shape, input, &d, tally, fetched)
 }
 
 /// Spikes the field `rf` fires over time points `span`, summed tap by
@@ -115,10 +115,15 @@ fn slot_cost(a: &[u16], b: Option<&[u16]>, min_beats: u64) -> u64 {
 
 /// PTB, with or without StSAP: every (position, column tile) lists its
 /// active entries, packs them with [`pack_tile`] under StSAP, and prices
-/// each slot from its members' window counts.
-fn ptb(stsap: bool, shape: ConvShape, input: &SpikeTensor, ctx: &PtbCtx) -> Tally {
+/// each slot from its members' window counts. Also returns the number
+/// of neurons PTB fetches: those with a spike in some window.
+fn ptb(stsap: bool, shape: ConvShape, input: &SpikeTensor, ctx: &PtbCtx) -> (Tally, usize) {
     let part = WindowPartition::new(ctx.d.t, ctx.tws as usize);
     let win_pop = window_popcounts(input, &part);
+    let firing = win_pop
+        .chunks_exact(ctx.n_w)
+        .filter(|counts| counts.iter().any(|&c| c > 0))
+        .count();
     let (mut tally, mut tags, mut pops) = (Tally::default(), Vec::new(), Vec::new());
     for p in 0..ctx.d.positions {
         let rf = field_indices(shape, p);
@@ -147,7 +152,7 @@ fn ptb(stsap: bool, shape: ConvShape, input: &SpikeTensor, ctx: &PtbCtx) -> Tall
             ctx.account(&mut tally, raw, slots, beats, span, windows);
         }
     }
-    tally
+    (tally, firing)
 }
 
 /// Baseline \[14\]: every (position, column tile of time points) pair

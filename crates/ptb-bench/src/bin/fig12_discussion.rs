@@ -6,15 +6,31 @@
 //!     also drawn as `results/fig12b.svg`;
 //! (c) PTB generality across neuron models and layer types (validated
 //!     bit-exactly against the serial reference dynamics).
+//!
+//! Every audited run finishes first: a run the audit flags exits
+//! nonzero before anything is printed or drawn.
 
 use ptb_accel::audit::AuditSummary;
 use ptb_accel::config::{Policy, SimInputs};
 use ptb_accel::reference::{batched_neuron_forward, serial_neuron_forward};
+use ptb_accel::report::NetworkReport;
 use ptb_accel::sim::simulate_layer;
 use ptb_bench::plot::LineChart;
 use ptb_bench::{exit_on_findings, network_reports, RunOptions};
 use snn_core::neuron::NeuronConfig;
 use snn_core::spike::SpikeTensor;
+
+/// Fig. 12(b)'s mean firing rates.
+const RATES: [f64; 5] = [0.01, 0.03, 0.05, 0.10, 0.15];
+
+/// Fig. 12(b)'s runs: at each of [`RATES`], CIFAR10-DVS under PTB+StSAP
+/// (TW 8) and event-driven; then the CIFAR10 CNN under ANN and
+/// PTB+StSAP (TW 8).
+struct Fig12b {
+    levels: Vec<(NetworkReport, NetworkReport)>,
+    ann: NetworkReport,
+    snn: NetworkReport,
+}
 
 fn main() {
     let opts = RunOptions::from_env();
@@ -27,8 +43,34 @@ fn main() {
         audit.merge(summary);
         reports.remove(0)
     };
+    // Sparsity scaling on a long-period workload (CIFAR10-DVS, T=100):
+    // PTB's windowed weight reuse pays off more the more often neurons
+    // fire, versus an event-driven design that refetches per spike.
+    let dvs = spikegen::cifar10_dvs();
+    let levels = RATES
+        .iter()
+        .map(|&rate| {
+            let mut net = dvs.clone();
+            for l in &mut net.layers {
+                l.input_profile = l.input_profile.with_mean_rate(rate);
+            }
+            let snn = run(&net, Policy::ptb_with_stsap(), 8);
+            (snn, run(&net, Policy::EventDriven, 1))
+        })
+        .collect();
+    // SNN-vs-ANN headline on the CIFAR10 CNN trained with TSSL-BP
+    // (few-time-step inference, T = 8).
+    let cnn = spikegen::datasets::cifar10_cnn();
+    let ann = run(&cnn, Policy::Ann, 1);
+    let snn = run(&cnn, Policy::ptb_with_stsap(), 8);
+    // Nothing is printed or drawn from runs the audit flagged.
+    exit_on_findings(&audit);
+    fig12a();
+    fig12b(&Fig12b { levels, ann, snn });
+    fig12c();
+}
 
-    // ---------------------------------------------------------- (a)
+fn fig12a() {
     println!("=== Fig. 12(a): firing rates of well-trained networks ===");
     for net in spikegen::datasets::all_benchmarks() {
         let rates: Vec<f64> = net
@@ -49,26 +91,16 @@ fn main() {
             hi * 100.0
         );
     }
+}
 
-    // ---------------------------------------------------------- (b)
-    // Sparsity scaling on a long-period workload (CIFAR10-DVS, T=100):
-    // PTB's windowed weight reuse pays off more the more often neurons
-    // fire, versus an event-driven design that refetches per spike.
+fn fig12b(runs: &Fig12b) {
     println!("\n=== Fig. 12(b): PTB benefit vs sparsity level (CIFAR10-DVS net) ===");
-    let dvs = spikegen::cifar10_dvs();
     println!(
         "{:>10} {:>16} {:>16} {:>16}",
         "fire-rate", "E vs event-drv", "D vs event-drv", "EDP vs evt-drv"
     );
-    let rates = [0.01, 0.03, 0.05, 0.10, 0.15];
     let (mut energy_pts, mut edp_pts) = (Vec::new(), Vec::new());
-    for rate in rates {
-        let mut net = dvs.clone();
-        for l in &mut net.layers {
-            l.input_profile = l.input_profile.with_mean_rate(rate);
-        }
-        let snn = run(&net, Policy::ptb_with_stsap(), 8);
-        let ev = run(&net, Policy::EventDriven, 1);
+    for (rate, (snn, ev)) in RATES.into_iter().zip(&runs.levels) {
         let energy = ev.total_energy_joules() / snn.total_energy_joules();
         let edp = ev.total_edp() / snn.total_edp();
         println!(
@@ -88,7 +120,7 @@ fn main() {
         "improvement (x)",
     )
     .x_ticks(
-        rates
+        RATES
             .iter()
             .map(|&r| (r * 100.0, format!("{:.0}", r * 100.0)))
             .collect(),
@@ -100,12 +132,8 @@ fn main() {
     println!("(paper: benefit grows with firing rate — low sparsity increases");
     println!(" PTB benefits — and remains ~28x energy even at 1% rates)");
 
-    // SNN-vs-ANN headline on the CIFAR10 CNN trained with TSSL-BP
-    // (few-time-step inference, T = 8).
     println!("\n--- SNN (PTB) vs ANN accelerator, CIFAR10 CNN [47]/[20] ---");
-    let cnn = spikegen::datasets::cifar10_cnn();
-    let ann = run(&cnn, Policy::Ann, 1);
-    let snn = run(&cnn, Policy::ptb_with_stsap(), 8);
+    let (ann, snn) = (&runs.ann, &runs.snn);
     println!(
         "ANN: {:.3} mJ, {:.3} ms | SNN+PTB: {:.3} mJ, {:.3} ms",
         ann.total_energy_joules() * 1e3,
@@ -119,8 +147,9 @@ fn main() {
         ann.total_seconds() / snn.total_seconds(),
         ann.total_edp() / snn.total_edp(),
     );
+}
 
-    // ---------------------------------------------------------- (c)
+fn fig12c() {
     println!("\n=== Fig. 12(c): PTB generality across models and layers ===");
     let spikes = SpikeTensor::from_fn(32, 50, |n, t| (n * 3 + t * 7) % 11 == 0);
     let weights: Vec<f32> = (0..32).map(|i| (i as f32 - 16.0) / 40.0).collect();
@@ -150,5 +179,4 @@ fn main() {
     println!("\npaper's claim reproduced: Step A needs no post-synaptic state,");
     println!("so batching never violates causality — PTB applies to LIF and IF");
     println!("neurons and to FC and CONV layers alike.");
-    exit_on_findings(&audit);
 }

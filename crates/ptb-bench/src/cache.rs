@@ -345,13 +345,19 @@ fn tensor_cost(t: &SpikeTensor) -> u64 {
 }
 
 /// Estimated resident bytes of one prepared-layer entry. The wrapper
-/// shares the tensor `Arc`; its only derived state is the report memo
-/// (see `ptb_accel::prepared`), and nothing in it depends on the TW
-/// size, so a layer entry is charged one extra tensor's worth however
-/// many TW points it serves. The memo (at most four TW-invariant
-/// policies' `LayerReport`s, each under a kilobyte) fits inside that
-/// charge, so it adds no term here and the resident recount
-/// ([`ActivityCache::recounted_bytes`]) is unchanged.
+/// shares the tensor `Arc`; its derived state is the tensor's firing
+/// index and the report memo (see `ptb_accel::prepared`), and nothing
+/// in either depends on the TW size, so a layer entry is charged one
+/// extra tensor's worth however many TW points it serves. Both fit
+/// inside that charge, so they add no term here and the resident
+/// recount ([`ActivityCache::recounted_bytes`]) is unchanged:
+///
+/// * the index takes 4 bytes per firing neuron plus 4 per channel,
+///   while the tensor takes 8 bytes per word and every neuron has a
+///   word, so even a tensor whose every neuron fires pays for it
+///   (`firing_index_fits_the_layer_charge`);
+/// * the memo holds at most four TW-invariant policies'
+///   `LayerReport`s, each under a kilobyte.
 fn layer_cost(t: &SpikeTensor) -> u64 {
     tensor_cost(t)
 }
@@ -1131,6 +1137,33 @@ mod tests {
         let tensor = tensor_cost(prep.spikes());
         assert_eq!(cache.resident_bytes(), 2 * tensor, "tensor + layer entry");
         assert_accounting_exact(&cache);
+    }
+
+    #[test]
+    fn firing_index_fits_the_layer_charge() {
+        // The worst case: every neuron fires, so the index lists them
+        // all. A 1 × 1 map (an FC layer) has as many channels as
+        // neurons; a deep 2 × 2 map and AlexNet's CONV1 input do not.
+        let shapes = [
+            ConvShape::new(1, 1, 4096, 8, 1).unwrap(),
+            ConvShape::new(2, 1, 512, 8, 1).unwrap(),
+            spikegen::alexnet().layers[0].shape,
+        ];
+        for shape in shapes {
+            for t in [1, 64, 300] {
+                let prep = PreparedLayer::new(
+                    shape,
+                    Arc::new(SpikeTensor::full(shape.ifmap_neurons(), t)),
+                );
+                assert_eq!(prep.firing().len(), shape.ifmap_neurons());
+                let charge = layer_cost(prep.spikes()) - ENTRY_OVERHEAD;
+                assert!(
+                    prep.firing().bytes() as u64 <= charge,
+                    "{shape:?} t={t}: index {} bytes, charge {charge}",
+                    prep.firing().bytes()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The experiment binaries that draw charts, run for real: each writes
 //! its one SVG under `results/` of its working directory and prints
-//! only its table on stdout, and Fig. 9(a)'s chart is drawn from the
-//! rows its table prints.
+//! only its table on stdout, Fig. 9(a)'s chart is drawn from the rows
+//! its table prints, and an audited run with findings draws nothing.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -118,4 +118,53 @@ fn fig12_discussion_draws_fig12b() {
         "neurons and to FC and CONV layers alike.",
     );
     assert!(svg.contains("Fig. 12(b)"));
+}
+
+#[test]
+fn a_run_with_findings_leaves_the_chart_alone() {
+    // The audited binaries, replaying a warm disk cache whose every load
+    // delivers one flipped spike bit: the audit finds it, the binary
+    // exits nonzero, and the chart an earlier run left is not redrawn.
+    for (exe, svg) in [
+        (env!("CARGO_BIN_EXE_fig10_fig11_tw_sweep"), "fig11.svg"),
+        (env!("CARGO_BIN_EXE_fig12_discussion"), "fig12b.svg"),
+    ] {
+        let name = std::path::Path::new(exe).file_name().unwrap();
+        let dir: PathBuf = std::env::temp_dir().join(format!(
+            "ptb-chart-findings-{}-{}",
+            name.to_string_lossy(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let run = |corrupt: bool| {
+            let mut cmd = Command::new(exe);
+            cmd.current_dir(&dir)
+                .env("PTB_QUICK", "1")
+                .env("PTB_CACHE", "disk")
+                .env_remove("PTB_VERIFY")
+                .env_remove("PTB_FAILPOINTS");
+            if corrupt {
+                cmd.env("PTB_VERIFY", "sample")
+                    .env("PTB_FAILPOINTS", "cache_load_flip=err");
+            }
+            cmd.output().expect("experiment binary runs")
+        };
+        let warm = run(false);
+        assert!(warm.status.success(), "{exe} failed on a clean cache");
+        let chart = dir.join("results").join(svg);
+        let stale = "the chart an earlier run left";
+        std::fs::write(&chart, stale).unwrap();
+        let flagged = run(true);
+        assert!(
+            !flagged.status.success(),
+            "{exe} exited 0 on a run with audit findings"
+        );
+        assert!(flagged.stdout.is_empty(), "{exe} printed a flagged run");
+        assert!(
+            std::fs::read_to_string(&chart).unwrap() == stale,
+            "{exe} redrew results/{svg} from a flagged run"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

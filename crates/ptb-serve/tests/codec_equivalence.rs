@@ -20,23 +20,36 @@ use ptb_serve::wire;
 use ptb_serve::{Server, ServerConfig};
 use serde::Value;
 
-/// One shared daemon for every test in this file (torn down with the
-/// test process). Tests only assert on their own requests' responses,
-/// never on global counters, so sharing is safe.
+/// A daemon on an ephemeral loopback port.
+fn start_server() -> Server {
+    Server::start(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 3,
+        queue_cap: 32,
+        cache: ptb_bench::CacheMode::Mem,
+        ..ServerConfig::default()
+    })
+    .expect("bind test server")
+}
+
+/// One shared daemon for the tests that send one request per
+/// connection (torn down with the test process). They only assert on
+/// their own requests' responses, never on global counters, so sharing
+/// is safe.
 fn addr() -> SocketAddr {
     static SERVER: OnceLock<Server> = OnceLock::new();
-    SERVER
-        .get_or_init(|| {
-            Server::start(&ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                workers: 3,
-                queue_cap: 32,
-                cache: ptb_bench::CacheMode::Mem,
-                ..ServerConfig::default()
-            })
-            .expect("bind test server")
-        })
-        .addr()
+    SERVER.get_or_init(start_server).addr()
+}
+
+/// Runs `test` against a daemon of its own, for a test that sends
+/// several requests on one kept-alive connection. On the shared daemon
+/// another test's queued connection trips the starvation guard, which
+/// closes a kept-alive connection between requests (docs/PROTOCOL.md).
+fn with_own_server(test: impl FnOnce(SocketAddr)) {
+    let server = start_server();
+    test(server.addr());
+    server.shutdown();
+    server.join();
 }
 
 fn simulate_json(network: &str, policy: &str, tw: u32, seed: u64) -> String {
@@ -269,8 +282,12 @@ fn binary_error_frames_mirror_json_statuses() {
 /// one-shot equivalents.
 #[test]
 fn pipelined_keepalive_requests_answer_in_order() {
+    with_own_server(pipelined_keepalive);
+}
+
+fn pipelined_keepalive(addr: SocketAddr) {
     let one_shot_a = client::request_typed(
-        addr(),
+        addr,
         "POST",
         "/simulate",
         None,
@@ -278,7 +295,7 @@ fn pipelined_keepalive_requests_answer_in_order() {
     )
     .unwrap();
     let one_shot_b = client::request_typed(
-        addr(),
+        addr,
         "POST",
         "/simulate",
         None,
@@ -287,7 +304,7 @@ fn pipelined_keepalive_requests_answer_in_order() {
     .unwrap();
     assert_eq!((one_shot_a.status, one_shot_b.status), (200, 200));
 
-    let mut conn = Connection::open(addr()).expect("connect");
+    let mut conn = Connection::open(addr).expect("connect");
     // A plain sequential reuse first.
     let reused = conn
         .request(
@@ -326,7 +343,11 @@ fn pipelined_keepalive_requests_answer_in_order() {
 /// is per request, not per connection.
 #[test]
 fn codecs_interleave_on_one_connection() {
-    let mut conn = Connection::open(addr()).expect("connect");
+    with_own_server(codecs_interleave);
+}
+
+fn codecs_interleave(addr: SocketAddr) {
+    let mut conn = Connection::open(addr).expect("connect");
     let json = conn
         .request(
             "POST",
