@@ -79,8 +79,8 @@ pub enum AuditLevel {
     Off,
     /// Deterministic samples of every invariant class.
     Sample,
-    /// Exhaustive structural checks plus widened replay samples and a
-    /// merge-invariance re-simulation.
+    /// Exhaustive structural checks, widened replay samples, and a diff
+    /// of the report against the oracle's serial per-tap simulation.
     Full,
 }
 

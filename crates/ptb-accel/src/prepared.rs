@@ -31,8 +31,9 @@
 //!
 //! [`crate::sim::simulate_layer`] itself never reads or fills the report
 //! memo, nor the cached index (it builds a fresh one for PTB): it stays
-//! a real computation, which is what audits (and the merge-invariance
-//! check in [`crate::audit`]) rely on.
+//! a real computation, which is what audits rely on: every audited
+//! report, including the one [`crate::audit`]'s `full` level diffs
+//! against the oracle, comes from a fresh simulation.
 
 use std::sync::{Arc, Mutex, OnceLock};
 

@@ -35,8 +35,9 @@
 //! figures are derived only after the integer totals are final. A layer
 //! is simulated on one thread. Parallelism lives one level up: a sweep
 //! is a work list of (TW point, layer) items that any number of threads
-//! drain (`ptb_bench::worklist`), which scales better than splitting a
-//! layer's scan (`BENCH_sim_parallel.json`).
+//! drain (`ptb_bench::worklist`), which scaled better than splitting a
+//! layer's scan when both were measured; `BENCH_sweep.json`'s `drain`
+//! section records one drainer against the pool.
 //!
 //! ## Bit-parallel kernel
 //!

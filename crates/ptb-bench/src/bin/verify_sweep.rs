@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p ptb-bench --bin verify_sweep -- \
-//!     [--level off|sample|full] [--expect-findings] [--bench]
+//!     [--level off|sample|full] [--expect-findings]
 //! ```
 //!
 //! Runs the TW sweeps of DVS-Gesture, CIFAR10-DVS, AlexNet and CIFAR10
@@ -21,11 +21,6 @@
 //! `PTB_FAILPOINTS="cache_load_flip=err" PTB_CACHE=disk`) to prove the
 //! audit actually catches injected bit flips rather than silently
 //! passing everything.
-//!
-//! `--bench` instead times the PTB+StSAP sweep at *all three* levels
-//! and writes `BENCH_verify.json` (off must be within noise of the
-//! unverified harness — it takes the same code path — and the file
-//! records what sample/full cost on top).
 //!
 //! Honors `PTB_QUICK=1` and `PTB_CACHE` like every other experiment
 //! binary. Each sweep drains its (TW point, layer) items on one thread
@@ -71,35 +66,8 @@ struct VerifyReport {
     clean: bool,
 }
 
-#[derive(Serialize)]
-struct LevelTiming {
-    network: String,
-    off_ms: f64,
-    sample_ms: f64,
-    full_ms: f64,
-    sample_overhead: f64,
-    full_overhead: f64,
-    clean_at_all_levels: bool,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    description: String,
-    quick_mode: bool,
-    /// Cores the host offered.
-    host_cores: usize,
-    /// Threads each sweep drains its (TW point, layer) items on.
-    drainers: usize,
-    tw_sizes: Vec<u64>,
-    policy: String,
-    networks: Vec<LevelTiming>,
-    total_off_ms: f64,
-    total_sample_ms: f64,
-    total_full_ms: f64,
-}
-
 fn usage() -> ! {
-    eprintln!("usage: verify_sweep [--level <off|sample|full>] [--expect-findings] [--bench]");
+    eprintln!("usage: verify_sweep [--level <off|sample|full>] [--expect-findings]");
     std::process::exit(2);
 }
 
@@ -134,71 +102,9 @@ fn audited_sweep(
     (t0.elapsed().as_secs_f64() * 1e3, summary)
 }
 
-fn run_levels(base: &RunOptions, quick: bool) -> ! {
-    let mut networks = Vec::new();
-    let (mut total_off, mut total_sample, mut total_full) = (0.0, 0.0, 0.0);
-    let policy = Policy::ptb_with_stsap();
-    for net in workloads() {
-        let (off_ms, s_off) = audited_sweep(&net, policy, AuditLevel::Off, base);
-        let (sample_ms, s_sample) = audited_sweep(&net, policy, AuditLevel::Sample, base);
-        let (full_ms, s_full) = audited_sweep(&net, policy, AuditLevel::Full, base);
-        let clean = s_off.is_clean() && s_sample.is_clean() && s_full.is_clean();
-        assert!(
-            clean,
-            "{}: audit must be clean while benchmarking overhead",
-            net.name
-        );
-        println!(
-            "{:<12} off {:>9.1} ms  sample {:>9.1} ms ({:.2}x)  full {:>9.1} ms ({:.2}x)",
-            net.name,
-            off_ms,
-            sample_ms,
-            sample_ms / off_ms.max(1e-9),
-            full_ms,
-            full_ms / off_ms.max(1e-9),
-        );
-        total_off += off_ms;
-        total_sample += sample_ms;
-        total_full += full_ms;
-        networks.push(LevelTiming {
-            network: net.name.clone(),
-            off_ms,
-            sample_ms,
-            full_ms,
-            sample_overhead: sample_ms / off_ms.max(1e-9),
-            full_overhead: full_ms / off_ms.max(1e-9),
-            clean_at_all_levels: clean,
-        });
-    }
-    let report = BenchReport {
-        description: "PTB+StSAP TW sweep (tws 1/4/16/64) per paper workload through \
-                      sweep_reports at PTB_VERIFY=off/sample/full; audits \
-                      asserted clean before timing, overheads relative to off"
-            .to_string(),
-        quick_mode: quick,
-        host_cores: ptb_bench::pool_size(),
-        drainers: ptb_bench::pool_size(),
-        tw_sizes: TWS.iter().map(|&t| u64::from(t)).collect(),
-        policy: policy.label().to_string(),
-        networks,
-        total_off_ms: total_off,
-        total_sample_ms: total_sample,
-        total_full_ms: total_full,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_verify.json", &json).expect("can write BENCH_verify.json");
-    println!(
-        "wrote BENCH_verify.json: sample {:.2}x, full {:.2}x over off",
-        total_sample / total_off.max(1e-9),
-        total_full / total_off.max(1e-9),
-    );
-    std::process::exit(0);
-}
-
 fn main() {
     let mut level = None;
     let mut expect_findings = false;
-    let mut bench = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -210,7 +116,6 @@ fn main() {
                 }));
             }
             "--expect-findings" => expect_findings = true,
-            "--bench" => bench = true,
             _ => usage(),
         }
     }
@@ -218,9 +123,6 @@ fn main() {
     let quick = std::env::var("PTB_QUICK")
         .map(|v| v == "1")
         .unwrap_or(false);
-    if bench {
-        run_levels(&base, quick);
-    }
     // Without an explicit --level, PTB_VERIFY picks it, and a verifier
     // binary defaults to actually verifying.
     let level = level.unwrap_or_else(|| match AuditLevel::from_env() {

@@ -58,15 +58,10 @@ FIG_TMP="$(mktemp -d)"
 diff -r --exclude=.cache "$FIG_TMP/results" results
 rm -rf "$FIG_TMP"
 
-echo "== bench smoke (oracle = production; a sweep drained by 1 and 2 threads is bit-identical)"
-# The binary asserts that the serial per-tap oracle and the production
-# kernel produce one report for every layer and TW, and that each
-# network's sweep drained by one thread and by at least two produces
-# the same reports, before timing them; PTB_BENCH_OUT keeps the
-# checked-in full-fidelity recording untouched.
-BENCH_TMP="$(mktemp)"
-PTB_QUICK=1 PTB_BENCH_OUT="$BENCH_TMP" ./target/release/bench_sim_parallel
-rm -f "$BENCH_TMP"
+echo "== bench smoke (before timing: oracle = kernel on every layer and TW; a sweep drained by 1 and 2 threads is bit-identical; cache off = mem; audits clean at off/sample/full)"
+# bench_sweep checks each row's variants agree before it times them and
+# exits nonzero if any disagree; stdout is the record, discarded here.
+PTB_QUICK=1 ./target/release/bench_sweep >/dev/null
 
 echo "== injected corruption must be caught (cache_load_flip: verify_sweep --expect-findings, a figure binary exits nonzero)"
 CACHE_TMP="$(mktemp -d)"
