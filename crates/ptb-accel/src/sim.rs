@@ -12,15 +12,19 @@
 //!
 //! ## Latency
 //!
-//! One array iteration streams `S` entry slots (one beat each: the
-//! neuron's weight column and its packed spike words). Each PE must
-//! apply one accumulate per spike bit of its window, so an iteration is
-//! bound by the streaming beats *or* the busiest column's spike count:
-//! `cycles = max(S, max_w spikes_w) + (rows + cols − 2)`. The paper's
-//! baselines stream densely (`S = |RF|`), so PTB wins latency by
-//! skipping silent-in-span neurons and (with StSAP) sharing slots.
-//! Layer latency is `max(compute cycles, DRAM traffic / bandwidth)`
-//! (stall-free double buffering, Section V-B).
+//! An array iteration streams entry slots (a neuron's weight column and
+//! packed spike words, or an StSAP pair). A slot holds the wavefront
+//! for its busiest window's spike count, floored at the spike word's
+//! column-link beats; a pair's tags are disjoint, so it costs its larger
+//! member. Every policy books its iterations through one formula,
+//! [`systolic_sim::ArrayDims::cycles`]: slot beats plus the
+//! `rows + cols − 2` fill per iteration. The baselines stream densely,
+//! so PTB wins latency by skipping silent-in-span neurons and (with
+//! StSAP) sharing slots. Layer latency is
+//! [`systolic_sim::ArchConfig::layer_cycles`]: the larger of the summed
+//! compute cycles and DRAM traffic over bandwidth, the optimistic
+//! stall-free bound (Section V-B), not checked against a per-iteration
+//! double buffer.
 //!
 //! ## Energy
 //!
@@ -98,7 +102,7 @@ use std::ops::Range;
 
 use snn_core::shape::ConvShape;
 use snn_core::spike::SpikeTensor;
-use systolic_sim::{sat_mul, AccessCounts, DataKind, MemLevel};
+use systolic_sim::{sat_mul, AccessCounts, ArrayDims, DataKind, MemLevel};
 
 use crate::config::{Policy, SimInputs};
 use crate::geom::{BoxScan, FiringIndex};
@@ -163,14 +167,7 @@ pub(crate) fn simulate_indexed(
             let firing = firing.expect("PTB walks the firing index");
             debug_assert_eq!(firing.channels().len(), shape.in_channels() as usize);
             let ctx = PtbCtx::new(inputs, d);
-            // Narrow tag words keep StSAP's pairable tables small; the
-            // wide fallback covers any array.
-            let tally = if d.cols <= 16 {
-                ptb_scan::<u16>(stsap, shape, &ctx, input, firing)
-            } else {
-                ptb_scan::<u128>(stsap, shape, &ctx, input, firing)
-            };
-            (tally, firing.len())
+            (ptb_scan(stsap, shape, &ctx, input, firing), firing.len())
         }
         Policy::BaselineTemporal => (baseline_scan(shape, input, &d), input.neurons()),
         Policy::TimeSerial => (time_serial_scan(shape, input, &d), input.neurons()),
@@ -192,8 +189,8 @@ struct Dims {
     m: u64,
     /// Array row tiles the output channels take.
     row_tiles: u64,
-    /// Fill/drain cycles of one array iteration.
-    fill: u64,
+    /// The array, whose [`ArrayDims::cycles`] books every iteration.
+    array: ArrayDims,
     /// Membrane potential width, bits.
     pbits: u64,
     /// Weight width, bits.
@@ -226,7 +223,7 @@ impl Dims {
         Dims {
             m,
             row_tiles: m.div_ceil(u64::from(arch.array.rows())),
-            fill: arch.array.fill_cycles(),
+            array: arch.array,
             pbits: u64::from(arch.potential_bits),
             wbits: u64::from(arch.weight_bits),
             cols: arch.array.cols() as usize,
@@ -235,14 +232,21 @@ impl Dims {
         }
     }
 
+    /// Cycles of `iterations` array iterations streaming `beats` beats
+    /// between them, run once per row tile: [`ArrayDims::cycles`].
+    fn cycles(&self, beats: u64, iterations: u64) -> u64 {
+        self.array
+            .cycles(beats * self.row_tiles, iterations * self.row_tiles)
+    }
+
     /// Books one baseline \[14\] iteration: a (position, column tile)
     /// pair streaming its field's `rf_len` taps densely over `span_len`
     /// time points, `spikes` of them firing. A column is one time point
     /// and counts at most one spike per field neuron, so the busiest
     /// column never outlasts the dense stream: the iteration takes
-    /// `rf_len` beats plus the fill.
+    /// `rf_len` beats, once per row tile.
     fn book_dense_tile(&self, tally: &mut Tally, rf_len: u64, span_len: u64, spikes: u64) {
-        sat!(tally.compute_cycles += (rf_len + self.fill) * self.row_tiles);
+        sat!(tally.compute_cycles += self.cycles(rf_len, 1));
         sat!(tally.useful_ops += spikes * self.m);
         sat!(tally.counts.ac_ops += spikes * self.m);
         sat!(tally.entries_before += rf_len * self.row_tiles);
@@ -268,7 +272,7 @@ impl Dims {
         spikes: u64,
     ) {
         let t = self.t as u64;
-        sat!(tally.compute_cycles += (rf_max + self.fill) * t * self.row_tiles);
+        sat!(tally.compute_cycles += self.cycles(rf_max * t, t));
         sat!(tally.useful_ops += spikes * self.m);
         sat!(tally.counts.ac_ops += spikes * self.m);
         sat!(tally.entries_before += rf_sum * t * self.row_tiles);
@@ -289,7 +293,7 @@ impl Dims {
     /// targets), and each active point pays its own fill and membrane
     /// update for the position's output neurons.
     fn book_events(&self, tally: &mut Tally, events: u64, active_tps: u64) {
-        sat!(tally.compute_cycles += (events + self.fill * active_tps) * self.row_tiles);
+        sat!(tally.compute_cycles += self.cycles(events, active_tps));
         sat!(tally.entries_before += events * self.row_tiles);
         sat!(tally.entries_after += events * self.row_tiles);
         sat!(tally.useful_ops += events * self.m);
@@ -566,9 +570,7 @@ fn fetch_inputs(inputs: &SimInputs, d: &Dims, tally: &mut Tally, bits: u64) {
 /// stall-free assumption), and energy evaluates the access counts.
 fn report(inputs: &SimInputs, policy: Policy, tw_size: u32, mut tally: Tally) -> LayerReport {
     let arch = &inputs.arch;
-    let dram_bytes = tally.counts.dram_traffic_bits() as f64 / 8.0;
-    let dram_cycles = (dram_bytes / arch.dram_bytes_per_cycle()).ceil() as u64;
-    let cycles = tally.compute_cycles.max(dram_cycles);
+    let cycles = arch.layer_cycles(tally.compute_cycles, tally.counts.dram_traffic_bits());
     let pe_cycles = sat_mul(
         u64::from(arch.array.pe_count()),
         cycles,
@@ -643,7 +645,7 @@ impl PtbCtx {
         active_windows: u64,
     ) {
         let d = &self.d;
-        sat!(tally.compute_cycles += (stream_beats + d.fill) * d.row_tiles);
+        sat!(tally.compute_cycles += d.cycles(stream_beats, 1));
         sat!(tally.useful_ops += spikes_span * d.m);
         sat!(tally.counts.ac_ops += spikes_span * d.m);
         sat!(tally.entries_before += raw * d.row_tiles);
@@ -664,16 +666,15 @@ impl PtbCtx {
     /// within what [`CHUNK_WORDS`] leaves beside the `reserved` words of
     /// StSAP's class stores (or one tile's, if that is more): the fewest
     /// chunks of even size that fit. A chunk may split a word's lanes;
-    /// the lane path masks each word to the chunk's tiles. `entry_bytes`
-    /// is the size of one pairable entry (tag and beats).
-    fn chunks(
+    /// the lane path masks each word to the chunk's tiles. A pairable
+    /// entry holds a tag of the class store `S` and its beats.
+    fn chunks<S: TagClasses>(
         &self,
         shape: ConvShape,
         stsap: bool,
-        entry_bytes: usize,
         reserved: usize,
     ) -> Vec<Range<usize>> {
-        let neurons = shape.ifmap_neurons();
+        let (neurons, entry_bytes) = (shape.ifmap_neurons(), size_of::<(S::Tag, u16)>());
         // Four planes, and a word for the tile's any-pairable flag.
         let mut per_tile = 4 * (shape.ifmap_side() as usize + 1).pow(2) + 1;
         if stsap {
@@ -704,21 +705,6 @@ const CHUNK_WORDS: usize = 1 << 20;
 /// in a core's L2 cache; a band holds at least one row, however large
 /// its stores.
 const BAND_WORDS: usize = 1 << 16;
-
-/// Storage word for a pairable entry's tag in StSAP's per-tile tables.
-///
-/// A column tile spans at most 128 windows, so `u128` always works; the
-/// paper's architecture streams 8 columns, so the common case fits a
-/// `u16` and the tag table shrinks 8×. It only sizes that table: the
-/// scan reads tags as `u128` and picks its class storage by tile width.
-trait TileMask: Copy + Default + Send + Sync + Into<u128> + TryFrom<u128> {
-    fn from_u128(m: u128) -> Self {
-        Self::try_from(m).ok().expect("mask fits the tag word")
-    }
-}
-
-impl TileMask for u16 {}
-impl TileMask for u128 {}
 
 /// `0x5555…`, `0x3333…`, `0x0f0f…`, …: the low half of every `2^i`-bit
 /// pair of fields.
@@ -904,19 +890,20 @@ struct LaneTerms {
 
 /// StSAP's pairable entries of one chunk's tiles — those whose tag is
 /// not the tile's full mask — as a bit per neuron per tile, with each
-/// flagged entry's tag and lone-slot beats (busiest window floored at
+/// flagged entry's tag, in the tag word of the class store `S` that
+/// prices them, and lone-slot beats (busiest window floored at
 /// `min_beats`). Empty for plain PTB.
-struct Pairable<M> {
+struct Pairable<S: TagClasses> {
     /// Bitset words per tile.
     words: usize,
     neurons: usize,
     bits: Vec<u64>,
     /// Per (tile, neuron): the tag and the lone-slot beats.
-    entries: Vec<(M, u16)>,
+    entries: Vec<(S::Tag, u16)>,
     any: Vec<bool>,
 }
 
-impl<M: TileMask> Pairable<M> {
+impl<S: TagClasses> Pairable<S> {
     fn new(neurons: usize, tiles: usize, stsap: bool) -> Self {
         let neurons = if stsap { neurons } else { 0 };
         let words = neurons.div_ceil(64);
@@ -924,7 +911,7 @@ impl<M: TileMask> Pairable<M> {
             words,
             neurons,
             bits: vec![0; words * tiles],
-            entries: vec![(M::default(), 0); neurons * tiles],
+            entries: vec![(S::Tag::default(), 0); neurons * tiles],
             any: vec![false; tiles],
         }
     }
@@ -932,7 +919,10 @@ impl<M: TileMask> Pairable<M> {
     #[inline]
     fn add(&mut self, tile: usize, n: usize, tag: u128, beats: u64) {
         self.bits[tile * self.words + n / 64] |= 1 << (n % 64);
-        self.entries[tile * self.neurons + n] = (M::from_u128(tag), beats as u16);
+        let tag = S::Tag::try_from(tag)
+            .ok()
+            .expect("the tag fits the store's tag word");
+        self.entries[tile * self.neurons + n] = (tag, beats as u16);
         self.any[tile] = true;
     }
 }
@@ -945,13 +935,13 @@ impl<M: TileMask> Pairable<M> {
 /// in ascending neuron order, so a silent neuron costs nothing. Every
 /// plane term is an integer sum and the pairable tables are indexed by
 /// (tile, neuron), so the order of the walk changes no value.
-struct ChunkFill<M> {
+struct ChunkFill<S: TagClasses> {
     tiles: Range<usize>,
     boxes: BoxScan,
-    pairable: Pairable<M>,
+    pairable: Pairable<S>,
 }
 
-impl<M: TileMask> ChunkFill<M> {
+impl<S: TagClasses> ChunkFill<S> {
     /// Walks each firing neuron's spike words over the chunk's time
     /// span once and adds every active tile's terms straight into that
     /// tile's planes at the neuron's `(row, col)` cell — a lane at a
@@ -980,7 +970,7 @@ impl<M: TileMask> ChunkFill<M> {
     /// Words the chunk's planes and pairable tables take.
     fn words(&self) -> usize {
         let p = &self.pairable;
-        let entry_bytes = p.entries.len() * std::mem::size_of::<(M, u16)>();
+        let entry_bytes = p.entries.len() * size_of::<(S::Tag, u16)>();
         self.boxes.words() + p.bits.len() + entry_bytes.div_ceil(8) + p.any.len().div_ceil(8)
     }
 
@@ -1161,9 +1151,10 @@ impl<M: TileMask> ChunkFill<M> {
     }
 }
 
-/// PTB with the tag storage `M` its tile width needs, and StSAP class
-/// storage chosen by the widest tile.
-fn ptb_scan<M: TileMask>(
+/// PTB, with StSAP's class storage, and with it the pairable tag word,
+/// chosen by the widest tile: 8-bit tags while a tile spans at most 8
+/// windows, `u128` beyond.
+fn ptb_scan(
     stsap: bool,
     shape: ConvShape,
     ctx: &PtbCtx,
@@ -1172,9 +1163,9 @@ fn ptb_scan<M: TileMask>(
 ) -> Tally {
     let max_nw = ctx.tiles.iter().map(|&(w0, w1)| w1 - w0).max().unwrap_or(0);
     if max_nw <= 8 {
-        ptb_box_scan::<M, NarrowClasses>(stsap, shape, ctx, input, firing, max_nw)
+        ptb_box_scan::<NarrowClasses>(stsap, shape, ctx, input, firing, max_nw)
     } else {
-        ptb_box_scan::<M, SortedClasses>(stsap, shape, ctx, input, firing, max_nw)
+        ptb_box_scan::<SortedClasses>(stsap, shape, ctx, input, firing, max_nw)
     }
 }
 
@@ -1206,7 +1197,7 @@ fn ptb_scan<M: TileMask>(
 /// The chunks ([`PtbCtx::chunks`]) run in order; `account` sees the
 /// same per-(position, tile) values as the oracle's walk (see
 /// [`PtbCtx`]).
-fn ptb_box_scan<M: TileMask, S: TagClasses>(
+fn ptb_box_scan<S: TagClasses>(
     stsap: bool,
     shape: ConvShape,
     ctx: &PtbCtx,
@@ -1221,9 +1212,8 @@ fn ptb_box_scan<M: TileMask, S: TagClasses>(
     let mut tally = Tally::default();
     let mut plan = PairPlan::default();
     let mut sums = [0u64; 4];
-    let entry_bytes = std::mem::size_of::<(M, u16)>();
-    for tiles in ctx.chunks(shape, stsap, entry_bytes, store_words) {
-        let mut fill = ChunkFill::<M>::new(ctx, shape, input, firing, tiles.clone(), stsap);
+    for tiles in ctx.chunks::<S>(shape, stsap, store_words) {
+        let mut fill = ChunkFill::<S>::new(ctx, shape, input, firing, tiles.clone(), stsap);
         debug_assert!(
             tiles.len() == 1
                 || fill.words() + stores.iter().map(S::words).sum::<usize>() <= CHUNK_WORDS,
@@ -1241,7 +1231,7 @@ fn ptb_box_scan<M: TileMask, S: TagClasses>(
                 if pairable.any[i] {
                     fill.boxes.scatter(rows.clone(), bits, |n, xs, ys| {
                         let (tag, beats) = entries[n];
-                        let (tag, value) = (tag.into(), valued.then_some(beats));
+                        let value = valued.then_some(beats);
                         for x in xs {
                             let row = &mut stores[x * e - first..][..e];
                             for store in &mut row[ys.clone()] {
@@ -1357,7 +1347,7 @@ fn ann_scan(shape: ConvShape, d: &Dims) -> Tally {
     let mut tally = Tally::default();
     for p0 in (0..d.positions).step_by(d.cols) {
         let lens = (p0..(p0 + d.cols).min(d.positions)).map(|p| boxes.field_len(p));
-        sat!(tally.compute_cycles += (lens.clone().max().unwrap_or(0) + d.fill) * d.row_tiles);
+        sat!(tally.compute_cycles += d.cycles(lens.clone().max().unwrap_or(0), 1));
         sat!(tally.sum_entries_raw += lens.sum());
     }
     tally
@@ -1705,7 +1695,7 @@ mod tests {
                                 let at = format!(
                                     "t={t} tw={tw} cols={cols} link={link} stsap={stsap} tiles {tiles:?}"
                                 );
-                                let mut fill = ChunkFill::<u128>::new(
+                                let mut fill = ChunkFill::<SortedClasses>::new(
                                     &ctx,
                                     shape,
                                     &input,
@@ -1749,6 +1739,14 @@ mod tests {
     }
 
     #[test]
+    fn narrow_tiles_keep_four_byte_pairable_entries() {
+        // Tiles of at most 8 windows (the default 8-column array) are
+        // priced on `NarrowClasses`, whose 8-bit tags keep a pairable
+        // entry, tag and beats, at 4 bytes.
+        assert_eq!(size_of::<(<NarrowClasses as TagClasses>::Tag, u16)>(), 4);
+    }
+
+    #[test]
     fn chunks_stay_within_their_memory_budget() {
         // A wide array (u128 tags) whose StSAP pairable table outweighs
         // the planes: every chunk but a lone tile fits in CHUNK_WORDS
@@ -1768,7 +1766,7 @@ mod tests {
                 bands[0].len() == 1 || reserved <= BAND_WORDS,
                 "stsap={stsap}"
             );
-            let chunks = ctx.chunks(shape, stsap, std::mem::size_of::<(u128, u16)>(), reserved);
+            let chunks = ctx.chunks::<SortedClasses>(shape, stsap, reserved);
             assert_eq!(chunks.len() > 1, stsap, "stsap={stsap}");
             assert_eq!(
                 chunks.iter().map(|c| c.len()).sum::<usize>(),
@@ -1776,7 +1774,14 @@ mod tests {
             );
             let widest = chunks.iter().max_by_key(|c| c.len()).unwrap().clone();
             let firing = FiringIndex::new(shape, &input);
-            let fill = ChunkFill::<u128>::new(&ctx, shape, &input, &firing, widest.clone(), stsap);
+            let fill = ChunkFill::<SortedClasses>::new(
+                &ctx,
+                shape,
+                &input,
+                &firing,
+                widest.clone(),
+                stsap,
+            );
             assert!(
                 fill.words() + reserved <= CHUNK_WORDS,
                 "stsap={stsap} {widest:?}: {} words beside {reserved}",

@@ -201,7 +201,7 @@ fn ann(shape: ConvShape, d: &Dims) -> Tally {
             rf_sum += len;
             rf_max = rf_max.max(len);
         }
-        sat!(tally.compute_cycles += (rf_max + d.fill) * d.row_tiles);
+        sat!(tally.compute_cycles += d.cycles(rf_max, 1));
         sat!(tally.sum_entries_raw += rf_sum);
     }
     tally

@@ -237,6 +237,9 @@ impl PairPlan {
 /// A tile's entries grouped into tag classes: the storage the pair plan
 /// runs on and [`stream_cost`] prices.
 pub(crate) trait TagClasses {
+    /// One entry's tile tag, a bit per window of the widest tile the
+    /// storage takes.
+    type Tag: Copy + Default + TryFrom<u128>;
     /// Empty storage for tiles of up to `width` windows, with room for
     /// `capacity` entries: it takes no more memory while it never holds
     /// more.
@@ -246,7 +249,7 @@ pub(crate) trait TagClasses {
     /// Adds one entry: its tile tag and, when slots are valued, its
     /// busiest window (at least 1: the entry is active in the tile).
     /// Either every entry of a tile carries a value or none does.
-    fn push(&mut self, tag: u128, value: Option<u16>);
+    fn push(&mut self, tag: Self::Tag, value: Option<u16>);
     /// Entries pushed since the last reset.
     fn len(&self) -> usize;
     /// Largest value pushed since the last reset (0 if none).
@@ -318,6 +321,8 @@ pub(crate) struct NarrowClasses {
 }
 
 impl TagClasses for NarrowClasses {
+    type Tag = u8;
+
     fn new(width: usize, capacity: usize) -> Self {
         assert!(width <= 8, "narrow class tiles span at most 8 windows");
         NarrowClasses {
@@ -336,15 +341,15 @@ impl TagClasses for NarrowClasses {
         (size_of::<Self>() + heap).div_ceil(8)
     }
 
-    fn push(&mut self, tag: u128, value: Option<u16>) {
+    fn push(&mut self, tag: u8, value: Option<u16>) {
         debug_assert!(tag != 0, "silent-in-tile entries must be filtered out");
-        let m = tag as usize;
+        let m = usize::from(tag);
         self.counts[m] += 1;
         self.present[m / 64] |= 1 << (m % 64);
         self.len += 1;
         if let Some(v) = value {
             debug_assert!(v > 0, "an active entry's busiest window holds a spike");
-            self.valued.push((m as u8, v));
+            self.valued.push((tag, v));
             self.max = self.max.max(v);
         }
     }
@@ -442,6 +447,8 @@ fn pop_pairs(
 }
 
 impl TagClasses for SortedClasses {
+    type Tag = u128;
+
     fn new(_width: usize, capacity: usize) -> Self {
         SortedClasses {
             entries: Vec::with_capacity(capacity),
@@ -1158,7 +1165,8 @@ mod tests {
                 let mut plan = PairPlan::default();
                 [0, 1].map(|call| {
                     for (&t, &b) in tags.iter().zip(busiest) {
-                        store.push(t, if call == 0 { Some(b) } else { second(b) });
+                        let tag = S::Tag::try_from(t).ok().unwrap();
+                        store.push(tag, if call == 0 { Some(b) } else { second(b) });
                     }
                     stream_cost(&mut store, &mut plan, full, min_beats)
                 })
@@ -1252,7 +1260,7 @@ mod tests {
             fn cost<S: TagClasses>(entries: &[(u128, Option<u16>)], full: u128, floor: u64) -> StreamCost {
                 let mut store = S::new(8, 0);
                 for &(tag, value) in entries {
-                    store.push(tag, value);
+                    store.push(S::Tag::try_from(tag).ok().unwrap(), value);
                 }
                 stream_cost(&mut store, &mut PairPlan::default(), full, floor)
             }

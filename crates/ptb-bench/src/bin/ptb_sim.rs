@@ -94,7 +94,18 @@ fn parse_args() -> Args {
         eprintln!("--rows and --cols must be nonzero");
         usage();
     }
+    if let Err(e) = args.arch().validate() {
+        eprintln!("{e}");
+        usage();
+    }
     args
+}
+
+impl Args {
+    /// Table IV's architecture on the chosen array.
+    fn arch(&self) -> ArchConfig {
+        ArchConfig::hpca22().with_array(ArrayDims::new(self.rows, self.cols))
+    }
 }
 
 fn main() {
@@ -126,7 +137,7 @@ fn main() {
             .remove(0)
     } else {
         let inputs = SimInputs {
-            arch: ArchConfig::hpca22().with_array(ArrayDims::new(args.rows, args.cols)),
+            arch: args.arch(),
             energy: EnergyModel::cacti_32nm(),
             tw_size: args.tw,
         };

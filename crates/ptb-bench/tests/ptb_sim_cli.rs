@@ -71,3 +71,18 @@ fn custom_array_json_is_the_per_layer_simulation() {
     let json = ptb_sim_json(&["--rows", "8", "--cols", "16"]);
     assert_eq!(json, printed(&expected));
 }
+
+#[test]
+fn arrays_wider_than_128_columns_are_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ptb_sim"))
+        .args(["--network", "dvs-gesture", "--policy", "ptb"])
+        .args(["--tw", "1", "--rows", "1", "--cols", "200"])
+        .env("PTB_CACHE", "mem")
+        .output()
+        .expect("ptb_sim runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("128 columns"), "stderr: {stderr}");
+    assert!(stderr.contains("usage: ptb_sim"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing is simulated");
+}

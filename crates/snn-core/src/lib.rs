@@ -53,7 +53,6 @@ pub mod layer;
 pub mod learn;
 pub mod network;
 pub mod neuron;
-pub mod pool;
 pub mod quant;
 pub mod recurrent;
 pub mod repr;

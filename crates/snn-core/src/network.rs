@@ -7,7 +7,6 @@
 
 use crate::error::{Result, SnnError};
 use crate::layer::{SpikingConv, SpikingFc};
-use crate::pool::SpikingPool;
 use crate::shape::LayerShape;
 use crate::spike::SpikeTensor;
 
@@ -18,19 +17,14 @@ pub enum Layer {
     Conv(SpikingConv),
     /// A spiking fully-connected layer.
     Fc(SpikingFc),
-    /// A spatial pooling layer (OR / count pooling on binary spikes).
-    Pool(SpikingPool),
 }
 
 impl Layer {
-    /// The layer's shape descriptor, for the synaptic (CONV/FC) layers
-    /// the accelerator schedules; pooling layers have no weights and
-    /// return `None`.
-    pub fn shape(&self) -> Option<LayerShape> {
+    /// The layer's shape descriptor.
+    pub fn shape(&self) -> LayerShape {
         match self {
-            Layer::Conv(l) => Some(LayerShape::Conv(l.shape())),
-            Layer::Fc(l) => Some(LayerShape::Fc(l.shape())),
-            Layer::Pool(_) => None,
+            Layer::Conv(l) => LayerShape::Conv(l.shape()),
+            Layer::Fc(l) => LayerShape::Fc(l.shape()),
         }
     }
 
@@ -39,7 +33,6 @@ impl Layer {
         match self {
             Layer::Conv(l) => l.shape().ifmap_neurons(),
             Layer::Fc(l) => l.shape().inputs() as usize,
-            Layer::Pool(p) => p.input_neurons(),
         }
     }
 
@@ -48,7 +41,6 @@ impl Layer {
         match self {
             Layer::Conv(l) => l.shape().ofmap_neurons(),
             Layer::Fc(l) => l.shape().outputs() as usize,
-            Layer::Pool(p) => p.output_neurons(),
         }
     }
 
@@ -61,7 +53,6 @@ impl Layer {
         match self {
             Layer::Conv(l) => l.forward(input),
             Layer::Fc(l) => l.forward(input),
-            Layer::Pool(p) => p.forward(input),
         }
     }
 }
@@ -75,12 +66,6 @@ impl From<SpikingConv> for Layer {
 impl From<SpikingFc> for Layer {
     fn from(l: SpikingFc) -> Self {
         Layer::Fc(l)
-    }
-}
-
-impl From<SpikingPool> for Layer {
-    fn from(p: SpikingPool) -> Self {
-        Layer::Pool(p)
     }
 }
 
@@ -274,44 +259,6 @@ mod tests {
         assert_eq!(trace.layer_outputs().len(), 2);
         assert_eq!(trace.layer_outputs()[1].neurons(), 3);
         assert_eq!(trace.layer_input(1).neurons(), 8);
-    }
-
-    #[test]
-    fn conv_pool_conv_chains_like_table_v() {
-        use crate::pool::SpikingPool;
-        // A downscaled DVS-Gesture spine: CONV(8x8, 2->4) -> pool2 ->
-        // CONV(4x4, 4->6), the shape pattern between Table V rows.
-        let conv1 = SpikingConv::from_fn(
-            ConvShape::with_padding(8, 3, 2, 4, 1, 1).unwrap(),
-            NeuronConfig::if_model(0.5),
-            |_, _, _, _| 0.3,
-        );
-        let pool = SpikingPool::or_pool(4, 8, 2).unwrap();
-        let conv2 = SpikingConv::from_fn(
-            ConvShape::with_padding(4, 3, 4, 6, 1, 1).unwrap(),
-            NeuronConfig::if_model(0.5),
-            |_, _, _, _| 0.2,
-        );
-        let mut net = Network::new();
-        net.push(conv1);
-        net.push(pool);
-        net.push(conv2);
-        let trace = net.run(&SpikeTensor::full(2 * 64, 4)).unwrap();
-        assert_eq!(trace.layer_outputs()[0].neurons(), 4 * 64);
-        assert_eq!(trace.layer_outputs()[1].neurons(), 4 * 16);
-        assert_eq!(trace.layer_outputs()[2].neurons(), 6 * 16);
-        assert!(trace.layer_outputs()[2].total_spikes() > 0);
-    }
-
-    #[test]
-    fn pool_dimension_mismatch_is_caught() {
-        use crate::pool::SpikingPool;
-        let mut net = Network::new();
-        net.push(fc(4, 8, 0.5));
-        // 8 outputs cannot feed a pool expecting 1x4x4 = 16 inputs.
-        assert!(net
-            .try_push(SpikingPool::or_pool(1, 4, 2).unwrap())
-            .is_err());
     }
 
     #[test]

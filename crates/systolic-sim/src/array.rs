@@ -55,15 +55,16 @@ impl ArrayDims {
         u64::from(self.rows) + u64::from(self.cols) - 2
     }
 
-    /// Cycle count of one array iteration that streams `entries` input
-    /// entries with an initiation interval of `ii` cycles per entry:
-    /// `entries · ii + fill` (zero if nothing streams).
-    pub fn iteration_cycles(&self, entries: u64, ii: u64) -> u64 {
-        if entries == 0 {
-            0
-        } else {
-            entries * ii + self.fill_cycles()
-        }
+    /// The latency model's one formula: `iterations` array iterations
+    /// that stream `beats` beats between them take
+    /// `beats + iterations · fill_cycles()` cycles. Each iteration's
+    /// slots occupy the wavefront for their busiest column's beats, and
+    /// the iteration pays the skew fill once
+    /// ([`crate::timeline::play_iteration`] plays this out beat by
+    /// beat). Every policy of the layer simulator books its compute
+    /// cycles through this.
+    pub fn cycles(&self, beats: u64, iterations: u64) -> u64 {
+        beats + iterations * self.fill_cycles()
     }
 
     /// All factorizations of `pe_count` into `rows × cols` (the Fig. 9(b)
@@ -160,7 +161,8 @@ impl EngineResult {
 /// Every streamed entry takes `ii = tw_size` beats at each PE (the PE
 /// serially walks the scratchpad's psum slots, in lockstep across the
 /// array); skew between neighbours is one entry-slot, giving the classic
-/// `K·ii + rows + cols − 2` iteration latency the analytic model uses.
+/// `K·ii + rows + cols − 2` iteration latency, [`ArrayDims::cycles`]
+/// of `K·ii` beats in one iteration.
 ///
 /// ```
 /// use systolic_sim::array::{ArrayDims, StreamEntry, SystolicEngine};
@@ -237,12 +239,12 @@ impl SystolicEngine {
                 }
             }
         }
-        let k = entries.len() as u64;
+        let (k, tw) = (entries.len() as u64, u64::from(self.tw_size));
         EngineResult {
             psums,
-            cycles: self.dims.iteration_cycles(k, u64::from(self.tw_size)),
+            cycles: self.dims.cycles(k * tw, u64::from(k > 0)),
             useful_ops: useful,
-            occupied_ops: k * u64::from(self.tw_size) * u64::from(self.dims.pe_count()),
+            occupied_ops: k * tw * u64::from(self.dims.pe_count()),
         }
     }
 }
@@ -266,11 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn iteration_cycles_formula() {
+    fn cycles_formula() {
         let d = ArrayDims::new(4, 4);
-        assert_eq!(d.iteration_cycles(0, 8), 0);
-        assert_eq!(d.iteration_cycles(10, 1), 10 + 6);
-        assert_eq!(d.iteration_cycles(10, 8), 80 + 6);
+        assert_eq!(d.cycles(0, 0), 0);
+        assert_eq!(d.cycles(10, 1), 10 + 6);
+        assert_eq!(d.cycles(80, 3), 80 + 3 * 6);
     }
 
     #[test]

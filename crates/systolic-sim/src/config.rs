@@ -19,6 +19,10 @@ impl std::fmt::Display for InvalidArchError {
 
 impl std::error::Error for InvalidArchError {}
 
+/// The widest array an [`ArchConfig`] may have: a column tile's
+/// windows are tagged in one `u128`, a bit per column.
+pub const MAX_COLS: u32 = 128;
+
 /// Full architecture specification of the simulated accelerator
 /// (Table IV), independent of any particular workload.
 ///
@@ -85,13 +89,17 @@ impl ArchConfig {
     /// # Errors
     ///
     /// Returns [`InvalidArchError`] if any capacity, bandwidth, clock, or
-    /// precision is zero, or the scratchpad cannot hold a single psum.
+    /// precision is zero, the scratchpad cannot hold a single psum, or
+    /// the array is wider than [`MAX_COLS`] columns.
     pub fn validate(&self) -> Result<(), InvalidArchError> {
         let err = |reason: &str| {
             Err(InvalidArchError {
                 reason: reason.to_string(),
             })
         };
+        if self.array.cols() > MAX_COLS {
+            return err("array must have at most 128 columns (tile tags are 128-bit)");
+        }
         if self.array.pe_count() == 0 {
             return err("array must contain at least one PE");
         }
@@ -129,6 +137,18 @@ impl ArchConfig {
     /// DRAM bytes transferable per clock cycle.
     pub fn dram_bytes_per_cycle(&self) -> f64 {
         self.dram_bandwidth_bytes_per_s / self.clock_hz
+    }
+
+    /// A layer's latency in cycles: `compute_cycles` against the
+    /// cycles that `dram_bits` of off-chip traffic take at the DRAM
+    /// bandwidth, whichever is larger. Double buffering hides the
+    /// smaller of the two (Section V-B's stall-free assumption); this is
+    /// the optimistic bound, and no per-iteration double buffer is
+    /// played against it.
+    pub fn layer_cycles(&self, compute_cycles: u64, dram_bits: u64) -> u64 {
+        let dram_bytes = dram_bits as f64 / 8.0;
+        let dram_cycles = (dram_bytes / self.dram_bytes_per_cycle()).ceil() as u64;
+        compute_cycles.max(dram_cycles)
     }
 
     /// Converts a cycle count to seconds.
@@ -186,6 +206,25 @@ mod tests {
         a.scratchpad_bytes = 1;
         a.potential_bits = 16;
         assert!(a.validate().is_err());
+    }
+
+    #[test]
+    fn validation_caps_the_array_at_128_columns() {
+        let widest = ArchConfig::hpca22().with_array(ArrayDims::new(1, MAX_COLS));
+        widest.validate().unwrap();
+        let wider = ArchConfig::hpca22().with_array(ArrayDims::new(1, MAX_COLS + 1));
+        let e = wider.validate().unwrap_err();
+        assert!(e.reason.contains("128 columns"), "{e}");
+    }
+
+    #[test]
+    fn layer_cycles_take_the_slower_of_compute_and_dram() {
+        let a = ArchConfig::hpca22(); // 30 bytes per cycle
+        assert_eq!(a.layer_cycles(1000, 0), 1000);
+        assert_eq!(a.layer_cycles(0, 8 * 30 * 10), 10);
+        // A partial cycle of traffic rounds up.
+        assert_eq!(a.layer_cycles(5, 8 * 30 * 10 + 8), 11);
+        assert_eq!(a.layer_cycles(50, 8 * 30 * 10), 50);
     }
 
     #[test]

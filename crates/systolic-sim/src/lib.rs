@@ -17,16 +17,23 @@
 //!   read/write counters (in bits) plus operation counts.
 //! * [`energy`] — [`energy::EnergyModel`]: CACTI-32nm-inspired per-byte
 //!   access energies and per-op energies; turns counts into joules.
-//! * `array` — [`array::ArrayDims`] geometry/latency helpers and a
-//!   beat-level functional systolic execution used to validate the
-//!   analytic cycle counts on small cases.
+//! * `array` — [`array::ArrayDims`] geometry and the one latency
+//!   formula every array iteration is booked with
+//!   ([`array::ArrayDims::cycles`]), plus a beat-level functional
+//!   systolic execution used to validate it on small cases.
+//! * [`timeline`] — [`timeline::play_iteration`]: the skewed wavefront
+//!   played out beat by beat, the reference that formula is checked
+//!   against.
+//!
+//! A layer's latency is [`config::ArchConfig::layer_cycles`]: the
+//! larger of its compute cycles and its DRAM transfer cycles, the
+//! optimistic bound of stall-free double buffering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod array;
-pub mod buffer;
 pub mod config;
 pub mod energy;
 pub mod timeline;

@@ -1,15 +1,15 @@
 //! Beat-accurate pipeline timing: an explicit simulation of the skewed
-//! systolic wavefront that the analytic cycle formulas summarize.
+//! systolic wavefront that [`ArrayDims::cycles`] summarizes.
 //!
-//! The analytic model in `ptb-accel` charges one iteration
-//! `Σ slot_costs + rows + cols − 2` cycles, where a slot's cost is the
-//! busiest column's accumulate count (bounded below by the spike-link
+//! The layer simulator in `ptb-accel` books every array iteration as
+//! `Σ slot beats + rows + cols − 2` cycles, where a slot's beats are
+//! its busiest column's accumulate count (floored at the spike-link
 //! beats). This module *plays that schedule out*: entries advance
 //! through the array one hop per beat, each PE processes its slot for
 //! that slot's local work, and neighbours stall in lockstep when a slot
-//! needs more than one beat. The test suite proves the analytic total
-//! equals the played-out total, so the big simulator's latency numbers
-//! rest on an executable definition rather than a hand-waved formula.
+//! needs more than one beat. It is the reference the formula is checked
+//! against: the tests prove the played-out total equals it on random
+//! geometries and slot lists.
 
 use crate::array::ArrayDims;
 
@@ -23,43 +23,16 @@ pub struct SlotWork {
 }
 
 impl SlotWork {
-    /// Uniform work across all columns.
-    pub fn uniform(cols: usize, beats: u64) -> Self {
-        SlotWork {
-            col_beats: vec![beats; cols],
-        }
-    }
-
-    /// The lockstep stall this slot imposes on the wavefront.
+    /// The lockstep stall this slot imposes on the wavefront: its
+    /// busiest column, and at least one beat.
     pub fn stall(&self) -> u64 {
         self.col_beats.iter().copied().max().unwrap_or(0).max(1)
     }
 }
 
-/// Result of playing one iteration out beat by beat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineResult {
-    /// Beat at which the last PE finishes its last slot.
-    pub cycles: u64,
-    /// Total PE-beats spent busy (work actually performed).
-    pub busy_pe_beats: u64,
-    /// Total PE-beats in the iteration (PEs × cycles).
-    pub total_pe_beats: u64,
-}
-
-impl TimelineResult {
-    /// Occupancy of the array over the iteration.
-    pub fn occupancy(&self) -> f64 {
-        if self.total_pe_beats == 0 {
-            0.0
-        } else {
-            self.busy_pe_beats as f64 / self.total_pe_beats as f64
-        }
-    }
-}
-
 /// Plays an iteration's slot stream through a `dims` array, beat by
-/// beat, with lockstep stalls: the wavefront advances only when every
+/// beat, with lockstep stalls, and returns the beat at which the last
+/// PE finishes its last slot: the wavefront advances only when every
 /// PE on it has finished its current slot.
 ///
 /// Timing model: slot `k` reaches PE `(r, c)` after `r + c` hops plus
@@ -67,24 +40,19 @@ impl TimelineResult {
 /// the slot's own column-`c` beats, but cannot hand it on before the
 /// *global* stall of the slot elapses (lockstep — the systolic fabric
 /// has no elastic buffering).
-pub fn play_iteration(dims: ArrayDims, slots: &[SlotWork]) -> TimelineResult {
-    let rows = dims.rows() as u64;
-    let cols = dims.cols() as usize;
-    if slots.is_empty() {
-        return TimelineResult {
-            cycles: 0,
-            busy_pe_beats: 0,
-            total_pe_beats: 0,
-        };
-    }
+///
+/// # Panics
+///
+/// Panics if a slot does not cover every column.
+pub fn play_iteration(dims: ArrayDims, slots: &[SlotWork]) -> u64 {
+    let (rows, cols) = (u64::from(dims.rows()), u64::from(dims.cols()));
     // Injection beat of slot k at the array edge: the sum of the global
     // stalls of everything before it.
     let mut injection = 0u64;
     let mut finish = 0u64;
-    let mut busy = 0u64;
     for slot in slots {
         assert_eq!(
-            slot.col_beats.len(),
+            slot.col_beats.len() as u64,
             cols,
             "slot work must cover every column"
         );
@@ -92,91 +60,31 @@ pub fn play_iteration(dims: ArrayDims, slots: &[SlotWork]) -> TimelineResult {
         // Last PE to see this slot is (rows-1, cols-1): it receives it
         // `rows-1 + cols-1` hops after injection and holds it `stall`
         // beats (its own work may be shorter; the fabric is lockstep).
-        let done = injection + (rows - 1) + (cols as u64 - 1) + stall;
-        finish = finish.max(done);
+        finish = finish.max(injection + (rows - 1) + (cols - 1) + stall);
         injection += stall;
-        busy += rows * slot.col_beats.iter().map(|&b| b.max(1)).sum::<u64>();
     }
-    TimelineResult {
-        cycles: finish,
-        busy_pe_beats: busy,
-        total_pe_beats: u64::from(dims.pe_count()) * finish,
-    }
-}
-
-/// The analytic iteration formula the big simulator uses:
-/// `Σ stalls + rows + cols − 2`.
-pub fn analytic_iteration_cycles(dims: ArrayDims, slots: &[SlotWork]) -> u64 {
-    if slots.is_empty() {
-        return 0;
-    }
-    slots.iter().map(SlotWork::stall).sum::<u64>() + dims.fill_cycles()
+    finish
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::{StreamEntry, SystolicEngine};
+    use proptest::prelude::*;
 
     #[test]
     fn empty_stream_takes_no_time() {
-        let r = play_iteration(ArrayDims::new(4, 4), &[]);
-        assert_eq!(r.cycles, 0);
-        assert_eq!(r.occupancy(), 0.0);
+        assert_eq!(play_iteration(ArrayDims::new(4, 4), &[]), 0);
     }
 
     #[test]
     fn single_unit_slot_is_pure_fill() {
         let dims = ArrayDims::new(4, 6);
-        let r = play_iteration(dims, &[SlotWork::uniform(6, 1)]);
+        let slot = SlotWork {
+            col_beats: vec![1; 6],
+        };
         // 1 stall + (4-1) + (6-1) hops = 9 = fill + 1.
-        assert_eq!(r.cycles, dims.fill_cycles() + 1);
-    }
-
-    #[test]
-    fn analytic_formula_matches_played_out_schedule() {
-        let dims = ArrayDims::new(16, 8);
-        // Mixed slot costs, like a real sparse tile.
-        let slots: Vec<SlotWork> = (0..40)
-            .map(|k| {
-                let beats: Vec<u64> = (0..8).map(|c| 1 + ((k * 3 + c) % 5) as u64).collect();
-                SlotWork { col_beats: beats }
-            })
-            .collect();
-        let played = play_iteration(dims, &slots);
-        let analytic = analytic_iteration_cycles(dims, &slots);
-        assert_eq!(played.cycles, analytic);
-    }
-
-    #[test]
-    fn uniform_ii_reduces_to_classic_formula() {
-        let dims = ArrayDims::new(4, 4);
-        let slots = vec![SlotWork::uniform(4, 8); 10];
-        let played = play_iteration(dims, &slots);
-        assert_eq!(played.cycles, dims.iteration_cycles(10, 8));
-    }
-
-    #[test]
-    fn occupancy_reflects_column_imbalance() {
-        let dims = ArrayDims::new(2, 2);
-        // One busy column, one idle-ish column: occupancy must be low.
-        let slots = vec![
-            SlotWork {
-                col_beats: vec![8, 1],
-            };
-            4
-        ];
-        let r = play_iteration(dims, &slots);
-        let balanced = play_iteration(
-            dims,
-            &vec![
-                SlotWork {
-                    col_beats: vec![8, 8],
-                };
-                4
-            ],
-        );
-        assert!(r.occupancy() < balanced.occupancy());
-        assert!(balanced.occupancy() > 0.8);
+        assert_eq!(play_iteration(dims, &[slot]), dims.fill_cycles() + 1);
     }
 
     #[test]
@@ -196,5 +104,59 @@ mod tests {
             col_beats: vec![0, 0],
         };
         assert_eq!(s.stall(), 1, "a slot always occupies the wavefront");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The formula the simulator books, `ArrayDims::cycles` of the
+        /// slots' stalls in one iteration, is the played-out schedule
+        /// on any geometry and any slot list (empty, all-zero columns,
+        /// uneven columns), and the functional engine's cycles are
+        /// that formula of `k · tw` beats: `k` uniform `tw`-beat slots
+        /// played out.
+        #[test]
+        fn played_iteration_matches_the_formula(
+            rows in 1u32..=16,
+            cols in 1u32..=16,
+            seed in any::<u64>(),
+            k in 0usize..40,
+            tw in 1u32..=8,
+        ) {
+            let dims = ArrayDims::new(rows, cols);
+            let mut state = seed;
+            let mut step = || {
+                state = state
+                    .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                    .wrapping_add(0x1405_7B7E_F767_814F);
+                state >> 33
+            };
+            // A quarter of the slots leave every column idle; the rest
+            // draw each column's beats from 0..=12.
+            let slots: Vec<SlotWork> = (0..k)
+                .map(|_| {
+                    let idle = step() % 4 == 0;
+                    let col_beats = (0..cols)
+                        .map(|_| if idle { 0 } else { step() % 13 })
+                        .collect();
+                    SlotWork { col_beats }
+                })
+                .collect();
+            let beats: u64 = slots.iter().map(SlotWork::stall).sum();
+            prop_assert_eq!(
+                play_iteration(dims, &slots),
+                dims.cycles(beats, u64::from(k > 0))
+            );
+
+            let engine = SystolicEngine::new(dims, tw);
+            let entry = StreamEntry::single(vec![1.0; rows as usize], vec![1; cols as usize]);
+            let run = engine.run(&vec![entry; k]);
+            let uniform = SlotWork {
+                col_beats: vec![u64::from(tw); cols as usize],
+            };
+            let (k, tw) = (k as u64, u64::from(tw));
+            prop_assert_eq!(run.cycles, dims.cycles(k * tw, u64::from(k > 0)));
+            prop_assert_eq!(run.cycles, play_iteration(dims, &vec![uniform; k as usize]));
+        }
     }
 }

@@ -14,12 +14,15 @@ use std::collections::HashSet;
 use std::path::Path;
 
 /// The results files whose figures EXPERIMENTS.md must quote by
-/// citation: Figs. 9–12, the headline and the ablations.
-const MUST_CITE: [&str; 4] = [
+/// citation: Figs. 4 and 9–12, the headline, the ablations and the
+/// storage formats.
+const MUST_CITE: [&str; 6] = [
+    "fig04_firing_rates.txt",
     "fig09_energy_breakdown.txt",
     "fig10_fig11_tw_sweep.txt",
     "fig12_discussion.txt",
     "ablation_stsap_limit.txt",
+    "repr_formats.txt",
 ];
 
 /// The number tokens of `text`: digit runs with `.`-joined fractions
